@@ -7,14 +7,18 @@ exec-compiled loops) and stays within 3% with a session active
 (``counters[name] += 1`` on a plain dict plus a decode-cache length
 probe per ``_fused_run`` call).
 
-Measurement discipline: the two modes are *interleaved* rep by rep
-(off, on, off, on, ...) and gated on the best rep of each — the min is
-the noise-robust estimator for a fixed workload (any slowdown of the
-minimum is real cost, while means absorb scheduler preemption), and
-interleaving keeps slow drift (thermal, cache pressure from neighbor
-jobs) from loading one side of the ratio.
+Measurement discipline: reps run as off/on *pairs* in ABBA order (off
+then on, then on then off, ...), and the gate is the median of the
+per-pair ratios.  A shared host's CPU speed drifts within seconds, so
+the best rep of each mode, taken on its own, can land at different host
+speeds and fake an overhead of several percent.  The two reps of a pair
+run back to back, so drift cancels inside each ratio; alternating which
+mode runs first cancels any first-or-second bias; the median drops the
+pairs a preemption hit.  A real 3% overhead shifts every pair's ratio,
+so the median still catches it.
 """
 
+import statistics
 import time
 
 from repro import obs
@@ -22,8 +26,9 @@ from repro.isa import assemble
 from repro.rtl.core_sim import RisspSim
 from repro.rtl.rissp import build_rissp
 
-#: 2 instructions/iteration in the hot loop -> ~200k retirements/rep.
-_ITERS = 100_000
+#: 2 instructions/iteration in the hot loop -> ~20k retirements/rep: a
+#: short rep keeps both halves of a pair inside one host-speed window.
+_ITERS = 10_000
 
 _LOOP = f"""
     .text
@@ -35,9 +40,11 @@ loop:
     ecall
 """
 
-_REPS = 8
+#: Off/on pairs per measurement (even, so ABBA order is balanced).
+_REPS = 48
 
-#: Acceptance floor: telemetry-on fused throughput >= 0.97x telemetry-off.
+#: Acceptance floor: the median per-pair telemetry-on fused throughput is
+#: >= 0.97x telemetry-off.
 _MIN_RATIO = 0.97
 
 
@@ -66,20 +73,25 @@ def test_bench_telemetry_overhead(benchmark, bench_artifact):
 
     def report():
         off_times, on_times = [], []
-        for _ in range(_REPS):
-            instructions, elapsed = _one_rep(core, program, False)
-            off_times.append(elapsed)
-            _, elapsed = _one_rep(core, program, True)
-            on_times.append(elapsed)
-        return instructions, min(off_times), min(on_times)
+        for pair in range(_REPS):
+            timed = {}
+            for telemetry_on in ((False, True) if pair % 2 == 0
+                                 else (True, False)):
+                instructions, timed[telemetry_on] = _one_rep(
+                    core, program, telemetry_on)
+            off_times.append(timed[False])
+            on_times.append(timed[True])
+        return instructions, off_times, on_times
 
-    instructions, best_off, best_on = benchmark.pedantic(
+    instructions, off_times, on_times = benchmark.pedantic(
         report, rounds=1, iterations=1)
-    mips_off = instructions / best_off / 1e6
-    mips_on = instructions / best_on / 1e6
-    ratio = best_off / best_on     # == throughput_on / throughput_off
-    print("\n=== Telemetry overhead (fused loop, interleaved best-of-"
-          f"{_REPS}) ===")
+    mips_off = instructions / statistics.median(off_times) / 1e6
+    mips_on = instructions / statistics.median(on_times) / 1e6
+    # Per pair, off_time / on_time == throughput_on / throughput_off.
+    ratio = statistics.median(off / on
+                              for off, on in zip(off_times, on_times))
+    print("\n=== Telemetry overhead (fused loop, median of "
+          f"{_REPS} ABBA pairs) ===")
     print(f"telemetry off: {mips_off:6.3f} MIPS")
     print(f"telemetry on:  {mips_on:6.3f} MIPS "
           f"({100 * ratio:.1f}% of off)")

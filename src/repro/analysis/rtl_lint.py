@@ -3,8 +3,8 @@
 Rule taxonomy (all findings carry ``location = "module:signal"``):
 
 =======  ==================================================================
-RTL001   combinational loop — unlike ``topo_order``'s bare failure, the
-         finding reports the full cycle path ``a -> b -> ... -> a``
+RTL001   combinational loop — the finding reports the full cycle path
+         ``a -> b -> ... -> a`` (from ``topo_order``'s ``CombLoopError``)
 RTL002   multiply-driven signal (comb assign vs register vs regfile
          storage/read-return vs input port)
 RTL003   silent width truncation: a non-constant shift amount wider than
@@ -20,8 +20,9 @@ RTL007   undriven wire or output port
 =======  ==================================================================
 
 :func:`structural_facts` derives the cycle/driver/undriven facts exactly
-once; ``build_rissp`` consumes the same facts for its build-time gate and
-hands them to ``core_fusable`` so the fuse check does not re-derive them.
+once per checked module: on a frozen module it reuses the order
+``Module.check`` proved and is memoized, so ``build_rissp``'s build-time
+gate, ``core_fusable`` and any later lint share one derivation.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..rtl.ir import (Binary, Const, Expr, Module, Mux, Op, SHIFT_OPS,
-                      expr_signals)
+from ..rtl.ir import (Binary, CombLoopError, Const, Expr, Module, Mux, Op,
+                      SHIFT_OPS, expr_signals, topo_order)
 from .findings import Finding
 
 #: Driver kinds, in reporting order.
@@ -38,14 +39,15 @@ _DRIVER_KINDS = ("assign", "register", "regfile-storage", "regfile-read",
                  "input")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructuralFacts:
     """Single-derivation structural facts about one module.
 
     ``order`` is the combinational topological order (empty when ``cycle``
     is non-empty); ``drivers`` maps every driven signal to its driver
     kinds; ``conflicts``/``undriven`` are the error-class facts that both
-    the build-time gate and :func:`lint_module` report from.
+    the build-time gate and :func:`lint_module` report from.  Frozen: a
+    checked module shares one instance with every caller.
     """
 
     module: str
@@ -83,7 +85,12 @@ class StructuralFacts:
 
 def structural_facts(module: Module) -> StructuralFacts:
     """Derive drivers, conflicts, undriven signals and the combinational
-    order (or the cycle path) in one deterministic pass."""
+    order (or the cycle path) in one deterministic pass — memoized on a
+    checked module, whose proven order it reuses instead of walking."""
+    return module.memo("structural_facts", lambda: _derive_facts(module))
+
+
+def _derive_facts(module: Module) -> StructuralFacts:
     drivers: dict[str, list[str]] = {}
 
     def drive(name: str, kind: str) -> None:
@@ -115,7 +122,15 @@ def structural_facts(module: Module) -> StructuralFacts:
         [wire for wire in module.wires
          if wire not in module.assigns and wire not in regfile_driven])
 
-    order, cycle = _comb_order(module)
+    order: tuple[str, ...] = ()
+    cycle: tuple[str, ...] = ()
+    if module.frozen:
+        order = module.order
+    else:
+        try:
+            order = tuple(topo_order(module))
+        except CombLoopError as loop:
+            cycle = loop.cycle
     return StructuralFacts(
         module=module.name,
         order=order,
@@ -124,44 +139,6 @@ def structural_facts(module: Module) -> StructuralFacts:
         conflicts=conflicts,
         undriven=undriven,
     )
-
-
-def _comb_order(module: Module) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(topo order, ()) on an acyclic module; ((), cycle path) otherwise.
-
-    Deterministic: visits signals and dependencies in sorted order, so the
-    reported cycle path is stable across runs and worker counts.
-    """
-    order: list[str] = []
-    state: dict[str, int] = {}  # 0=unvisited, 1=visiting, 2=done
-    path: list[str] = []
-    cycle: list[str] = []
-
-    def visit(name: str) -> None:
-        if cycle or name not in module.assigns:
-            return
-        mark = state.get(name, 0)
-        if mark == 2:
-            return
-        if mark == 1:
-            start = path.index(name)
-            cycle.extend(path[start:] + [name])
-            return
-        state[name] = 1
-        path.append(name)
-        for dep in sorted(expr_signals(module.assigns[name])):
-            visit(dep)
-            if cycle:
-                return
-        path.pop()
-        state[name] = 2
-        order.append(name)
-
-    for name in sorted(module.assigns):
-        visit(name)
-        if cycle:
-            return (), tuple(cycle)
-    return tuple(order), ()
 
 
 # ------------------------------------------------------------ expression walk

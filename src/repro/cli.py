@@ -327,6 +327,8 @@ def _stage_fleet(config: FarmConfig) -> tuple[bool, dict]:
     _echo(f"  single cycles/sec    {metrics['single_cycles_per_sec']:,.0f}")
     _echo(f"  speedup vs single    "
           f"{metrics['speedup_vs_single']:.2f}x")
+    _echo(f"  single construct     "
+          f"{metrics['single_construct_share']:.0%} of end to end")
     path = write_bench_artifact("fleet_throughput", metrics)
     _echo(f"fleet: wrote {path}")
     return True, {"metrics": metrics, "artifact": str(path)}

@@ -328,8 +328,12 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
     results is not a speedup.  Then the batched fleet is timed end to end
     (construction, pokes, run) against a Python loop constructing and
     running single-core sims over ``baseline_sample`` of the same lanes.
-    With ``workers > 1`` the sharded campaign is also timed and its
-    merged rows checked bit-identical to the serial rows.
+    Both sides also report that time split into ``construct_s`` (the
+    ``FleetSim`` / ``RisspSim`` constructors) and ``run_s`` (pokes and
+    run), plus ``single_construct_share``: the single-core baseline's
+    construction time over its end-to-end time.  With ``workers > 1``
+    the sharded campaign is also timed and its merged rows checked
+    bit-identical to the serial rows.
     """
     from ..rtl.core_sim import RisspSim, RunResult
     from ..rtl.fleet import FleetSim
@@ -337,12 +341,13 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
 
     core, program = fleet_exercise_target()
 
-    def single_run(lane: int,
-                   trace: bool) -> tuple[RisspSim, RunResult]:
-        sim = RisspSim(core, program, mem_size=FLEET_MEM_SIZE,
-                       backend="fused", trace=trace)
+    def single_sim(trace: bool) -> RisspSim:
+        return RisspSim(core, program, mem_size=FLEET_MEM_SIZE,
+                        backend="fused", trace=trace)
+
+    def single_run(sim: RisspSim, lane: int) -> RunResult:
         sim.rtl.regfile_data[FLEET_ID_REGISTER] = fleet_lane_value(lane)
-        return sim, sim.run(max_instructions=max_instructions)
+        return sim.run(max_instructions=max_instructions)
 
     # -- equivalence: sampled lanes, full RVFI columns, before any timing
     sample = max(1, min(sample, instances))
@@ -355,7 +360,7 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
     probe_rows = probe.run(max_instructions=max_instructions,
                            quantum=quantum)
     for lane in sampled:
-        sim, reference = single_run(lane, trace=True)
+        reference = single_run(single_sim(trace=True), lane)
         got = probe_rows[lane]
         if (got.exit_code, got.instructions, got.halted_by) != \
                 (reference.exit_code, reference.instructions,
@@ -373,19 +378,24 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
     # -- timed batched fleet (construction + pokes + run, no tracing)
     started = time.perf_counter()
     fleet = FleetSim(core, program, instances, mem_size=FLEET_MEM_SIZE)
+    built = time.perf_counter()
     for lane in range(instances):
         fleet.poke_regfile(lane, FLEET_ID_REGISTER, fleet_lane_value(lane))
     results = fleet.run(max_instructions=max_instructions, quantum=quantum)
     fleet_seconds = time.perf_counter() - started
+    fleet_construct = built - started
     retirements = sum(result.instructions for result in results)
 
     # -- baseline: single-core fused sims in a Python loop, same lanes
     baseline_sample = max(1, min(baseline_sample, instances))
-    started = time.perf_counter()
+    single_construct = 0.0
     baseline_retirements = 0
+    started = time.perf_counter()
     for lane in range(baseline_sample):
-        _, reference = single_run(lane, trace=False)
-        baseline_retirements += reference.instructions
+        before = time.perf_counter()
+        sim = single_sim(trace=False)
+        single_construct += time.perf_counter() - before
+        baseline_retirements += single_run(sim, lane).instructions
     single_seconds = time.perf_counter() - started
 
     fleet_cps = retirements / fleet_seconds
@@ -404,6 +414,11 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
         "single_cycles_per_sec": single_cps,
         "speedup_vs_single": fleet_cps / single_cps,
         "wallclock_sec": wallclock,
+        "construct_s": {"fleet_batched": fleet_construct,
+                        "single_core_sampled": single_construct},
+        "run_s": {"fleet_batched": fleet_seconds - fleet_construct,
+                  "single_core_sampled": single_seconds - single_construct},
+        "single_construct_share": single_construct / single_seconds,
     }
     if workers > 1:
         serial_rows = [(lane, result.exit_code, result.instructions,

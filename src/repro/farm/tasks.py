@@ -21,7 +21,9 @@ compiled-core / decoded-image caches repopulate transparently the first
 time a simulator runs on it (the exec-compiled functions themselves never
 travel).  The rebuilt structure is verified against the spec's
 fingerprint, so a worker can never silently compute a verdict for a
-different core than the one the campaign enumerated.
+different core than the one the campaign enumerated.  The rebuilt core
+is frozen (``build_rissp`` checks it), so that fingerprint is hashed once
+per core and every later simulator on it derives nothing.
 
 Every ``run()`` is a pure function of the task description (plus the
 deterministic simulators), which is what makes the farm's merge step

@@ -45,9 +45,11 @@ register-file state; combinational ``env`` entries are re-settled by the
 harness from that flushed state (probes should drive
 ``set_inputs``/``eval_comb``, as the state tests do).
 
-Compiled functions are cached per :class:`Module` object, keyed by a
-structural fingerprint so mutating a module's assigns (as the failure
--injection tests do) transparently recompiles.
+Compiling checks — and so freezes — the module (see
+:meth:`~repro.rtl.ir.Module.check`), so compiled functions are cached per
+:class:`Module` object alone: a frozen structure cannot change under its
+cached code.  Failure injection derives a fresh module with
+:meth:`~repro.rtl.ir.Module.with_assigns`, which compiles on its own.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from .ir import (
     Slice,
     expr_signals,
     map_children,
-    topo_order,
 )
 
 #: Inline expressions longer than this get hoisted into a temp, bounding
@@ -369,7 +370,7 @@ def _emit_comb_pass(lines, module, order, legacy_ports, sig_var,
 
 
 def _generate_source(module: Module) -> str:
-    order = topo_order(module)
+    order = module.order
     sig_var = _make_sig_namer(module)
     spec = module.regfile
     legacy_ports = []
@@ -469,67 +470,56 @@ def _generate_source(module: Module) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fingerprint(module: Module) -> int:
-    """Structural hash of everything the generated code depends on."""
-    regs = tuple((r.name, r.width, r.next, r.enable, r.reset_value)
-                 for r in module.registers.values())
-    spec = module.regfile
-    rf = None
-    if spec is not None:
-        rf = (spec.num_regs, spec.width, tuple(spec.read_ports),
-              spec.write_port, tuple(spec.storage_signals))
-    ports = tuple(sorted((p.name, p.width, p.direction)
-                         for p in module.ports.values()))
-    return hash((tuple(sorted(module.assigns.items())), regs, rf, ports,
-                 tuple(sorted(module.wires.items()))))
-
-
 def stable_fingerprint(module: Module) -> str:
     """Process-independent structural hash of a module (hex digest).
 
-    :func:`_fingerprint` keys the in-process compile caches with Python's
-    built-in ``hash`` — salted per interpreter, so it can never cross a
-    process boundary.  The simulation farm instead ships this sha256 over
-    the canonical ``repr`` of the same structures (every IR node is a
-    frozen dataclass with a deterministic repr), and each worker asserts
-    that the core it rebuilt from a task's subset description has the
-    fingerprint the task was enumerated against.
+    The in-process compile caches need no hash — they are keyed by module
+    identity, since a checked module is frozen.  The simulation farm
+    ships this sha256 over the canonical ``repr`` of the structure (every
+    IR node is a frozen dataclass with a deterministic repr), and each
+    worker asserts that the core it rebuilt from a task's subset
+    description has the fingerprint the task was enumerated against.
+    Memoized on a checked module.
     """
-    import hashlib
+    def digest() -> str:
+        import hashlib
 
-    regs = tuple((r.name, r.width, repr(r.next), repr(r.enable),
-                  r.reset_value) for r in module.registers.values())
-    spec = module.regfile
-    rf = None
-    if spec is not None:
-        rf = (spec.num_regs, spec.width, tuple(spec.read_ports),
-              spec.write_port, tuple(spec.storage_signals))
-    ports = tuple(sorted((p.name, p.width, p.direction)
-                         for p in module.ports.values()))
-    assigns = tuple((name, repr(module.assigns[name]))
-                    for name in sorted(module.assigns))
-    payload = repr((assigns, regs, rf, ports,
-                    tuple(sorted(module.wires.items()))))
-    return hashlib.sha256(payload.encode()).hexdigest()
+        regs = tuple((r.name, r.width, repr(r.next), repr(r.enable),
+                      r.reset_value) for r in module.registers.values())
+        spec = module.regfile
+        rf = None
+        if spec is not None:
+            rf = (spec.num_regs, spec.width, tuple(spec.read_ports),
+                  spec.write_port, tuple(spec.storage_signals))
+        ports = tuple(sorted((p.name, p.width, p.direction)
+                             for p in module.ports.values()))
+        assigns = tuple((name, repr(module.assigns[name]))
+                        for name in sorted(module.assigns))
+        payload = repr((assigns, regs, rf, ports,
+                        tuple(sorted(module.wires.items()))))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    return module.memo("stable_fingerprint", digest)
 
 
-_cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledModule]]" = \
+_cache: "weakref.WeakKeyDictionary[Module, CompiledModule]" = \
     weakref.WeakKeyDictionary()
 
 
 def compile_module(module: Module) -> CompiledModule:
     """Compile (or fetch the cached compilation of) ``module``.
 
-    The cache is keyed on the module object *and* a structural fingerprint,
-    so rebuilding an :class:`RtlSim` after mutating ``module.assigns``
-    (failure-injection style) recompiles instead of running stale code.
+    Checks — and so freezes — the module first; the cache is keyed on the
+    module object alone.  Mutating a compiled module's structure raises
+    :class:`IrError`; derive a variant with ``module.with_assigns`` and
+    compile that instead.
     """
-    key = _fingerprint(module)
-    hit = _cache.get(module)
-    if hit is not None and hit[0] == key:
+    module.check()
+    compiled = _cache.get(module)
+    if compiled is not None:
         if _obs._ACTIVE is not None:
             _obs._ACTIVE.counters["compile_cache.module.hit"] += 1
-        return hit[1]
+        return compiled
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.counters["compile_cache.module.miss"] += 1
     source = _generate_source(module)
@@ -537,7 +527,7 @@ def compile_module(module: Module) -> CompiledModule:
     exec(compile(source, f"<rtl:{module.name}>", "exec"), namespace)
     compiled = CompiledModule(eval_comb=namespace["eval_comb"],
                               tick=namespace["tick"], source=source)
-    _cache[module] = (key, compiled)
+    _cache[module] = compiled
     return compiled
 
 
@@ -576,15 +566,18 @@ def core_fusable(module: Module, facts=None) -> bool:
     register.  Anything else (legacy read ports included) falls back to
     the per-cycle harness.
 
-    ``facts`` is an optional ``repro.analysis.StructuralFacts`` for the
-    same module (``build_rissp`` derives it once for its build-time lint
-    gate): when given, the acyclic combinational order must already have
-    been proven and the driver map replaces re-probing ``module.assigns``.
+    The answer is judged from the module's ``repro.analysis.StructuralFacts``
+    (a cycle vetoes fusing; the driver map names the combinational
+    signals) and memoized on a checked module, whose facts are memoized
+    too.  An explicit ``facts`` is judged as given, without the memo.
     """
-    if facts is not None and facts.cycle:
+    if facts is None:
+        from ..analysis.rtl_lint import structural_facts
+        return module.memo("core_fusable", lambda: core_fusable(
+            module, structural_facts(module)))
+    if facts.cycle:
         return False
-    comb_driven = facts.comb_driven if facts is not None \
-        else frozenset(module.assigns)
+    comb_driven = facts.comb_driven
     spec = module.regfile
     if spec is None or spec.write_port is None or len(spec.read_ports) != 2:
         return False
@@ -692,7 +685,7 @@ class _CoreAnalysis:
 def _analyze_core(module: Module) -> _CoreAnalysis:
     """Run the shared fused-loop dataflow analysis over a fusable core."""
     spec = module.regfile
-    order = topo_order(module)
+    order = module.order
     sig_var = _make_sig_namer(module)
     trap_core = "mtvec" in module.registers
     has_trap_out = "trap" in module.assigns
@@ -1100,26 +1093,26 @@ def _generate_core_source(module: Module) -> str:
     return "\n".join(lines) + "\n"
 
 
-_core_cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledCore]]" \
+_core_cache: "weakref.WeakKeyDictionary[Module, CompiledCore]" \
     = weakref.WeakKeyDictionary()
 
 
 def compile_core(module: Module) -> CompiledCore:
     """Compile (or fetch the cached compilation of) the fused cycle loop.
 
-    Same caching contract as :func:`compile_module`: keyed on the module
-    object plus the structural fingerprint, so failure-injection mutants
-    recompile transparently.  Callers must check :func:`core_fusable`
-    first."""
+    Same caching contract as :func:`compile_module`: the module is checked
+    (frozen) and the cache is keyed on the module object alone, so a
+    failure-injection variant from ``with_assigns`` compiles on its own.
+    Callers must check :func:`core_fusable` first."""
+    module.check()
     if not core_fusable(module):
         raise IrError(f"module {module.name} does not expose the fused "
                       f"harness interface")
-    key = _fingerprint(module)
-    hit = _core_cache.get(module)
-    if hit is not None and hit[0] == key:
+    compiled = _core_cache.get(module)
+    if compiled is not None:
         if _obs._ACTIVE is not None:
             _obs._ACTIVE.counters["compile_cache.core.hit"] += 1
-        return hit[1]
+        return compiled
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.counters["compile_cache.core.miss"] += 1
     from ..sim.decoded import SimulationError
@@ -1129,7 +1122,7 @@ def compile_core(module: Module) -> CompiledCore:
     exec(compile(source, f"<rtl-fused:{module.name}>", "exec"), namespace)
     compiled = CompiledCore(run_cycles=namespace["run_cycles"],
                             source=source, namespace=namespace)
-    _core_cache[module] = (key, compiled)
+    _core_cache[module] = compiled
     return compiled
 
 
@@ -1346,7 +1339,7 @@ def _generate_fleet_source(a: _CoreAnalysis) -> str:
     return "\n".join(lines) + "\n"
 
 
-_fleet_cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledFleet]]" \
+_fleet_cache: "weakref.WeakKeyDictionary[Module, CompiledFleet]" \
     = weakref.WeakKeyDictionary()
 
 
@@ -1361,12 +1354,11 @@ def compile_fleet(module: Module) -> CompiledFleet:
     distinct instruction word exactly once per process.  Same caching
     contract as :func:`compile_core`."""
     core = compile_core(module)
-    key = _fingerprint(module)
-    hit = _fleet_cache.get(module)
-    if hit is not None and hit[0] == key:
+    compiled = _fleet_cache.get(module)
+    if compiled is not None:
         if _obs._ACTIVE is not None:
             _obs._ACTIVE.counters["compile_cache.fleet.hit"] += 1
-        return hit[1]
+        return compiled
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.counters["compile_cache.fleet.miss"] += 1
     source = _generate_fleet_source(_analyze_core(module))
@@ -1379,5 +1371,5 @@ def compile_fleet(module: Module) -> CompiledFleet:
     compiled = CompiledFleet(run_fleet=namespace["run_fleet"],
                              registers=tuple(module.registers),
                              source=source, namespace=namespace)
-    _fleet_cache[module] = (key, compiled)
+    _fleet_cache[module] = compiled
     return compiled

@@ -14,8 +14,11 @@ which the synthesis structural-hashing pass exploits directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Any, Callable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class Op(Enum):
@@ -268,9 +271,11 @@ class Port:
     direction: str  # "in" | "out"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Register:
-    """A clocked register: ``q <= en ? next : q`` with synchronous reset."""
+    """A clocked register: ``q <= en ? next : q`` with synchronous reset.
+
+    Immutable: :meth:`Module.connect_register` installs a wired copy."""
 
     name: str
     width: int
@@ -279,7 +284,7 @@ class Register:
     reset_value: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegFileSpec:
     """Architectural register-file *storage* primitive.
 
@@ -296,23 +301,56 @@ class RegFileSpec:
     name: str
     num_regs: int
     width: int
-    read_ports: list[tuple[str, str]] = field(default_factory=list)
+    #: (addr_signal, data_signal) per read port; lists are stored as tuples.
+    read_ports: tuple[tuple[str, str], ...] = ()
     # write port: (we_signal, addr_signal, data_signal)
     write_port: tuple[str, str, str] | None = None
     #: wire names carrying each register's current value (index 1..N-1;
     #: x0 is a constant and has no storage signal).
-    storage_signals: list[str] = field(default_factory=list)
+    storage_signals: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "read_ports",
+                           tuple(tuple(port) for port in self.read_ports))
+        object.__setattr__(self, "storage_signals",
+                           tuple(self.storage_signals))
+
+
+class _FrozenMap(dict):
+    """A structure map of a checked :class:`Module`: reads like a dict,
+    refuses every mutation."""
+
+    def _refuse(self, *args, **kwargs):
+        raise IrError("module structure is frozen by check(); derive a "
+                      "variant with Module.with_assigns()")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+#: The :class:`Module` attributes compiled code and derived facts depend
+#: on; read-only once :meth:`Module.check` has passed.
+_STRUCTURE = ("ports", "wires", "assigns", "registers", "regfile")
 
 
 class Module:
     """A hardware module: ports, wires, combinational assigns, registers.
 
-    Assignments form a DAG over signal names; :meth:`check` verifies that
+    Assignments form a DAG over signal names.  :meth:`check` verifies that
     every wire/output is driven exactly once and that no combinational loops
-    exist (via :func:`topo_order`).
+    exist, and then *freezes* the module: its structure becomes read-only
+    (builders, item assignment on the maps and reassigning ``regfile``
+    raise :class:`IrError`; :class:`Register` and :class:`RegFileSpec` are
+    immutable), the proven combinational :attr:`order` is stored, and
+    derived facts are memoized through :meth:`memo`.  Every simulator,
+    compile cache and analysis over a checked module therefore reuses them
+    instead of re-deriving them per use.  :meth:`with_assigns` is the one
+    way to derive a variant; ``meta`` stays a plain, writable dict.
     """
 
     def __init__(self, name: str):
+        self._order: tuple[str, ...] | None = None
+        self._memo: dict[str, Any] = {}
         self.name = name
         self.ports: dict[str, Port] = {}
         self.wires: dict[str, int] = {}
@@ -320,6 +358,12 @@ class Module:
         self.registers: dict[str, Register] = {}
         self.regfile: RegFileSpec | None = None
         self.meta: dict[str, object] = {}
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _STRUCTURE and self.frozen:
+            raise IrError(f"module {self.name} is frozen by check(); cannot "
+                          f"reassign {name}")
+        object.__setattr__(self, name, value)
 
     # -------------------------------------------------------- construction
 
@@ -363,8 +407,7 @@ class Module:
         if next_expr.width != reg.width:
             raise IrError(f"register {name}: next width {next_expr.width} "
                           f"!= {reg.width}")
-        reg.next = next_expr
-        reg.enable = enable
+        self.registers[name] = replace(reg, next=next_expr, enable=enable)
 
     def _fresh(self, name: str) -> None:
         if name in self.ports or name in self.wires or name in self.registers:
@@ -390,8 +433,62 @@ class Module:
     def outputs(self) -> list[Port]:
         return [p for p in self.ports.values() if p.direction == "out"]
 
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`check` has passed."""
+        return self._order is not None
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        """The combinational topological order :meth:`check` proved."""
+        if self._order is None:
+            raise IrError(f"module {self.name} has not been checked")
+        return self._order
+
+    def memo(self, key: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, cached under ``key`` once the module is frozen.
+
+        Derived structural facts (fingerprints, lint facts, fusability)
+        are pure functions of the frozen structure, so each is computed
+        once per checked module; an unchecked module recomputes on every
+        call."""
+        if self._order is None:
+            return compute()
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def with_assigns(self, overrides: dict[str, Expr]) -> "Module":
+        """An unfrozen copy with the given assigns replaced.
+
+        The one mutation path for a checked module (mutants, failure
+        injection).  The copy shares the immutable expressions, registers
+        and register-file spec but owns its maps, derives its own facts
+        once checked, and leaves this module's compiled code and memo
+        untouched.  Each override must replace an existing assign at the
+        same width."""
+        variant = Module(self.name)
+        variant.ports = dict(self.ports)
+        variant.wires = dict(self.wires)
+        variant.assigns = dict(self.assigns)
+        variant.registers = dict(self.registers)
+        variant.regfile = self.regfile
+        variant.meta = dict(self.meta)
+        for name, expr in overrides.items():
+            if name not in self.assigns:
+                raise IrError(f"with_assigns: {name} is not an assign of "
+                              f"{self.name}")
+            if expr.width != self.signal_width(name):
+                raise IrError(f"with_assigns {name}: width {expr.width} "
+                              f"!= declared {self.signal_width(name)}")
+            variant.assigns[name] = expr
+        return variant
+
     def check(self) -> None:
-        """Validate single-driver rule and combinational acyclicity."""
+        """Validate single-driver rule and combinational acyclicity, then
+        freeze the module (a no-op once frozen)."""
+        if self.frozen:
+            return
         regfile_driven = set()
         if self.regfile is not None:
             regfile_driven = {data for _, data in self.regfile.read_ports
@@ -403,7 +500,10 @@ class Module:
         for wire in self.wires:
             if wire not in self.assigns and wire not in regfile_driven:
                 raise IrError(f"wire {wire} of {self.name} undriven")
-        topo_order(self)  # raises on combinational loops
+        order = tuple(topo_order(self))  # raises on combinational loops
+        for name in ("ports", "wires", "assigns", "registers"):
+            setattr(self, name, _FrozenMap(getattr(self, name)))
+        self._order = order
 
 
 def expr_signals(expr: Expr) -> set[str]:
@@ -506,14 +606,28 @@ def inline(parent: Module, child: Module, prefix: str,
     return outputs
 
 
+class CombLoopError(IrError):
+    """A combinational loop; ``cycle`` is the path ``a -> b -> ... -> a``."""
+
+    def __init__(self, module: str, cycle: tuple[str, ...]):
+        super().__init__(f"combinational loop in {module}: "
+                         + " -> ".join(cycle))
+        self.cycle = cycle
+
+
 def topo_order(module: Module) -> list[str]:
     """Topological order of combinationally assigned signals.
 
-    Raises :class:`IrError` on a combinational loop.  Registers and input
-    ports are sources and do not appear in the result.
+    Walks the whole assign DAG; a checked module's order is
+    :attr:`Module.order`.  Raises :class:`CombLoopError`, carrying the full
+    cycle path, on a combinational loop.  Registers and input ports are
+    sources and do not appear in the result.  Signals and dependencies are
+    visited in sorted order, so the order and any reported cycle path are
+    stable across runs and worker counts.
     """
     order: list[str] = []
     state: dict[str, int] = {}  # 0=unvisited, 1=visiting, 2=done
+    path: list[str] = []
 
     def visit(name: str) -> None:
         if name not in module.assigns:
@@ -522,10 +636,13 @@ def topo_order(module: Module) -> list[str]:
         if mark == 2:
             return
         if mark == 1:
-            raise IrError(f"combinational loop through {name}")
+            raise CombLoopError(module.name,
+                                tuple(path[path.index(name):] + [name]))
         state[name] = 1
+        path.append(name)
         for dep in sorted(expr_signals(module.assigns[name])):
             visit(dep)
+        path.pop()
         state[name] = 2
         order.append(name)
 

@@ -62,10 +62,11 @@ def build_rissp(mnemonics: list[str],
         lint: run the structural lint gate (``repro.analysis``) on the
             stitched core — a combinational loop, driver conflict or
             undriven signal fails the build with the finding list instead
-            of surfacing later in cosim.  The derived facts are handed to
-            ``core_fusable`` so the fuse check does not re-derive them.
+            of surfacing later in cosim.  The derived facts are memoized
+            on the core, so ``core_fusable`` does not re-derive them.
 
-    Returns the stitched :class:`Module` with ``meta['mnemonics']`` set.
+    Returns the stitched, checked (so frozen) :class:`Module` with
+    ``meta['mnemonics']`` set; derive variants with ``with_assigns``.
     """
     library = library or default_library()
     subset = sorted(dict.fromkeys(m.lower() for m in mnemonics))
@@ -171,27 +172,28 @@ def build_rissp(mnemonics: list[str],
     core.meta["mnemonics"] = ex.meta["mnemonics"]
     core.meta["modularex"] = ex
     core.meta["trap_unit"] = trap_unit
-    facts = None
     if lint:
-        # Structural lint gate: derive the cycle/driver/undriven facts
-        # once and fail the build with the full finding list (instead of
-        # check()'s first-error-only IrError).  The same facts feed the
-        # fusable check below, so nothing is derived twice.
+        # Structural lint gate: fail the build with the full finding list
+        # instead of check()'s first error.  On success check() freezes
+        # the core with the one combinational walk, and the facts reuse
+        # its order and are memoized for core_fusable and any later lint.
         from ..analysis.rtl_lint import structural_facts
-        facts = structural_facts(core)
-        errors = facts.error_findings()
+        try:
+            core.check()
+        except IrError:
+            pass    # reported below, with every other finding
+        errors = structural_facts(core).error_findings()
         if errors:
             details = "; ".join(
                 f"{f.rule} {f.location}: {f.detail}" for f in errors)
             raise IrError(f"{name}: structural lint failed — {details}")
-    else:
-        core.check()
+    core.check()
     # Every stitched RISSP must satisfy the fused-loop harness interface
     # (storage-exposed RF, imem/dmem ports, the CORE_INTERFACE outputs) —
     # assert the contract at build time so a stitching change that would
     # silently demote RisspSim to the per-cycle path fails loudly instead.
     from .compiled import core_fusable
-    if not core_fusable(core, facts=facts):
+    if not core_fusable(core):
         raise IrError(f"{name}: stitched core lost the fused harness "
                       f"interface")
     core.meta["fusable"] = True

@@ -46,7 +46,6 @@ from .ir import (
     Op,
     Sig,
     Slice,
-    topo_order,
 )
 
 
@@ -135,6 +134,9 @@ class RtlSim:
         sim.eval_comb()
         value = sim.get("next_pc")
         sim.tick()           # commit registers
+
+    Construction checks, and so freezes, ``module``; on an already
+    checked module it derives nothing.
     """
 
     def __init__(self, module: Module, backend: str | None = None):
@@ -147,13 +149,13 @@ class RtlSim:
         self.backend = backend
         self._compiled = None
         if backend in ("fused", "compiled"):
-            # topo_order already ran inside check(); the compiled code has
-            # the evaluation order baked in, so _order is interpreter-only.
-            self._order = None
+            # The compiled code has the evaluation order baked in, so
+            # _order is interpreter-only.
+            self._order: tuple[str, ...] | None = None
             from .compiled import compile_module
             self._compiled = compile_module(module)
         else:
-            self._order = topo_order(module)
+            self._order = module.order
         self.env: dict[str, int] = {}
         self.regfile_data: list[int] | None = None
         if module.regfile is not None:

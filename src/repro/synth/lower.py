@@ -27,7 +27,6 @@ from ..rtl.ir import (
     Op,
     Sig,
     Slice,
-    topo_order,
 )
 from .netlist import GateType, Netlist, sweep_dead
 
@@ -222,7 +221,7 @@ class _Lowerer:
             self.values[reg.name] = bits
             design.dff_bits[reg.name] = bits
 
-        for name in topo_order(module):
+        for name in module.order:
             self.values[name] = self.lower_expr(module.assigns[name])
 
         for reg in module.registers.values():

@@ -245,16 +245,12 @@ def rtl_mutant_kill_matrix(core: Module, program, backends,
 def apply_rtl_mutation(module: Module, mutation: RtlMutation) -> Module:
     """A structurally fresh copy of ``module`` with one assign mutated.
 
-    The copy shares (immutable) expression nodes with the original but has
-    its own assign/register tables, so the original module — and any
-    compiled-code cache entry keyed on it — is untouched.
+    Built with :meth:`~repro.rtl.ir.Module.with_assigns`: the mutant shares
+    the original's immutable expression nodes but is its own module, so
+    it compiles into its own cache entries while the original — its
+    compiled code and memoized facts — is untouched.
     """
-    import copy
-
-    mutant = copy.copy(module)
-    mutant.assigns = dict(module.assigns)
-    mutant.assigns[mutation.signal] = mutation.mutated
-    return mutant
+    return module.with_assigns({mutation.signal: mutation.mutated})
 
 
 def _vector_inputs(block: Module, vector: TestVector) -> dict[str, int]:

@@ -7,6 +7,7 @@ unpicklable task field — and the analyzers must flag *every* seed while
 the clean tree reports zero findings after waivers.  Both gates run in CI.
 """
 
+import dataclasses
 import json
 import textwrap
 
@@ -172,11 +173,15 @@ def test_build_rissp_lint_gate_reuses_facts():
     core = build_rissp(["addi", "add", "ecall"])
     facts = structural_facts(core)
     assert not facts.cycle
+    # The frozen core memoizes the lint gate's facts and reuses check()'s
+    # order instead of walking again.
+    assert structural_facts(core) is facts
+    assert facts.order == core.order
     assert core_fusable(core, facts=facts)
     # A cycle fact vetoes fusing without touching the module.
-    broken = structural_facts(core)
-    broken.cycle = ("a", "b", "a")
+    broken = dataclasses.replace(facts, cycle=("a", "b", "a"))
     assert not core_fusable(core, facts=broken)
+    assert core_fusable(core)
 
 
 # -------------------------------------------- generated-source auditor

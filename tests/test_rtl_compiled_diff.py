@@ -18,14 +18,20 @@ against the oracle two ways:
   comparing complete ``env`` and register-file state every cycle.
 """
 
+import hashlib
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from repro import obs
+from repro.analysis import structural_facts
 from repro.isa import INSTRUCTIONS
 from repro.isa.encoding import EncodingError, Instruction, encode
 from repro.rtl import build_rissp, compile_module
-from repro.rtl.ir import Binary, Cat, Const, Ext, Module, Mux, Not, Op, Slice
+from repro.rtl.compiled import stable_fingerprint
+from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
+                          Op, Port, RegFileSpec, Register, Slice)
 from repro.rtl.sim import RtlSim
 
 _WIDTHS = (1, 2, 3, 5, 7, 8, 13, 16, 17, 24, 31, 32, 33, 48, 63, 64)
@@ -206,18 +212,124 @@ def test_rissp_core_lockstep_fuzz():
                            f"cycle={cycle} insn={word:#x} post-tick")
 
 
-def test_compiled_cache_invalidates_on_mutation():
-    """Mutating a module's assigns must recompile, not reuse stale code."""
-    module = Module("mut")
+def _checked_module():
+    """A small checked module touching every frozen structure: ports,
+    wires, assigns, a register with next/enable and a register file."""
+    module = Module("frozen")
     a = module.input("a", 8)
     b = module.input("b", 8)
     module.assign(module.output("o", 8), a + b)
-    first = compile_module(module)
-    assert compile_module(module) is first          # cache hit
-    module.assigns["o"] = Binary(Op.SUB, a, b)
-    second = compile_module(module)
-    assert second is not first                      # fingerprint changed
+    acc = module.register("acc", 8, reset_value=1)
+    module.connect_register("acc", acc + a, enable=b.bit(0))
+    module.assign(module.wire("ra", 2), a.slice(1, 0))
+    module.wire("rd", 8)                     # driven by the register file
+    module.assign(module.output("q", 8), module.sig("rd"))
+    module.regfile = RegFileSpec(name="regs", num_regs=4, width=8,
+                                 read_ports=[("ra", "rd")])
+    module.check()
+    return module
+
+
+def _eval_o(module, a, b):
     sim = RtlSim(module, backend="compiled")
-    sim.set_inputs(a=5, b=3)
+    sim.set_inputs(a=a, b=b)
     sim.eval_comb()
-    assert sim.get("o") == 2
+    return sim.get("o")
+
+
+def test_checked_module_refuses_every_mutation():
+    """check() freezes the structure: mutating a compiled module raises
+    instead of silently recompiling."""
+    module = _checked_module()
+    first = compile_module(module)
+    a, b = module.sig("a"), module.sig("b")
+    for table, key, value in ((module.assigns, "o", a - b),
+                              (module.wires, "w", 8),
+                              (module.ports, "p", Port("p", 1, "in")),
+                              (module.registers, "r", Register("r", 8))):
+        with pytest.raises(IrError):
+            table[key] = value
+        with pytest.raises(IrError):
+            del table[next(iter(table))]
+        with pytest.raises(IrError):
+            table.update({key: value})
+    reg = module.registers["acc"]
+    for name, value in (("next", a), ("enable", None), ("reset_value", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(reg, name, value)
+    with pytest.raises(FrozenInstanceError):
+        module.regfile.read_ports = ()
+    with pytest.raises(IrError):
+        module.regfile = None
+    builders = (lambda: module.input("x", 1), lambda: module.output("y", 1),
+                lambda: module.wire("z", 1), lambda: module.register("s", 1),
+                lambda: module.assign("o", a),
+                lambda: module.connect_register("acc", b))
+    for build in builders:
+        with pytest.raises(IrError):
+            build()
+    assert compile_module(module) is first
+    assert _eval_o(module, 5, 3) == 8
+
+
+def test_with_assigns_variant_compiles_without_touching_original():
+    module = _checked_module()
+    first = compile_module(module)
+    facts = structural_facts(module)
+    fingerprint = stable_fingerprint(module)
+    a, b = module.sig("a"), module.sig("b")
+    variant = module.with_assigns({"o": Binary(Op.SUB, a, b)})
+    assert not variant.frozen
+    second = compile_module(variant)
+    assert variant.frozen and second is not first
+    assert second.source != first.source
+    assert _eval_o(variant, 5, 3) == 2
+    # The original keeps its structure, cached code and memoized facts.
+    assert compile_module(module) is first
+    assert structural_facts(module) is facts
+    assert stable_fingerprint(module) == fingerprint
+    assert stable_fingerprint(variant) != fingerprint
+    assert _eval_o(module, 5, 3) == 8
+    with pytest.raises(IrError):
+        module.with_assigns({"nope": a})
+    with pytest.raises(IrError):
+        module.with_assigns({"o": a.bit(0)})
+
+
+def test_frozen_core_sims_derive_nothing(monkeypatch):
+    """Once a core is checked and compiled, building RtlSim, RisspSim and
+    FleetSim on it and describing it with CoreSpec.of hit every compile
+    cache and memo: zero topological walks, zero structural hashes."""
+    from repro.farm import CoreSpec, fleet_exercise_target
+    from repro.rtl import ir
+    from repro.rtl.core_sim import RisspSim
+    from repro.rtl.fleet import FleetSim
+
+    core, program = fleet_exercise_target()
+    RisspSim(core, program)
+    FleetSim(core, program, 1)
+    CoreSpec.of(core)
+    counts = {"walks": 0, "hashes": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ir, "topo_order", counting("walks", ir.topo_order))
+    monkeypatch.setattr(hashlib, "sha256", counting("hashes", hashlib.sha256))
+    for node in (Const, ir.Sig, Not, Binary, Mux, Cat, Slice, Ext):
+        monkeypatch.setattr(node, "__hash__",
+                            counting("hashes", node.__hash__))
+    with obs.session() as telemetry:
+        RtlSim(core)
+        RisspSim(core, program)
+        FleetSim(core, program, 4)
+        CoreSpec.of(core)
+    assert counts == {"walks": 0, "hashes": 0}
+    hits = {kind: telemetry.counters[f"compile_cache.{kind}.hit"]
+            for kind in ("module", "core", "fleet")}
+    assert hits == {"module": 2, "core": 2, "fleet": 1}
+    assert not any(telemetry.counters[f"compile_cache.{kind}.miss"]
+                   for kind in hits)

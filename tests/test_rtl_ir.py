@@ -59,8 +59,9 @@ def test_comb_loop_detected():
     m.assign(x, m.sig("y"))
     m.assign(y, m.sig("x"))
     m.assign(m.output("o", 1), m.sig("x"))
-    with pytest.raises(IrError):
+    with pytest.raises(IrError, match="loop in l: x -> y -> x"):
         m.check()
+    assert not m.frozen
 
 
 def test_register_tick():

@@ -467,8 +467,7 @@ def test_mret_block_passes_preverification():
     assert check_block(block).proven
     # failure injection: dropping the alignment mask must be caught
     from repro.rtl.ir import Sig
-    broken = build_block("mret")
-    broken.assigns["next_pc"] = Sig("mepc", 32)
+    broken = build_block("mret").with_assigns({"next_pc": Sig("mepc", 32)})
     assert not check_block(broken).proven
 
 
@@ -537,7 +536,7 @@ def test_cosim_catches_broken_trap_redirect():
     """Failure injection: a trap unit that fails to redirect the pc must
     be caught by the lock-step comparison (trap path is really gated)."""
     core = build_rissp(FULL_TRAP_SUBSET)
-    core.assigns["pc_next"] = core.sig("ex_next_pc")    # drop the mux
+    core = core.with_assigns({"pc_next": core.sig("ex_next_pc")})  # no mux
     prog = assemble("""
 .text
 main:

@@ -34,16 +34,16 @@ def test_testbench_catches_injected_bug():
     # swap the adder output for a subtractor: rebuild rdest_data
     from repro.rtl.ir import Binary, Op
     expr = block.assigns["rdest_data"]
-    block.assigns["rdest_data"] = Binary(Op.SUB, expr.a, expr.b)
+    block = block.with_assigns(
+        {"rdest_data": Binary(Op.SUB, expr.a, expr.b)})
     result = run_testbench(block)
     assert not result.passed
 
 
 def test_formal_catches_wrong_decode():
     from repro.verify import check_block
-    block = build_block("xor")
     # corrupt rs2 address decode
-    block.assigns["rs2_addr"] = Const(3, 4)
+    block = build_block("xor").with_assigns({"rs2_addr": Const(3, 4)})
     report = check_block(block)
     assert not report.proven
 

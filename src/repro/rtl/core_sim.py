@@ -570,11 +570,17 @@ def cosimulate(core: Module, program: Program,
     writeback, memory effect (read *and* write side) and trap/interrupt
     flags must agree.
 
-    Both sides retire into columnar :class:`RvfiTrace` sinks and the
-    comparison reads field columns directly — no per-retirement record
-    allocation.  On the per-cycle backends the RTL side keeps only the
-    newest row (ring capacity 1); the fused path buffers at most
-    :data:`COSIM_CHUNK` rows per chunk.
+    Both sides retire into columnar :class:`RvfiTrace` sinks.  On the
+    per-cycle backends the RTL side keeps only the newest row (ring
+    capacity 1) and each retirement's two rows are compared whole.  The
+    fused path buffers at most :data:`COSIM_CHUNK` RTL rows per chunk and
+    compares by column: after the golden side retires row *i*, the
+    chunk's :data:`COSIM_FIELDS` columns at *i* are indexed against the
+    golden sink's newest slot, with no per-retirement tuple or record.
+    Either way the first divergence is the lowest retirement index whose
+    fields or halt flags differ, reported with the first differing field
+    in :data:`COSIM_FIELDS` order (``"halt"`` when only the halt flags
+    differ).
 
     ``golden_trace_out``, when given, receives the golden reference's RVFI
     retirements as they happen — callers wanting to additionally spec-check
@@ -654,12 +660,20 @@ def _cosimulate_fused(rtl: RisspSim, gold, gold_trace: RvfiTrace,
                       max_instructions: int) -> CosimMismatch | None:
     """Chunked lock-step: fused RTL execution vs per-retirement golden.
 
-    Verdict-equivalent to the per-cycle walk: rows are compared in
-    retirement order, halt divergence is checked per row, and an RTL-side
-    refusal (SimulationError/MemoryError_) propagates only if every row
-    retired before it matched — exactly the information order the
-    cycle-by-cycle loop observes.
+    Verdict-equivalent to the per-cycle walk: the golden side retires row
+    *i* into ``gold_trace``, then row *i* is compared — the chunk's
+    :data:`COSIM_FIELDS` columns at *i* against the golden trace's newest
+    slot, plus the halt flags.  Only a row that differs is handed to
+    :func:`_retirement_mismatch`, which names the first divergent field.
+    A divergent row returns before the golden side retires the next one,
+    so a golden exception raised after it loses to the mismatch, and an
+    RTL-side refusal (SimulationError/MemoryError_) propagates only if
+    every row retired before it matched — exactly the information order
+    the cycle-by-cycle loop observes.
     """
+    retire = gold.retire_one
+    ring = gold_trace.capacity
+    gold_columns = [gold_trace.column(name) for name in COSIM_FIELDS]
     order = 0
     while order < max_instructions:
         chunk = RvfiTrace()
@@ -671,16 +685,23 @@ def _cosimulate_fused(rtl: RisspSim, gold, gold_trace: RvfiTrace,
         except (SimulationError, MemoryError_) as exc:
             refusal = exc
         rows = len(chunk)
+        pairs = [(chunk.column(name), gold_column)
+                 for name, gold_column in zip(COSIM_FIELDS, gold_columns)]
         for index in range(rows):
-            gold_halt, _ = gold.retire_one(order + index, gold_trace)
+            gold_halt, _ = retire(order + index, gold_trace)
             rtl_halt = rtl_halted and index == rows - 1
-            mismatch = _retirement_mismatch(order + index, chunk.row(index),
-                                            gold_trace.row(-1), rtl_halt,
-                                            gold_halt, field_slots)
-            if mismatch is not None:
-                return mismatch
-            if rtl_halt:
-                return None
+            newest = (gold_trace.total_appended - 1) % ring if ring else -1
+            if rtl_halt == gold_halt:
+                for rtl_column, gold_column in pairs:
+                    if rtl_column[index] != gold_column[newest]:
+                        break
+                else:
+                    if rtl_halt:
+                        return None
+                    continue
+            return _retirement_mismatch(order + index, chunk.row(index),
+                                        gold_trace.row(-1), rtl_halt,
+                                        gold_halt, field_slots)
         if refusal is not None:
             raise refusal
         order += rows

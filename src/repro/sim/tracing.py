@@ -20,6 +20,7 @@ fields the golden ISS does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterator
 
 from ..isa.bits import sign_extend, to_u32
@@ -52,23 +53,23 @@ class RvfiRecord:
 class RvfiTrace:
     """Columnar RVFI retirement trace with optional ring-buffer capacity.
 
-    Long verification runs used to allocate one :class:`RvfiRecord` per
-    retirement; this container stores each RVFI field in its own column
-    list instead, so recording a retirement is 17 integer appends (or, in
-    ring mode, 17 in-place slot writes — zero allocation) via
-    :meth:`append_row`.  It quacks like a read-only sequence of
-    :class:`RvfiRecord`: ``len(trace)``, ``trace[i]``, slicing and
-    iteration all materialize records on demand, so existing consumers
-    (``check_trace``, tests that copy and corrupt traces) keep working
-    unchanged.
+    Each RVFI field lives in its own column list, so recording a
+    retirement is 17 integer appends (or, in ring mode, 17 in-place slot
+    writes — zero allocation) via :meth:`append_row`.  Verification reads
+    the columns without building records: the lock-step cosimulation
+    indexes :meth:`column` lists, and the RVFI checker walks
+    :meth:`rows`, plain ``FIELDS``-ordered tuples.  For everyone else the
+    trace quacks like a read-only sequence of :class:`RvfiRecord`:
+    ``len(trace)``, ``trace[i]``, slicing and iteration build records on
+    demand.
 
     With ``capacity=N`` the trace keeps only the newest N retirements
     (index 0 is the oldest *retained* row); ``total_appended`` still counts
     every retirement ever recorded.
     """
 
-    #: Field order shared by :meth:`append_row` and :meth:`row`; matches
-    #: the :class:`RvfiRecord` constructor.
+    #: Field order shared by :meth:`append_row`, :meth:`row` and
+    #: :meth:`rows`; matches the :class:`RvfiRecord` constructor.
     FIELDS = ("order", "insn", "pc_rdata", "pc_wdata", "rs1_addr",
               "rs2_addr", "rs1_rdata", "rs2_rdata", "rd_addr", "rd_wdata",
               "mem_addr", "mem_rmask", "mem_wmask", "mem_rdata",
@@ -92,17 +93,59 @@ class RvfiTrace:
                    rd_wdata: int, mem_addr: int = 0, mem_rmask: int = 0,
                    mem_wmask: int = 0, mem_rdata: int = 0,
                    mem_wdata: int = 0, trap: int = 0, intr: int = 0) -> None:
-        values = (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr,
-                  rs1_rdata, rs2_rdata, rd_addr, rd_wdata, mem_addr,
-                  mem_rmask, mem_wmask, mem_rdata, mem_wdata, trap, intr)
+        # Unrolled: every retirement of a traced run lands here, and a
+        # zip over the 17 columns costs twice the stores themselves.
+        (c_order, c_insn, c_pc_rdata, c_pc_wdata, c_rs1_addr, c_rs2_addr,
+         c_rs1_rdata, c_rs2_rdata, c_rd_addr, c_rd_wdata, c_mem_addr,
+         c_mem_rmask, c_mem_wmask, c_mem_rdata, c_mem_wdata, c_trap,
+         c_intr) = self._columns
         if self.capacity is None:
-            for column, value in zip(self._columns, values):
-                column.append(value)
+            c_order.append(order)
+            c_insn.append(insn)
+            c_pc_rdata.append(pc_rdata)
+            c_pc_wdata.append(pc_wdata)
+            c_rs1_addr.append(rs1_addr)
+            c_rs2_addr.append(rs2_addr)
+            c_rs1_rdata.append(rs1_rdata)
+            c_rs2_rdata.append(rs2_rdata)
+            c_rd_addr.append(rd_addr)
+            c_rd_wdata.append(rd_wdata)
+            c_mem_addr.append(mem_addr)
+            c_mem_rmask.append(mem_rmask)
+            c_mem_wmask.append(mem_wmask)
+            c_mem_rdata.append(mem_rdata)
+            c_mem_wdata.append(mem_wdata)
+            c_trap.append(trap)
+            c_intr.append(intr)
         else:
             slot = self.total_appended % self.capacity
-            for column, value in zip(self._columns, values):
-                column[slot] = value
+            c_order[slot] = order
+            c_insn[slot] = insn
+            c_pc_rdata[slot] = pc_rdata
+            c_pc_wdata[slot] = pc_wdata
+            c_rs1_addr[slot] = rs1_addr
+            c_rs2_addr[slot] = rs2_addr
+            c_rs1_rdata[slot] = rs1_rdata
+            c_rs2_rdata[slot] = rs2_rdata
+            c_rd_addr[slot] = rd_addr
+            c_rd_wdata[slot] = rd_wdata
+            c_mem_addr[slot] = mem_addr
+            c_mem_rmask[slot] = mem_rmask
+            c_mem_wmask[slot] = mem_wmask
+            c_mem_rdata[slot] = mem_rdata
+            c_mem_wdata[slot] = mem_wdata
+            c_trap[slot] = trap
+            c_intr[slot] = intr
         self.total_appended += 1
+
+    def extend(self, other: "RvfiTrace") -> None:
+        """Append every row of ``other`` after this trace's rows, column
+        by column.  Both traces must be unbounded (no ring capacity)."""
+        if self.capacity is not None or other.capacity is not None:
+            raise ValueError("extend needs two unbounded traces")
+        for column, more in zip(self._columns, other._columns):
+            column.extend(more)
+        self.total_appended += other.total_appended
 
     def column(self, field: str) -> list[int]:
         """The raw column for ``field`` (ring mode: physical slot order)."""
@@ -122,6 +165,18 @@ class RvfiTrace:
         """All 17 fields of one retirement as a tuple (``FIELDS`` order)."""
         slot = self._slot(index)
         return tuple(column[slot] for column in self._columns)
+
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """Every retained retirement as a ``FIELDS``-ordered tuple, oldest
+        first (ring mode: in ring order, from the oldest retained slot)."""
+        columns = self._columns
+        length = len(self)
+        if self.capacity is None:
+            return zip(*columns)
+        start = self._slot(0) if length else 0
+        if start == 0:
+            return zip(*(column[:length] for column in columns))
+        return zip(*(column[start:] + column[:start] for column in columns))
 
     def peek(self, index: int, field: str) -> int:
         """Read one field of one retirement without materializing it."""
@@ -143,8 +198,7 @@ class RvfiTrace:
         return RvfiRecord(*self.row(index))
 
     def __iter__(self) -> Iterator[RvfiRecord]:
-        for index in range(len(self)):
-            yield RvfiRecord(*self.row(index))
+        return starmap(RvfiRecord, self.rows())
 
 
 def load_read_fields(addr: int, word: int, width: int,

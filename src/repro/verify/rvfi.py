@@ -3,13 +3,15 @@
 riscv-formal attaches to a core through the RISC-V Formal Interface and
 checks, per retired instruction: correct execution against the ISA spec,
 register-file consistency, and PC chaining.  The same three families of
-checks run here over :class:`repro.sim.tracing.RvfiRecord` streams emitted
-by either simulator:
+checks run here over the RVFI retirement traces either simulator emits
+(a columnar :class:`repro.sim.tracing.RvfiTrace`, read row tuple by row
+tuple, or a list of :class:`repro.sim.tracing.RvfiRecord`):
 
   * **insn checks** — re-execute each retired instruction with the spec and
     compare ``pc_wdata``, ``rd_addr``/``rd_wdata`` and store effects,
   * **reg checks** — maintain a shadow register file from retired writes
-    and require every ``rs*_rdata`` to match it,
+    (x0 pinned to zero) and require every ``rs*_rdata`` it covers to
+    match it,
   * **pc checks** — ``pc_rdata`` of instruction *n+1* must equal
     ``pc_wdata`` of instruction *n*, and ``order`` must be gapless.
 
@@ -32,6 +34,7 @@ without trapping is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from ..isa.bits import sign_extend, to_u32
@@ -50,18 +53,17 @@ from ..isa.csrs import (
     MTVAL,
     MTVEC,
 )
-from ..isa.encoding import DecodeError, decode
+from ..isa.encoding import DecodeError, Instruction, decode
 from ..isa.instructions import CSR_OPS
 from ..isa.spec import SpecError, step
 from ..sim.csr import CsrError, READ_ONLY_CSRS, warl_mask
-from ..sim.tracing import RvfiRecord
+from ..sim.tracing import RvfiRecord, RvfiTrace
 
 #: Exception codes an interrupt row's ``intr`` column may legally carry
 #: (the arbitrated cause, see :data:`repro.isa.csrs.INTERRUPT_SOURCES`).
 _INTR_CODES = frozenset(cause & 0x3F for _, cause in INTERRUPT_SOURCES)
 
 _CSR_MNEMONICS = set(CSR_OPS)
-_SYSTEM_MNEMONICS = _CSR_MNEMONICS | {"mret", "wfi"}
 
 
 @dataclass
@@ -123,167 +125,196 @@ class _ShadowCsrs:
         self.values[MCAUSE] = to_u32(cause)
         self.values[MTVAL] = to_u32(tval)
 
+    def reader(self, learned: int):
+        """Spec ``csr`` callback for one row: shadow-known values are
+        checked exactly; unobserved ones read as ``learned``, the value
+        the row itself reveals (rd for Zicsr reads, the redirect target
+        for mret), and are verified self-consistently."""
+        values = self.values
+        return lambda addr: values.get(addr, learned)
 
-def check_trace(trace: Sequence[RvfiRecord],
+
+def _record_load(mem_addr: int, mem_rmask: int, mem_rdata: int):
+    """Spec ``load`` callback modelling a load from a row's own memory
+    view (its read-effect triple)."""
+    def load(addr: int, width: int, signed: bool) -> int:
+        offset = (addr - (mem_addr & ~0x3)) & 0x3
+        if width == 4 or mem_rmask != 0b1111:
+            value = mem_rdata
+        else:
+            value = (mem_rdata >> (8 * offset)) & ((1 << (8 * width)) - 1)
+        if signed and width < 4:
+            value = to_u32(sign_extend(value, 8 * width))
+        return value
+    return load
+
+
+#: Decode facts the checker needs per row: ``(instr, uses_rs1, uses_rs2,
+#: system)``, where ``system`` is ``"csr"`` (Zicsr), ``"mret"``, ``"wfi"``
+#: or None.
+_WordFacts = tuple[Instruction, bool, bool, str | None]
+
+
+def _word_facts(word: int) -> _WordFacts:
+    """Decode facts of ``word``; raises :class:`DecodeError`."""
+    instr = decode(word)
+    d = instr.definition
+    fmt = d.fmt.value
+    uses_rs1 = fmt in ("R", "I", "S", "B") or (fmt == "CSR"
+                                               and not d.csr_uimm)
+    uses_rs2 = fmt in ("R", "S", "B")
+    if instr.mnemonic in _CSR_MNEMONICS:
+        system: str | None = "csr"
+    elif instr.mnemonic in ("mret", "wfi"):
+        system = instr.mnemonic
+    else:
+        system = None
+    return instr, uses_rs1, uses_rs2, system
+
+
+def _at(order: int, pc: int) -> str:
+    """Location prefix of an error message."""
+    return f"order={order} pc={pc:#x}"
+
+
+#: Row tuple of an :class:`RvfiRecord`, in :attr:`RvfiTrace.FIELDS` order.
+_RECORD_ROW = attrgetter(*RvfiTrace.FIELDS)
+
+
+def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
                 num_regs: int = 16,
                 initial_regs: dict[int, int] | None = None,
                 max_errors: int = 25) -> RvfiCheckReport:
     """Validate a retirement trace against the executable spec.
 
-    ``trace`` is any sequence of :class:`RvfiRecord` — a plain list or the
-    columnar :class:`~repro.sim.tracing.RvfiTrace`, which materializes
-    records lazily while iterating here.
+    ``trace`` is the columnar :class:`~repro.sim.tracing.RvfiTrace` or
+    any sequence of :class:`RvfiRecord`.  Either way the checker walks
+    plain ``FIELDS``-ordered row tuples — :meth:`RvfiTrace.rows`, or each
+    record's fields — so both forms yield identical reports and no record
+    is built per row.  The shadow register file starts from
+    ``initial_regs`` plus x0, which always reads as 0.
     """
     report = RvfiCheckReport()
+    errors = report.errors
     shadow: dict[int, int] = dict(initial_regs or {})
+    shadow[0] = 0
     csrs = _ShadowCsrs()
+    # Facts per decodable word, memoized for this trace; an undecodable
+    # word is never stored, so its DecodeError is raised on every row.
+    word_facts: dict[int, _WordFacts] = {}
     prev_pc_wdata: int | None = None
     prev_order: int | None = None
+    rows = trace.rows() if isinstance(trace, RvfiTrace) \
+        else map(_RECORD_ROW, trace)
 
-    for record in trace:
-        if len(report.errors) >= max_errors:
+    for (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr, rs1_rdata,
+         rs2_rdata, rd_addr, rd_wdata, mem_addr, mem_rmask, mem_wmask,
+         mem_rdata, mem_wdata, trap, intr) in rows:
+        if len(errors) >= max_errors:
             break
         report.records_checked += 1
-        where = f"order={record.order} pc={record.pc_rdata:#x}"
 
         # --- pc checks -------------------------------------------------
-        if prev_order is not None and record.order != prev_order + 1:
-            report.errors.append(f"{where}: order gap after {prev_order}")
-        prev_order = record.order
-        if record.intr:
+        if prev_order is not None and order != prev_order + 1:
+            errors.append(f"{_at(order, pc_rdata)}: order gap after "
+                          f"{prev_order}")
+        prev_order = order
+        if intr:
             # Interrupt entry redirected the pc between retirements; the
             # handler address replaces the chain, and the interrupted pc
             # became mepc.  The intr column carries the arbitrated
             # exception code (mcause low bits) of the source that won.
-            if record.intr not in _INTR_CODES:
-                report.errors.append(
-                    f"{where}: intr carries unknown interrupt code "
-                    f"{record.intr}")
-            if csrs.known(MTVEC) \
-                    and record.pc_rdata != csrs.values[MTVEC] & ~0x3:
-                report.errors.append(
-                    f"{where}: interrupt entered at {record.pc_rdata:#x}, "
-                    f"mtvec is {csrs.values[MTVEC]:#x}")
+            if intr not in _INTR_CODES:
+                errors.append(f"{_at(order, pc_rdata)}: intr carries "
+                              f"unknown interrupt code {intr}")
+            if csrs.known(MTVEC) and pc_rdata != csrs.values[MTVEC] & ~0x3:
+                errors.append(
+                    f"{_at(order, pc_rdata)}: interrupt entered at "
+                    f"{pc_rdata:#x}, mtvec is {csrs.values[MTVEC]:#x}")
             if prev_pc_wdata is not None:
                 # Full trap-entry model: stacks MIE and resets MTVAL too.
-                csrs.trap_entry(prev_pc_wdata,
-                                CAUSE_INTERRUPT | record.intr, 0)
-        elif prev_pc_wdata is not None and record.pc_rdata != prev_pc_wdata:
-            report.errors.append(
-                f"{where}: pc_rdata != previous pc_wdata "
-                f"{prev_pc_wdata:#x}")
-        prev_pc_wdata = record.pc_wdata
+                csrs.trap_entry(prev_pc_wdata, CAUSE_INTERRUPT | intr, 0)
+        elif prev_pc_wdata is not None and pc_rdata != prev_pc_wdata:
+            errors.append(f"{_at(order, pc_rdata)}: pc_rdata != previous "
+                          f"pc_wdata {prev_pc_wdata:#x}")
+        prev_pc_wdata = pc_wdata
 
         # --- trap rows ---------------------------------------------------
-        if record.trap:
-            if csrs.known(MTVEC) \
-                    and record.pc_wdata != csrs.values[MTVEC] & ~0x3:
-                report.errors.append(
-                    f"{where}: trap redirected to {record.pc_wdata:#x}, "
-                    f"mtvec is {csrs.values[MTVEC]:#x}")
-            if record.rd_addr or record.mem_wmask:
-                report.errors.append(
-                    f"{where}: trapping instruction has side effects")
-            cause = _trap_cause(record.insn)
-            csrs.trap_entry(record.pc_rdata, cause,
-                            record.insn
-                            if cause == CAUSE_ILLEGAL_INSTRUCTION else 0)
+        if trap:
+            if csrs.known(MTVEC) and pc_wdata != csrs.values[MTVEC] & ~0x3:
+                errors.append(
+                    f"{_at(order, pc_rdata)}: trap redirected to "
+                    f"{pc_wdata:#x}, mtvec is {csrs.values[MTVEC]:#x}")
+            if rd_addr or mem_wmask:
+                errors.append(f"{_at(order, pc_rdata)}: trapping "
+                              f"instruction has side effects")
+            cause = _trap_cause(insn)
+            csrs.trap_entry(pc_rdata, cause,
+                            insn if cause == CAUSE_ILLEGAL_INSTRUCTION else 0)
             continue
 
         # --- reg checks --------------------------------------------------
-        try:
-            instr = decode(record.insn)
-        except DecodeError as exc:
-            report.errors.append(f"{where}: undecodable insn: {exc}")
-            continue
-        d = instr.definition
-        uses_rs1 = d.fmt.value in ("R", "I", "S", "B") \
-            or (d.fmt.value == "CSR" and not d.csr_uimm)
-        uses_rs2 = d.fmt.value in ("R", "S", "B")
-        if uses_rs1 and record.rs1_addr in shadow:
-            want = shadow[record.rs1_addr] if record.rs1_addr else 0
-            if record.rs1_rdata != want:
-                report.errors.append(
-                    f"{where}: rs1 x{record.rs1_addr} read "
-                    f"{record.rs1_rdata:#x}, shadow {want:#x}")
-        if uses_rs2 and record.rs2_addr in shadow:
-            want = shadow[record.rs2_addr] if record.rs2_addr else 0
-            if record.rs2_rdata != want:
-                report.errors.append(
-                    f"{where}: rs2 x{record.rs2_addr} read "
-                    f"{record.rs2_rdata:#x}, shadow {want:#x}")
+        facts = word_facts.get(insn)
+        if facts is None:
+            try:
+                facts = word_facts[insn] = _word_facts(insn)
+            except DecodeError as exc:
+                errors.append(f"{_at(order, pc_rdata)}: undecodable insn: "
+                              f"{exc}")
+                continue
+        instr, uses_rs1, uses_rs2, system = facts
+        if uses_rs1 and rs1_addr in shadow \
+                and rs1_rdata != shadow[rs1_addr]:
+            errors.append(f"{_at(order, pc_rdata)}: rs1 x{rs1_addr} read "
+                          f"{rs1_rdata:#x}, shadow {shadow[rs1_addr]:#x}")
+        if uses_rs2 and rs2_addr in shadow \
+                and rs2_rdata != shadow[rs2_addr]:
+            errors.append(f"{_at(order, pc_rdata)}: rs2 x{rs2_addr} read "
+                          f"{rs2_rdata:#x}, shadow {shadow[rs2_addr]:#x}")
 
         # --- insn checks -------------------------------------------------
-        def load(addr: int, width: int, signed: bool) -> int:
-            # Model the load from the record's own memory view.
-            offset = (addr - (record.mem_addr & ~0x3)) & 0x3 \
-                if record.mem_rmask else addr & 0x3
-            raw = record.mem_rdata
-            if width == 4:
-                value = raw
-            else:
-                value = (raw >> (8 * offset)) & ((1 << (8 * width)) - 1) \
-                    if record.mem_rmask == 0b1111 else raw
-            if signed and width < 4:
-                value = to_u32(sign_extend(value, 8 * width))
-            return value
-
         csr_known = True
-        is_system = instr.mnemonic in _SYSTEM_MNEMONICS
-        if is_system:
-            if instr.mnemonic in _CSR_MNEMONICS:
-                source_addr = instr.imm & 0xFFF
+        read_csr = None
+        if system is not None:
+            csr_known = csrs.known(instr.imm & 0xFFF if system == "csr"
+                                   else MEPC)
+            if system == "csr":
+                learned = rd_wdata if rd_addr else 0
             else:
-                source_addr = MEPC
-            csr_known = csrs.known(source_addr)
-
-        def read_csr(addr: int) -> int:
-            # Shadow-known values are checked exactly; unobserved ones are
-            # learned from the record itself (rd for Zicsr reads, the
-            # redirect target for mret) and verified self-consistently.
-            if csrs.known(addr):
-                return csrs.values[addr]
-            if instr.mnemonic in _CSR_MNEMONICS and record.rd_addr:
-                return record.rd_wdata
-            if instr.mnemonic == "mret":
-                return record.pc_wdata
-            return 0
-
+                learned = pc_wdata if system == "mret" else 0
+            read_csr = csrs.reader(learned)
         try:
-            expected = step(instr, record.pc_rdata, record.rs1_rdata,
-                            record.rs2_rdata,
-                            load if record.mem_rmask else None,
-                            read_csr if is_system else None)
+            expected = step(instr, pc_rdata, rs1_rdata, rs2_rdata,
+                            _record_load(mem_addr, mem_rmask, mem_rdata)
+                            if mem_rmask else None,
+                            read_csr)
         except (SpecError, CsrError) as exc:
-            report.errors.append(f"{where}: spec refusal: {exc}")
+            errors.append(f"{_at(order, pc_rdata)}: spec refusal: {exc}")
             continue
-        if record.pc_wdata != expected.next_pc:
-            report.errors.append(
-                f"{where}: pc_wdata {record.pc_wdata:#x} != spec "
-                f"{expected.next_pc:#x}")
+        if pc_wdata != expected.next_pc:
+            errors.append(f"{_at(order, pc_rdata)}: pc_wdata {pc_wdata:#x} "
+                          f"!= spec {expected.next_pc:#x}")
         want_rd = expected.rd or 0
-        if record.rd_addr != want_rd:
-            report.errors.append(
-                f"{where}: rd_addr {record.rd_addr} != spec {want_rd}")
-        elif want_rd and csr_known and record.rd_wdata != expected.rd_data:
-            report.errors.append(
-                f"{where}: rd_wdata {record.rd_wdata:#x} != spec "
-                f"{expected.rd_data:#x}")
+        if rd_addr != want_rd:
+            errors.append(f"{_at(order, pc_rdata)}: rd_addr {rd_addr} != "
+                          f"spec {want_rd}")
+        elif want_rd and csr_known and rd_wdata != expected.rd_data:
+            errors.append(f"{_at(order, pc_rdata)}: rd_wdata {rd_wdata:#x} "
+                          f"!= spec {expected.rd_data:#x}")
         if expected.mem_write is not None:
             mw = expected.mem_write
-            if not record.mem_wmask:
-                report.errors.append(f"{where}: missing store effect")
+            if not mem_wmask:
+                errors.append(f"{_at(order, pc_rdata)}: missing store "
+                              f"effect")
             else:
-                if record.mem_addr != mw.addr:
-                    report.errors.append(
-                        f"{where}: store addr {record.mem_addr:#x} != "
-                        f"{mw.addr:#x}")
-                if record.mem_wdata != mw.data:
-                    report.errors.append(
-                        f"{where}: store data {record.mem_wdata:#x} != "
-                        f"{mw.data:#x}")
-        elif record.mem_wmask:
-            report.errors.append(f"{where}: spurious store effect")
+                if mem_addr != mw.addr:
+                    errors.append(f"{_at(order, pc_rdata)}: store addr "
+                                  f"{mem_addr:#x} != {mw.addr:#x}")
+                if mem_wdata != mw.data:
+                    errors.append(f"{_at(order, pc_rdata)}: store data "
+                                  f"{mem_wdata:#x} != {mw.data:#x}")
+        elif mem_wmask:
+            errors.append(f"{_at(order, pc_rdata)}: spurious store effect")
 
         if expected.csr_write is not None:
             write_addr, write_value = expected.csr_write
@@ -292,15 +323,15 @@ def check_trace(trace: Sequence[RvfiRecord],
                 # read-only CSR must raise illegal instruction — it can
                 # never appear as a plain retirement.  (Pure-read forms
                 # produce no csr_write and are exempt.)
-                report.errors.append(
-                    f"{where}: {instr.mnemonic} wrote read-only CSR "
-                    f"{write_addr:#x} without trapping")
+                errors.append(
+                    f"{_at(order, pc_rdata)}: {instr.mnemonic} wrote "
+                    f"read-only CSR {write_addr:#x} without trapping")
             # The written value is only trustworthy when the old value was
             # observable: shadow-known, read out through rd, or irrelevant
             # (csrrw/csrrwi overwrite unconditionally).  A blind
             # read-modify-write (csrrs/csrrc with rd=x0 on an unobserved
             # CSR) must *invalidate* the shadow, not learn a guess.
-            old_observable = csr_known or record.rd_addr \
+            old_observable = csr_known or rd_addr \
                 or instr.mnemonic in ("csrrw", "csrrwi")
             try:
                 if old_observable:
@@ -313,7 +344,7 @@ def check_trace(trace: Sequence[RvfiRecord],
             csrs.unstack_mie()
 
         if want_rd:
-            shadow[want_rd] = record.rd_wdata if not csr_known \
+            shadow[want_rd] = rd_wdata if not csr_known \
                 else expected.rd_data
 
     return report

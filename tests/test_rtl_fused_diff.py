@@ -24,6 +24,10 @@ code, row by row:
   with their MMIO platform and timer interrupts, run to halt;
 * **fault injection** — corrupted fused-side rows must surface as cosim
   mismatches, proving the chunked fused compare path actually gates;
+* **the lock-step contract** — exact first-divergence index and field
+  inside a later chunk, halt-flag divergence on either side, golden
+  refusals ordered after an earlier divergence, what the golden sink
+  holds afterwards; the fused verdict must equal the per-cycle one;
 * **backend selection** — ``REPRO_RTL_BACKEND`` must pick each backend,
   and only ``fused`` may arm the fused loop.
 """
@@ -32,7 +36,14 @@ import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import build_rissp
-from repro.rtl.core_sim import RisspSim, cosimulate
+from repro.rtl.core_sim import (
+    COSIM_CHUNK,
+    COSIM_FIELDS,
+    CosimMismatch,
+    RisspSim,
+    cosimulate,
+)
+from repro.sim.golden import GoldenSim, SimulationError, run_program
 from repro.sim.tracing import RvfiTrace
 from repro.verify.fuzz import (
     FUZZ_BASE_SEED,
@@ -336,3 +347,151 @@ def test_rissp_cores_advertise_fused_interface(full_core, trap_core):
 
     for core in (full_core, trap_core):
         assert core.meta["fusable"] and core_fusable(core)
+
+
+# ------------------------------------------- lock-step contract
+#
+# The fused cosim compares chunk columns against the golden sink's newest
+# slot; these pin what that must keep from the per-cycle walk: the exact
+# first divergence, the halt flags, the exception order and what the
+# golden sink holds.  Each injection works on the fused and the per-cycle
+# compiled backend alike, and the two verdicts must agree.
+
+#: ~4.5k retirements: two COSIM_CHUNK chunks plus a tail.
+LONG_LOOP = """.text
+main:
+    li t0, 1500
+loop:
+    addi a0, a0, 3
+    addi t0, t0, -1
+    bnez t0, loop
+    ret
+"""
+
+#: Mid-way through the second fused chunk.
+MID_CHUNK2 = COSIM_CHUNK + 17
+
+
+@pytest.fixture(scope="module")
+def long_loop():
+    program = assemble(LONG_LOOP)
+    retired = run_program(program).instructions
+    assert MID_CHUNK2 + 1 < retired - 2 < 2 * COSIM_CHUNK
+    return program, retired
+
+
+def _corrupt_rtl_row(monkeypatch, target, field):
+    """Flip bit 2 of ``field`` in the RTL row of retirement ``target``,
+    on the fused chunk or the per-cycle sink, whichever records it."""
+    fused_run = RisspSim._fused_run
+    cycle = RisspSim._cycle
+
+    def fused(self, count, limit, trace):
+        result = fused_run(self, count, limit, trace)
+        if trace is not None and count <= target < count + len(trace):
+            trace.poke(target - count, field,
+                       trace.peek(target - count, field) ^ 4)
+        return result
+
+    def per_cycle(self, order, sink=None):
+        result = cycle(self, order, sink)
+        if sink is not None and order == target:
+            sink.poke(-1, field, sink.peek(-1, field) ^ 4)
+        return result
+
+    monkeypatch.setattr(RisspSim, "_fused_run", fused)
+    monkeypatch.setattr(RisspSim, "_cycle", per_cycle)
+
+
+def _patch_golden(monkeypatch, at, halt=None, refuse=False):
+    """At golden retirement ``at``: raise a refusal before retiring, or
+    override the halt flag after retiring normally."""
+    retire_one = GoldenSim.retire_one
+
+    def patched(self, order, sink=None):
+        if refuse and order == at:
+            raise SimulationError("injected golden refusal")
+        halted, reason = retire_one(self, order, sink)
+        if halt is not None and order == at:
+            return halt, "ecall" if halt else ""
+        return halted, reason
+
+    monkeypatch.setattr(GoldenSim, "retire_one", patched)
+
+
+def _both_backends(core, program, **kwargs):
+    verdicts = {backend: cosimulate(core, program, backend=backend, **kwargs)
+                for backend in ("fused", "compiled")}
+    assert verdicts["fused"] == verdicts["compiled"], verdicts
+    return verdicts["fused"]
+
+
+@pytest.mark.parametrize("field", COSIM_FIELDS)
+def test_cosim_reports_exact_divergence_mid_second_chunk(
+        full_core, long_loop, monkeypatch, field):
+    program, _ = long_loop
+    golden = GoldenSim(program, trace=True).run().trace.peek(MID_CHUNK2,
+                                                             field)
+    _corrupt_rtl_row(monkeypatch, MID_CHUNK2, field)
+    assert _both_backends(full_core, program) == \
+        CosimMismatch(MID_CHUNK2, field, golden ^ 4, golden)
+
+
+def test_cosim_reports_golden_halt_one_row_early(full_core, long_loop,
+                                                 monkeypatch):
+    program, retired = long_loop
+    _patch_golden(monkeypatch, retired - 2, halt=True)
+    assert _both_backends(full_core, program) == \
+        CosimMismatch(retired - 2, "halt", 0, 1)
+
+
+def test_cosim_reports_rtl_only_halt(full_core, long_loop, monkeypatch):
+    program, retired = long_loop
+    _patch_golden(monkeypatch, retired - 1, halt=False)
+    assert _both_backends(full_core, program) == \
+        CosimMismatch(retired - 1, "halt", 1, 0)
+
+
+def test_cosim_golden_refusal_after_divergence_loses(full_core, long_loop,
+                                                     monkeypatch):
+    program, _ = long_loop
+    _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "rd_wdata")
+    _patch_golden(monkeypatch, MID_CHUNK2 + 1, refuse=True)
+    mismatch = _both_backends(full_core, program)
+    assert (mismatch.index, mismatch.field) == (MID_CHUNK2, "rd_wdata")
+
+
+def test_cosim_golden_refusal_after_clean_rows_propagates(
+        full_core, long_loop, monkeypatch):
+    program, _ = long_loop
+    _patch_golden(monkeypatch, MID_CHUNK2 + 1, refuse=True)
+    for backend in ("fused", "compiled"):
+        with pytest.raises(SimulationError, match="injected golden refusal"):
+            cosimulate(full_core, program, backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["fused", "compiled"])
+def test_golden_trace_out_stops_at_the_mismatch(full_core, long_loop,
+                                                monkeypatch, backend):
+    program, _ = long_loop
+    _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "pc_wdata")
+    for sink in (RvfiTrace(), []):
+        mismatch = cosimulate(full_core, program, backend=backend,
+                              golden_trace_out=sink)
+        assert mismatch.index == MID_CHUNK2
+        assert len(sink) == MID_CHUNK2 + 1
+        assert [row.order for row in sink[-2:]] == \
+            [MID_CHUNK2 - 1, MID_CHUNK2]
+
+
+@pytest.mark.parametrize("backend", ["fused", "compiled"])
+@pytest.mark.parametrize("capacity", [1, 7])
+def test_ring_sink_counts_every_golden_retirement(full_core, long_loop,
+                                                  backend, capacity):
+    program, retired = long_loop
+    sink = RvfiTrace(capacity=capacity)
+    assert cosimulate(full_core, program, backend=backend,
+                      golden_trace_out=sink) is None
+    assert sink.total_appended == retired and len(sink) == capacity
+    assert [row.order for row in sink] == \
+        list(range(retired - capacity, retired))

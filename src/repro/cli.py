@@ -448,9 +448,8 @@ def run(config: FarmConfig) -> int:
 
     ``--json-out`` is written whether or not stages fail or raise;
     ``--telemetry``/``--trace-out`` open one :mod:`repro.obs` session
-    around all stages (each under its own span) plus the telemetry
-    probe, and write the manifest/timeline at the end, also
-    unconditionally.
+    around all stages (each under its own span) and write the
+    manifest/timeline at the end, also unconditionally.
     """
     from . import obs
 
@@ -465,13 +464,6 @@ def run(config: FarmConfig) -> int:
             results[stage] = {"ok": ok, **payload}
             if not ok:
                 failures.append(stage)
-        if telemetry is not None:
-            # Populate every instrumented counter family once so run
-            # manifests are comparable regardless of stage selection.
-            from .farm import telemetry_probe
-
-            with obs.span("telemetry_probe"):
-                telemetry_probe()
     if config.json_out:
         out_path = pathlib.Path(config.json_out)
         if out_path.parent != pathlib.Path(""):

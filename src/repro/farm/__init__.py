@@ -34,7 +34,6 @@ from .campaigns import (
     mutation_exercise_target,
     sharded_compliance_mismatches,
     sharded_mutant_kill_matrix,
-    telemetry_probe,
     workload_target,
 )
 from .runner import (
@@ -64,5 +63,5 @@ __all__ = [
     "fleet_throughput_metrics", "lint_campaign", "lint_targets",
     "mutation_exercise_target", "run_tasks",
     "sharded_compliance_mismatches", "sharded_mutant_kill_matrix",
-    "telemetry_probe", "workload_target",
+    "workload_target",
 ]

@@ -439,75 +439,6 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
     return metrics
 
 
-# ------------------------------------------------------ telemetry probe
-
-#: Per-cause fleet lane programs for :func:`telemetry_probe`: each lane's
-#: *first* batched instruction is one the batch must hand over, so every
-#: lane produces exactly one divergence of a known cause.  Lanes marked
-#: ``True`` need a trap handler (mtvec is poked to the halt-sentinel
-#: ecall stub, so the adopted lane spins handler->trap until its tiny
-#: budget runs out instead of raising a refusal).
-_PROBE_LANES: tuple[tuple[str, str, bool], ...] = (
-    ("emulated", ".text\nstart:\n    csrrs t0, mscratch, zero\n"
-                 "    ecall\n", False),
-    ("mret", ".text\nstart:\n    mret\n", False),
-    ("trap", ".text\nstart:\n    ecall\n", True),
-    # add x16, x0, x0 — decodable, register field past the RV32E bound
-    ("rv32e_bound", ".text\nstart:\n    .word 0x00000833\n", True),
-    ("illegal", ".text\nstart:\n    .word 0xFFFFFFFF\n", True),
-)
-
-
-def telemetry_probe() -> None:
-    """Exercise every instrumented subsystem once, for the run manifest.
-
-    A ``--telemetry`` run should produce a manifest whose counter
-    families are populated regardless of which stages it happened to
-    run — that is what makes manifests comparable across runs.  The
-    probe is tiny and runs **only** when a telemetry session is active
-    (the CLI calls it under its own span, never inside anything timed):
-
-    * a 5-lane :class:`~repro.rtl.fleet.FleetSim` whose lanes each
-      diverge for a distinct classified cause (emulated Zicsr, ``mret``,
-      trapping ecall, RV32E register-bound word, illegal word);
-    * one riscof golden-signature lookup resolved cold plus one resolved
-      from the in-process memo, populating the ``riscof.sig_*`` tiers;
-    * one tiny golden-checked SoC scenario (``scenario.runs`` /
-      ``scenario.replays`` — an SoC scenario, so the fleet lane counts
-      above stay exact).
-
-    The fleet probe also exercises the fused fallback path (halt,
-    emulated, mret, illegal, hw-trap exits) and the compile caches.
-    """
-    from ..isa.assembler import assemble
-    from ..isa.instructions import INSTRUCTIONS
-    from ..rtl.fleet import FleetSim
-    from ..rtl.rissp import build_rissp
-    from ..scenario.gen import mutate_toward
-    from ..scenario.run import run_scenario
-    from ..sim.golden import _HALT_SENTINEL
-    from ..verify.fuzz import FUZZ_BASE_SEED
-    from ..verify.riscof import _reference_signature
-
-    # Trap-capable full-ISA core: the mret/trap/illegal lanes need the
-    # hardware trap unit (the plain fleet exercise core has none).
-    core = build_rissp([d.mnemonic for d in INSTRUCTIONS] + ["mret"])
-    programs = [assemble(source) for _, source, _ in _PROBE_LANES]
-    fleet = FleetSim(core, programs=programs, mem_size=FLEET_MEM_SIZE)
-    for lane, (_, _, needs_handler) in enumerate(_PROBE_LANES):
-        if needs_handler:
-            fleet.poke_register(lane, "mtvec", _HALT_SENTINEL)
-    fleet.run(max_instructions=32, quantum=16)
-    _reference_signature("addi")   # cold: disk hit or golden recompute
-    _reference_signature("addi")   # warm: in-process memo hit
-    # halt.wfi is the cheapest directed scenario: nothing armed, the
-    # first wfi ends the run deterministically on both backends.
-    probe_scenario = mutate_toward("halt.wfi", FUZZ_BASE_SEED,
-                                   budget=256,
-                                   scenario_id="probe:halt.wfi")
-    run_scenario(core, probe_scenario, check_backends=True)
-
-
 # -------------------------------------------------- scaling measurement
 
 #: Compact subset + exercise program for the mutation scaling campaign —

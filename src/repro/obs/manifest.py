@@ -54,10 +54,10 @@ def cache_rates(counters: dict) -> dict:
     """Derived hit rates from the raw counters — fixed key set, so the
     manifest structure never depends on which caches a run touched.
 
-    ``decode_cache.hit_rate`` is a documented lower bound: lookups are
-    approximated by fused-loop retirements (each probes the per-word
-    cache once) while emulated/illegal retirements re-decode through the
-    ISA memo instead of probing.
+    ``decode_cache.hit_rate`` is a documented upper bound: lookups are
+    counted as fused-loop retirements, but emulated Zicsr/``wfi`` and
+    RV32E-bound retirements never probe the per-word cache, so lookups
+    over-count probes and the derived rate is at least the true one.
     """
     lookups = counters.get("decode_cache.lookups", 0)
     sig_lookups = counters.get("riscof.sig_lookup", 0)

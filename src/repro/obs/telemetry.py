@@ -32,11 +32,11 @@ Counter taxonomy (see README for the narrative):
     Zicsr/wfi, mret, illegal word, hardware ecall/ebreak trap,
     arbitrated interrupt entry).
 ``decode_cache.*``
-    The shared per-word decode cache: ``lookups`` approximates probes by
-    retirements through the fused loop (every retirement probes once);
-    ``misses`` is exact (cache growth).  Emulated/illegal retirements
-    re-decode through the ISA memo instead, so the derived hit rate is a
-    lower bound.
+    The shared per-word decode cache: ``lookups`` counts retirements
+    through the fused loop; ``misses`` is exact (cache growth).  Emulated
+    Zicsr/``wfi`` and RV32E-bound retirements never probe the cache, so
+    ``lookups`` over-counts probes and the derived hit rate is an upper
+    bound.
 ``compile_cache.*``
     Structural-fingerprint compile caches (per-cycle module, fused core,
     batched fleet): hit/miss per ``compile_*`` call.

@@ -45,6 +45,11 @@ register-file state; combinational ``env`` entries are re-settled by the
 harness from that flushed state (probes should drive
 ``set_inputs``/``eval_comb``, as the state tests do).
 
+:func:`compile_fleet` generates the batched ``run_fleet`` loop around the
+same retirement body (:func:`_emit_retirement`): where ``run_cycles``
+calls back into the harness, a batched lane leaves the batch instead and
+reports which event sent it.
+
 Compiling checks — and so freezes — the module (see
 :meth:`~repro.rtl.ir.Module.check`), so compiled functions are cached per
 :class:`Module` object alone: a frozen structure cannot change under its
@@ -650,17 +655,17 @@ def _substitute_memo(expr: Expr, mapping: dict[str, Expr],
 
 @dataclass
 class _CoreAnalysis:
-    """Dataflow analysis shared by the fused-loop generators.
+    """Dataflow analysis behind the fused retirement body.
 
-    Everything :func:`_generate_core_source` (one instance per call) and
-    :func:`_generate_fleet_source` (N instances per pass) need to know
-    about a fusable core's DAG: the needed-set closure, the single-use
-    inlining rewrite, the ``dmem_rdata`` dependency cone, the word-only
-    decode extraction and the tick roots.  The analysis is a deterministic
-    function of the module, so the ``decode_out`` tuple layout — the value
-    format of the shared per-word decode cache — is identical across both
-    generators, which is what lets :func:`compile_fleet` graft the fused
-    loop's ``_DCACHE`` dict into the batched loop's namespace.
+    Everything :func:`_emit_retirement` and the ``decode_comb`` emission
+    need to know about a fusable core's DAG: the needed-set closure, the
+    single-use inlining rewrite, the ``dmem_rdata`` dependency cone, the
+    word-only decode extraction and the tick roots.  The analysis is a
+    deterministic function of the module, so the ``decode_out`` tuple
+    layout — the value format of the shared per-word decode cache — is
+    identical in ``run_cycles`` and ``run_fleet``, which is what lets
+    :func:`compile_fleet` graft the fused loop's ``_DCACHE`` dict into
+    the batched loop's namespace.
     """
 
     module: Module
@@ -822,31 +827,177 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
         rs1_addr_sig=rs1_addr_sig, rs2_addr_sig=rs2_addr_sig)
 
 
+def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
+                     intr: str) -> None:
+    """Emit one retirement, fetch to tick, as the body of a cycle loop.
+
+    ``run_cycles`` (one instance) and ``run_fleet`` (N lanes) both run
+    this body.  It mirrors :meth:`repro.rtl.core_sim.RisspSim._cycle`
+    statement for statement — same evaluation order, same RVFI row
+    fields — with the per-cycle ``env`` traffic replaced by locals and
+    the full-DAG second evaluation replaced by the ``dmem_rdata``
+    dependency cone.
+
+    ``exit_to(event, indent)`` returns the lines to emit where the
+    generated code cannot finish the retirement itself.  The events are
+    named like the ``fleet.diverge.*`` counters: ``fetch``,
+    ``rv32e_bound``, ``emulated``, ``illegal``, ``load_oob``, ``other``
+    (malformed store strobe), ``store_oob``, ``trap`` and ``mret`` (the
+    last two and ``emulated`` on trap-capable cores only).  None fires
+    after the retirement wrote RAM or ticked a register — ecall, ebreak
+    and ``mret`` neither load nor store — so a loop may leave at any of
+    them with the instruction unexecuted.  ``intr`` is the expression
+    for the RVFI row's ``intr`` column.
+    """
+    module = a.module
+    spec = module.regfile
+    sig_var = a.sig_var
+    effective = a.effective
+    emit = lines.append
+    emit(f"            pc = {sig_var('pc')}")
+    emit("            if pc & 3 or pc + 4 > ram_size:")
+    lines.extend(exit_to("fetch", "                "))
+    emit("            else:")
+    emit("                w = int.from_bytes(mem[pc:pc + 4], 'little')")
+    emit("            cls = wclass_get(w)")
+    emit("            if cls is None:")
+    emit("                cls = classify(w)")
+    emit("            if cls == 3:")
+    # RV32E register-bound violation: trap/refuse harness-side before
+    # the datapath truncates the register field (PR 5 conformance fix).
+    lines.extend(exit_to("rv32e_bound", "                "))
+    if a.trap_core:
+        emit("            if cls == 1:")
+        lines.extend(exit_to("emulated", "                "))
+    emit(f"            {sig_var('imem_rdata')} = w")
+    emit(f"            {sig_var('dmem_rdata')} = 0")
+    if a.decode_out:
+        unpacked = "".join(sig_var(name) + ", " for name in a.decode_out)
+        emit("            _dv = dcache_get(w)")
+        emit("            if _dv is None:")
+        emit("                _dv = _DCACHE[w] = decode_comb(w)")
+        emit(f"            ({unpacked}) = _dv")
+    body = _core_emitter(lines, "            ",
+                         [effective[name] for name in a.cycle_names],
+                         sig_var, "t", module)
+    for name in a.cycle_names:
+        code = body.ref(effective[name])
+        emit(f"            {sig_var(name)} = {code}")
+    emit(f"            if {sig_var('illegal')}:")
+    lines.extend(exit_to("illegal", "                "))
+    emit(f"            reading = {sig_var('dmem_re')}")
+    emit("            load_addr = mem_word = 0")
+    emit("            if reading:")
+    emit(f"                load_addr = {sig_var('dmem_addr')}")
+    emit("                _ba = load_addr & 4294967292")
+    emit("                if _ba + 4 <= ram_size:")
+    emit("                    mem_word = int.from_bytes("
+         "mem[_ba:_ba + 4], 'little')")
+    emit("                else:")
+    lines.extend(exit_to("load_oob", "                    "))
+    emit(f"                {sig_var('dmem_rdata')} = mem_word")
+    cone_emitter = _core_emitter(
+        lines, "                ",
+        [effective[name] for name in a.cone_names], sig_var, "c", module)
+    for name in a.cone_names:
+        code = cone_emitter.ref(effective[name])
+        emit(f"                {sig_var(name)} = {code}")
+    emit("            mem_addr = mem_wmask = mem_wdata = 0")
+    emit(f"            _wstrb = {sig_var('dmem_wstrb')}")
+    emit("            if _wstrb:")
+    emit("                _width = WSTRB_WIDTH.get(_wstrb)")
+    emit("                if _width is None:")
+    lines.extend(exit_to("other", "                    "))
+    emit("                _off = (_wstrb & -_wstrb).bit_length() - 1")
+    emit(f"                mem_addr = ({sig_var('dmem_addr')}"
+         " & 4294967292) + _off")
+    emit("                mem_wmask = (1 << _width) - 1")
+    emit(f"                mem_wdata = ({sig_var('dmem_wdata')}"
+         " >> (8 * _off)) & ((1 << (8 * _width)) - 1)")
+    emit("                if mem_addr + _width <= ram_size:")
+    emit("                    mem[mem_addr:mem_addr + _width] = "
+         "mem_wdata.to_bytes(_width, 'little')")
+    emit("                else:")
+    lines.extend(exit_to("store_oob", "                    "))
+    trapped = "0"
+    if a.trap_core:
+        # core_fusable guarantees trap_core == has_trap_out, so the trap
+        # output, the mret class and the fire-index plumbing come and go
+        # together.
+        trapped = "trapped"
+        emit("            trapped = 0")
+        emit(f"            if {sig_var('trap')}:")
+        lines.extend(exit_to("trap", "                "))
+        emit("            elif cls == 2:")
+        lines.extend(exit_to("mret", "                "))
+    emit(f"            if not halted and {sig_var('halt')}:")
+    emit("                halted = True")
+    emit("                reason = halt_reason(w)")
+    emit("            if sink is not None:")
+    emit("                mem_rmask = mem_rdata = 0")
+    emit("                if reading:")
+    emit("                    mem_addr, mem_rmask, mem_rdata = "
+         "trace_load(w, load_addr, mem_word)")
+    emit(f"                _rs1a = {sig_var(a.rs1_addr_sig)}")
+    emit(f"                _rs2a = {sig_var(a.rs2_addr_sig)}")
+    emit(f"                _we = {sig_var(a.we_sig)}")
+    emit(f"                _wa = {sig_var(a.waddr_sig)} if _we else 0")
+    emit(f"                sink(count, w, pc, {sig_var('next_pc')}, "
+         "_rs1a, _rs2a,")
+    emit("                     regfile[_rs1a] if _rs1a else 0,")
+    emit("                     regfile[_rs2a] if _rs2a else 0,")
+    emit(f"                     _wa, {sig_var(a.wdata_sig)} if _we and _wa "
+         "else 0,")
+    emit("                     mem_addr, mem_rmask, mem_wmask, mem_rdata, "
+         "mem_wdata,")
+    emit(f"                     {trapped}, {intr})")
+    # Tick: all next/enable values are latched into temporaries before any
+    # register local is reassigned — commits must observe pre-tick state
+    # even when one register's next is another register's current value.
+    tick_roots = list(a.tick_next.values()) + list(a.tick_enable.values())
+    tick = _core_emitter(lines, "            ", tick_roots, sig_var, "k",
+                         module)
+    commits: list[str] = []
+    for index, reg in enumerate(a.registers):
+        if reg.next is None:
+            continue
+        emit(f"            _nx{index} = {tick.ref(a.tick_next[reg.name])}")
+        if reg.enable is not None:
+            emit(f"            _en{index} = "
+                 f"{tick.ref(a.tick_enable[reg.name])}")
+            commits.append(f"            if _en{index}:\n"
+                           f"                {sig_var(reg.name)} = "
+                           f"_nx{index}")
+        else:
+            commits.append(f"            {sig_var(reg.name)} = _nx{index}")
+    emit(f"            if {sig_var(a.we_sig)}:")
+    emit(f"                _wa = {sig_var(a.waddr_sig)} % {spec.num_regs}")
+    emit("                if _wa:")
+    emit(f"                    regfile[_wa] = {sig_var(a.wdata_sig)}"
+         f" & {_mask(spec.width)}")
+    lines.extend(commits)
+    emit("            count += 1")
+    emit("            if halted:")
+    emit("                break")
+
+
 def _generate_core_source(module: Module) -> str:
     """Generate the fused ``run_cycles`` source for a fusable core.
 
-    The loop mirrors :meth:`repro.rtl.core_sim.RisspSim._cycle` statement
-    for statement — same evaluation order, same error messages, same RVFI
-    row fields — with the per-cycle ``env`` traffic replaced by locals and
-    the full-DAG second evaluation replaced by the ``dmem_rdata``
-    dependency cone.
+    The loop body is :func:`_emit_retirement`; at each of its exit events
+    the loop calls back into the harness (:class:`RisspSim`'s ``_fused_*``
+    methods), flushing loop-carried registers to ``env`` around any
+    callback that can read or write them, and carries on.
     """
     a = _analyze_core(module)
     module = a.module
-    spec = module.regfile
     sig_var = a.sig_var
     trap_core = a.trap_core
     registers = a.registers
     effective = a.effective
-    cycle_names = a.cycle_names
-    cone_names = a.cone_names
     decode_names = a.decode_names
     synth_order = a.synth_order
     decode_out = a.decode_out
-    tick_next = a.tick_next
-    tick_enable = a.tick_enable
-    we_sig, waddr_sig, wdata_sig = a.we_sig, a.waddr_sig, a.wdata_sig
-    rs1_addr_sig, rs2_addr_sig = a.rs1_addr_sig, a.rs2_addr_sig
     intr = "intr" if trap_core else "0"
 
     lines: list[str] = []
@@ -893,16 +1044,35 @@ def _generate_core_source(module: Module) -> str:
             emit(f"    {sig_var(port.name)} = env[{port.name!r}]"
                  f" & {_mask(port.width)}")
 
-    def flush_registers(indent: str) -> None:
-        for reg in registers:
-            emit(f"{indent}env[{reg.name!r}] = {sig_var(reg.name)}")
+    flush = [f"env[{reg.name!r}] = {sig_var(reg.name)}"
+             for reg in registers]
+    reload = [f"{sig_var(reg.name)} = env[{reg.name!r}] & {_mask(reg.width)}"
+              for reg in registers]
+    refire = ["fire_at = fire_index()"] if trap_core else []
+    retire_illegal = (flush + [f"retire_illegal(count, pc, w, {intr})"]
+                      + reload + refire + ["count += 1", "continue"])
+    callbacks = {
+        "fetch": ["w = fetch_slow(pc)"],
+        "rv32e_bound": retire_illegal,
+        "emulated": (flush
+                     + ["halted, reason = retire_emulated(count, pc, w, intr)"]
+                     + reload + ["fire_at = fire_index()", "count += 1",
+                                 "if halted:", "    break", "continue"]),
+        "illegal": retire_illegal,
+        "load_oob": ["mem_word = load_mmio(count, _ba)"] + refire,
+        "other": ["raise SimulationError("
+                  "'malformed dmem_wstrb ' + format(_wstrb, '#06b'))"],
+        "store_oob": ["if store_mmio(count, mem_addr, mem_wdata, _width):",
+                      "    halted = True",
+                      "    reason = 'poweroff'"] + refire,
+        "trap": ["enter_hw_trap()", "trapped = 1", "fire_at = fire_index()"],
+        "mret": ["retire_mret()", "fire_at = fire_index()"],
+    }
 
-    def reload_registers(indent: str) -> None:
-        for reg in registers:
-            emit(f"{indent}{sig_var(reg.name)} = env[{reg.name!r}]"
-                 f" & {_mask(reg.width)}")
+    def call_back(event: str, indent: str) -> list[str]:
+        return [indent + statement for statement in callbacks[event]]
 
-    reload_registers("    ")
+    lines.extend("    " + statement for statement in reload)
     emit("    halted = False")
     emit("    reason = ''")
     emit("    w = env.get('imem_rdata', 0)")
@@ -918,171 +1088,16 @@ def _generate_core_source(module: Module) -> str:
         # source (ISS fast-path idiom); the callback arbitrates and
         # returns the handler pc plus the RVFI intr cause code.
         emit("            if count >= fire_at:")
-        flush_registers("                ")
+        lines.extend("                " + statement for statement in flush)
         emit(f"                env['pc'], intr = take_interrupt(count, "
              f"{sig_var('pc')})")
-        reload_registers("                ")
+        lines.extend("                " + statement for statement in reload)
         emit("                fire_at = fire_index()")
         emit("            else:")
         emit("                intr = 0")
-    emit(f"            pc = {sig_var('pc')}")
-    emit("            if pc & 3 or pc + 4 > ram_size:")
-    emit("                w = fetch_slow(pc)")
-    emit("            else:")
-    emit("                w = int.from_bytes(mem[pc:pc + 4], 'little')")
-    emit("            cls = wclass_get(w)")
-    emit("            if cls is None:")
-    emit("                cls = classify(w)")
-    emit("            if cls == 3:")
-    # RV32E register-bound violation: trap/refuse harness-side before
-    # the datapath truncates the register field (PR 5 conformance fix).
-    flush_registers("                ")
-    emit(f"                retire_illegal(count, pc, w, {intr})")
-    reload_registers("                ")
-    if trap_core:
-        emit("                fire_at = fire_index()")
-    emit("                count += 1")
-    emit("                continue")
-    if trap_core:
-        emit("            if cls == 1:")
-        flush_registers("                ")
-        emit("                halted, reason = retire_emulated(count, pc, "
-             "w, intr)")
-        reload_registers("                ")
-        emit("                fire_at = fire_index()")
-        emit("                count += 1")
-        emit("                if halted:")
-        emit("                    break")
-        emit("                continue")
-    emit(f"            {sig_var('imem_rdata')} = w")
-    emit(f"            {sig_var('dmem_rdata')} = 0")
-    if decode_out:
-        unpacked = "".join(sig_var(name) + ", " for name in decode_out)
-        emit("            _dv = dcache_get(w)")
-        emit("            if _dv is None:")
-        emit("                _dv = _DCACHE[w] = decode_comb(w)")
-        emit(f"            ({unpacked}) = _dv")
-    body = _core_emitter(lines, "            ",
-                         [effective[name] for name in cycle_names],
-                         sig_var, "t", module)
-    for name in cycle_names:
-        code = body.ref(effective[name])
-        emit(f"            {sig_var(name)} = {code}")
-    emit(f"            if {sig_var('illegal')}:")
-    flush_registers("                ")
-    emit(f"                retire_illegal(count, pc, w, {intr})")
-    reload_registers("                ")
-    if trap_core:
-        emit("                fire_at = fire_index()")
-    emit("                count += 1")
-    emit("                continue")
-    emit(f"            reading = {sig_var('dmem_re')}")
-    emit("            load_addr = mem_word = 0")
-    emit("            if reading:")
-    emit(f"                load_addr = {sig_var('dmem_addr')}")
-    emit("                _ba = load_addr & 4294967292")
-    emit("                if _ba + 4 <= ram_size:")
-    emit("                    mem_word = int.from_bytes("
-         "mem[_ba:_ba + 4], 'little')")
-    emit("                else:")
-    emit("                    mem_word = load_mmio(count, _ba)")
-    if trap_core:
-        emit("                    fire_at = fire_index()")
-    emit(f"                {sig_var('dmem_rdata')} = mem_word")
-    cone_emitter = _core_emitter(
-        lines, "                ",
-        [effective[name] for name in cone_names], sig_var, "c", module)
-    for name in cone_names:
-        code = cone_emitter.ref(effective[name])
-        emit(f"                {sig_var(name)} = {code}")
-    emit("            mem_addr = mem_wmask = mem_wdata = 0")
-    emit(f"            _wstrb = {sig_var('dmem_wstrb')}")
-    emit("            if _wstrb:")
-    emit("                _width = WSTRB_WIDTH.get(_wstrb)")
-    emit("                if _width is None:")
-    emit("                    raise SimulationError("
-         "'malformed dmem_wstrb ' + format(_wstrb, '#06b'))")
-    emit("                _off = (_wstrb & -_wstrb).bit_length() - 1")
-    emit(f"                mem_addr = ({sig_var('dmem_addr')}"
-         " & 4294967292) + _off")
-    emit("                mem_wmask = (1 << _width) - 1")
-    emit(f"                mem_wdata = ({sig_var('dmem_wdata')}"
-         " >> (8 * _off)) & ((1 << (8 * _width)) - 1)")
-    emit("                if mem_addr + _width <= ram_size:")
-    emit("                    mem[mem_addr:mem_addr + _width] = "
-         "mem_wdata.to_bytes(_width, 'little')")
-    emit("                else:")
-    emit("                    if store_mmio(count, mem_addr, mem_wdata, "
-         "_width):")
-    emit("                        halted = True")
-    emit("                        reason = 'poweroff'")
-    if trap_core:
-        emit("                    fire_at = fire_index()")
-    trapped = "0"
-    if trap_core:
-        # core_fusable guarantees trap_core == has_trap_out, so the trap
-        # output, the mret class and the fire-index plumbing come and go
-        # together.
-        trapped = "trapped"
-        emit("            trapped = 0")
-        emit(f"            if {sig_var('trap')}:")
-        emit("                enter_hw_trap()")
-        emit("                trapped = 1")
-        emit("                fire_at = fire_index()")
-        emit("            elif cls == 2:")
-        emit("                retire_mret()")
-        emit("                fire_at = fire_index()")
-    emit(f"            if not halted and {sig_var('halt')}:")
-    emit("                halted = True")
-    emit("                reason = halt_reason(w)")
-    emit("            if sink is not None:")
-    emit("                mem_rmask = mem_rdata = 0")
-    emit("                if reading:")
-    emit("                    mem_addr, mem_rmask, mem_rdata = "
-         "trace_load(w, load_addr, mem_word)")
-    emit(f"                _rs1a = {sig_var(rs1_addr_sig)}")
-    emit(f"                _rs2a = {sig_var(rs2_addr_sig)}")
-    emit(f"                _we = {sig_var(we_sig)}")
-    emit(f"                _wa = {sig_var(waddr_sig)} if _we else 0")
-    emit(f"                sink(count, w, pc, {sig_var('next_pc')}, "
-         "_rs1a, _rs2a,")
-    emit("                     regfile[_rs1a] if _rs1a else 0,")
-    emit("                     regfile[_rs2a] if _rs2a else 0,")
-    emit(f"                     _wa, {sig_var(wdata_sig)} if _we and _wa "
-         "else 0,")
-    emit("                     mem_addr, mem_rmask, mem_wmask, mem_rdata, "
-         "mem_wdata,")
-    emit(f"                     {trapped}, {intr})")
-    # Tick: all next/enable values are latched into temporaries before any
-    # register local is reassigned — commits must observe pre-tick state
-    # even when one register's next is another register's current value.
-    tick_roots = list(tick_next.values()) + list(tick_enable.values())
-    tick = _core_emitter(lines, "            ", tick_roots, sig_var, "k",
-                         module)
-    commits: list[str] = []
-    for index, reg in enumerate(registers):
-        if reg.next is None:
-            continue
-        emit(f"            _nx{index} = {tick.ref(tick_next[reg.name])}")
-        if reg.enable is not None:
-            emit(f"            _en{index} = "
-                 f"{tick.ref(tick_enable[reg.name])}")
-            commits.append(f"            if _en{index}:\n"
-                           f"                {sig_var(reg.name)} = "
-                           f"_nx{index}")
-        else:
-            commits.append(f"            {sig_var(reg.name)} = _nx{index}")
-    emit(f"            if {sig_var(we_sig)}:")
-    emit(f"                _wa = {sig_var(waddr_sig)} % {spec.num_regs}")
-    emit("                if _wa:")
-    emit(f"                    regfile[_wa] = {sig_var(wdata_sig)}"
-         f" & {_mask(spec.width)}")
-    lines.extend(commits)
-    emit("            count += 1")
-    emit("            if halted:")
-    emit("                break")
+    _emit_retirement(a, lines, call_back, intr)
     emit("    finally:")
-    flush_registers("        ")
+    lines.extend("        " + statement for statement in flush)
     # Flush the last word the *hardware datapath* evaluated, not the raw
     # fetch: an emulated Zicsr/wfi retirement never drives the RTL inputs
     # on the per-cycle oracles either, so a paused probe must not see the
@@ -1134,7 +1149,8 @@ class CompiledFleet:
     """The batched fleet entry point plus its generated source."""
 
     run_fleet: object   # callable(ctx, lanes, quantum) ->
-    #                     (halted: list[(lane, reason)], diverged: list[lane])
+    #                     (halted: list[(lane, reason)],
+    #                      diverged: list[(lane, cause)])
     #: Per-lane register-bank layout: bank slot ``i`` holds the register
     #: named ``registers[i]`` — the adoption contract between the batched
     #: arrays and a per-instance ``RisspSim``'s ``env``.
@@ -1154,28 +1170,23 @@ def _generate_fleet_source(a: _CoreAnalysis) -> str:
     bytearray), ``regfiles[lane]`` (register-file list), ``regs[lane]``
     (module-register bank laid out per :attr:`CompiledFleet.registers`),
     ``counts[lane]`` and ``sinks[lane]`` (RVFI row sink or None).  The
-    cycle body is the same emission as the fused single-instance loop —
-    same comb statements, same decode cache (grafted from the fused
-    namespace by :func:`compile_fleet`), same RVFI row fields, same tick.
+    cycle body is the single-instance retirement, :func:`_emit_retirement`
+    (decode cache grafted from the fused namespace by
+    :func:`compile_fleet`).
 
-    Divergence rule: any retirement the batched template cannot complete
-    bit-identically in place — misaligned/out-of-range fetch, a word the
-    harness owns (emulated Zicsr/wfi, mret, RV32E bound), an illegal or
-    trapping instruction, an out-of-RAM (MMIO) load or store, a malformed
-    store strobe — stops the lane *before* that instruction applies any
-    state and reports it in the ``diverged`` list.  The caller re-runs the
-    instruction on the per-instance fused path, which owns every one of
-    those events, so a diverged lane's trajectory (including error
-    surfaces) is bit-identical to a single-core run.  Divergence is
-    checked strictly pre-commit: a diverging instruction has written
-    neither memory (``trap`` can only assert for ecall/ebreak, which never
-    store) nor registers when the lane exits the batch.
+    Divergence rule: at each exit event of that body — where the
+    single-instance loop would call back into the harness — the lane sets
+    ``stop`` to the event name and leaves the batch with the instruction
+    unexecuted (no event fires after a retirement wrote RAM or ticked a
+    register).  The call returns ``(lane, event)`` pairs in ``diverged``;
+    the caller re-runs the instruction on the per-instance fused path,
+    which owns every one of those events, so a diverged lane's trajectory
+    (including error surfaces) is bit-identical to a single-core run.
 
     Halting retirements (ecall/ebreak with no handler installed) complete
     in-batch exactly like the fused loop and land in ``halted``.
     """
     module = a.module
-    spec = module.regfile
     sig_var = a.sig_var
     lines: list[str] = []
     emit = lines.append
@@ -1207,134 +1218,19 @@ def _generate_fleet_source(a: _CoreAnalysis) -> str:
     emit("        sink = sinks[lane]")
     emit("        count = counts[lane]")
     emit("        limit = count + quantum")
-    emit("        stop = 0")
+    emit("        halted = False")
+    emit("        stop = ''")
     emit("        reason = ''")
     emit("        while count < limit:")
-    emit(f"            pc = {sig_var('pc')}")
-    emit("            if pc & 3 or pc + 4 > ram_size:")
-    emit("                stop = 2")
-    emit("                break")
-    emit("            w = int.from_bytes(mem[pc:pc + 4], 'little')")
-    emit("            cls = wclass_get(w)")
-    emit("            if cls is None:")
-    emit("                cls = classify(w)")
-    emit("            if cls:")
-    emit("                stop = 2")
-    emit("                break")
-    emit(f"            {sig_var('imem_rdata')} = w")
-    emit(f"            {sig_var('dmem_rdata')} = 0")
-    if a.decode_out:
-        unpacked = "".join(sig_var(name) + ", " for name in a.decode_out)
-        emit("            _dv = dcache_get(w)")
-        emit("            if _dv is None:")
-        emit("                _dv = _DCACHE[w] = decode_comb(w)")
-        emit(f"            ({unpacked}) = _dv")
-    body = _core_emitter(lines, "            ",
-                         [a.effective[name] for name in a.cycle_names],
-                         sig_var, "t", module)
-    for name in a.cycle_names:
-        code = body.ref(a.effective[name])
-        emit(f"            {sig_var(name)} = {code}")
-    emit(f"            if {sig_var('illegal')}:")
-    emit("                stop = 2")
-    emit("                break")
-    if a.trap_core:
-        # Hardware trap entry (ecall/ebreak with mtvec installed) diverges
-        # pre-instruction: the trap unit guarantees no load/store/halt
-        # asserts with it, so nothing has been applied yet.
-        emit(f"            if {sig_var('trap')}:")
-        emit("                stop = 2")
-        emit("                break")
-    emit(f"            reading = {sig_var('dmem_re')}")
-    emit("            load_addr = mem_word = 0")
-    emit("            if reading:")
-    emit(f"                load_addr = {sig_var('dmem_addr')}")
-    emit("                _ba = load_addr & 4294967292")
-    emit("                if _ba + 4 > ram_size:")
-    emit("                    stop = 2")
-    emit("                    break")
-    emit("                mem_word = int.from_bytes("
-         "mem[_ba:_ba + 4], 'little')")
-    emit(f"                {sig_var('dmem_rdata')} = mem_word")
-    cone_emitter = _core_emitter(
-        lines, "                ",
-        [a.effective[name] for name in a.cone_names], sig_var, "c", module)
-    for name in a.cone_names:
-        code = cone_emitter.ref(a.effective[name])
-        emit(f"                {sig_var(name)} = {code}")
-    emit("            mem_addr = mem_wmask = mem_wdata = 0")
-    emit(f"            _wstrb = {sig_var('dmem_wstrb')}")
-    emit("            if _wstrb:")
-    emit("                _width = WSTRB_WIDTH.get(_wstrb)")
-    emit("                if _width is None:")
-    # Malformed strobe: diverge; the per-instance path raises the
-    # SimulationError with the canonical message.
-    emit("                    stop = 2")
-    emit("                    break")
-    emit("                _off = (_wstrb & -_wstrb).bit_length() - 1")
-    emit(f"                mem_addr = ({sig_var('dmem_addr')}"
-         " & 4294967292) + _off")
-    emit("                if mem_addr + _width > ram_size:")
-    emit("                    stop = 2")
-    emit("                    break")
-    emit("                mem_wmask = (1 << _width) - 1")
-    emit(f"                mem_wdata = ({sig_var('dmem_wdata')}"
-         " >> (8 * _off)) & ((1 << (8 * _width)) - 1)")
-    emit("                mem[mem_addr:mem_addr + _width] = "
-         "mem_wdata.to_bytes(_width, 'little')")
-    emit(f"            if {sig_var('halt')}:")
-    emit("                stop = 1")
-    emit("                reason = halt_reason(w)")
-    emit("            if sink is not None:")
-    emit("                mem_rmask = mem_rdata = 0")
-    emit("                if reading:")
-    emit("                    mem_addr, mem_rmask, mem_rdata = "
-         "trace_load(w, load_addr, mem_word)")
-    emit(f"                _rs1a = {sig_var(a.rs1_addr_sig)}")
-    emit(f"                _rs2a = {sig_var(a.rs2_addr_sig)}")
-    emit(f"                _we = {sig_var(a.we_sig)}")
-    emit(f"                _wa = {sig_var(a.waddr_sig)} if _we else 0")
-    emit(f"                sink(count, w, pc, {sig_var('next_pc')}, "
-         "_rs1a, _rs2a,")
-    emit("                     regfile[_rs1a] if _rs1a else 0,")
-    emit("                     regfile[_rs2a] if _rs2a else 0,")
-    emit(f"                     _wa, {sig_var(a.wdata_sig)} if _we and _wa "
-         "else 0,")
-    emit("                     mem_addr, mem_rmask, mem_wmask, mem_rdata, "
-         "mem_wdata,")
-    emit("                     0, 0)")
-    tick_roots = list(a.tick_next.values()) + list(a.tick_enable.values())
-    tick = _core_emitter(lines, "            ", tick_roots, sig_var, "k",
-                         module)
-    commits: list[str] = []
-    for index, reg in enumerate(a.registers):
-        if reg.next is None:
-            continue
-        emit(f"            _nx{index} = {tick.ref(a.tick_next[reg.name])}")
-        if reg.enable is not None:
-            emit(f"            _en{index} = "
-                 f"{tick.ref(a.tick_enable[reg.name])}")
-            commits.append(f"            if _en{index}:\n"
-                           f"                {sig_var(reg.name)} = "
-                           f"_nx{index}")
-        else:
-            commits.append(f"            {sig_var(reg.name)} = _nx{index}")
-    emit(f"            if {sig_var(a.we_sig)}:")
-    emit(f"                _wa = {sig_var(a.waddr_sig)} % {spec.num_regs}")
-    emit("                if _wa:")
-    emit(f"                    regfile[_wa] = {sig_var(a.wdata_sig)}"
-         f" & {_mask(spec.width)}")
-    lines.extend(commits)
-    emit("            count += 1")
-    emit("            if stop:")
-    emit("                break")
+    _emit_retirement(a, lines, lambda event, indent: [
+        f"{indent}stop = {event!r}", f"{indent}break"], "0")
     for index, reg in enumerate(a.registers):
         emit(f"        _rb[{index}] = {sig_var(reg.name)}")
     emit("        counts[lane] = count")
-    emit("        if stop == 1:")
+    emit("        if halted:")
     emit("            halted_lanes.append((lane, reason))")
-    emit("        elif stop == 2:")
-    emit("            diverged.append(lane)")
+    emit("        elif stop:")
+    emit("            diverged.append((lane, stop))")
     emit("    return halted_lanes, diverged")
     return "\n".join(lines) + "\n"
 

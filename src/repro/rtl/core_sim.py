@@ -499,11 +499,11 @@ class RisspSim:
                 self._fused_sink = None
                 self.rtl.eval_comb()
         # Telemetry path: decode-cache stats from the shared per-word
-        # cache's growth (misses are exact; lookups are approximated by
-        # retirements — every retirement probes the cache once, though
-        # emulated/illegal words re-decode via the ISA memo instead, so
-        # the derived hit rate is a lower bound).  Nothing is injected
-        # into the generated loop itself.
+        # cache's growth (misses are exact; lookups are counted as
+        # retirements, which over-counts probes — emulated Zicsr/wfi and
+        # RV32E-bound words never probe the cache — so the derived hit
+        # rate is an upper bound).  Nothing is injected into the
+        # generated loop itself.
         dcache = self._fused.namespace.get("_DCACHE")
         words_before = len(dcache) if dcache is not None else 0
         try:

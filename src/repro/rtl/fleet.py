@@ -23,16 +23,20 @@ any lane's results — the batched loop keeps every lane's state in its own
 arrays and the divergence rule below hands a lane over *before* an
 instruction the batch cannot complete bit-identically applies any state.
 
-**Divergence fallback**: the batched loop only executes the pure
-hardware-datapath fast path against flat RAM.  A lane that reaches
-anything the harness owns — a trapping ecall/ebreak (mtvec installed),
-emulated Zicsr/``wfi``, ``mret``, an RV32E register-bound word, an illegal
-instruction, a misaligned or out-of-RAM access — leaves the batch with
-that instruction *unexecuted* and is adopted by a real
-:class:`~repro.rtl.core_sim.RisspSim` built around the lane's exact state.
-From then on the lane advances on the single-instance fused path (which
-owns all those events), so its results — including error surfaces like
-``SimulationError`` refusals — are bit-identical to running it alone.
+**Divergence fallback**: the batched loop runs the single-instance fused
+retirement body against flat RAM.  Where that loop would call back into
+the harness — a misaligned or out-of-RAM fetch, an RV32E register-bound
+word, emulated Zicsr/``wfi``, an illegal instruction, an out-of-RAM load
+or store, a malformed store strobe, a trapping ecall/ebreak (mtvec
+installed), ``mret`` — a batched lane leaves the batch with that
+instruction *unexecuted*, and the loop reports the event as the lane's
+divergence cause (the ``fleet.diverge.*`` counters).  A real
+:class:`~repro.rtl.core_sim.RisspSim` built around the lane's exact state
+adopts it; from then on the lane advances on the single-instance fused
+path (which owns all those events), so its results — including error
+surfaces like ``SimulationError`` refusals — are bit-identical to running
+it alone.  On a core without the trap slice, a Zicsr or ``mret`` word is
+an illegal instruction to both loops.
 
 ``FleetSim`` drives flat-memory instances only (the fleet story); attach
 a SoC via :class:`~repro.rtl.core_sim.RisspSim` per instance instead.
@@ -49,7 +53,7 @@ from ..sim.golden import _HALT_SENTINEL, RunResult, abi_initial_regs
 from ..obs import telemetry as _obs
 from ..sim.memory import Memory
 from ..sim.tracing import RvfiTrace
-from .compiled import WSTRB_WIDTH, compile_fleet, core_fusable
+from .compiled import compile_fleet, core_fusable
 from .core_sim import (
     RisspSim,
     _classify_word,
@@ -174,10 +178,10 @@ class FleetSim:
         """Advance every live lane by up to ``cycles`` retirements.
 
         Batched lanes go through one ``run_fleet`` pass; lanes it reports
-        diverged are adopted by a per-instance :class:`RisspSim` and
-        finish this step's remaining budget on the fused path, so a
-        ``step`` means the same thing for every lane regardless of which
-        path executes it.
+        diverged (each with its cause, counted as ``fleet.diverge.<cause>``)
+        are adopted by a per-instance :class:`RisspSim` and finish this
+        step's remaining budget on the fused path, so a ``step`` means the
+        same thing for every lane regardless of which path executes it.
         """
         if cycles <= 0:
             raise ValueError("cycles must be positive")
@@ -201,10 +205,9 @@ class FleetSim:
             for lane, reason in halted:
                 self._status[lane] = _HALTED
                 self._reasons[lane] = reason or "ecall"
-            for lane in diverged:
-                sim = self._materialize(lane)
+            for lane, cause in diverged:
+                self._materialize(lane)
                 if active is not None:
-                    cause = self._divergence_cause(lane, sim)
                     active.counters[f"fleet.diverge.{cause}"] += 1
                 self._advance_single(lane, targets[lane])
         for lane in fallback:
@@ -227,7 +230,7 @@ class FleetSim:
             self.step(min(quantum, budget))
         return [self.result(lane) for lane in range(self.instances)]
 
-    def _materialize(self, lane: int) -> RisspSim:
+    def _materialize(self, lane: int) -> None:
         """Adopt one lane's exact state into a per-instance RisspSim.
 
         The sim's memory and register file become views of the lane's
@@ -248,51 +251,6 @@ class FleetSim:
             sim.rtl.env[name] = value
         self._sims[lane] = sim
         self._status[lane] = _FALLBACK
-        return sim
-
-    def _divergence_cause(self, lane: int, sim: RisspSim) -> str:
-        """Best-effort classification of why the batched loop handed this
-        lane over (telemetry only — never on the no-session path).
-
-        Replays the divergence decision on the freshly-adopted sim's
-        *unexecuted* next instruction: the lane state is exactly as the
-        batch left it, and only combinational evaluation happens here
-        (``set_inputs``/``eval_comb``, the same probe the state tests
-        drive), so the fallback path the lane continues on is untouched.
-        """
-        rtl = sim.rtl
-        pc = rtl.env["pc"]
-        if pc & 0x3 or pc + 4 > self.mem_size:
-            return "fetch"
-        word = int.from_bytes(self._mems[lane][pc:pc + 4], "little")
-        cls = _WORD_CLASS.get(word)
-        if cls is None:
-            cls = _classify_word(word)
-        if cls == 1:
-            return "emulated"
-        if cls == 2:
-            return "mret"
-        if cls == 3:
-            return "rv32e_bound"
-        rtl.set_inputs(imem_rdata=word, dmem_rdata=0)
-        rtl.eval_comb()
-        if rtl.get("illegal"):
-            return "illegal"
-        if sim._trap_hw and rtl.get("trap"):
-            return "trap"
-        if rtl.get("dmem_re"):
-            if (rtl.get("dmem_addr") & ~0x3) + 4 > self.mem_size:
-                return "load_oob"
-        wstrb = rtl.get("dmem_wstrb")
-        if wstrb:
-            width = WSTRB_WIDTH.get(wstrb)
-            if width is None:
-                return "other"
-            offset = (wstrb & -wstrb).bit_length() - 1
-            if (rtl.get("dmem_addr") & ~0x3) + offset + width \
-                    > self.mem_size:
-                return "store_oob"
-        return "other"
 
     def _advance_single(self, lane: int, target: int) -> None:
         sim = self._sims[lane]

@@ -26,8 +26,8 @@ on the scenario's own seed — regenerate bit-identically from a reported
 
 The second scenario kind (:class:`FleetScenario`) targets the batched
 fleet simulator instead of the SoC: stunt lanes whose first batched
-instruction forces a classified lane divergence (the telemetry-probe
-idiom), driving the ``fleet.diverge.*`` coverage bins.  The
+instruction forces a classified lane divergence, driving the
+``fleet.diverge.*`` coverage bins.  The
 ``rv32e_bound`` stunt (`add x16`, an encoding outside the valid-RV32E
 surface random generation draws from) is deliberately *excluded* from
 the random lane pool — it is reachable only through directed mutation,

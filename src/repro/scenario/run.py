@@ -36,8 +36,8 @@ from ..rtl.core_sim import COSIM_FIELDS  # noqa: E402
 
 
 def scenario_core_spec():
-    """The rebuildable full-ISA trap-capable core every scenario runs on
-    (same shape the telemetry probe builds)."""
+    """The rebuildable full-ISA trap-capable core every scenario runs
+    on."""
     from ..farm.tasks import CoreSpec
     from ..isa.instructions import INSTRUCTIONS
     from ..rtl.rissp import build_rissp

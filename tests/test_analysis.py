@@ -203,14 +203,17 @@ def test_gen_audit_passes_all_three_codegen_paths():
 
 
 @pytest.fixture(scope="module")
-def core_source():
+def loop_sources():
+    """``(kind, source, allowed globals)`` of both cycle loops; each test
+    dirties both, since they share one retirement body and its tail."""
     from repro.farm import mutation_exercise_target
-    from repro.rtl.compiled import compile_core
+    from repro.rtl.compiled import compile_core, compile_fleet
 
     core, _ = mutation_exercise_target()
-    compiled = compile_core(core)
-    allowed = tuple(n for n in compiled.namespace if n != "__builtins__")
-    return compiled.source, allowed
+    return [(kind, compiled.source,
+             tuple(n for n in compiled.namespace if n != "__builtins__"))
+            for kind, compiled in (("core", compile_core(core)),
+                                   ("fleet", compile_fleet(core)))]
 
 
 # Column-pinned anchor (the leading newline rejects deeper-indented
@@ -225,43 +228,43 @@ def _dirty(source, anchor, replacement):
     return source.replace(anchor, replacement, 1)
 
 
-def test_dirtied_template_print_flagged(core_source):
-    source, allowed = core_source
-    dirty = _dirty(source, _TAIL, "\n            print(count)" + _TAIL)
-    assert "GEN002" in _rules(audit_source(dirty, "core", allowed))
+def test_dirtied_template_print_flagged(loop_sources):
+    for kind, source, allowed in loop_sources:
+        dirty = _dirty(source, _TAIL, "\n            print(count)" + _TAIL)
+        assert "GEN002" in _rules(audit_source(dirty, kind, allowed)), kind
 
 
-def test_dirtied_template_foreign_global_flagged(core_source):
-    source, allowed = core_source
-    dirty = _dirty(source, _TAIL,
-                   "\n            v_bad = MAGIC_TABLE[0]" + _TAIL)
-    findings = audit_source(dirty, "core", allowed)
-    assert any(f.rule == "GEN001" and "MAGIC_TABLE" in f.detail
-               for f in findings)
+def test_dirtied_template_foreign_global_flagged(loop_sources):
+    for kind, source, allowed in loop_sources:
+        dirty = _dirty(source, _TAIL,
+                       "\n            v_bad = MAGIC_TABLE[0]" + _TAIL)
+        findings = audit_source(dirty, kind, allowed)
+        assert any(f.rule == "GEN001" and "MAGIC_TABLE" in f.detail
+                   for f in findings), kind
 
 
-def test_dirtied_template_import_flagged(core_source):
-    source, allowed = core_source
-    assert "GEN006" in _rules(
-        audit_source("import json\n" + source, "core", allowed))
+def test_dirtied_template_import_flagged(loop_sources):
+    for kind, source, allowed in loop_sources:
+        assert "GEN006" in _rules(
+            audit_source("import json\n" + source, kind, allowed)), kind
 
 
-def test_dirtied_template_env_store_flagged(core_source):
-    source, allowed = core_source
-    dirty = _dirty(source, _TAIL,
-                   "\n            count += 1"
-                   "\n            if halted:"
-                   "\n                env['dirty'] = 1"
-                   "\n                break")
-    assert "GEN003" in _rules(audit_source(dirty, "core", allowed))
+def test_dirtied_template_env_store_flagged(loop_sources):
+    for kind, source, allowed in loop_sources:
+        dirty = _dirty(source, _TAIL,
+                       "\n            count += 1"
+                       "\n            if halted:"
+                       "\n                env['dirty'] = 1"
+                       "\n                break")
+        assert "GEN003" in _rules(audit_source(dirty, kind, allowed)), kind
 
 
-def test_dirtied_template_bare_break_flagged(core_source):
-    source, allowed = core_source
-    dirty = _dirty(source, _TAIL,
-                   "\n            if count == 99:"
-                   "\n                break" + _TAIL)
-    assert "GEN004" in _rules(audit_source(dirty, "core", allowed))
+def test_dirtied_template_bare_break_flagged(loop_sources):
+    for kind, source, allowed in loop_sources:
+        dirty = _dirty(source, _TAIL,
+                       "\n            if count == 99:"
+                       "\n                break" + _TAIL)
+        assert "GEN004" in _rules(audit_source(dirty, kind, allowed)), kind
 
 
 def test_classified_break_not_flagged():

@@ -219,8 +219,8 @@ def test_raising_stage_still_writes_json_out(tmp_path, capsys,
 
 def test_telemetry_flags_write_manifest_and_trace(tmp_path, capsys):
     """The acceptance surface: ``--telemetry``/``--trace-out`` produce a
-    schema-valid manifest with the counter families populated and a
-    Chrome trace_event document."""
+    schema-valid manifest that reports only the work of the stages run,
+    and a Chrome trace_event document."""
     from repro import obs
 
     manifest_path = tmp_path / "run.json"
@@ -235,15 +235,13 @@ def test_telemetry_flags_write_manifest_and_trace(tmp_path, capsys):
     counters = document["counters"]
     assert set(counters) == set(obs.COUNTERS)
     assert counters["fused.runs"] > 0
-    # The probe guarantees every counter family reports even when the
-    # selected stages never touch it.  (>= because an earlier in-process
-    # test may already have warmed the riscof memo, turning the probe's
-    # cold lookup into a second hit.)
-    assert counters["riscof.sig_lookup"] == 2
-    assert counters["riscof.sig_memo_hit"] >= 1
-    assert counters["fleet.diverge.mret"] == 1
-    assert [s["name"] for s in document["stages"]] == \
-        ["cosim", "telemetry_probe"]
+    # Every counter is present, but families the cosim stage never
+    # touches stay zero: the manifest reports this run's work only.
+    untouched = {name: value for name, value in counters.items()
+                 if name.startswith(("fleet.", "scenario.", "riscof.",
+                                     "compile_cache.fleet."))}
+    assert untouched and not any(untouched.values()), untouched
+    assert [s["name"] for s in document["stages"]] == ["cosim"]
     trace = json.loads(trace_path.read_text())
     names = {event["ph"] for event in trace["traceEvents"]}
     assert names == {"M", "X"}

@@ -11,7 +11,8 @@ pin all of them:
   Zicsr, an illegal word, an out-of-RAM access) leaves the batch with
   that instruction unexecuted and finishes on a per-instance
   :class:`~repro.rtl.core_sim.RisspSim`, while the rest of the batch
-  keeps going — results still bit-identical, error surfaces included;
+  keeps going — results still bit-identical, error surfaces included,
+  and each divergence counted once under the event that caused it;
 * **determinism contract** — batch size, stepping quantum and lane
   order never change any lane's results; mid-run peek/poke behaves
   exactly like the single-instance harness.
@@ -21,12 +22,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.isa import INSTRUCTIONS, assemble
+from repro.isa.program import DEFAULT_MEM_SIZE
 from repro.rtl.compiled import compile_fleet
 from repro.rtl.core_sim import RisspSim
 from repro.rtl.fleet import FleetSim
+from repro.rtl.ir import const, mux
 from repro.rtl.rissp import build_rissp
 from repro.sim.golden import SimulationError
+from repro.sim.memory import MemoryError_
 from repro.sim.tracing import RvfiTrace
 
 FULL_SUBSET = [d.mnemonic for d in INSTRUCTIONS]
@@ -40,6 +45,15 @@ def full_core():
 @pytest.fixture(scope="module")
 def trap_core():
     return build_rissp(FULL_SUBSET + ["mret"])
+
+
+@pytest.fixture(scope="module")
+def strobe_core(full_core):
+    """Failure-injection variant: every store drives the malformed byte
+    strobe 0b0101."""
+    wstrb = full_core.assigns["dmem_wstrb"]
+    return full_core.with_assigns(
+        {"dmem_wstrb": mux(wstrb.ne(0), const(0b0101, 4), const(0, 4))})
 
 
 #: Arithmetic/store/load loop parameterized by a2 (x12): every lane
@@ -280,6 +294,89 @@ def test_divergent_lane_keeps_tracing(trap_core):
     for field in RvfiTrace.FIELDS:
         assert fleet.trace(0).column(field) == \
             reference.trace.column(field), field
+
+
+#: Tail of the handler lanes: once the stunt retired, clear mtvec and halt
+#: through the ecall convention; the handler skips the trapping word.
+_HANDLER_TAIL = """
+    csrw mtvec, x0
+    ecall
+handler:
+    csrr t1, mepc
+    addi t1, t1, 4
+    csrw mepc, t1
+    mret
+"""
+
+#: One row per divergence event: (event, core fixture, lane source,
+#: poke mtvec to the handler).  Each lane retires in the batch until its
+#: stunt, the first word the batched loop cannot finish.
+DIVERGENCE_TABLE = {
+    "fetch-misaligned": ("fetch", "full_core",
+                         "li a0, 3\nli t0, 2\njr t0", False),
+    "fetch-past-ram": ("fetch", "full_core",
+                       f"li a0, 3\nli t0, {DEFAULT_MEM_SIZE}\njr t0", False),
+    "load_oob": ("load_oob", "full_core",
+                 f"li t0, {DEFAULT_MEM_SIZE}\nlw a0, 0(t0)\necall", False),
+    "store_oob": ("store_oob", "full_core",
+                  f"li t0, {DEFAULT_MEM_SIZE}\nsw t0, 0(t0)\necall", False),
+    "other": ("other", "strobe_core",
+              "li a0, 5\nsw a0, 128(zero)\necall", False),
+    "rv32e_bound": ("rv32e_bound", "trap_core",
+                    # add x16, x0, x0: register field past the RV32E bound
+                    "li a0, 3\n.word 0x00000833" + _HANDLER_TAIL, True),
+    "emulated": ("emulated", "trap_core",
+                 "li a0, 3\ncsrrs t0, mscratch, zero" + _HANDLER_TAIL,
+                 False),
+    "illegal": ("illegal", "trap_core",
+                "li a0, 3\n.word 0xFFFFFFFF" + _HANDLER_TAIL, True),
+    "trap": ("trap", "trap_core", "li a0, 3\necall" + _HANDLER_TAIL, True),
+    # First word at reset: mepc is 0, so mret jumps back to itself and
+    # the lane runs to its budget.
+    "mret": ("mret", "trap_core", "mret\necall", False),
+    # Without the trap slice both loops refuse these words as illegal.
+    "plain-zicsr": ("illegal", "full_core",
+                    "li a0, 3\ncsrrs t0, mscratch, zero\necall", False),
+    "plain-mret": ("illegal", "full_core", "li a0, 3\nmret\necall", False),
+}
+
+
+@pytest.mark.parametrize("row", sorted(DIVERGENCE_TABLE))
+def test_divergence_event_matches_single_core(request, row):
+    """Every exit event of the shared retirement body: the one-lane fleet
+    matches a single-core fused run (result row and every RVFI column,
+    or the same exception) and counts exactly one divergence, under the
+    event's own cause."""
+    event, core_fixture, body, poke_handler = DIVERGENCE_TABLE[row]
+    core = request.getfixturevalue(core_fixture)
+    program = assemble(".text\nstart:\n" + body + "\n")
+    single = RisspSim(core, program, trace=True, backend="fused")
+    fleet = FleetSim(core, program, 1, backend="fused", trace_lanes=(0,))
+    if poke_handler:
+        single.csr.mtvec = program.symbols["handler"]
+        fleet.poke_register(0, "mtvec", program.symbols["handler"])
+
+    def outcome(run):
+        """(result row, trace), or (exception type and message, None)."""
+        try:
+            r = run()
+        except (SimulationError, MemoryError_) as exc:
+            return (type(exc), str(exc)), None
+        return (r.exit_code, r.instructions, r.cycles, r.halted_by), r.trace
+
+    expected, expected_trace = outcome(
+        lambda: single.run(max_instructions=64))
+    with obs.session() as telemetry:
+        actual, actual_trace = outcome(
+            lambda: fleet.run(max_instructions=64)[0])
+    assert actual == expected
+    if expected_trace is not None:
+        for field in RvfiTrace.FIELDS:
+            assert actual_trace.column(field) == \
+                expected_trace.column(field), field
+    counted = {name: value for name, value in telemetry.counters.items()
+               if name.startswith("fleet.diverge.") and value}
+    assert counted == {f"fleet.diverge.{event}": 1}
 
 
 # -------------------------------------------------- mid-run peek/poke

@@ -6,7 +6,7 @@ Rule taxonomy (all findings carry ``location = "module:signal"``):
 RTL001   combinational loop — the finding reports the full cycle path
          ``a -> b -> ... -> a`` (from ``topo_order``'s ``CombLoopError``)
 RTL002   multiply-driven signal (comb assign vs register vs regfile
-         storage/read-return vs input port)
+         storage vs input port)
 RTL003   silent width truncation: a non-constant shift amount wider than
          needed to index the shifted operand — amounts >= the operand
          width quietly truncate the result to zero
@@ -35,8 +35,7 @@ from ..rtl.ir import (Binary, CombLoopError, Const, Expr, Module, Mux, Op,
 from .findings import Finding
 
 #: Driver kinds, in reporting order.
-_DRIVER_KINDS = ("assign", "register", "regfile-storage", "regfile-read",
-                 "input")
+_DRIVER_KINDS = ("assign", "register", "regfile-storage", "input")
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,10 @@ def _derive_facts(module: Module) -> StructuralFacts:
         drive(name, "assign")
     for name in module.registers:
         drive(name, "register")
-    regfile_driven: set[str] = set()
-    if module.regfile is not None:
-        for name in module.regfile.storage_signals:
-            drive(name, "regfile-storage")
-            regfile_driven.add(name)
-        for _, data in module.regfile.read_ports:
-            if data not in module.assigns:
-                drive(data, "regfile-read")
-                regfile_driven.add(data)
+    storage = module.regfile.storage_signals \
+        if module.regfile is not None else ()
+    for name in storage:
+        drive(name, "regfile-storage")
     for port in module.inputs():
         drive(port.name, "input")
 
@@ -120,7 +114,7 @@ def _derive_facts(module: Module) -> StructuralFacts:
         [port.name for port in module.outputs()
          if port.name not in module.assigns] +
         [wire for wire in module.wires
-         if wire not in module.assigns and wire not in regfile_driven])
+         if wire not in module.assigns and wire not in storage])
 
     order: tuple[str, ...] = ()
     cycle: tuple[str, ...] = ()

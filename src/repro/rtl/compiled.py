@@ -18,12 +18,6 @@ mirroring the decoded-op cache the ISS grew in PR 1 — into two
 Semantics are bit-identical to :func:`repro.rtl.sim.eval_expr` — the
 interpreter stays the reference oracle and the randomized differential
 harness in ``tests/test_rtl_compiled_diff.py`` locks the two together.
-The legacy read-port injection double-pass is only emitted for modules
-that actually have legacy read ports (a read port whose data signal is not
-combinationally assigned); ordinary modules get the single-pass fast path.
-As in the interpreter, a legacy port's injection happens when its *address
-signal* is assigned, so legacy address signals must be combinational
-signals, not raw input ports.
 
 On top of the per-cycle pair, :func:`compile_core` fuses the *whole RTL
 cycle loop* of a RISSP-shaped core (PR 4) into a single generated
@@ -41,9 +35,9 @@ retirement, and halt classification.  Loop-carried register state is
 refreshed from ``env`` on entry and flushed back on exit (also on
 exceptions), so ``RtlSim.reset`` and peek/poke fault injection between
 ``run_cycles`` calls observe exactly the per-cycle backends' register and
-register-file state; combinational ``env`` entries are re-settled by the
-harness from that flushed state (probes should drive
-``set_inputs``/``eval_comb``, as the state tests do).
+register-file state.  Combinational ``env`` entries are not settled after
+a run; a probe drives ``set_inputs``/``eval_comb`` first, as the state
+tests do.
 
 :func:`compile_fleet` generates the batched ``run_fleet`` loop around the
 same retirement body (:func:`_emit_retirement`): where ``run_cycles``
@@ -110,21 +104,13 @@ class _Emitter:
     """
 
     def __init__(self, lines: list[str], indent: str, refs: dict,
-                 sig_var, temp_prefix: str,
-                 volatile: frozenset[str] = frozenset(),
-                 max_inline: int = _MAX_INLINE):
+                 sig_var, temp_prefix: str, max_inline: int = _MAX_INLINE):
         self.lines = lines
         self.indent = indent
         self.refs = refs
         self.sig_var = sig_var
         self.temp_prefix = temp_prefix
         self.max_inline = max_inline
-        #: Signal names whose locals are rebound mid-sweep (legacy read
-        #: data during the injection pass).  Subtrees reading them must be
-        #: re-emitted inline at every use — caching one in a temp would
-        #: freeze a pre-injection value the interpreter never sees.
-        self.volatile = volatile
-        self.volatile_cache: dict[Expr, bool] = {}
         self.cache: dict[Expr, str] = {}
         self.const_cache: dict[Expr, bool] = {}
         self.count = 0
@@ -155,24 +141,9 @@ class _Emitter:
         self.const_cache[expr] = result
         return result
 
-    def is_volatile(self, expr: Expr) -> bool:
-        """True when the subtree reads a mid-sweep-rebound signal."""
-        if not self.volatile:
-            return False
-        cached = self.volatile_cache.get(expr)
-        if cached is None:
-            cached = bool(expr_signals(expr) & self.volatile)
-            self.volatile_cache[expr] = cached
-        return cached
-
     # ------------------------------------------------------------ emission
 
     def ref(self, expr: Expr) -> str:
-        if self.is_volatile(expr):
-            # Per-use temps from materialize() are still fine (they sit
-            # immediately before the statement that uses them); only
-            # cross-statement caching/hoisting is forbidden.
-            return self.build(expr)
         code = self.cache.get(expr)
         if code is not None:
             return code
@@ -343,53 +314,13 @@ def _make_sig_namer(module: Module):
     return namer
 
 
-def _emit_comb_pass(lines, module, order, legacy_ports, sig_var,
-                    referenced, temp_prefix: str, inject: bool) -> None:
-    """One topological sweep of the assign DAG as straight-line statements.
-
-    ``inject`` replays the interpreter's legacy read-port injection (data
-    fetched from the register array right after the address signal is
-    assigned); the settle pass runs with ``inject=False``.
-    """
-    spec = module.regfile
-    emitter = _Emitter(lines, "    ", _count_refs(
-        [module.assigns[name] for name in order]), sig_var, temp_prefix,
-        volatile=frozenset(data for _, data in legacy_ports)
-        if inject else frozenset())
-    for name in order:
-        code = emitter.ref(module.assigns[name])
-        if name in referenced:
-            lines.append(f"    {sig_var(name)} = env[{name!r}] = {code}")
-        else:
-            lines.append(f"    env[{name!r}] = {code}")
-        if inject:
-            for addr_sig, data_sig in legacy_ports:
-                if name == addr_sig:
-                    lines.append(
-                        f"    _la = {sig_var(addr_sig)} % {spec.num_regs}")
-                    lines.append(
-                        "    _ld = regfile[_la] if _la else 0")
-                    lines.append(f"    env[{data_sig!r}] = _ld")
-                    lines.append(f"    {sig_var(data_sig)} = "
-                                 f"_ld & {_mask(spec.width)}")
-
-
 def _generate_source(module: Module) -> str:
     order = module.order
     sig_var = _make_sig_namer(module)
     spec = module.regfile
-    legacy_ports = []
-    if spec is not None:
-        legacy_ports = [(a, d) for a, d in spec.read_ports
-                        if d not in module.assigns]
 
-    # Signals whose value some expression actually reads.  Legacy port
-    # signals always get locals: the injection statements read the address
-    # and (re)bind the data local even when no expression consumes them.
+    # Signals whose value some expression actually reads.
     referenced: set[str] = set()
-    for addr_sig, data_sig in legacy_ports:
-        referenced.add(addr_sig)
-        referenced.add(data_sig)
     for expr in module.assigns.values():
         referenced |= expr_signals(expr)
     for reg in module.registers.values():
@@ -399,9 +330,9 @@ def _generate_source(module: Module) -> str:
             referenced |= expr_signals(reg.enable)
 
     lines = ["def eval_comb(env, regfile):"]
-    # Entry loads: inputs, registers and legacy read data come from env
-    # (masked exactly like a Sig lookup in the interpreter); register-file
-    # storage wires are driven from the array every evaluation.
+    # Entry loads: inputs and registers come from env (masked exactly like
+    # a Sig lookup in the interpreter); register-file storage wires are
+    # driven from the array every evaluation.
     for port in module.inputs():
         if port.name in referenced:
             lines.append(f"    {sig_var(port.name)} = "
@@ -416,21 +347,16 @@ def _generate_source(module: Module) -> str:
             if name in referenced:
                 lines.append(f"    {sig_var(name)} = _sq & "
                              f"{_mask(spec.width)}")
-        for _, data_sig in legacy_ports:
-            if data_sig in referenced:
-                lines.append(f"    {sig_var(data_sig)} = "
-                             f"env.setdefault({data_sig!r}, 0) & "
-                             f"{_mask(module.signal_width(data_sig))}")
-            else:
-                lines.append(f"    env.setdefault({data_sig!r}, 0)")
 
-    _emit_comb_pass(lines, module, order, legacy_ports, sig_var,
-                    referenced, "t", inject=bool(legacy_ports))
-    if legacy_ports:
-        # Data injected mid-walk may feed earlier-ordered signals; one more
-        # full sweep settles the DAG (mirrors the interpreter's second pass).
-        _emit_comb_pass(lines, module, order, legacy_ports, sig_var,
-                        referenced, "u", inject=False)
+    # One topological sweep of the assign DAG as straight-line statements.
+    emitter = _Emitter(lines, "    ", _count_refs(
+        [module.assigns[name] for name in order]), sig_var, "t")
+    for name in order:
+        code = emitter.ref(module.assigns[name])
+        if name in referenced:
+            lines.append(f"    {sig_var(name)} = env[{name!r}] = {code}")
+        else:
+            lines.append(f"    env[{name!r}] = {code}")
     if len(lines) == 1:
         lines.append("    pass")
 
@@ -568,8 +494,7 @@ def core_fusable(module: Module, facts=None) -> bool:
     loop is generated against: a storage-exposed register file with two
     combinationally-assigned read ports and a write port, the imem/dmem
     input ports, the :data:`CORE_INTERFACE` outputs and a committed ``pc``
-    register.  Anything else (legacy read ports included) falls back to
-    the per-cycle harness.
+    register.  Anything else falls back to the per-cycle harness.
 
     The answer is judged from the module's ``repro.analysis.StructuralFacts``
     (a cycle vetoes fusing; the driver map names the combinational
@@ -699,8 +624,7 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
 
     # Needed-set closure: only assigns feeding the harness interface, the
     # register commits or the RVFI row are emitted inside the loop (e.g.
-    # the ``imem_addr`` echo of pc is dead in the loop); the exit
-    # ``eval_comb`` re-settles every signal for get()/peek coherency.
+    # the ``imem_addr`` echo of pc is dead in the loop).
     control = list(CORE_INTERFACE) + [we_sig, waddr_sig, wdata_sig,
                                       rs1_addr_sig, rs2_addr_sig]
     if has_trap_out:

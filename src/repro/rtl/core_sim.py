@@ -51,7 +51,7 @@ from ..obs import telemetry as _obs
 from ..sim.csr import CsrError, CsrFile
 from ..sim.golden import RunResult, SimulationError
 from ..sim.memory import Memory, MemoryError_
-from ..sim.tracing import RvfiRecord, RvfiTrace, load_read_fields
+from ..sim.tracing import RvfiTrace, load_read_fields
 from ..soc import NEVER
 from ..soc.bus import PowerOffSignal
 from .compiled import WSTRB_WIDTH as _WSTRB_WIDTH
@@ -186,6 +186,9 @@ class RisspSim:
             from .compiled import compile_core, core_fusable
             if core_fusable(core):
                 self._fused = compile_core(core)
+        if self._fused is None:
+            # The per-cycle loop runs this core: compile it here, not in run().
+            self.rtl.compiled()
         # ABI setup mirrors the golden ISS: sp at top, ra at the halt stub.
         from ..isa.encoding import Instruction, encode
         from ..sim.golden import _HALT_SENTINEL, abi_initial_regs
@@ -485,8 +488,9 @@ class RisspSim:
         State persists in ``rtl.env``/``regfile_data`` between calls, so
         runs are resumable (the chunked cosimulation uses this) and
         peek/poke fault injection between calls behaves exactly like the
-        per-cycle backends.  The trailing ``eval_comb`` re-settles every
-        combinational signal so ``get()`` stays coherent after the run.
+        per-cycle backends.  Combinational signals are not settled after
+        the run: a probe drives ``rtl.set_inputs``/``rtl.eval_comb``
+        first, as on the per-cycle backends.
         """
         self._fused_sink = trace
         sink = trace.append_row if trace is not None else None
@@ -497,7 +501,6 @@ class RisspSim:
                                               limit, sink)
             finally:
                 self._fused_sink = None
-                self.rtl.eval_comb()
         # Telemetry path: decode-cache stats from the shared per-word
         # cache's growth (misses are exact; lookups are counted as
         # retirements, which over-counts probes — emulated Zicsr/wfi and
@@ -511,7 +514,6 @@ class RisspSim:
                 self._fused_context(), count, limit, sink)
         finally:
             self._fused_sink = None
-            self.rtl.eval_comb()
         counters = active.counters
         counters["fused.runs"] += 1
         counters["fused.retired"] += retired - count
@@ -558,7 +560,7 @@ class CosimMismatch:
 
 def cosimulate(core: Module, program: Program,
                max_instructions: int = 2_000_000,
-               golden_trace_out: "RvfiTrace | list[RvfiRecord] | None" = None,
+               golden_trace_out: RvfiTrace | None = None,
                backend: str | None = None,
                soc: "object | None" = None) -> CosimMismatch | None:
     """Lock-step compare RISSP RTL execution against the golden ISS.
@@ -582,12 +584,11 @@ def cosimulate(core: Module, program: Program,
     in :data:`COSIM_FIELDS` order (``"halt"`` when only the halt flags
     differ).
 
-    ``golden_trace_out``, when given, receives the golden reference's RVFI
-    retirements as they happen — callers wanting to additionally spec-check
-    the reference (see :func:`repro.verify.rvfi.check_trace`) reuse this
-    trace instead of paying for a second traced golden run.  Pass an
-    :class:`RvfiTrace` to record columnar rows in place; a plain list
-    receives materialized :class:`RvfiRecord` objects for back-compat.
+    ``golden_trace_out``, an :class:`RvfiTrace`, when given, receives the
+    golden reference's RVFI retirements as columnar rows as they happen —
+    callers wanting to additionally spec-check the reference (see
+    :func:`repro.verify.rvfi.check_trace`) reuse this trace instead of
+    paying for a second traced golden run.
 
     ``backend`` forces the RTL evaluator backend (``"fused"`` /
     ``"compiled"`` / ``"interpreter"``); the default follows
@@ -604,33 +605,24 @@ def cosimulate(core: Module, program: Program,
 
     rtl = RisspSim(core, program, trace=True, backend=backend, soc=soc)
     gold = GoldenSim(program, trace=True, soc=soc)
-    if isinstance(golden_trace_out, RvfiTrace):
-        gold_trace = golden_trace_out
-        emit_records = None
-    else:
-        gold_trace = RvfiTrace(capacity=None if golden_trace_out is not None
-                               else 1)
-        emit_records = golden_trace_out
+    gold_trace = golden_trace_out if golden_trace_out is not None \
+        else RvfiTrace(capacity=1)
     field_slots = [RvfiTrace.FIELDS.index(name) for name in COSIM_FIELDS]
-    try:
-        if rtl._fused is not None:
-            return _cosimulate_fused(rtl, gold, gold_trace, field_slots,
-                                     max_instructions)
-        rtl_trace = RvfiTrace(capacity=1)
-        for index in range(max_instructions):
-            rtl_halt, _ = rtl._cycle(index, rtl_trace)
-            gold_halt, _ = gold.retire_one(index, gold_trace)
-            mismatch = _retirement_mismatch(index, rtl_trace.row(-1),
-                                            gold_trace.row(-1), rtl_halt,
-                                            gold_halt, field_slots)
-            if mismatch is not None:
-                return mismatch
-            if rtl_halt:
-                return None
-        return CosimMismatch(max_instructions, "limit", 0, 0)
-    finally:
-        if emit_records is not None:
-            emit_records.extend(gold_trace)
+    if rtl._fused is not None:
+        return _cosimulate_fused(rtl, gold, gold_trace, field_slots,
+                                 max_instructions)
+    rtl_trace = RvfiTrace(capacity=1)
+    for index in range(max_instructions):
+        rtl_halt, _ = rtl._cycle(index, rtl_trace)
+        gold_halt, _ = gold.retire_one(index, gold_trace)
+        mismatch = _retirement_mismatch(index, rtl_trace.row(-1),
+                                        gold_trace.row(-1), rtl_halt,
+                                        gold_halt, field_slots)
+        if mismatch is not None:
+            return mismatch
+        if rtl_halt:
+            return None
+    return CosimMismatch(max_instructions, "limit", 0, 0)
 
 
 def _retirement_mismatch(order: int, rtl_row: tuple, gold_row: tuple,

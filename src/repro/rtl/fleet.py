@@ -6,11 +6,10 @@ from PR 4 executes one instance per ``run_cycles`` call, so a fleet
 campaign pays the per-instance fixed costs N times: building a
 :class:`~repro.rtl.core_sim.RisspSim` (memory image, environment and
 register-file setup) and, per scheduling quantum, entering and leaving
-the fused loop (register reload/flush plus a full combinational
-re-settle).  :class:`FleetSim` amortizes both: instance state lives in
-flat per-lane arrays (RAM bytearray, register-file list, module-register
-bank, retirement counter) cloned from a prebuilt template, and one
-generated ``run_fleet`` pass
+the fused loop (register reload and flush).  :class:`FleetSim` amortizes
+both: instance state lives in flat per-lane arrays (RAM bytearray,
+register-file list, module-register bank, retirement counter) cloned from
+a prebuilt template, and one generated ``run_fleet`` pass
 (:func:`repro.rtl.compiled.compile_fleet`) advances every live lane by a
 quantum of retirements with zero per-lane Python dispatch beyond the lane
 loop itself.  All lanes share one per-word decode cache — the same

@@ -302,6 +302,8 @@ class RegFileSpec:
     num_regs: int
     width: int
     #: (addr_signal, data_signal) per read port; lists are stored as tuples.
+    #: The data signal is core logic (a read mux over ``storage_signals``)
+    #: with its own assign.
     read_ports: tuple[tuple[str, str], ...] = ()
     # write port: (we_signal, addr_signal, data_signal)
     write_port: tuple[str, str, str] | None = None
@@ -489,16 +491,13 @@ class Module:
         freeze the module (a no-op once frozen)."""
         if self.frozen:
             return
-        regfile_driven = set()
-        if self.regfile is not None:
-            regfile_driven = {data for _, data in self.regfile.read_ports
-                              if data not in self.assigns}
-            regfile_driven.update(self.regfile.storage_signals)
+        storage = self.regfile.storage_signals \
+            if self.regfile is not None else ()
         for port in self.outputs():
             if port.name not in self.assigns:
                 raise IrError(f"output {port.name} of {self.name} undriven")
         for wire in self.wires:
-            if wire not in self.assigns and wire not in regfile_driven:
+            if wire not in self.assigns and wire not in storage:
                 raise IrError(f"wire {wire} of {self.name} undriven")
         order = tuple(topo_order(self))  # raises on combinational loops
         for name in ("ports", "wires", "assigns", "registers"):

@@ -4,12 +4,14 @@ This is the repo's RTL simulator.  Three backends share the exact same
 public interface and bit-identical semantics:
 
 * ``"fused"`` (the default): the per-cycle entry points below are the
-  ``exec``-compiled pair from :mod:`repro.rtl.compiled`, and — for
-  RISSP-shaped cores driven through :class:`repro.rtl.core_sim.RisspSim`
-  — whole-program execution additionally rides the fused cycle loop
-  (:func:`repro.rtl.compiled.compile_core`), which keeps fetch, the
-  combinational settle, memory traffic and the register commit inside one
-  generated function (see ``benchmarks/test_bench_rtl_throughput.py``).
+  ``exec``-compiled pair from :mod:`repro.rtl.compiled`, built on first
+  per-cycle use.  For RISSP-shaped cores driven through
+  :class:`repro.rtl.core_sim.RisspSim`, whole-program execution instead
+  rides the fused cycle loop (:func:`repro.rtl.compiled.compile_core`),
+  which keeps fetch, the combinational settle, memory traffic and the
+  register commit inside one generated function (see
+  ``benchmarks/test_bench_rtl_throughput.py``), so such a run never
+  builds the per-cycle pair.
 * ``"compiled"``: the PR 2 per-cycle compiled backend — same two
   ``exec``-compiled functions, but every cycle crosses the
   Python/:class:`RtlSim` boundary (``set_inputs``/``eval_comb``/``get``/
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import os
 
+from .compiled import CompiledModule, compile_module
 from .ir import (
     Binary,
     Cat,
@@ -136,7 +139,9 @@ class RtlSim:
         sim.tick()           # commit registers
 
     Construction checks, and so freezes, ``module``; on an already
-    checked module it derives nothing.
+    checked module it derives nothing.  On the ``fused`` and ``compiled``
+    backends the per-cycle pair (:func:`~repro.rtl.compiled.compile_module`)
+    is built on first per-cycle use, not at construction.
     """
 
     def __init__(self, module: Module, backend: str | None = None):
@@ -147,20 +152,24 @@ class RtlSim:
         if backend not in ("fused", "compiled", "interpreter"):
             raise IrError(f"unknown RTL backend {backend!r}")
         self.backend = backend
-        self._compiled = None
-        if backend in ("fused", "compiled"):
-            # The compiled code has the evaluation order baked in, so
-            # _order is interpreter-only.
-            self._order: tuple[str, ...] | None = None
-            from .compiled import compile_module
-            self._compiled = compile_module(module)
-        else:
-            self._order = module.order
+        self._compiled: CompiledModule | None = None
+        # The compiled code has the evaluation order baked in, so _order is
+        # interpreter-only.
+        self._order = module.order if backend == "interpreter" else None
         self.env: dict[str, int] = {}
         self.regfile_data: list[int] | None = None
         if module.regfile is not None:
             self.regfile_data = [0] * module.regfile.num_regs
         self.reset()
+
+    def compiled(self) -> CompiledModule | None:
+        """The compiled per-cycle pair, built on first call (None on the
+        interpreter).  :meth:`eval_comb` and :meth:`tick` call it; a
+        harness about to run a per-cycle loop calls it up front so the
+        compile stays out of the loop."""
+        if self._compiled is None and self._order is None:
+            self._compiled = compile_module(self.module)
+        return self._compiled
 
     def reset(self) -> None:
         """Reset registers to their reset values and clear inputs to 0."""
@@ -181,38 +190,22 @@ class RtlSim:
 
     def eval_comb(self) -> None:
         """Evaluate all combinational assigns (registers hold state)."""
-        if self._compiled is not None:
-            self._compiled.eval_comb(self.env, self.regfile_data)
+        if self._order is None:
+            self.compiled().eval_comb(self.env, self.regfile_data)
             return
         spec = self.module.regfile
-        legacy_ports = []
         if spec is not None:
-            # Storage-exposed style: each register's value drives a source
-            # wire; the read muxes are ordinary combinational logic.
+            # Each register's value drives a storage wire; the read muxes
+            # are ordinary combinational logic.
             for index, name in enumerate(spec.storage_signals, start=1):
                 self.env[name] = self.regfile_data[index]
-            legacy_ports = [(a, d) for a, d in spec.read_ports
-                            if d not in self.module.assigns]
-            for _, data_sig in legacy_ports:
-                self.env.setdefault(data_sig, 0)
         for name in self._order:
             self.env[name] = eval_expr(self.module.assigns[name], self.env)
-            for addr_sig, data_sig in legacy_ports:
-                if name == addr_sig:
-                    addr = self.env[addr_sig] % spec.num_regs
-                    self.env[data_sig] = (
-                        0 if addr == 0 else self.regfile_data[addr])
-        if legacy_ports:
-            # Data injected mid-walk may feed earlier-ordered signals; one
-            # more pass settles the DAG.
-            for name in self._order:
-                self.env[name] = eval_expr(self.module.assigns[name],
-                                           self.env)
 
     def tick(self) -> None:
         """Commit registers and the register-file write port."""
-        if self._compiled is not None:
-            self._compiled.tick(self.env, self.regfile_data)
+        if self._order is None:
+            self.compiled().tick(self.env, self.regfile_data)
             return
         updates: dict[str, int] = {}
         for reg in self.module.registers.values():

@@ -76,7 +76,8 @@ def _range(width: int) -> str:
 def emit_module(module: Module) -> str:
     """Render ``module`` as synthesizable SystemVerilog text."""
     lines: list[str] = []
-    has_regs = bool(module.registers) or module.regfile is not None
+    spec = module.regfile
+    has_regs = bool(module.registers) or spec is not None
     port_decls = []
     if has_regs:
         port_decls.append("    input  logic clk")
@@ -92,8 +93,7 @@ def emit_module(module: Module) -> str:
         lines.append(f"  logic {_range(width)}{name};")
     for reg in module.registers.values():
         lines.append(f"  logic {_range(reg.width)}{reg.name};")
-    if module.regfile is not None:
-        spec = module.regfile
+    if spec is not None:
         lines.append(f"  logic {_range(spec.width)}{spec.name} "
                      f"[0:{spec.num_regs - 1}];")
     lines.append("")
@@ -117,16 +117,17 @@ def emit_module(module: Module) -> str:
                 lines.append(f"      {target}")
         lines.append("    end")
         lines.append("  end")
-    if module.regfile is not None and module.regfile.write_port is not None:
-        spec = module.regfile
-        we, addr, data = spec.write_port
+    if spec is not None:
+        # The array drives its storage wires; the read muxes over them are
+        # ordinary assigns above.
         lines.append("")
-        lines.append("  always_ff @(posedge clk) begin")
-        lines.append(f"    if ({we} && ({addr} != 0)) "
-                     f"{spec.name}[{addr}] <= {data};")
-        lines.append("  end")
-        for addr_sig, data_sig in spec.read_ports:
-            lines.append(f"  assign {data_sig} = ({addr_sig} == 0) ? "
-                         f"{spec.width}'h0 : {spec.name}[{addr_sig}];")
+        if spec.write_port is not None:
+            we, addr, data = spec.write_port
+            lines.append("  always_ff @(posedge clk) begin")
+            lines.append(f"    if ({we} && ({addr} != 0)) "
+                         f"{spec.name}[{addr}] <= {data};")
+            lines.append("  end")
+        for index, name in enumerate(spec.storage_signals, start=1):
+            lines.append(f"  assign {name} = {spec.name}[{index}];")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

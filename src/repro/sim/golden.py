@@ -234,13 +234,6 @@ class GoldenSim:
                             trap=1, intr=intr)
         return False, ""
 
-    def step_one(self, order: int = 0) -> tuple[bool, RvfiRecord | None, str]:
-        """Back-compat wrapper over :meth:`retire_one` returning a record."""
-        sink = RvfiTrace(capacity=1) if self._trace_enabled else None
-        halted, reason = self.retire_one(order, sink)
-        record = sink[0] if sink is not None else None
-        return halted, record, reason
-
     # ----------------------------------------------------------- fast path
 
     def _wfi_resume(self, order: int) -> bool:

@@ -194,13 +194,9 @@ class _Lowerer:
         if module.regfile is not None:
             spec = module.regfile
             # Storage wires become primary inputs (the array itself stays
-            # out of synthesis); read-data wires only do so in the legacy
-            # style where they are not computed by in-core read muxes.
+            # out of synthesis); the read muxes over them are core logic.
             regfile_data.update(spec.storage_signals)
-            for addr, data in spec.read_ports:
-                if data not in module.assigns:
-                    regfile_data.add(data)
-                regfile_interface.add(addr)
+            regfile_interface.update(addr for addr, _ in spec.read_ports)
             if spec.write_port is not None:
                 regfile_interface.update(spec.write_port)
 

@@ -98,7 +98,8 @@ DFF_SETUP_UNITS = 1.0
 
 #: Pragmatic FlexIC Gen3-like 0.6 um IGZO library, calibrated to the
 #: RISSP-RV32E anchors (see module docstring).  The calibration constants
-#: were fitted once with tests/test_calibration.py and are fixed here.
+#: were fitted once and are fixed here; the anchors are checked by
+#: tests/test_synth.py::test_calibration_anchors.
 FLEXIC_GEN3 = TechLib(
     name="flexic-gen3-0.6um-igzo",
     cells=_cells(),

@@ -28,7 +28,7 @@ from repro.analysis import (
     validate_lint_report,
     write_lint_report,
 )
-from repro.rtl.ir import Module, const, mux
+from repro.rtl.ir import IrError, Module, RegFileSpec, const, mux
 
 
 def _rules(findings):
@@ -78,6 +78,19 @@ def test_seeded_undriven_and_dead_signals():
     m.assign(out, m.sig("floating"))
     rules = _rules(lint_module(m))
     assert "RTL007" in rules and "RTL004" in rules
+
+    # A register-file read port's data wire is core logic like any other:
+    # left unassigned, it is undriven.
+    rf = Module("rfport")
+    rf.assign(rf.wire("raddr", 4), rf.input("addr", 4))
+    rf.wire("rdata", 8)
+    rf.assign(rf.output("q", 8), rf.sig("rdata"))
+    rf.regfile = RegFileSpec(name="regs", num_regs=16, width=8,
+                             read_ports=[("raddr", "rdata")])
+    with pytest.raises(IrError, match="wire rdata of rfport undriven"):
+        rf.check()
+    undriven = [f.location for f in lint_module(rf) if f.rule == "RTL007"]
+    assert undriven == ["rfport:rdata"]
 
 
 def test_seeded_wide_shift_amount_truncates():

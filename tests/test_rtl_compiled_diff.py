@@ -31,7 +31,8 @@ from repro.isa.encoding import EncodingError, Instruction, encode
 from repro.rtl import build_rissp, compile_module
 from repro.rtl.compiled import stable_fingerprint
 from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
-                          Op, Port, RegFileSpec, Register, Slice)
+                          Op, Port, RegFileSpec, Register, Slice, const)
+from repro.rtl.rissp import _read_mux_tree
 from repro.rtl.sim import RtlSim
 
 _WIDTHS = (1, 2, 3, 5, 7, 8, 13, 16, 17, 24, 31, 32, 33, 48, 63, 64)
@@ -221,11 +222,15 @@ def _checked_module():
     module.assign(module.output("o", 8), a + b)
     acc = module.register("acc", 8, reset_value=1)
     module.connect_register("acc", acc + a, enable=b.bit(0))
-    module.assign(module.wire("ra", 2), a.slice(1, 0))
-    module.wire("rd", 8)                     # driven by the register file
+    ra = module.wire("ra", 2)
+    module.assign(ra, a.slice(1, 0))
+    storage = [module.wire(f"q{index}", 8) for index in range(1, 4)]
+    module.assign(module.wire("rd", 8),
+                  _read_mux_tree([const(0, 8)] + storage, ra))
     module.assign(module.output("q", 8), module.sig("rd"))
     module.regfile = RegFileSpec(name="regs", num_regs=4, width=8,
-                                 read_ports=[("ra", "rd")])
+                                 read_ports=[("ra", "rd")],
+                                 storage_signals=["q1", "q2", "q3"])
     module.check()
     return module
 
@@ -330,6 +335,29 @@ def test_frozen_core_sims_derive_nothing(monkeypatch):
     assert counts == {"walks": 0, "hashes": 0}
     hits = {kind: telemetry.counters[f"compile_cache.{kind}.hit"]
             for kind in ("module", "core", "fleet")}
-    assert hits == {"module": 2, "core": 2, "fleet": 1}
+    assert hits == {"module": 0, "core": 2, "fleet": 1}
     assert not any(telemetry.counters[f"compile_cache.{kind}.miss"]
                    for kind in hits)
+
+
+def test_construction_compiles_only_the_loop_that_runs():
+    """A fused cosimulation compiles the fused loop and never the
+    per-cycle pair; a per-cycle RisspSim compiles its pair once, at
+    construction, so the compile stays out of run()."""
+    from repro.farm import fleet_exercise_target
+    from repro.rtl.core_sim import RisspSim, cosimulate
+
+    core, program = fleet_exercise_target()
+    variant = core.with_assigns({})          # fresh object: caches miss
+    with obs.session() as telemetry:
+        assert cosimulate(variant, program, backend="fused") is None
+    counters = telemetry.counters
+    assert counters["compile_cache.module.miss"] == 0
+    assert counters["compile_cache.module.hit"] == 0
+    assert counters["compile_cache.core.miss"] == 1
+    with obs.session() as telemetry:
+        sim = RisspSim(variant, program, backend="compiled")
+        assert telemetry.counters["compile_cache.module.miss"] == 1
+        assert sim.run().halted_by == "ecall"
+    assert telemetry.counters["compile_cache.module.miss"] == 1
+    assert telemetry.counters["compile_cache.module.hit"] == 0

@@ -1,5 +1,7 @@
 """ModularEX + RISSP integration tests."""
 
+import re
+
 import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
@@ -71,9 +73,20 @@ def test_single_cycle_timing():
 
 
 def test_rissp_emits_systemverilog():
-    core = build_rissp(["addi", "jal", "ecall"], name="sv_check")
-    text = emit_module(core)
-    assert "module sv_check" in text and "regs [0:15]" in text
+    """Every wire and output the emitted module declares has exactly one
+    ``assign``: the read muxes drive the read data, and the array drives
+    each storage wire.  Checked on a plain and a trap-capable core."""
+    for subset in (["addi", "jal", "ecall"], ["addi", "jal", "ecall", "mret"]):
+        core = build_rissp(subset, name="sv_check")
+        assert ("mtvec" in core.registers) == ("mret" in subset)
+        text = emit_module(core)
+        assert "module sv_check" in text and "regs [0:15]" in text
+        targets = re.findall(r"^  assign (\w+) = ", text, re.MULTILINE)
+        assert len(targets) == len(set(targets))
+        assert set(targets) == set(core.wires) | {
+            port.name for port in core.outputs()}
+        assert "  assign regs_q15 = regs[15];" in text
+        assert "regs[rf_waddr] <= rf_wdata;" in text
 
 
 def test_rvfi_trace_from_rtl():

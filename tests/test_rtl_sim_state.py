@@ -1,14 +1,13 @@
-"""State-handling coverage for :class:`RtlSim`: the legacy read-port
-settle path, ``reset()`` — including mid-run against the fused loop —
+"""State-handling coverage for :class:`RtlSim`: the register-file read
+and write ports, ``reset()`` — including mid-run against the fused loop —
 and peek/poke fault injection, exercised on every evaluator backend.
 
-Legacy style: a :class:`RegFileSpec` read port whose data signal is *not*
-combinationally assigned.  The evaluator injects the addressed register's
-value right after the address signal is computed, then runs one more full
-sweep so data fed to earlier-ordered signals settles.  (Legacy-port
-modules are exactly the shape the fused loop refuses, so the ``fused``
-parametrization also locks in that :class:`RtlSim` level behaviour stays
-identical to ``compiled`` there.)
+The register-file tests drive a storage-exposed read port, the shape
+:func:`repro.rtl.rissp.build_rissp` builds: the array drives one storage
+wire per register, and the port's data is a read-mux tree over them with
+x0 as the constant-zero entry.  (The small module is not a RISSP, so the
+``fused`` parametrization also locks in that its :class:`RtlSim` level
+behaviour stays identical to ``compiled``.)
 
 The fused-state tests at the bottom pin the PR 4 flush/refresh contract:
 the generated ``run_cycles`` loads register state from ``env`` on entry
@@ -22,40 +21,40 @@ import pytest
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import RisspSim, build_rissp
 from repro.rtl.ir import Module, RegFileSpec, const
+from repro.rtl.rissp import _read_mux_tree
 from repro.rtl.sim import RtlSim
 
 BACKENDS = ("fused", "compiled", "interpreter")
 
 
-def _legacy_module(num_regs=8):
-    """A module reading the register file through a legacy (undriven-data)
-    port.  ``early`` sorts before ``raddr`` in the topo walk and consumes
-    the injected data, covering the second settle pass."""
-    module = Module("legacy")
+def _regfile_module(num_regs=8):
+    """One storage-exposed read port and one write port, both addressed
+    by ``addr_in`` (4 bits, wider than the 8-entry file needs)."""
+    module = Module("regfile")
     addr_in = module.input("addr_in", 4)
     wdata_in = module.input("wdata_in", 8)
     we_in = module.input("we_in", 1)
+    storage = [module.wire(f"q{index}", 8) for index in range(1, num_regs)]
     raddr = module.wire("raddr", 4)
-    rdata = module.wire("rdata", 8)          # legacy: never assigned
     module.assign(raddr, addr_in)
-    module.assign(module.wire("early", 8),
-                  module.sig("rdata") + const(1, 8))
+    module.assign(module.wire("rdata", 8),
+                  _read_mux_tree([const(0, 8)] + storage, raddr))
     module.assign(module.output("rdata_out", 8), module.sig("rdata"))
-    module.assign(module.output("early_out", 8), module.sig("early"))
     module.assign(module.wire("waddr", 4), addr_in)
     module.assign(module.wire("we", 1), we_in)
     module.assign(module.wire("wdata", 8), wdata_in)
     module.regfile = RegFileSpec(
         name="regs", num_regs=num_regs, width=8,
         read_ports=[("raddr", "rdata")],
-        write_port=("we", "waddr", "wdata"))
+        write_port=("we", "waddr", "wdata"),
+        storage_signals=[sig.name for sig in storage])
     module.check()
     return module
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_legacy_read_port_reads_written_values(backend):
-    sim = RtlSim(_legacy_module(), backend=backend)
+    sim = RtlSim(_regfile_module(), backend=backend)
     for reg in range(1, 8):
         sim.set_inputs(addr_in=reg, wdata_in=0x10 + reg, we_in=1)
         sim.eval_comb()
@@ -65,28 +64,27 @@ def test_legacy_read_port_reads_written_values(backend):
         sim.set_inputs(addr_in=reg)
         sim.eval_comb()
         assert sim.get("rdata_out") == 0x10 + reg
-        # The settle pass must propagate injected data to earlier-ordered
-        # consumers within the same evaluation.
-        assert sim.get("early_out") == 0x11 + reg
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_legacy_read_port_x0_and_address_wrap(backend):
-    sim = RtlSim(_legacy_module(num_regs=8), backend=backend)
-    sim.set_inputs(addr_in=3, wdata_in=0x77, we_in=1)
+    sim = RtlSim(_regfile_module(num_regs=8), backend=backend)
+    sim.set_inputs(addr_in=8 + 3, wdata_in=0x77, we_in=1)
     sim.eval_comb()
     sim.tick()
+    assert sim.regfile_data[3] == 0x77        # write wraps modulo num_regs
     sim.set_inputs(we_in=0, addr_in=0)
     sim.eval_comb()
     assert sim.get("rdata_out") == 0          # x0 always reads 0
-    sim.set_inputs(addr_in=8 + 3)             # wraps modulo num_regs
-    sim.eval_comb()
-    assert sim.get("rdata_out") == 0x77
+    for addr in (3, 8 + 3):                   # the read wraps too
+        sim.set_inputs(addr_in=addr)
+        sim.eval_comb()
+        assert sim.get("rdata_out") == 0x77
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_legacy_write_to_x0_ignored(backend):
-    sim = RtlSim(_legacy_module(), backend=backend)
+    sim = RtlSim(_regfile_module(), backend=backend)
     sim.set_inputs(addr_in=0, wdata_in=0xFF, we_in=1)
     sim.eval_comb()
     sim.tick()
@@ -94,48 +92,6 @@ def test_legacy_write_to_x0_ignored(backend):
     sim.set_inputs(addr_in=0, we_in=0)
     sim.eval_comb()
     assert sim.get("rdata_out") == 0
-
-
-def test_legacy_cse_does_not_cache_stale_injection_data():
-    """Regression: a subexpression reading one legacy port's data signal,
-    shared between an assign that sorts *before* that port's injection and
-    a second port's address computed *after* it, must not be hoisted into
-    a temp by the compiled backend's CSE — the temp would freeze the
-    pre-injection value and steer the second port to the wrong register."""
-    from repro.rtl.ir import Binary, Op, Slice
-
-    module = Module("legacy2")
-    module.wire("rdata1", 8)
-    module.wire("rdata2", 8)
-    addr1_in = module.input("addr1_in", 3)
-    module.assign(module.wire("addr1", 3), addr1_in)
-    # Shared subtree: rdata1 + 1 (the same structural node twice).
-    shared = Binary(Op.ADD, module.sig("rdata1"), const(1, 8))
-    module.assign(module.wire("a_early", 8), shared)    # sorts before addr1
-    module.assign(module.wire("addr2", 3), Slice(shared, 2, 0))
-    module.assign(module.output("out1", 8), module.sig("rdata1"))
-    module.assign(module.output("out2", 8), module.sig("rdata2"))
-    module.regfile = RegFileSpec(
-        name="regs", num_regs=8, width=8,
-        read_ports=[("addr1", "rdata1"), ("addr2", "rdata2")])
-    module.check()
-
-    sims = [RtlSim(module, backend=backend) for backend in BACKENDS]
-    for sim in sims:
-        for index, value in enumerate((0, 0x11, 0x12, 0x13, 0x14, 0x15,
-                                       0x16, 0x17)):
-            sim.regfile_data[index] = value
-    for addr1 in range(8):
-        for sim in sims:
-            sim.set_inputs(addr1_in=addr1)
-            sim.eval_comb()
-        interp = sims[-1]
-        for compiled in sims[:-1]:
-            assert compiled.env == interp.env, (
-                f"addr1={addr1} backend={compiled.backend}: " + repr(sorted(
-                    (k, compiled.env.get(k), interp.env.get(k))
-                    for k in set(compiled.env) | set(interp.env)
-                    if compiled.env.get(k) != interp.env.get(k))))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -268,9 +224,10 @@ def test_reset_mid_run_matches_oracle(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_env_coherent_after_partial_run(backend):
     """After any run() the register state visible through get()/env must
-    agree across backends, and a manual set_inputs/eval_comb probe on the
-    paused simulator must produce identical combinational signals — the
-    fused loop's exit flush + re-settle at work."""
+    agree across backends — the fused loop's exit flush at work — and a
+    manual set_inputs/eval_comb probe on the paused simulator must
+    produce identical combinational signals.  The probe settles them
+    itself: no backend settles combinational signals after a run."""
     core = build_rissp([d.mnemonic for d in INSTRUCTIONS])
     sims = {b: RisspSim(core, assemble(_COUNTED), backend=b)
             for b in BACKENDS}

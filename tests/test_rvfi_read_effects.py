@@ -12,7 +12,7 @@ import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import RisspSim, build_rissp, cosimulate
-from repro.sim import GoldenSim, abi_initial_regs, run_program
+from repro.sim import GoldenSim, RvfiTrace, abi_initial_regs, run_program
 from repro.verify import check_trace
 
 _SUBWORD_LOADS = """.text
@@ -74,7 +74,7 @@ def test_cosim_clean_on_subword_loads(full_core):
 
 def test_cosim_shares_golden_trace(full_core):
     prog = assemble(_SUBWORD_LOADS)
-    golden_trace = []
+    golden_trace = RvfiTrace()
     assert cosimulate(full_core, prog, golden_trace_out=golden_trace) is None
     report = check_trace(golden_trace, initial_regs=abi_initial_regs())
     assert report.passed, report.errors

@@ -17,6 +17,12 @@ The two loops run as short plain/idle *pairs* in ABBA order and the gate
 is the median per-pair throughput ratio: a shared host's speed drifts
 within seconds, so one long run of each, taken apart, can fake an
 overhead of 20% or more, while drift cancels inside a back-to-back pair.
+
+The recorded-golden gate: a traced run (``GoldenSim(trace=True).run()``,
+the compiled recorders cosimulation's golden side runs) must record the
+loop at >=2x the rate of ``retire_one`` called row by row into the same
+kind of columnar trace — the reflective retirement every recorded row
+went through before the recorders.  Same ABBA pairing and median.
 """
 
 import statistics
@@ -25,7 +31,7 @@ import time
 from repro.isa.encoding import decode
 from repro.isa.spec import step
 from repro.isa.assembler import assemble
-from repro.sim import GoldenSim, run_program, run_program_serv
+from repro.sim import GoldenSim, RvfiTrace, run_program, run_program_serv
 from repro.soc import SocSpec
 
 _LOOP = """.text
@@ -71,6 +77,12 @@ _NAIVE_INSTRUCTIONS = 60_000
 #: share one host-speed window.
 _IDLE_PAIRS = 16
 _IDLE_ITERS = 50_000
+
+#: Reflective/recorded pairs behind the recorded-golden gate (even, for
+#: ABBA balance), each run a ~20k-instruction loop: the reflective side
+#: takes about a tenth of a second.
+_RECORDED_PAIRS = 8
+_RECORDED_ITERS = 5_000
 
 # The seed decoded every word on every retirement; bypass the lru_cache to
 # reproduce that cost honestly.
@@ -118,18 +130,44 @@ def _soc_idle_mips(program, iters):
     return result.instructions / elapsed / 1e6
 
 
-def _idle_pairs(plain_prog, idle_prog):
-    """(median idle/plain throughput ratio, median idle MIPS) over
-    ABBA-ordered plain/idle pairs."""
-    ratios, idle_rates = [], []
-    for pair in range(_IDLE_PAIRS):
-        rates = {}
-        for idle in (False, True) if pair % 2 == 0 else (True, False):
-            rates[idle] = _soc_idle_mips(idle_prog, _IDLE_ITERS) if idle \
-                else _fast_mips(plain_prog, run_program, _IDLE_ITERS)
-        ratios.append(rates[True] / rates[False])
-        idle_rates.append(rates[True])
-    return statistics.median(ratios), statistics.median(idle_rates)
+def _recorded_mips(program, iters):
+    sim = GoldenSim(program, trace=True)
+    started = time.perf_counter()
+    result = sim.run(max_instructions=3_000_000)
+    elapsed = time.perf_counter() - started
+    assert result.halted_by == "ecall" and result.exit_code == iters
+    assert len(result.trace) == result.instructions
+    return result.instructions / elapsed / 1e6
+
+
+def _reflective_mips(program, iters):
+    """The per-row golden entry: ``retire_one`` into a columnar trace."""
+    sim = GoldenSim(program, trace=True)
+    trace = RvfiTrace()
+    count = 0
+    halted = False
+    started = time.perf_counter()
+    while not halted:
+        halted, _ = sim.retire_one(count, trace)
+        count += 1
+    elapsed = time.perf_counter() - started
+    assert sim.read_reg(10) == iters and len(trace) == count
+    return count / elapsed / 1e6
+
+
+def _abba_pairs(pairs, base, candidate):
+    """(median candidate/base throughput ratio, median candidate MIPS)
+    over ``pairs`` back-to-back pairs, alternating which side runs
+    first."""
+    ratios, rates = [], []
+    for pair in range(pairs):
+        mips = {}
+        for side in (base, candidate) if pair % 2 == 0 \
+                else (candidate, base):
+            mips[side] = side()
+        ratios.append(mips[candidate] / mips[base])
+        rates.append(mips[candidate])
+    return statistics.median(ratios), statistics.median(rates)
 
 
 def test_bench_sim_throughput(benchmark, bench_artifact):
@@ -137,20 +175,31 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
     naive_prog = assemble(_LOOP.format(n=_NAIVE_INSTRUCTIONS))
     pair_prog = assemble(_LOOP.format(n=_IDLE_ITERS))
     idle_prog = assemble(_LOOP_SOC_IDLE.format(n=_IDLE_ITERS))
+    recorded_prog = assemble(_LOOP.format(n=_RECORDED_ITERS))
 
     def report():
-        idle_ratio, idle_mips = _idle_pairs(pair_prog, idle_prog)
+        idle_ratio, idle_mips = _abba_pairs(
+            _IDLE_PAIRS,
+            lambda: _fast_mips(pair_prog, run_program, _IDLE_ITERS),
+            lambda: _soc_idle_mips(idle_prog, _IDLE_ITERS))
+        recorded_ratio, recorded_mips = _abba_pairs(
+            _RECORDED_PAIRS,
+            lambda: _reflective_mips(recorded_prog, _RECORDED_ITERS),
+            lambda: _recorded_mips(recorded_prog, _RECORDED_ITERS))
         return {
             "naive_mips": _naive_mips(naive_prog, _NAIVE_INSTRUCTIONS),
             "golden_mips": _fast_mips(fast_prog, run_program),
             "golden_soc_idle_mips": idle_mips,
+            "golden_recorded_mips": recorded_mips,
             "serv_mips": _fast_mips(fast_prog, run_program_serv),
             "soc_idle_ratio": idle_ratio,
+            "recorded_vs_reflective": recorded_ratio,
         }
 
     stats = benchmark.pedantic(report, rounds=1, iterations=1)
     speedup = stats["golden_mips"] / stats["naive_mips"]
     idle_ratio = stats["soc_idle_ratio"]
+    recorded_ratio = stats["recorded_vs_reflective"]
     print("\n=== Simulator throughput (1.6M-instruction loop) ===")
     print(f"seed-style interpreter:   {stats['naive_mips']:6.3f} MIPS")
     print(f"golden ISS fast path:     {stats['golden_mips']:6.3f} MIPS "
@@ -158,6 +207,9 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
     print(f"golden + idle interrupts: {stats['golden_soc_idle_mips']:6.3f} "
           f"MIPS ({100 * idle_ratio:.1f}% of fast path, median of "
           f"{_IDLE_PAIRS} ABBA pairs)")
+    print(f"golden recorded (traced): {stats['golden_recorded_mips']:6.3f} "
+          f"MIPS ({recorded_ratio:.1f}x retire_one per row, median of "
+          f"{_RECORDED_PAIRS} ABBA pairs)")
     print(f"serv timing model:        {stats['serv_mips']:6.3f} MIPS")
     bench_artifact("sim_throughput", {
         **stats,
@@ -172,3 +224,9 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
     assert idle_ratio >= 0.85, (
         f"idle interrupt support cost too much fast-path throughput: "
         f"{100 * (1 - idle_ratio):.1f}% > 15%")
+    # The compiled recorders must keep their gain over the reflective
+    # per-row retirement (about 4x on this loop; 1x would mean traced
+    # runs fell back to retire_one).
+    assert recorded_ratio >= 2.0, (
+        f"recorded golden only {recorded_ratio:.2f}x retire_one per row "
+        f"(< 2x)")

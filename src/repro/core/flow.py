@@ -63,8 +63,11 @@ class RisspFlow:
         memory interface per retirement), and an RVFI trace check of the
         golden reference run against the executable spec — the full §3.4.2
         story.  All three ride the decoded-op cache
-        (:mod:`repro.sim.decoded`), so the reference side runs at fast-path
-        speed.
+        (:mod:`repro.sim.decoded`): the compliance signatures come from the
+        golden fast path, and the cosimulation's golden side records its
+        reference trace through the compiled recorders: on the compute
+        apps about half the fast path's rate, and four to five times the
+        rate of the reflective per-row retirement.
 
         ``lint`` gates the stitched core on the structural lint
         (:mod:`repro.analysis`): a bad core fails here, at generation time,

@@ -7,17 +7,22 @@ testbenches, the formal-lite property checker and the RVFI trace checker all
 consume this single spec — it plays the role the RISC-V ISA manual plays for
 the paper's SVA assertions.
 
-Two execution interfaces are offered over the same semantic tables:
+Three execution interfaces are offered over the same semantic tables:
 
 * :func:`step` — the reflective form: decode fields in, :class:`Effects`
-  out.  Used wherever per-retirement introspection is needed (RVFI records,
-  trace checking, block testbenches).
+  out.  Used wherever per-retirement introspection is needed (trace
+  checking, block testbenches, the golden ISS's slow path and oracle).
 * :func:`compile_step` — the compiled form: specialize one *static*
   instruction into a closure ``(regs, memory, pc) -> next_pc`` with the
   immediate pre-extracted and all format/mnemonic dispatch hoisted out of
   the inner loop.  The simulators' hot paths execute these (see
-  :mod:`repro.sim.decoded`); both forms share ``_ALU_OPS``/``_BRANCH_TAKEN``
-  and the width tables below, so they cannot drift apart on semantics.
+  :mod:`repro.sim.decoded`).
+* :func:`compile_recorder` — the recording form: the compiled closure
+  plus the retirement's full RVFI row, appended to a trace sink.  The
+  golden ISS records reference traces with these.
+
+All three share ``_ALU_OPS``/``_BRANCH_TAKEN`` and the width tables
+below, so they cannot drift apart on semantics.
 """
 
 from __future__ import annotations
@@ -362,3 +367,172 @@ def compile_step(instr: Instruction,
     if m in _CSR_RULES or m in ("mret", "wfi"):
         return lambda regs, memory, pc: DEFER_SYSTEM
     raise SpecError(f"no semantics for mnemonic {m!r}")
+
+
+#: A recording executor: ``(regs, memory, pc, order, append) -> next_pc``.
+#: It retires like an :data:`Executor`, then calls ``append`` — an
+#: :meth:`~repro.sim.tracing.RvfiTrace.append_row` — with the
+#: retirement's RVFI row, ``order`` being its retirement index.  A negative
+#: return is the same sentinel the :data:`Executor` returns, with no row.
+Recorder = Callable[[list, object, int, int, Callable[..., None]], int]
+
+
+def compile_recorder(instr: Instruction, word: int,
+                     store_hook: Callable[[int], None]) -> Recorder:
+    """The recording form of :func:`compile_step`.
+
+    The closure retires ``instr`` (fetched as ``word``) exactly as the
+    :func:`compile_step` closure does, and records the row the golden
+    ISS's reflective retirement records for it: the source registers'
+    values as read before any write, ``rd_addr``/``rd_wdata`` zero for no
+    write or a write to x0, and both sides of the memory interface.  The
+    row is appended only after every check that can refuse the retirement
+    (memory bounds and alignment, misaligned targets, an MMIO access the
+    bus defers), so a refused retirement changes no state and records
+    nothing.  Instructions whose :func:`compile_step` closure returns a
+    sentinel return the same sentinel here and record nothing.
+    ``store_hook`` is called with the address of every store, as for
+    :func:`compile_step`.
+
+    Writes to x0 are masked to zero rather than dropped: ``regs[0]`` is
+    re-pinned to 0 and the row reports ``rd_wdata`` 0, with no branch.
+    """
+    m = instr.mnemonic
+    rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+    keep = _M32 if rd else 0
+
+    if m in _ALU_OPS:
+        op = _ALU_OPS[m]
+
+        def rec_alu(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            value = op(a, b) & keep
+            regs[rd] = value
+            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            return pc + 4
+        return rec_alu
+
+    if m in _IMM_TO_ALU:
+        op = _ALU_OPS[_IMM_TO_ALU[m]]
+
+        def rec_alu_imm(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            value = op(a, imm) & keep
+            regs[rd] = value
+            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            return pc + 4
+        return rec_alu_imm
+
+    if m in _BRANCH_TAKEN:
+        cond = _BRANCH_TAKEN[m]
+
+        def rec_branch(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            if cond(a, b):
+                target = (pc + imm) & _M32
+                if target & 0x3:
+                    raise SpecError(f"misaligned branch target {target:#x}")
+            else:
+                target = pc + 4
+            append(order, word, pc, target, rs1, rs2, a, b, 0, 0)
+            return target
+        return rec_branch
+
+    if m in _LOAD_WIDTH:
+        width, signed = _LOAD_WIDTH[m]
+        rmask = (1 << width) - 1
+
+        def rec_load(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            addr = (a + imm) & _M32
+            data = memory.load(addr, width, signed)
+            value = data & keep
+            regs[rd] = value
+            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
+                   addr, rmask, 0, data)
+            return pc + 4
+        return rec_load
+
+    if m in _STORE_WIDTH:
+        width = _STORE_WIDTH[m]
+        mask = (1 << (8 * width)) - 1
+        wmask = (1 << width) - 1
+
+        def rec_store(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            addr = (a + imm) & _M32
+            data = b & mask
+            memory.store(addr, data, width)
+            store_hook(addr)
+            append(order, word, pc, pc + 4, rs1, rs2, a, b, 0, 0,
+                   addr, 0, wmask, 0, data)
+            return pc + 4
+        return rec_store
+
+    if m == "lui":
+        value = imm & keep
+
+        def rec_lui(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            regs[rd] = value
+            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            return pc + 4
+        return rec_lui
+
+    if m == "auipc":
+        def rec_auipc(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            value = (pc + imm) & keep
+            regs[rd] = value
+            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            return pc + 4
+        return rec_auipc
+
+    if m == "jal":
+        def rec_jal(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            target = (pc + imm) & _M32
+            if target & 0x3:
+                raise SpecError(f"misaligned jal target {target:#x}")
+            link = (pc + 4) & keep
+            regs[rd] = link
+            append(order, word, pc, target, rs1, rs2, a, b, rd, link)
+            return target
+        return rec_jal
+
+    if m == "jalr":
+        def rec_jalr(regs, memory, pc, order, append):
+            a = regs[rs1]
+            b = regs[rs2]
+            target = (a + imm) & 0xFFFFFFFE
+            if target & 0x3:
+                raise SpecError(f"misaligned jalr target {target:#x}")
+            link = (pc + 4) & keep
+            regs[rd] = link
+            append(order, word, pc, target, rs1, rs2, a, b, rd, link)
+            return target
+        return rec_jalr
+
+    if m == "fence":
+        def rec_fence(regs, memory, pc, order, append):
+            append(order, word, pc, pc + 4, rs1, rs2, regs[rs1], regs[rs2],
+                   0, 0)
+            return pc + 4
+        return rec_fence
+
+    if m == "ecall":
+        return lambda regs, memory, pc, order, append: HALT_ECALL
+    if m == "ebreak":
+        return lambda regs, memory, pc, order, append: HALT_EBREAK
+    if m in _CSR_RULES or m in ("mret", "wfi"):
+        return lambda regs, memory, pc, order, append: DEFER_SYSTEM
+    raise SpecError(f"no semantics for mnemonic {m!r}")
+

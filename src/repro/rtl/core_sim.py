@@ -40,13 +40,15 @@ truncate the 5-bit field to the 16-entry file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import ne
 
 from ..isa.bits import to_u32
 from ..isa.csrs import CAUSE_ILLEGAL_INSTRUCTION, MCAUSE, MEPC, MTVEC
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import CSR_OPS
 from ..isa.program import DEFAULT_MEM_SIZE, Program
-from ..isa.spec import _LOAD_WIDTH, step
+from ..isa.spec import _LOAD_WIDTH, SpecError, step
 from ..obs import telemetry as _obs
 from ..sim.csr import CsrError, CsrFile
 from ..sim.golden import RunResult, SimulationError
@@ -573,44 +575,48 @@ def cosimulate(core: Module, program: Program,
     flags must agree.
 
     Both sides retire into columnar :class:`RvfiTrace` sinks.  On the
-    per-cycle backends the RTL side keeps only the newest row (ring
-    capacity 1) and each retirement's two rows are compared whole.  The
-    fused path buffers at most :data:`COSIM_CHUNK` RTL rows per chunk and
-    compares by column: after the golden side retires row *i*, the
-    chunk's :data:`COSIM_FIELDS` columns at *i* are indexed against the
-    golden sink's newest slot, with no per-retirement tuple or record.
-    Either way the first divergence is the lowest retirement index whose
-    fields or halt flags differ, reported with the first differing field
-    in :data:`COSIM_FIELDS` order (``"halt"`` when only the halt flags
-    differ).
+    per-cycle backends each retirement's two rows are compared whole as
+    they retire: the RTL and the golden reference (through
+    ``GoldenSim.retire_one``) step one row at a time.  With the fused
+    backend the RTL side executes in chunks of :data:`COSIM_CHUNK`
+    retirements, the golden reference records the same span through its
+    compiled recorders (``GoldenSim.run_chunk``), and each chunk's two
+    traces are compared by column, :data:`COSIM_FIELDS` as whole lists;
+    the divergent index is searched for only after a mismatch.  So the
+    golden side may run at most one chunk past a divergence.  Either way
+    the verdict is the same: the first divergence is the lowest
+    retirement index whose fields or halt flags differ, reported with the
+    first differing field in :data:`COSIM_FIELDS` order (``"halt"`` when
+    only the halt flags differ); a refusal (exception) on either side is
+    raised only when every row retired before it compared clean, and the
+    RTL's refusal loses to a golden refusal at an earlier row.
 
-    ``golden_trace_out``, an :class:`RvfiTrace`, when given, receives the
-    golden reference's RVFI retirements as columnar rows as they happen —
-    callers wanting to additionally spec-check the reference (see
+    ``golden_trace_out``, an :class:`RvfiTrace`, when given, receives
+    exactly the compared golden rows: through the divergent index on a
+    mismatch, the rows before a refusal, every row on a clean run.
+    Callers wanting to additionally spec-check the reference (see
     :func:`repro.verify.rvfi.check_trace`) reuse this trace instead of
     paying for a second traced golden run.
 
     ``backend`` forces the RTL evaluator backend (``"fused"`` /
     ``"compiled"`` / ``"interpreter"``); the default follows
-    :class:`RtlSim`.  With the fused backend the RTL side executes in
-    chunks of :data:`COSIM_CHUNK` retirements through the fused loop and
-    the golden reference replays each chunk's rows in lock-step — same
-    first-divergence verdicts as the per-cycle walk (an RTL exception is
-    only re-raised after the rows retired before it compared clean), at a
-    fraction of the cycle cost.  ``soc`` attaches a
-    :class:`~repro.soc.SocSpec` — each side instantiates its own device
-    set from it, so lock-step covers MMIO and interrupt timing.
+    :class:`RtlSim`.  ``soc`` attaches a :class:`~repro.soc.SocSpec` —
+    each side instantiates its own device set from it, so lock-step
+    covers MMIO and interrupt timing.
     """
     from ..sim.golden import GoldenSim
 
     rtl = RisspSim(core, program, trace=True, backend=backend, soc=soc)
     gold = GoldenSim(program, trace=True, soc=soc)
-    gold_trace = golden_trace_out if golden_trace_out is not None \
-        else RvfiTrace(capacity=1)
     field_slots = [RvfiTrace.FIELDS.index(name) for name in COSIM_FIELDS]
     if rtl._fused is not None:
-        return _cosimulate_fused(rtl, gold, gold_trace, field_slots,
+        return _cosimulate_fused(rtl, gold, golden_trace_out, field_slots,
                                  max_instructions)
+    # The per-cycle walk stays row by row: running a per-cycle backend a
+    # chunk past a divergence would multiply the cost of every mutant on
+    # the interpreter oracle.
+    gold_trace = golden_trace_out if golden_trace_out is not None \
+        else RvfiTrace(capacity=1)
     rtl_trace = RvfiTrace(capacity=1)
     for index in range(max_instructions):
         rtl_halt, _ = rtl._cycle(index, rtl_trace)
@@ -641,31 +647,27 @@ def _retirement_mismatch(order: int, rtl_row: tuple, gold_row: tuple,
     return None
 
 
-#: Retirements per fused-cosimulation chunk: bounds the RTL-side trace
-#: buffer (and how far the RTL can run past a divergence before the
-#: chunk's rows are compared).
+#: Retirements per fused-cosimulation chunk: bounds both sides' trace
+#: buffers, and how far either side can run past a divergence before the
+#: chunk's rows are compared.
 COSIM_CHUNK = 4096
 
 
-def _cosimulate_fused(rtl: RisspSim, gold, gold_trace: RvfiTrace,
+def _cosimulate_fused(rtl: RisspSim, gold,
+                      golden_trace_out: RvfiTrace | None,
                       field_slots: list[int],
                       max_instructions: int) -> CosimMismatch | None:
-    """Chunked lock-step: fused RTL execution vs per-retirement golden.
+    """Chunked cosimulation: fused RTL chunks against golden chunks.
 
-    Verdict-equivalent to the per-cycle walk: the golden side retires row
-    *i* into ``gold_trace``, then row *i* is compared — the chunk's
-    :data:`COSIM_FIELDS` columns at *i* against the golden trace's newest
-    slot, plus the halt flags.  Only a row that differs is handed to
-    :func:`_retirement_mismatch`, which names the first divergent field.
-    A divergent row returns before the golden side retires the next one,
-    so a golden exception raised after it loses to the mismatch, and an
-    RTL-side refusal (SimulationError/MemoryError_) propagates only if
-    every row retired before it matched — exactly the information order
-    the cycle-by-cycle loop observes.
+    Each chunk, the RTL retires up to :data:`COSIM_CHUNK` rows; the golden
+    reference then records exactly as many (fewer when it halts or
+    refuses first), and :func:`_chunk_mismatch` compares the two traces
+    by column.  Verdict-equivalent to the per-cycle walk: an RTL-side
+    refusal (SimulationError/MemoryError_) ends the RTL chunk and is
+    raised only if the chunk's rows all matched; a golden refusal ends
+    the golden chunk early, so it loses to a divergence among the rows
+    it did retire and wins over any later RTL refusal.
     """
-    retire = gold.retire_one
-    ring = gold_trace.capacity
-    gold_columns = [gold_trace.column(name) for name in COSIM_FIELDS]
     order = 0
     while order < max_instructions:
         chunk = RvfiTrace()
@@ -676,25 +678,59 @@ def _cosimulate_fused(rtl: RisspSim, gold, gold_trace: RvfiTrace,
                 order, min(order + COSIM_CHUNK, max_instructions), chunk)
         except (SimulationError, MemoryError_) as exc:
             refusal = exc
-        rows = len(chunk)
-        pairs = [(chunk.column(name), gold_column)
-                 for name, gold_column in zip(COSIM_FIELDS, gold_columns)]
-        for index in range(rows):
-            gold_halt, _ = retire(order + index, gold_trace)
-            rtl_halt = rtl_halted and index == rows - 1
-            newest = (gold_trace.total_appended - 1) % ring if ring else -1
-            if rtl_halt == gold_halt:
-                for rtl_column, gold_column in pairs:
-                    if rtl_column[index] != gold_column[newest]:
-                        break
-                else:
-                    if rtl_halt:
-                        return None
-                    continue
-            return _retirement_mismatch(order + index, chunk.row(index),
-                                        gold_trace.row(-1), rtl_halt,
-                                        gold_halt, field_slots)
+        gold_chunk = RvfiTrace()
+        gold_halted = False
+        try:
+            gold_halted, _, _ = gold.run_chunk(order, order + len(chunk),
+                                               gold_chunk)
+        except (SimulationError, MemoryError_, SpecError) as exc:
+            refusal = exc
+        mismatch = _chunk_mismatch(order, chunk, gold_chunk, rtl_halted,
+                                   gold_halted, field_slots)
+        if golden_trace_out is not None:
+            if mismatch is None:
+                golden_trace_out.extend(gold_chunk)
+            else:
+                for row in islice(gold_chunk.rows(),
+                                  mismatch.index - order + 1):
+                    golden_trace_out.append_row(*row)
+        if mismatch is not None:
+            return mismatch
         if refusal is not None:
             raise refusal
-        order += rows
+        if rtl_halted:
+            return None
+        order += len(chunk)
     return CosimMismatch(max_instructions, "limit", 0, 0)
+
+
+def _chunk_mismatch(order: int, chunk: RvfiTrace, gold_chunk: RvfiTrace,
+                    rtl_halted: bool, gold_halted: bool,
+                    field_slots: list[int]) -> CosimMismatch | None:
+    """First divergence between one chunk's RTL rows and the golden rows
+    recorded over the same span (a prefix of it when the golden side
+    halted or refused early), or None when every golden row matches.
+
+    The :data:`COSIM_FIELDS` columns are compared as whole lists; only a
+    column that differs is scanned for its first differing index.  Each
+    side's halt flag belongs to its last row.  The lowest divergent index
+    is then judged by :func:`_retirement_mismatch`, like a per-cycle row.
+    """
+    rows = len(gold_chunk)
+    rtl_last = len(chunk) - 1
+    # The golden side never retires past the RTL chunk, so the two halt
+    # flags can only disagree at the golden side's last row.
+    first = rows - 1 if gold_halted != (rtl_halted and rtl_last == rows - 1) \
+        else rows
+    for name in COSIM_FIELDS:
+        rtl_column = chunk.column(name)
+        gold_column = gold_chunk.column(name)
+        if rtl_column != gold_column:
+            first = min(first, next(
+                compress(count(), map(ne, rtl_column, gold_column)), first))
+    if first == rows:
+        return None
+    return _retirement_mismatch(
+        order + first, chunk.row(first), gold_chunk.row(first),
+        rtl_halted and first == rtl_last, gold_halted and first == rows - 1,
+        field_slots)

@@ -9,11 +9,12 @@ module memoizes the per-*address* work once per static instruction:
   holding the fetched word, the decoded :class:`~repro.isa.encoding.Instruction`,
   a precompiled executor closure from :func:`repro.isa.spec.compile_step`
   (immediates pre-extracted, format dispatch hoisted out of the inner
-  loop), and the static classification the Serv cycle model needs — so
+  loop), its recording form from :func:`repro.isa.spec.compile_recorder`,
+  and the static classification the Serv cycle model needs — so
   per-instruction cycle costs are computed at decode time, not per step.
 * Entries are **invalidated on stores into cached text**: compiled store
-  executors call back into :meth:`DecodedImage.invalidate`, and the golden
-  ISS's record-keeping path does the same, so self-modifying programs
+  closures call back into :meth:`DecodedImage.invalidate`, and the golden
+  ISS's reflective path does the same, so self-modifying programs
   (including the self-patched halt-stub region) re-decode transparently.
   RISC-V stores are width-aligned and therefore never straddle a word, so
   invalidating the single covering word is exact.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import BRANCHES, LOADS, STORES
-from ..isa.spec import compile_step
+from ..isa.spec import compile_recorder, compile_step
 
 
 class SimulationError(Exception):
@@ -47,9 +48,10 @@ class DecodedOp:
 class DecodedImage:
     """Lazy text-address -> :class:`DecodedOp` cache over one memory.
 
-    ``executors`` mirrors the cache as a bare ``pc -> closure`` dict so hot
-    loops can dispatch with a single dictionary probe; it is kept in sync
-    by :meth:`get` and :meth:`invalidate`.
+    ``executors`` and ``recorders`` mirror the cache as bare
+    ``pc -> closure`` dicts so hot loops can dispatch with a single
+    dictionary probe; both are kept in sync by :meth:`get` and
+    :meth:`invalidate`.
     """
 
     def __init__(self, memory, num_regs: int = 16):
@@ -57,6 +59,7 @@ class DecodedImage:
         self.num_regs = num_regs
         self._ops: dict[int, DecodedOp] = {}
         self.executors: dict[int, object] = {}
+        self.recorders: dict[int, object] = {}
 
     def get(self, pc: int) -> DecodedOp:
         """Return the decoded op at ``pc``, compiling it on first use."""
@@ -70,6 +73,7 @@ class DecodedImage:
         base = addr & ~0x3 & 0xFFFFFFFF
         if self._ops.pop(base, None) is not None:
             self.executors.pop(base, None)
+            self.recorders.pop(base, None)
 
     def _compile(self, pc: int) -> DecodedOp:
         word = self.memory.fetch(pc)
@@ -97,4 +101,6 @@ class DecodedImage:
         op.execute = compile_step(instr, store_hook=self.invalidate)
         self._ops[pc] = op
         self.executors[pc] = op.execute
+        self.recorders[pc] = compile_recorder(instr, word,
+                                              store_hook=self.invalidate)
         return op

@@ -12,9 +12,17 @@ Two execution paths share one :class:`~repro.sim.decoded.DecodedImage`
   decode, no ``Effects`` allocation, no trace-record construction.  This
   took the loop microbenchmark from ~0.19 MIPS (seed interpreter) to
   multiple MIPS (>10x, see ``benchmarks/test_bench_sim_throughput.py``).
-* **recorded path** (``trace=True``): :meth:`GoldenSim.retire_one` keeps
-  the reflective ``spec.step`` flow so every retirement yields a full
-  columnar RVFI row, but decode still comes from the shared cache.
+* **recorded path** (``trace=True``, and the golden side of
+  cosimulation): :meth:`GoldenSim.run_chunk` dispatches the recording
+  form of the same closures (:func:`~repro.isa.spec.compile_recorder`),
+  each of which retires one instruction and appends its full columnar
+  RVFI row.  Retirements no compiled closure can complete — interrupt
+  entry, MMIO, Zicsr/``mret``/``wfi``, ``ecall``/``ebreak``, illegal and
+  RV32E-bound words, and the first execution at each pc — go through
+  :meth:`GoldenSim.retire_one`, the reflective ``spec.step`` retirement.
+  ``retire_one`` is also the per-row entry (the Serv model, the per-cycle
+  cosimulation walk) and the oracle the recorders are tested against bit
+  for bit.
 
 Machine-mode traps (PR 3): a :class:`~repro.sim.csr.CsrFile` is always
 present.  With ``mtvec == 0`` (reset) the seed's halt convention holds —
@@ -30,11 +38,12 @@ loop* (a single integer comparison against a precomputed fire index), so
 enabling the subsystem costs the idle fast path almost nothing.
 
 MMIO (PR 3): with a SoC attached, ``self.memory`` is a
-:class:`~repro.soc.SocBus`.  The fast path runs the bus in *deferred*
-mode — device accesses abort the compiled executor before any side effect
-and the instruction retires through the reflective path with the SoC
-clock synced — so device reads always see exact time and device writes
-(e.g. re-arming ``mtimecmp``) are honoured before the next retirement.
+:class:`~repro.soc.SocBus`.  The fast and recorded paths run the bus in
+*deferred* mode — device accesses abort the compiled closure before any
+side effect and the instruction retires through the reflective path with
+the SoC clock synced — so device reads always see exact time and device
+writes (e.g. re-arming ``mtimecmp``) are honoured before the next
+retirement.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from .memory import Memory
 from .tracing import RvfiRecord, RvfiTrace
 # Safe despite repro.soc wrapping this simulator: the soc package only
 # imports the cycle-free repro.sim.memory submodule, never this module.
+from ..soc import NEVER
 from ..soc.bus import MmioDeferred, PowerOffSignal
 
 __all__ = ["GoldenSim", "RunResult", "SimulationError", "abi_initial_regs",
@@ -122,7 +132,7 @@ class GoldenSim:
         if index != 0:
             self.regs[index] = to_u32(value)
 
-    # ------------------------------------------------------- recorded path
+    # --------------------------------------------------- reflective path
 
     def retire_one(self, order: int,
                    sink: RvfiTrace | None = None) -> tuple[bool, str]:
@@ -276,78 +286,35 @@ class GoldenSim:
             self.write_reg(effects.rd, effects.rd_data)
         return effects.next_pc, halted
 
+    def _fire_index(self) -> int:
+        """Retirement index of the next arbitrated interrupt (``NEVER``
+        with no SoC attached or no source able to fire).  The run loops
+        re-read it only where machine state can move it: MMIO
+        retirements, system instructions, trap and interrupt entries."""
+        if self.soc is None:
+            return NEVER
+        return self.soc.fire_index(self.csr)
+
     def run(self, max_instructions: int = 20_000_000) -> RunResult:
         """Run to halt (or instruction limit).
 
-        With tracing off this is the decoded-op fast path: one dict probe
-        plus one compiled-closure call per retired instruction.
+        With tracing on, :meth:`run_chunk` records every retirement.  With
+        tracing off this is the decoded-op fast path: one dict probe plus
+        one compiled-closure call per retired instruction, and exactly one
+        integer comparison (``count >= fire_at``, the precomputed earliest
+        fire index over every enabled interrupt source — the packed
+        pending word collapses to one integer, ``NEVER`` without a SoC).
+        At fire time the full pending word is assembled and
+        :meth:`CsrFile.pending_cause` arbitrates.
         """
         if self._trace_enabled:
-            return self._run_recorded(max_instructions)
-        if self.soc is not None:
-            return self._run_soc(max_instructions)
-        csr = self.csr
-        regs = self.regs
-        memory = self.memory
-        get_op = self.image.get
-        executors = self.image.executors
-        ex_get = executors.get
-        pc = self.pc
-        count = 0
-        halted_by = "limit"
-        try:
-            while count < max_instructions:
-                execute = ex_get(pc)
-                if execute is None:
-                    try:
-                        execute = get_op(pc).execute
-                    except SimulationError:
-                        if not csr.traps_enabled:
-                            raise
-                        pc = csr.trap_enter(CAUSE_ILLEGAL_INSTRUCTION, pc,
-                                            memory.fetch(pc))
-                        count += 1
-                        continue
-                next_pc = execute(regs, memory, pc)
-                count += 1
-                if next_pc >= 0:
-                    pc = next_pc
-                else:
-                    if next_pc == DEFER_SYSTEM:
-                        pc, wfi_halt = self._exec_system(pc, count - 1)
-                        if wfi_halt:
-                            halted_by = "wfi"
-                            break
-                        continue
-                    if csr.traps_enabled:
-                        pc = csr.trap_enter(
-                            CAUSE_BREAKPOINT if next_pc == HALT_EBREAK
-                            else CAUSE_ECALL_M, pc)
-                        continue
-                    pc = (pc + 4) & _M32
-                    halted_by = "ebreak" if next_pc == HALT_EBREAK else "ecall"
-                    break
-        finally:
-            self.pc = pc
-        return RunResult(exit_code=self.read_reg(10), instructions=count,
-                         cycles=count, halted_by=halted_by, trace=[])
-
-    def _run_soc(self, max_instructions: int) -> RunResult:
-        """Fast path with the SoC attached.
-
-        Identical inner loop plus exactly one integer comparison per
-        retirement (``count >= fire_at``, the precomputed earliest fire
-        index over every enabled interrupt source — the packed pending
-        word collapses to one integer).  ``fire_at`` is refreshed only at
-        the points where machine state can legally move it: deferred MMIO
-        retirements (mtimecmp/mtime/sensor-ACK writes), deferred system
-        instructions (mstatus/mie writes, mret, wfi), trap entries and
-        interrupt entries.  At fire time the full pending word is
-        assembled and :meth:`CsrFile.pending_cause` arbitrates.
-        """
+            trace = RvfiTrace(capacity=self._trace_capacity)
+            halted, reason, count = self.run_chunk(0, max_instructions,
+                                                   trace)
+            return self._result(count, reason if halted else "limit",
+                                trace)
         csr = self.csr
         soc = self.soc
-        bus = soc.bus
         regs = self.regs
         memory = self.memory
         get_op = self.image.get
@@ -355,9 +322,9 @@ class GoldenSim:
         pc = self.pc
         count = 0
         halted_by = "limit"
-        exit_code = None
-        fire_at = soc.fire_index(csr)
-        bus.deferred = True
+        fire_at = self._fire_index()
+        if soc is not None:
+            soc.bus.deferred = True
         try:
             while count < max_instructions:
                 if count >= fire_at:
@@ -374,13 +341,13 @@ class GoldenSim:
                             raise
                         pc = csr.trap_enter(CAUSE_ILLEGAL_INSTRUCTION, pc,
                                             memory.fetch(pc))
-                        fire_at = soc.fire_index(csr)
+                        fire_at = self._fire_index()
                         count += 1
                         continue
                 try:
                     next_pc = execute(regs, memory, pc)
                 except MmioDeferred:
-                    bus.deferred = False
+                    soc.bus.deferred = False
                     try:
                         soc.sync(count)
                         next_pc = self._retire_mmio(pc)
@@ -389,10 +356,10 @@ class GoldenSim:
                         count += 1
                         pc = (pc + 4) & _M32
                         halted_by = "poweroff"
-                        exit_code = sig.exit_code
+                        self._poweroff_code = sig.exit_code
                         break
                     finally:
-                        bus.deferred = True
+                        soc.bus.deferred = True
                     count += 1
                     pc = next_pc
                     fire_at = soc.fire_index(csr)
@@ -403,7 +370,7 @@ class GoldenSim:
                     continue
                 if next_pc == DEFER_SYSTEM:
                     pc, wfi_halt = self._exec_system(pc, count - 1)
-                    fire_at = soc.fire_index(csr)
+                    fire_at = self._fire_index()
                     if wfi_halt:
                         halted_by = "wfi"
                         break
@@ -412,17 +379,86 @@ class GoldenSim:
                     pc = csr.trap_enter(
                         CAUSE_BREAKPOINT if next_pc == HALT_EBREAK
                         else CAUSE_ECALL_M, pc)
-                    fire_at = soc.fire_index(csr)
+                    fire_at = self._fire_index()
                     continue
                 pc = (pc + 4) & _M32
                 halted_by = "ebreak" if next_pc == HALT_EBREAK else "ecall"
                 break
         finally:
-            bus.deferred = False
+            if soc is not None:
+                soc.bus.deferred = False
             self.pc = pc
-        return RunResult(
-            exit_code=self.read_reg(10) if exit_code is None else exit_code,
-            instructions=count, cycles=count, halted_by=halted_by, trace=[])
+        return self._result(count, halted_by, [])
+
+    def _result(self, count: int, halted_by: str,
+                trace: "RvfiTrace | list[RvfiRecord]") -> RunResult:
+        exit_code = self._poweroff_code if halted_by == "poweroff" \
+            else self.read_reg(10)
+        return RunResult(exit_code=exit_code, instructions=count,
+                         cycles=count, halted_by=halted_by, trace=trace)
+
+    def run_chunk(self, order: int, limit: int,
+                  sink: RvfiTrace) -> tuple[bool, str, int]:
+        """Retire from retirement index ``order`` up to ``limit``,
+        appending each retirement's RVFI row to ``sink``; returns
+        ``(halted, halt_reason, count)``, ``count`` being the index after
+        the last retirement.
+
+        The golden counterpart of ``RisspSim._fused_run``: state persists
+        on the simulator between calls, so a run can be split into chunks
+        at any index and records the same rows.  Cached instructions run
+        their recording closures; every other retirement — interrupt entry
+        (the count reaching :meth:`Soc.fire_index`), MMIO (the bus defers
+        it, as on the fast path), system instructions, ``ecall``/
+        ``ebreak``, illegal and RV32E-bound words, and the first execution
+        at each pc — goes through :meth:`retire_one` with the bus in
+        direct mode.  Either way the row is exactly the one
+        :meth:`retire_one` records, and a refused retirement raises with
+        no row appended.
+        """
+        soc = self.soc
+        bus = soc.bus if soc is not None else None
+        regs = self.regs
+        memory = self.memory
+        rec_get = self.image.recorders.get
+        append = sink.append_row
+        retire = self.retire_one
+        fire_at = self._fire_index()
+        pc = self.pc
+        count = order
+        if bus is not None:
+            bus.deferred = True
+        try:
+            while count < limit:
+                record = rec_get(pc)
+                if record is not None and count < fire_at:
+                    try:
+                        next_pc = record(regs, memory, pc, count, append)
+                    except MmioDeferred:
+                        pass
+                    else:
+                        if next_pc >= 0:
+                            pc = next_pc
+                            count += 1
+                            continue
+                self.pc = pc
+                if bus is not None:
+                    bus.deferred = False
+                try:
+                    halted, reason = retire(count, sink)
+                finally:
+                    pc = self.pc
+                    if bus is not None:
+                        bus.deferred = True
+                count += 1
+                if halted:
+                    return True, reason, count
+                fire_at = self._fire_index()
+        finally:
+            if bus is not None:
+                bus.deferred = False
+            self.pc = pc
+        return False, "", count
 
     def _retire_mmio(self, pc: int) -> int:
         """Reflective retirement of one instruction whose memory access
@@ -439,23 +475,6 @@ class GoldenSim:
         if effects.rd is not None:
             self.write_reg(effects.rd, effects.rd_data)
         return effects.next_pc
-
-    def _run_recorded(self, max_instructions: int) -> RunResult:
-        """Trace-recording loop over :meth:`retire_one` into a columnar
-        :class:`RvfiTrace` (one row append per retirement, no records)."""
-        trace = RvfiTrace(capacity=self._trace_capacity)
-        count = 0
-        halted_by = "limit"
-        while count < max_instructions:
-            halted, reason = self.retire_one(count, trace)
-            count += 1
-            if halted:
-                halted_by = reason
-                break
-        exit_code = self._poweroff_code if halted_by == "poweroff" \
-            else self.read_reg(10)
-        return RunResult(exit_code=exit_code, instructions=count,
-                         cycles=count, halted_by=halted_by, trace=trace)
 
 
 #: Sentinel return address holding an ``ecall``; ``ret`` from main halts here.

@@ -139,13 +139,24 @@ class RvfiTrace:
         self.total_appended += 1
 
     def extend(self, other: "RvfiTrace") -> None:
-        """Append every row of ``other`` after this trace's rows, column
-        by column.  Both traces must be unbounded (no ring capacity)."""
-        if self.capacity is not None or other.capacity is not None:
-            raise ValueError("extend needs two unbounded traces")
-        for column, more in zip(self._columns, other._columns):
-            column.extend(more)
-        self.total_appended += other.total_appended
+        """Append every retained row of ``other``, oldest first, column by
+        column — the same trace as :meth:`append_row` per row: a ring
+        keeps only its newest ``capacity`` rows and ``total_appended``
+        counts every row."""
+        rows = len(other)
+        columns = other._ordered_columns()
+        if self.capacity is None:
+            for column, more in zip(self._columns, columns):
+                column.extend(more)
+        else:
+            keep = min(rows, self.capacity)
+            start = (self.total_appended + rows - keep) % self.capacity
+            head = min(keep, self.capacity - start)
+            for column, more in zip(self._columns, columns):
+                newest = more[rows - keep:rows]
+                column[start:start + head] = newest[:head]
+                column[:keep - head] = newest[head:]
+        self.total_appended += rows
 
     def column(self, field: str) -> list[int]:
         """The raw column for ``field`` (ring mode: physical slot order)."""
@@ -169,14 +180,19 @@ class RvfiTrace:
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Every retained retirement as a ``FIELDS``-ordered tuple, oldest
         first (ring mode: in ring order, from the oldest retained slot)."""
+        return zip(*self._ordered_columns())
+
+    def _ordered_columns(self) -> tuple[list[int], ...]:
+        """The retained rows' columns, oldest first (unbounded: the
+        columns themselves, uncopied)."""
         columns = self._columns
         length = len(self)
         if self.capacity is None:
-            return zip(*columns)
+            return columns
         start = self._slot(0) if length else 0
         if start == 0:
-            return zip(*(column[:length] for column in columns))
-        return zip(*(column[start:] + column[:start] for column in columns))
+            return tuple(column[:length] for column in columns)
+        return tuple(column[start:] + column[:start] for column in columns)
 
     def peek(self, index: int, field: str) -> int:
         """Read one field of one retirement without materializing it."""

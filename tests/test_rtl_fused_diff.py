@@ -405,8 +405,12 @@ def _corrupt_rtl_row(monkeypatch, target, field):
 
 def _patch_golden(monkeypatch, at, halt=None, refuse=False):
     """At golden retirement ``at``: raise a refusal before retiring, or
-    override the halt flag after retiring normally."""
+    override the halt flag after retiring normally.  Injected through both
+    golden entries: ``retire_one`` (the per-cycle walk's) and ``run_chunk``
+    (the fused path's), which is split at ``at`` so that row retires
+    through the patched ``retire_one``."""
     retire_one = GoldenSim.retire_one
+    run_chunk = GoldenSim.run_chunk
 
     def patched(self, order, sink=None):
         if refuse and order == at:
@@ -416,7 +420,19 @@ def _patch_golden(monkeypatch, at, halt=None, refuse=False):
             return halt, "ecall" if halt else ""
         return halted, reason
 
+    def patched_chunk(self, order, limit, sink):
+        if not order <= at < limit:
+            return run_chunk(self, order, limit, sink)
+        halted, reason, count = run_chunk(self, order, at, sink)
+        if not halted:
+            halted, reason = patched(self, at, sink)
+            count = at + 1
+            if not halted:
+                halted, reason, count = run_chunk(self, count, limit, sink)
+        return halted, reason, count
+
     monkeypatch.setattr(GoldenSim, "retire_one", patched)
+    monkeypatch.setattr(GoldenSim, "run_chunk", patched_chunk)
 
 
 def _both_backends(core, program, **kwargs):

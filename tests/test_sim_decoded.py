@@ -1,5 +1,5 @@
-"""Decoded-op cache tests: executor/spec equivalence, memoization,
-self-modifying-code invalidation."""
+"""Decoded-op cache tests: executor/recorder/spec equivalence,
+memoization, self-modifying-code invalidation."""
 
 import pytest
 
@@ -9,8 +9,11 @@ from repro.isa.encoding import Instruction, decode, encode
 from repro.isa.instructions import (
     BRANCHES, BY_MNEMONIC, Format, INSTRUCTIONS, LOADS, STORES,
 )
-from repro.isa.spec import HALT_EBREAK, HALT_ECALL, compile_step, step
-from repro.sim import GoldenSim, Memory, run_program
+from repro.isa.program import Program
+from repro.isa.spec import (
+    HALT_EBREAK, HALT_ECALL, compile_recorder, compile_step, step,
+)
+from repro.sim import GoldenSim, Memory, RvfiTrace, run_program
 from repro.sim.golden import _HALT_SENTINEL
 
 _PAIRS = ((0, 0), (1, 2), (0xFFFFFFFF, 1), (0x7FFFFFFF, 1),
@@ -74,23 +77,126 @@ def _apply_spec(instr, regs, mem, pc):
     return effects.next_pc
 
 
+def _source_values(d, a, b):
+    """rs1/rs2 values of a case: memory operations and jalr address the
+    seeded data words."""
+    rs1 = 0x104 if d.mnemonic in LOADS + STORES + ("jalr",) else a
+    return rs1, b & 0xFF if d.mnemonic in STORES else b
+
+
+def _golden_at(instr, pc, rs1, rs2):
+    """A golden ISS about to retire ``instr`` at ``pc`` from the
+    :func:`_fresh_state` data and source registers."""
+    sim = GoldenSim(Program(text_words=[encode(instr)], text_base=pc,
+                            entry=pc))
+    for addr in range(0, 64, 4):
+        sim.memory.store(addr + 0x100, 0x89ABCDEF ^ addr, 4)
+    sim.regs[3], sim.regs[4] = rs1, rs2
+    return sim
+
+
 @pytest.mark.parametrize("d", INSTRUCTIONS, ids=lambda d: d.mnemonic)
 def test_compiled_executor_matches_spec(d):
-    """compile_step closures retire identically to step() + effects."""
+    """compile_step closures retire identically to step() + effects, and
+    compile_recorder closures retire identically to retire_one, all 17
+    RVFI fields of the row included."""
     for instr in _cases(d):
         for a, b in _PAIRS:
+            rs1, rs2 = _source_values(d, a, b)
             regs_a, mem_a = _fresh_state()
             regs_b, mem_b = _fresh_state()
             for regs in (regs_a, regs_b):
-                regs[3] = 0x104 if d.mnemonic in LOADS + STORES + ("jalr",) \
-                    else a
-                regs[4] = b & 0xFF if d.mnemonic in STORES else b
+                regs[3], regs[4] = rs1, rs2
             pc = 0x40
             want_pc = _apply_spec(instr, regs_a, mem_a, pc)
             got_pc = compile_step(instr)(regs_b, mem_b, pc)
             assert got_pc == want_pc, instr
             assert regs_a == regs_b, instr
             assert mem_a.read_blob(0, 4096) == mem_b.read_blob(0, 4096), instr
+
+            oracle = _golden_at(instr, pc, rs1, rs2)
+            recorded = _golden_at(instr, pc, rs1, rs2)
+            want_trace, got_trace = RvfiTrace(), RvfiTrace()
+            record = compile_recorder(instr, encode(instr),
+                                      recorded.image.invalidate)
+            got_pc = record(recorded.regs, recorded.memory, pc, 7,
+                            got_trace.append_row)
+            if got_pc < 0:   # ecall/ebreak: retire_one's job, no row
+                assert got_pc == want_pc and len(got_trace) == 0, instr
+                assert recorded.regs == oracle.regs, instr
+                continue
+            oracle.retire_one(7, want_trace)
+            assert got_pc == oracle.pc, instr
+            assert list(got_trace.rows()) == list(want_trace.rows()), instr
+            assert recorded.regs == oracle.regs, instr
+            size = recorded.memory.size
+            assert recorded.memory.read_blob(0, size) == \
+                oracle.memory.read_blob(0, size), instr
+
+
+@pytest.mark.parametrize("instr, rs1, rs2", [
+    (Instruction("lw", rd=5, rs1=3, imm=1), 0x104, 0),          # misaligned
+    (Instruction("sw", rs1=3, rs2=4, imm=0), 0x7FFFFFF0, 1),    # unmapped
+    (Instruction("beq", rs1=3, rs2=4, imm=6), 0, 0),
+    (Instruction("jal", rd=5, imm=6), 0, 0),
+    (Instruction("jalr", rd=3, rs1=3, imm=2), 0x100, 0),
+], ids=["load", "store", "branch", "jal", "jalr"])
+def test_refused_recording_changes_and_records_nothing(instr, rs1, rs2):
+    """A retirement the reference refuses raises the same error from the
+    recorder, with no row appended and no register written."""
+    oracle = _golden_at(instr, 0x40, rs1, rs2)
+    recorded = _golden_at(instr, 0x40, rs1, rs2)
+    with pytest.raises(Exception) as refused:
+        oracle.retire_one(0, RvfiTrace())
+    trace = RvfiTrace()
+    with pytest.raises(type(refused.value)):
+        compile_recorder(instr, encode(instr), recorded.image.invalidate)(
+            recorded.regs, recorded.memory, 0x40, 0, trace.append_row)
+    assert len(trace) == 0 and recorded.regs == oracle.regs
+
+
+def _retire_one_loop(program, soc, limit=2_000_000):
+    """The reference recorded run: ``retire_one`` row by row."""
+    sim = GoldenSim(program, soc=soc)
+    trace = RvfiTrace()
+    count = 0
+    halted_by = "limit"
+    while count < limit:
+        halted, reason = sim.retire_one(count, trace)
+        count += 1
+        if halted:
+            halted_by = reason
+            break
+    exit_code = sim._poweroff_code if halted_by == "poweroff" \
+        else sim.read_reg(10)
+    return (exit_code, count, halted_by), trace
+
+
+def _recorded_programs():
+    from repro.verify.fuzz import FUZZ_BASE_SEED, derive_seed, random_program
+    from repro.workloads import SOC_NAMES, WORKLOADS
+
+    for index in range(8):
+        yield pytest.param(random_program(derive_seed(FUZZ_BASE_SEED, index)),
+                           None, id=f"fuzz{index}")
+    for name in ("armpit", "xgboost", "af_detect") + SOC_NAMES:
+        yield pytest.param(name, WORKLOADS[name].soc_spec, id=name)
+
+
+@pytest.mark.parametrize("source, soc", _recorded_programs())
+def test_recorded_run_matches_retire_one_loop(source, soc):
+    """GoldenSim(trace=True).run() — the compiled recorders, with
+    retire_one only for what they cannot retire — records the same trace,
+    column by column, and the same result as retire_one row by row."""
+    from repro.workloads import WORKLOADS, build_program
+
+    program = build_program(source) if source in WORKLOADS \
+        else assemble(source)
+    want, want_trace = _retire_one_loop(program, soc)
+    result = GoldenSim(program, trace=True, soc=soc).run()
+    assert (result.exit_code, result.instructions, result.halted_by) == want
+    for field in RvfiTrace.FIELDS:
+        assert result.trace.column(field) == want_trace.column(field), field
 
 
 def test_decode_is_memoized():

@@ -60,6 +60,34 @@ def test_rvfi_trace_emitted():
     assert r.trace[0].rd_addr == 10 and r.trace[0].rd_wdata == 7
 
 
+@pytest.mark.parametrize("capacity", [1, 7])
+def test_trace_extend_into_ring_matches_append_row(capacity):
+    """extend keeps a ring's newest rows in the slots append_row would
+    use, and counts every row; an unbounded trace keeps all of them."""
+    from repro.sim import RvfiTrace
+
+    def source(first, rows, ring=None):
+        trace = RvfiTrace(capacity=ring)
+        for order in range(first, first + rows):
+            trace.append_row(*range(order, order + 17))
+        return trace
+
+    # Batches wrap the ring mid-batch, exceed it, and come from a ring
+    # that already dropped rows.
+    batches = [source(0, 3), source(3, 0), source(3, 9), source(12, 1),
+               source(13, 8, ring=5)]
+    for want in (RvfiTrace(capacity=capacity), RvfiTrace()):
+        got = RvfiTrace(capacity=want.capacity)
+        for batch in batches:
+            got.extend(batch)
+            for row in batch.rows():
+                want.append_row(*row)
+            assert got.total_appended == want.total_appended
+            assert list(got.rows()) == list(want.rows())
+            for field in RvfiTrace.FIELDS:
+                assert got.column(field) == want.column(field), field
+
+
 def test_stack_pointer_initialized():
     p = assemble(""".text
 main:

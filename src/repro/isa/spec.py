@@ -370,11 +370,13 @@ def compile_step(instr: Instruction,
 
 
 #: A recording executor: ``(regs, memory, pc, order, append) -> next_pc``.
-#: It retires like an :data:`Executor`, then calls ``append`` — an
-#: :meth:`~repro.sim.tracing.RvfiTrace.append_row` — with the
-#: retirement's RVFI row, ``order`` being its retirement index.  A negative
-#: return is the same sentinel the :data:`Executor` returns, with no row.
-Recorder = Callable[[list, object, int, int, Callable[..., None]], int]
+#: It retires like an :data:`Executor`, then calls ``append`` — a trace's
+#: :meth:`~repro.sim.tracing.RvfiTrace.row_sink` — once, with the
+#: retirement's whole RVFI row as one ``FIELDS``-ordered 17-tuple,
+#: ``order`` being its retirement index.  A negative return is the same
+#: sentinel the :data:`Executor` returns, with no row.
+Recorder = Callable[[list, object, int, int,
+                     Callable[[tuple[int, ...]], None]], int]
 
 
 def compile_recorder(instr: Instruction, word: int,
@@ -386,13 +388,13 @@ def compile_recorder(instr: Instruction, word: int,
     ISS's reflective retirement records for it: the source registers'
     values as read before any write, ``rd_addr``/``rd_wdata`` zero for no
     write or a write to x0, and both sides of the memory interface.  The
-    row is appended only after every check that can refuse the retirement
-    (memory bounds and alignment, misaligned targets, an MMIO access the
-    bus defers), so a refused retirement changes no state and records
-    nothing.  Instructions whose :func:`compile_step` closure returns a
-    sentinel return the same sentinel here and record nothing.
-    ``store_hook`` is called with the address of every store, as for
-    :func:`compile_step`.
+    row goes to ``append`` (a trace's ``row_sink``) as one 17-tuple, only
+    after every check that can refuse the retirement (memory bounds and
+    alignment, misaligned targets, an MMIO access the bus defers), so a
+    refused retirement changes no state and records nothing.
+    Instructions whose :func:`compile_step` closure returns a sentinel
+    return the same sentinel here and record nothing.  ``store_hook`` is
+    called with the address of every store, as for :func:`compile_step`.
 
     Writes to x0 are masked to zero rather than dropped: ``regs[0]`` is
     re-pinned to 0 and the row reports ``rd_wdata`` 0, with no branch.
@@ -409,7 +411,8 @@ def compile_recorder(instr: Instruction, word: int,
             b = regs[rs2]
             value = op(a, b) & keep
             regs[rd] = value
-            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            append((order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
+                    0, 0, 0, 0, 0, 0, 0))
             return pc + 4
         return rec_alu
 
@@ -421,7 +424,8 @@ def compile_recorder(instr: Instruction, word: int,
             b = regs[rs2]
             value = op(a, imm) & keep
             regs[rd] = value
-            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            append((order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
+                    0, 0, 0, 0, 0, 0, 0))
             return pc + 4
         return rec_alu_imm
 
@@ -437,7 +441,8 @@ def compile_recorder(instr: Instruction, word: int,
                     raise SpecError(f"misaligned branch target {target:#x}")
             else:
                 target = pc + 4
-            append(order, word, pc, target, rs1, rs2, a, b, 0, 0)
+            append((order, word, pc, target, rs1, rs2, a, b, 0, 0,
+                    0, 0, 0, 0, 0, 0, 0))
             return target
         return rec_branch
 
@@ -452,8 +457,8 @@ def compile_recorder(instr: Instruction, word: int,
             data = memory.load(addr, width, signed)
             value = data & keep
             regs[rd] = value
-            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
-                   addr, rmask, 0, data)
+            append((order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
+                    addr, rmask, 0, data, 0, 0, 0))
             return pc + 4
         return rec_load
 
@@ -469,8 +474,8 @@ def compile_recorder(instr: Instruction, word: int,
             data = b & mask
             memory.store(addr, data, width)
             store_hook(addr)
-            append(order, word, pc, pc + 4, rs1, rs2, a, b, 0, 0,
-                   addr, 0, wmask, 0, data)
+            append((order, word, pc, pc + 4, rs1, rs2, a, b, 0, 0,
+                    addr, 0, wmask, 0, data, 0, 0))
             return pc + 4
         return rec_store
 
@@ -481,7 +486,8 @@ def compile_recorder(instr: Instruction, word: int,
             a = regs[rs1]
             b = regs[rs2]
             regs[rd] = value
-            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            append((order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
+                    0, 0, 0, 0, 0, 0, 0))
             return pc + 4
         return rec_lui
 
@@ -491,7 +497,8 @@ def compile_recorder(instr: Instruction, word: int,
             b = regs[rs2]
             value = (pc + imm) & keep
             regs[rd] = value
-            append(order, word, pc, pc + 4, rs1, rs2, a, b, rd, value)
+            append((order, word, pc, pc + 4, rs1, rs2, a, b, rd, value,
+                    0, 0, 0, 0, 0, 0, 0))
             return pc + 4
         return rec_auipc
 
@@ -504,7 +511,8 @@ def compile_recorder(instr: Instruction, word: int,
                 raise SpecError(f"misaligned jal target {target:#x}")
             link = (pc + 4) & keep
             regs[rd] = link
-            append(order, word, pc, target, rs1, rs2, a, b, rd, link)
+            append((order, word, pc, target, rs1, rs2, a, b, rd, link,
+                    0, 0, 0, 0, 0, 0, 0))
             return target
         return rec_jal
 
@@ -517,14 +525,15 @@ def compile_recorder(instr: Instruction, word: int,
                 raise SpecError(f"misaligned jalr target {target:#x}")
             link = (pc + 4) & keep
             regs[rd] = link
-            append(order, word, pc, target, rs1, rs2, a, b, rd, link)
+            append((order, word, pc, target, rs1, rs2, a, b, rd, link,
+                    0, 0, 0, 0, 0, 0, 0))
             return target
         return rec_jalr
 
     if m == "fence":
         def rec_fence(regs, memory, pc, order, append):
-            append(order, word, pc, pc + 4, rs1, rs2, regs[rs1], regs[rs2],
-                   0, 0)
+            append((order, word, pc, pc + 4, rs1, rs2, regs[rs1], regs[rs2],
+                    0, 0, 0, 0, 0, 0, 0, 0, 0))
             return pc + 4
         return rec_fence
 

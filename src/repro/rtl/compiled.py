@@ -19,6 +19,16 @@ Semantics are bit-identical to :func:`repro.rtl.sim.eval_expr` — the
 interpreter stays the reference oracle and the randomized differential
 harness in ``tests/test_rtl_compiled_diff.py`` locks the two together.
 
+Masked arms are lazy.  ModularEX joins its blocks with a one-hot AND-OR
+switch, ``OR_i (val_i & sel_i.sext(w))`` (:mod:`repro.rtl.modularex`).
+Every generated function emits an AND whose operand is a sign-extended
+1-bit select as ``(val if sel else 0)``, so a cycle evaluates the inlined
+datapath of only the arms whose select is set.  This is exact for any
+select pattern, zero-, one- or multi-hot: the extension is all ones when
+``sel`` is 1 and zero when it is 0, and ``val``'s code is already masked
+to ``w`` bits, so ``val & sext(sel)`` is ``val`` or 0.  No arm is assumed
+exclusive, so a mutant that sets two selects still ORs both arms.
+
 On top of the per-cycle pair, :func:`compile_core` fuses the *whole RTL
 cycle loop* of a RISSP-shaped core (PR 4) into a single generated
 ``run_cycles(ctx, count, limit, sink)`` function: instruction fetch reads
@@ -26,14 +36,16 @@ the RAM bytearray directly, every combinational assign lives in a Python
 local (no ``env`` dict traffic inside the loop), a data-memory read
 re-evaluates only the dependency cone of ``dmem_rdata`` instead of the
 whole DAG, the store-strobe decode and the register/register-file commit
-are inlined, and the RVFI columns are written straight from the signal
-locals.  The loop calls back into Python only for the rare events the
-harness owns: MMIO/device-window accesses, traps and interrupts (one
-integer compare of the retirement counter against a precomputed fire
-index, exactly like the ISS fast path), harness-emulated Zicsr/``wfi``
-retirement, and halt classification.  Loop-carried register state is
-refreshed from ``env`` on entry and flushed back on exit (also on
-exceptions), so ``RtlSim.reset`` and peek/poke fault injection between
+are inlined, and each retirement's RVFI row is recorded with one call of
+the trace's :meth:`~repro.sim.tracing.RvfiTrace.row_sink`, one 17-tuple
+built straight from the signal locals (``rs1_rdata``/``rs2_rdata`` are
+the core's own read-port outputs).  The loop calls back into Python only
+for the rare events the harness owns: MMIO/device-window accesses, traps
+and interrupts (one integer compare of the retirement counter against a
+precomputed fire index, exactly like the ISS fast path), harness-emulated
+Zicsr/``wfi`` retirement, and halt classification.  Loop-carried register
+state is refreshed from ``env`` on entry and flushed back on exit (also
+on exceptions), so ``RtlSim.reset`` and peek/poke fault injection between
 ``run_cycles`` calls observe exactly the per-cycle backends' register and
 register-file state.  Combinational ``env`` entries are not settled after
 a run; a probe drives ``set_inputs``/``eval_comb`` first, as the state
@@ -101,6 +113,13 @@ class _Emitter:
     Invariant: the code string produced for any node evaluates to that
     node's value already masked to its width (matching what ``eval_expr``
     returns), so parents never re-mask operands.
+
+    The invariant is what makes masked arms lazy and exact: an AND with a
+    sign-extended 1-bit select operand (ModularEX's ``val &
+    sel.sext(w)``) is emitted as ``(val if sel else 0)``, since
+    ``sext(sel)`` is ``mask(w)`` or 0 and ``val`` is already ``val &
+    mask(w)``; ``sel``'s code is masked to 1 bit, so its truth is the bit.
+    Nothing assumes one arm per switch, so any select pattern is exact.
     """
 
     def __init__(self, lines: list[str], indent: str, refs: dict,
@@ -208,6 +227,15 @@ class _Emitter:
         mask = _mask(w)
         if op in (Op.SHL, Op.LSHR, Op.ASHR):
             return self.build_shift(expr, op, w, mask)
+        if op is Op.AND:
+            # Masked arm, ``val & sel.sext(w)`` in either operand order:
+            # the extension is all ones or zero, so the AND is ``val`` or
+            # 0, and ``val`` is evaluated only when its select is set.
+            for value, select_mask in ((expr.a, expr.b), (expr.b, expr.a)):
+                select = _arm_select(select_mask)
+                if select is not None:
+                    return (f"({self.ref(value)} if {self.ref(select)} "
+                            f"else 0)")
         a = self.ref(expr.a)
         b = self.ref(expr.b)
         if op is Op.ADD:
@@ -264,6 +292,14 @@ class _Emitter:
         b = self.materialize(b)
         return (f"(({self.signed(a, w)} >> "
                 f"({b} if {b} < {w} else {w - 1})) & {mask})")
+
+
+def _arm_select(expr: Expr) -> Expr | None:
+    """The 1-bit select of a sign-extended select ``sel.sext(w)`` — the
+    all-ones-or-zero mask of a ModularEX arm — else None."""
+    if isinstance(expr, Ext) and expr.signed and expr.a.width == 1:
+        return expr.a
+    return None
 
 
 def _count_refs(roots: list[Expr]) -> dict[Expr, int]:
@@ -610,6 +646,8 @@ class _CoreAnalysis:
     wdata_sig: str
     rs1_addr_sig: str
     rs2_addr_sig: str
+    rs1_data_sig: str
+    rs2_data_sig: str
 
 
 def _analyze_core(module: Module) -> _CoreAnalysis:
@@ -620,13 +658,16 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     trap_core = "mtvec" in module.registers
     has_trap_out = "trap" in module.assigns
     we_sig, waddr_sig, wdata_sig = spec.write_port
-    (rs1_addr_sig, _), (rs2_addr_sig, _) = spec.read_ports
+    (rs1_addr_sig, rs1_data_sig), (rs2_addr_sig, rs2_data_sig) = \
+        spec.read_ports
 
     # Needed-set closure: only assigns feeding the harness interface, the
     # register commits or the RVFI row are emitted inside the loop (e.g.
-    # the ``imem_addr`` echo of pc is dead in the loop).
+    # the ``imem_addr`` echo of pc is dead in the loop).  The RVFI row
+    # records the read ports' data, so those are always eager too.
     control = list(CORE_INTERFACE) + [we_sig, waddr_sig, wdata_sig,
-                                      rs1_addr_sig, rs2_addr_sig]
+                                      rs1_addr_sig, rs2_addr_sig,
+                                      rs1_data_sig, rs2_data_sig]
     if has_trap_out:
         control.append("trap")
     needed = set(control)
@@ -643,9 +684,10 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     # Single-use inlining: a wire consumed by exactly one expression (the
     # stitched ``ex_*`` block outputs, mostly) is folded into its consumer
     # instead of being evaluated eagerly as a statement.  Because ``Mux``
-    # lowers to a Python conditional expression, this makes whole
-    # unselected datapath arms lazy — the dominant fused-loop speedup.
-    # Harness-consumed controls always stay eager statements.
+    # and ModularEX's masked arms lower to Python conditional expressions,
+    # this makes whole unselected datapath arms lazy — the dominant
+    # fused-loop speedup.  Harness-consumed controls always stay eager
+    # statements.
     refs_all = _count_refs([module.assigns[name] for name in emit_names]
                            + tick_exprs)
     inline_map: dict[str, Expr] = {}
@@ -707,13 +749,15 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     extract_memo: dict[Expr, Expr] = {}
 
     def extract(expr: Expr) -> Expr:
-        """Hoist maximal word-only subtrees into decode_comb outputs."""
+        """Hoist maximal word-only subtrees into decode_comb outputs.  Of a
+        sign-extended select only the 1-bit select is hoisted, so the
+        cycle body keeps the masked arm the emitter makes lazy."""
         if isinstance(expr, (Const, Sig)):
             return expr
         done = extract_memo.get(expr)
         if done is not None:
             return done
-        if word_only_expr(expr):
+        if word_only_expr(expr) and _arm_select(expr) is None:
             sig = synth.get(expr)
             if sig is None:
                 sig = Sig(f"_dec{len(synth)}", expr.width)
@@ -748,7 +792,8 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
         synth_order=synth_order, decode_out=decode_out,
         tick_next=tick_next, tick_enable=tick_enable, we_sig=we_sig,
         waddr_sig=waddr_sig, wdata_sig=wdata_sig,
-        rs1_addr_sig=rs1_addr_sig, rs2_addr_sig=rs2_addr_sig)
+        rs1_addr_sig=rs1_addr_sig, rs2_addr_sig=rs2_addr_sig,
+        rs1_data_sig=rs1_data_sig, rs2_data_sig=rs2_data_sig)
 
 
 def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
@@ -761,6 +806,12 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     fields — with the per-cycle ``env`` traffic replaced by locals and
     the full-DAG second evaluation replaced by the ``dmem_rdata``
     dependency cone.
+
+    The RVFI row goes to ``sink`` (a trace's
+    :meth:`~repro.sim.tracing.RvfiTrace.row_sink`, or None when untraced)
+    as one ``FIELDS``-ordered 17-tuple; its ``rs1_rdata``/``rs2_rdata``
+    are the register-file read ports' data signals, which are always
+    evaluated eagerly.
 
     ``exit_to(event, indent)`` returns the lines to emit where the
     generated code cannot finish the retirement itself.  The events are
@@ -862,19 +913,18 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     emit("                if reading:")
     emit("                    mem_addr, mem_rmask, mem_rdata = "
          "trace_load(w, load_addr, mem_word)")
-    emit(f"                _rs1a = {sig_var(a.rs1_addr_sig)}")
-    emit(f"                _rs2a = {sig_var(a.rs2_addr_sig)}")
     emit(f"                _we = {sig_var(a.we_sig)}")
     emit(f"                _wa = {sig_var(a.waddr_sig)} if _we else 0")
-    emit(f"                sink(count, w, pc, {sig_var('next_pc')}, "
-         "_rs1a, _rs2a,")
-    emit("                     regfile[_rs1a] if _rs1a else 0,")
-    emit("                     regfile[_rs2a] if _rs2a else 0,")
-    emit(f"                     _wa, {sig_var(a.wdata_sig)} if _we and _wa "
+    emit(f"                sink((count, w, pc, {sig_var('next_pc')},")
+    emit(f"                      {sig_var(a.rs1_addr_sig)}, "
+         f"{sig_var(a.rs2_addr_sig)},")
+    emit(f"                      {sig_var(a.rs1_data_sig)}, "
+         f"{sig_var(a.rs2_data_sig)},")
+    emit(f"                      _wa, {sig_var(a.wdata_sig)} if _we and _wa "
          "else 0,")
-    emit("                     mem_addr, mem_rmask, mem_wmask, mem_rdata, "
+    emit("                      mem_addr, mem_rmask, mem_wmask, mem_rdata, "
          "mem_wdata,")
-    emit(f"                     {trapped}, {intr})")
+    emit(f"                      {trapped}, {intr}))")
     # Tick: all next/enable values are latched into temporaries before any
     # register local is reassigned — commits must observe pre-tick state
     # even when one register's next is another register's current value.

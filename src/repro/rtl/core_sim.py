@@ -204,7 +204,9 @@ class RisspSim:
         """Advance one cycle; returns (halted, halt_reason).
 
         When ``sink`` is given (requires ``trace=True`` construction), the
-        retirement's RVFI fields are appended to it as one columnar row.
+        retirement's RVFI fields are appended to it as one row, with
+        ``rs1_rdata``/``rs2_rdata`` read from the core's register-file
+        read-port data signals.
         """
         rtl = self.rtl
         csr = self.csr
@@ -291,12 +293,13 @@ class RisspSim:
                     load_addr, mem_word, width, signed)
             we = rtl.get("rf_we")
             waddr = rtl.get("rf_waddr") if we else 0
-            rs1_addr = rtl.get("rf_rs1_addr")
-            rs2_addr = rtl.get("rf_rs2_addr")
+            # Source operands as the core's read ports delivered them.
+            (rs1_addr, rs1_data), (rs2_addr, rs2_data) = \
+                self.core.regfile.read_ports
             sink.append_row(
-                order, word, pc, rtl.get("next_pc"), rs1_addr, rs2_addr,
-                self._read_rf(rs1_addr), self._read_rf(rs2_addr), waddr,
-                rtl.get("rf_wdata") if we and waddr else 0,
+                order, word, pc, rtl.get("next_pc"), rtl.get(rs1_addr),
+                rtl.get(rs2_addr), rtl.get(rs1_data), rtl.get(rs2_data),
+                waddr, rtl.get("rf_wdata") if we and waddr else 0,
                 mem_addr, mem_rmask, mem_wmask, mem_rdata, mem_wdata,
                 trapped, intr)
         rtl.tick()
@@ -317,7 +320,8 @@ class RisspSim:
         :func:`repro.isa.spec.step` semantics as the golden ISS, operating
         on the hardware CSR registers.  The RTL datapath is not clocked —
         architecturally the instruction retires in one cycle like any
-        other."""
+        other — so ``rs1`` comes from the harness's copy of the register
+        file, not from a read port."""
         instr = decode(word)
         rs1_is_reg = not instr.definition.csr_uimm
         rs1 = self._read_rf(instr.rs1) if rs1_is_reg else 0
@@ -495,7 +499,7 @@ class RisspSim:
         first, as on the per-cycle backends.
         """
         self._fused_sink = trace
-        sink = trace.append_row if trace is not None else None
+        sink = trace.row_sink() if trace is not None else None
         active = _obs._ACTIVE
         if active is None:
             try:
@@ -574,22 +578,25 @@ def cosimulate(core: Module, program: Program,
     writeback, memory effect (read *and* write side) and trap/interrupt
     flags must agree.
 
-    Both sides retire into columnar :class:`RvfiTrace` sinks.  On the
+    Both sides retire into row-major :class:`RvfiTrace` sinks.  On the
     per-cycle backends each retirement's two rows are compared whole as
     they retire: the RTL and the golden reference (through
     ``GoldenSim.retire_one``) step one row at a time.  With the fused
     backend the RTL side executes in chunks of :data:`COSIM_CHUNK`
     retirements, the golden reference records the same span through its
-    compiled recorders (``GoldenSim.run_chunk``), and each chunk's two
-    traces are compared by column, :data:`COSIM_FIELDS` as whole lists;
-    the divergent index is searched for only after a mismatch.  So the
-    golden side may run at most one chunk past a divergence.  Either way
-    the verdict is the same: the first divergence is the lowest
-    retirement index whose fields or halt flags differ, reported with the
-    first differing field in :data:`COSIM_FIELDS` order (``"halt"`` when
-    only the halt flags differ); a refusal (exception) on either side is
-    raised only when every row retired before it compared clean, and the
-    RTL's refusal loses to a golden refusal at an earlier row.
+    compiled recorders (``GoldenSim.run_chunk``), and both record each
+    row with one call of their chunk trace's ``row_sink`` — a 17-tuple
+    appended by the flat list's ``extend``.  Each chunk's two traces are
+    then compared by column, :data:`COSIM_FIELDS` as whole lists (copies
+    sliced from the flat rows); the divergent index is searched for only
+    after a mismatch.  So the golden side may run at most one chunk past
+    a divergence.  Either way the verdict is the same: the first
+    divergence is the lowest retirement index whose fields or halt flags
+    differ, reported with the first differing field in
+    :data:`COSIM_FIELDS` order (``"halt"`` when only the halt flags
+    differ); a refusal (exception) on either side is raised only when
+    every row retired before it compared clean, and the RTL's refusal
+    loses to a golden refusal at an earlier row.
 
     ``golden_trace_out``, an :class:`RvfiTrace`, when given, receives
     exactly the compared golden rows: through the divergent index on a
@@ -691,9 +698,10 @@ def _cosimulate_fused(rtl: RisspSim, gold,
             if mismatch is None:
                 golden_trace_out.extend(gold_chunk)
             else:
+                record = golden_trace_out.row_sink()
                 for row in islice(gold_chunk.rows(),
                                   mismatch.index - order + 1):
-                    golden_trace_out.append_row(*row)
+                    record(row)
         if mismatch is not None:
             return mismatch
         if refusal is not None:

@@ -164,11 +164,12 @@ class FleetSim:
 
     def trace(self, lane: int, capacity: int | None = None) -> RvfiTrace:
         """Attach (or fetch) the RVFI trace of one lane; rows follow the
-        same columnar convention as every other harness."""
+        same row-major convention as every other harness; the batched
+        loop records through the trace's ``row_sink``."""
         trace = self._traces.get(lane)
         if trace is None:
             trace = self._traces[lane] = RvfiTrace(capacity=capacity)
-            self._sinks[lane] = trace.append_row
+            self._sinks[lane] = trace.row_sink()
         return trace
 
     # ----------------------------------------------------------- stepping

@@ -15,11 +15,12 @@ Two execution paths share one :class:`~repro.sim.decoded.DecodedImage`
 * **recorded path** (``trace=True``, and the golden side of
   cosimulation): :meth:`GoldenSim.run_chunk` dispatches the recording
   form of the same closures (:func:`~repro.isa.spec.compile_recorder`),
-  each of which retires one instruction and appends its full columnar
-  RVFI row.  Retirements no compiled closure can complete — interrupt
-  entry, MMIO, Zicsr/``mret``/``wfi``, ``ecall``/``ebreak``, illegal and
-  RV32E-bound words, and the first execution at each pc — go through
-  :meth:`GoldenSim.retire_one`, the reflective ``spec.step`` retirement.
+  each of which retires one instruction and records its full RVFI row
+  with one call of the trace's ``row_sink``.  Retirements no compiled
+  closure can complete — interrupt entry, MMIO, Zicsr/``mret``/``wfi``,
+  ``ecall``/``ebreak``, illegal and RV32E-bound words, and the first
+  execution at each pc — go through :meth:`GoldenSim.retire_one`, the
+  reflective ``spec.step`` retirement.
   ``retire_one`` is also the per-row entry (the Serv model, the per-cycle
   cosimulation walk) and the oracle the recorders are tested against bit
   for bit.
@@ -79,7 +80,7 @@ class RunResult:
     """Outcome of a completed simulation.
 
     ``trace`` is a sequence of :class:`RvfiRecord` — recorded runs return
-    the columnar :class:`RvfiTrace`, which materializes records lazily.
+    the row-major :class:`RvfiTrace`, which materializes records lazily.
     """
 
     exit_code: int            # a0 at the terminating ecall/ebreak, or the
@@ -139,7 +140,8 @@ class GoldenSim:
         """Retire one instruction; returns (halted, halt_reason).
 
         When ``sink`` is given the retirement's RVFI fields are appended to
-        it as one columnar row — no per-retirement record allocation.
+        it as one row (:meth:`RvfiTrace.append_row`) — no per-retirement
+        record allocation.
         Interrupt entry happens *between* retirements: when an enabled
         source's level is high the arbiter redirects the pc to the handler
         and the handler's first instruction retires with ``intr`` set to
@@ -400,7 +402,8 @@ class GoldenSim:
     def run_chunk(self, order: int, limit: int,
                   sink: RvfiTrace) -> tuple[bool, str, int]:
         """Retire from retirement index ``order`` up to ``limit``,
-        appending each retirement's RVFI row to ``sink``; returns
+        appending each retirement's RVFI row to ``sink`` (the recorders
+        through its ``row_sink``); returns
         ``(halted, halt_reason, count)``, ``count`` being the index after
         the last retirement.
 
@@ -421,7 +424,7 @@ class GoldenSim:
         regs = self.regs
         memory = self.memory
         rec_get = self.image.recorders.get
-        append = sink.append_row
+        append = sink.row_sink()
         retire = self.retire_one
         fire_at = self._fire_index()
         pc = self.pc

@@ -14,14 +14,24 @@ address, not shifted by the sub-word offset — and ``mem_rdata`` is the
 sub-word value sign- or zero-extended to 32 bits exactly as it lands in
 ``rd``.  :func:`load_read_fields` computes the triple from a raw aligned
 memory word; the RTL harness uses it so byte/halfword loads record the same
-fields the golden ISS does.
+fields the golden ISS does.  The RTL harnesses record ``rs1_rdata``/
+``rs2_rdata`` from the core's register-file read ports, so a trace shows
+the operands the core actually read.
+
+Storage is row-major: an :class:`RvfiTrace` keeps its rows back to back in
+one flat list.  The ``row_sink`` contract: a producer that records many
+rows takes :meth:`RvfiTrace.row_sink` once and calls it once per row with
+one ``FIELDS``-ordered tuple of exactly 17 ints; for an unbounded trace
+that call is the flat list's own ``extend``, one C call per retirement.
+Columns are derived on demand (:meth:`RvfiTrace.column` returns a copy),
+so fault injection writes through :meth:`RvfiTrace.poke`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..isa.bits import sign_extend, to_u32
 
@@ -51,41 +61,73 @@ class RvfiRecord:
 
 
 class RvfiTrace:
-    """Columnar RVFI retirement trace with optional ring-buffer capacity.
+    """Row-major RVFI retirement trace with optional ring-buffer capacity.
 
-    Each RVFI field lives in its own column list, so recording a
-    retirement is 17 integer appends (or, in ring mode, 17 in-place slot
-    writes — zero allocation) via :meth:`append_row`.  Verification reads
-    the columns without building records: the lock-step cosimulation
-    indexes :meth:`column` lists, and the RVFI checker walks
-    :meth:`rows`, plain ``FIELDS``-ordered tuples.  For everyone else the
-    trace quacks like a read-only sequence of :class:`RvfiRecord`:
-    ``len(trace)``, ``trace[i]``, slicing and iteration build records on
-    demand.
+    Rows live back to back in one flat list of ints, :attr:`FIELDS`
+    order, :data:`ROW_WIDTH` entries per row.  Recording a retirement is
+    one call with one ``FIELDS``-ordered 17-tuple: producers that retire
+    rows in a loop (the generated RTL loops, the golden ISS's compiled
+    recorders, ``GoldenSim.run_chunk``, ``RisspSim._fused_run``,
+    ``FleetSim.trace``) fetch :meth:`row_sink` once and call it per row,
+    and the per-row producers call :meth:`append_row`.  Verification
+    reads without building records: the lock-step cosimulation compares
+    :meth:`column` copies, and the RVFI checker walks :meth:`rows`, plain
+    ``FIELDS``-ordered tuples.  For everyone else the trace quacks like a
+    read-only sequence of :class:`RvfiRecord`: ``len(trace)``,
+    ``trace[i]``, slicing and iteration build records on demand.
 
     With ``capacity=N`` the trace keeps only the newest N retirements
-    (index 0 is the oldest *retained* row); ``total_appended`` still counts
-    every retirement ever recorded.
+    (index 0 is the oldest *retained* row) in a preallocated flat list of
+    N rows, written slot by slot with no allocation; ``total_appended``
+    still counts every retirement ever recorded.  Fault injection goes
+    through :meth:`poke`: :meth:`column` returns a copy.
     """
 
-    #: Field order shared by :meth:`append_row`, :meth:`row` and
-    #: :meth:`rows`; matches the :class:`RvfiRecord` constructor.
+    #: Field order shared by :meth:`append_row`, :meth:`row_sink`,
+    #: :meth:`row` and :meth:`rows`; matches the :class:`RvfiRecord`
+    #: constructor.
     FIELDS = ("order", "insn", "pc_rdata", "pc_wdata", "rs1_addr",
               "rs2_addr", "rs1_rdata", "rs2_rdata", "rd_addr", "rd_wdata",
               "mem_addr", "mem_rmask", "mem_wmask", "mem_rdata",
               "mem_wdata", "trap", "intr")
 
-    __slots__ = ("capacity", "total_appended", "_columns")
+    __slots__ = ("capacity", "_flat", "_ring_total")
 
     def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity <= 0:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
-        self.total_appended = 0
-        if capacity is None:
-            self._columns = tuple([] for _ in self.FIELDS)
-        else:
-            self._columns = tuple([0] * capacity for _ in self.FIELDS)
+        #: Rows ever written into a ring; an unbounded trace counts its
+        #: rows by the flat list's length instead.
+        self._ring_total = 0
+        self._flat: list[int] = [] if capacity is None \
+            else [0] * (ROW_WIDTH * capacity)
+
+    @property
+    def total_appended(self) -> int:
+        """Every retirement ever recorded, retained or not."""
+        if self.capacity is None:
+            return len(self._flat) // ROW_WIDTH
+        return self._ring_total
+
+    def row_sink(self) -> Callable[[tuple[int, ...]], None]:
+        """The one-argument recorder of this trace.
+
+        Call it once per retirement with that retirement's 17 fields as
+        one ``FIELDS``-ordered tuple — exactly 17 entries, no defaults.
+        Unbounded, it is the flat list's own ``extend``; in ring mode, a
+        slot writer that overwrites the oldest retained row.  Either way
+        it records the same trace as :meth:`append_row`, and the two may
+        be mixed on one trace.
+        """
+        if self.capacity is None:
+            return self._flat.extend
+        return self._ring_write
+
+    def _ring_write(self, row: tuple[int, ...]) -> None:
+        start = self._ring_total % self.capacity * ROW_WIDTH
+        self._flat[start:start + ROW_WIDTH] = row
+        self._ring_total += 1
 
     def append_row(self, order: int, insn: int, pc_rdata: int,
                    pc_wdata: int, rs1_addr: int, rs2_addr: int,
@@ -93,74 +135,40 @@ class RvfiTrace:
                    rd_wdata: int, mem_addr: int = 0, mem_rmask: int = 0,
                    mem_wmask: int = 0, mem_rdata: int = 0,
                    mem_wdata: int = 0, trap: int = 0, intr: int = 0) -> None:
-        # Unrolled: every retirement of a traced run lands here, and a
-        # zip over the 17 columns costs twice the stores themselves.
-        (c_order, c_insn, c_pc_rdata, c_pc_wdata, c_rs1_addr, c_rs2_addr,
-         c_rs1_rdata, c_rs2_rdata, c_rd_addr, c_rd_wdata, c_mem_addr,
-         c_mem_rmask, c_mem_wmask, c_mem_rdata, c_mem_wdata, c_trap,
-         c_intr) = self._columns
+        """Record one retirement field by field (the memory, trap and
+        intr fields default to 0)."""
+        row = (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr,
+               rs1_rdata, rs2_rdata, rd_addr, rd_wdata, mem_addr,
+               mem_rmask, mem_wmask, mem_rdata, mem_wdata, trap, intr)
         if self.capacity is None:
-            c_order.append(order)
-            c_insn.append(insn)
-            c_pc_rdata.append(pc_rdata)
-            c_pc_wdata.append(pc_wdata)
-            c_rs1_addr.append(rs1_addr)
-            c_rs2_addr.append(rs2_addr)
-            c_rs1_rdata.append(rs1_rdata)
-            c_rs2_rdata.append(rs2_rdata)
-            c_rd_addr.append(rd_addr)
-            c_rd_wdata.append(rd_wdata)
-            c_mem_addr.append(mem_addr)
-            c_mem_rmask.append(mem_rmask)
-            c_mem_wmask.append(mem_wmask)
-            c_mem_rdata.append(mem_rdata)
-            c_mem_wdata.append(mem_wdata)
-            c_trap.append(trap)
-            c_intr.append(intr)
+            self._flat.extend(row)
         else:
-            slot = self.total_appended % self.capacity
-            c_order[slot] = order
-            c_insn[slot] = insn
-            c_pc_rdata[slot] = pc_rdata
-            c_pc_wdata[slot] = pc_wdata
-            c_rs1_addr[slot] = rs1_addr
-            c_rs2_addr[slot] = rs2_addr
-            c_rs1_rdata[slot] = rs1_rdata
-            c_rs2_rdata[slot] = rs2_rdata
-            c_rd_addr[slot] = rd_addr
-            c_rd_wdata[slot] = rd_wdata
-            c_mem_addr[slot] = mem_addr
-            c_mem_rmask[slot] = mem_rmask
-            c_mem_wmask[slot] = mem_wmask
-            c_mem_rdata[slot] = mem_rdata
-            c_mem_wdata[slot] = mem_wdata
-            c_trap[slot] = trap
-            c_intr[slot] = intr
-        self.total_appended += 1
+            self._ring_write(row)
 
     def extend(self, other: "RvfiTrace") -> None:
-        """Append every retained row of ``other``, oldest first, column by
-        column — the same trace as :meth:`append_row` per row: a ring
+        """Append every retained row of ``other``, oldest first, as copied
+        slices — the same trace as :meth:`append_row` per row: a ring
         keeps only its newest ``capacity`` rows and ``total_appended``
         counts every row."""
         rows = len(other)
-        columns = other._ordered_columns()
+        flat = other._ordered_flat()
         if self.capacity is None:
-            for column, more in zip(self._columns, columns):
-                column.extend(more)
-        else:
-            keep = min(rows, self.capacity)
-            start = (self.total_appended + rows - keep) % self.capacity
-            head = min(keep, self.capacity - start)
-            for column, more in zip(self._columns, columns):
-                newest = more[rows - keep:rows]
-                column[start:start + head] = newest[:head]
-                column[:keep - head] = newest[head:]
-        self.total_appended += rows
+            self._flat += flat
+            return
+        keep = min(rows, self.capacity)
+        start = (self._ring_total + rows - keep) % self.capacity
+        head = min(keep, self.capacity - start)
+        newest = flat[(rows - keep) * ROW_WIDTH:rows * ROW_WIDTH]
+        split = head * ROW_WIDTH
+        self._flat[start * ROW_WIDTH:start * ROW_WIDTH + split] = \
+            newest[:split]
+        self._flat[:(keep - head) * ROW_WIDTH] = newest[split:]
+        self._ring_total += rows
 
     def column(self, field: str) -> list[int]:
-        """The raw column for ``field`` (ring mode: physical slot order)."""
-        return self._columns[self.FIELDS.index(field)]
+        """A copy of the column for ``field`` (ring mode: every slot, in
+        physical slot order)."""
+        return self._flat[_FIELD_INDEX[field]::ROW_WIDTH]
 
     def _slot(self, index: int) -> int:
         length = len(self)
@@ -168,44 +176,45 @@ class RvfiTrace:
             index += length
         if not 0 <= index < length:
             raise IndexError("trace index out of range")
-        if self.capacity is None or self.total_appended <= self.capacity:
+        if self.capacity is None or self._ring_total <= self.capacity:
             return index
-        return (self.total_appended + index) % self.capacity
+        return (self._ring_total + index) % self.capacity
 
     def row(self, index: int) -> tuple[int, ...]:
         """All 17 fields of one retirement as a tuple (``FIELDS`` order)."""
-        slot = self._slot(index)
-        return tuple(column[slot] for column in self._columns)
+        start = self._slot(index) * ROW_WIDTH
+        return tuple(self._flat[start:start + ROW_WIDTH])
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Every retained retirement as a ``FIELDS``-ordered tuple, oldest
         first (ring mode: in ring order, from the oldest retained slot)."""
-        return zip(*self._ordered_columns())
+        return zip(*[iter(self._ordered_flat())] * ROW_WIDTH)
 
-    def _ordered_columns(self) -> tuple[list[int], ...]:
-        """The retained rows' columns, oldest first (unbounded: the
-        columns themselves, uncopied)."""
-        columns = self._columns
-        length = len(self)
+    def _ordered_flat(self) -> list[int]:
+        """The retained rows, oldest first, as one flat list (unbounded:
+        the list itself, uncopied)."""
+        flat = self._flat
         if self.capacity is None:
-            return columns
-        start = self._slot(0) if length else 0
+            return flat
+        length = len(self)
+        start = self._slot(0) * ROW_WIDTH if length else 0
         if start == 0:
-            return tuple(column[:length] for column in columns)
-        return tuple(column[start:] + column[:start] for column in columns)
+            return flat[:length * ROW_WIDTH]
+        return flat[start:] + flat[:start]
 
     def peek(self, index: int, field: str) -> int:
         """Read one field of one retirement without materializing it."""
-        return self.column(field)[self._slot(index)]
+        return self._flat[self._slot(index) * ROW_WIDTH + _FIELD_INDEX[field]]
 
     def poke(self, index: int, field: str, value: int) -> None:
         """Overwrite one recorded field in place (fault-injection hook)."""
-        self.column(field)[self._slot(index)] = value
+        self._flat[self._slot(index) * ROW_WIDTH + _FIELD_INDEX[field]] = \
+            value
 
     def __len__(self) -> int:
         if self.capacity is None:
-            return self.total_appended
-        return min(self.total_appended, self.capacity)
+            return len(self._flat) // ROW_WIDTH
+        return min(self._ring_total, self.capacity)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -215,6 +224,12 @@ class RvfiTrace:
 
     def __iter__(self) -> Iterator[RvfiRecord]:
         return starmap(RvfiRecord, self.rows())
+
+
+#: Entries per row of an :class:`RvfiTrace`'s flat list.
+ROW_WIDTH = len(RvfiTrace.FIELDS)
+
+_FIELD_INDEX = {name: index for index, name in enumerate(RvfiTrace.FIELDS)}
 
 
 def load_read_fields(addr: int, word: int, width: int,

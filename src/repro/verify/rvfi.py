@@ -4,7 +4,7 @@ riscv-formal attaches to a core through the RISC-V Formal Interface and
 checks, per retired instruction: correct execution against the ISA spec,
 register-file consistency, and PC chaining.  The same three families of
 checks run here over the RVFI retirement traces either simulator emits
-(a columnar :class:`repro.sim.tracing.RvfiTrace`, read row tuple by row
+(a row-major :class:`repro.sim.tracing.RvfiTrace`, read row tuple by row
 tuple, or a list of :class:`repro.sim.tracing.RvfiRecord`):
 
   * **insn checks** — re-execute each retired instruction with the spec and
@@ -187,7 +187,7 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
                 max_errors: int = 25) -> RvfiCheckReport:
     """Validate a retirement trace against the executable spec.
 
-    ``trace`` is the columnar :class:`~repro.sim.tracing.RvfiTrace` or
+    ``trace`` is the row-major :class:`~repro.sim.tracing.RvfiTrace` or
     any sequence of :class:`RvfiRecord`.  Either way the checker walks
     plain ``FIELDS``-ordered row tuples — :meth:`RvfiTrace.rows`, or each
     record's fields — so both forms yield identical reports and no record

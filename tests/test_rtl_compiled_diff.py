@@ -10,7 +10,9 @@ against the oracle two ways:
 * **randomized expression DAGs** — a seeded generator builds modules out
   of every :class:`~repro.rtl.ir.Op`, widths 1–64, deep structural
   sharing (the same subexpression object feeding many parents, which also
-  exercises the compiler's CSE), registers with enables, and drives them
+  exercises the compiler's CSE), ModularEX-shaped ORs of masked arms
+  ``x & sext(s)`` under zero-, one- and multi-hot selects (the shape the
+  compiler evaluates lazily), registers with enables, and drives them
   with random input vectors, asserting the full ``env`` matches after
   every ``eval_comb`` and ``tick``;
 * **whole-core lock-step fuzz** — the full RV32E RISSP is driven with
@@ -20,6 +22,8 @@ against the oracle two ways:
 
 import hashlib
 import random
+import re
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -29,9 +33,9 @@ from repro.analysis import structural_facts
 from repro.isa import INSTRUCTIONS
 from repro.isa.encoding import EncodingError, Instruction, encode
 from repro.rtl import build_rissp, compile_module
-from repro.rtl.compiled import stable_fingerprint
+from repro.rtl.compiled import compile_core, compile_fleet, stable_fingerprint
 from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
-                          Op, Port, RegFileSpec, Register, Slice, const)
+                          Op, Port, RegFileSpec, Register, Sig, Slice, const)
 from repro.rtl.rissp import _read_mux_tree
 from repro.rtl.sim import RtlSim
 
@@ -47,9 +51,41 @@ def _fit(rng, expr, width):
     return Ext(expr, width, signed=bool(rng.getrandbits(1)))
 
 
+def _masked_arms(rng, pool, width):
+    """ModularEX's switch shape: an OR of 2-6 arms ``x_i & sext(s_i)``
+    (either operand order), each 1-bit select drawn from the pool, so
+    zero-, one- and multi-hot select patterns all occur."""
+    arms = []
+    for _ in range(rng.randrange(2, 7)):
+        value = _fit(rng, rng.choice(pool), width)
+        mask = Ext(_fit(rng, rng.choice(pool), 1), width, signed=True)
+        arms.append(Binary(Op.AND, *((value, mask) if rng.getrandbits(1)
+                                     else (mask, value))))
+    node = arms[0]
+    for arm in arms[1:]:
+        node = Binary(Op.OR, node, arm)
+    return node
+
+
+def _arm_selects(expr):
+    """The selects of a :func:`_masked_arms` node, else None."""
+    if not isinstance(expr, Binary):
+        return None
+    if expr.op is Op.OR:
+        left, right = _arm_selects(expr.a), _arm_selects(expr.b)
+        return None if left is None or right is None else left + right
+    if expr.op is Op.AND:
+        for mask in (expr.a, expr.b):
+            if isinstance(mask, Ext) and mask.signed and mask.a.width == 1:
+                return [mask.a]
+    return None
+
+
 def _random_node(rng, pool):
-    kind = rng.randrange(8)
+    kind = rng.randrange(9)
     a = rng.choice(pool)
+    if kind == 8:
+        return _masked_arms(rng, pool, a.width)
     if kind == 0:
         return Not(a)
     if kind == 1:
@@ -164,6 +200,30 @@ def test_random_dag_backends_identical(seed):
                            f"seed={seed} vector={vector} post-tick")
 
 
+def test_masked_arm_fuzz_covers_every_select_pattern():
+    """Across the DAG fuzz seeds, the masked-arm nodes see no select set,
+    exactly one, and several at once — the compiled backend's lazy arms
+    are checked against the oracle on every pattern, multi-hot included."""
+    from repro.rtl.sim import eval_expr
+
+    hot_counts = set()
+    for seed in range(40):
+        module, inputs = _random_module(seed)
+        interp = RtlSim(module, backend="interpreter")
+        rng = random.Random(seed + 10_000)
+        arm_nodes = [expr for expr in module.assigns.values()
+                     if len(_arm_selects(expr) or ()) >= 2]
+        for _ in range(12):
+            _drive_both(rng, (interp,), inputs)
+            interp.eval_comb()
+            for expr in arm_nodes:
+                hot = sum(eval_expr(sel, interp.env)
+                          for sel in _arm_selects(expr))
+                hot_counts.add(min(hot, 2))
+            interp.tick()
+    assert hot_counts == {0, 1, 2}
+
+
 def test_random_dag_every_signal_matches_eval_expr():
     """Spot-check the compiled value of every assign against eval_expr
     directly (not just env equality of two RtlSims)."""
@@ -176,6 +236,45 @@ def test_random_dag_every_signal_matches_eval_expr():
     compiled.eval_comb()
     for name, expr in module.assigns.items():
         assert compiled.env[name] == eval_expr(expr, compiled.env), name
+
+
+def _modularex_arms(core):
+    """``(select wire, output)`` of every ModularEX arm ``val &
+    sel.sext(w)`` of ``core`` whose select is a decode wire (the default
+    arm's select is the NOR of all of them)."""
+    ex = core.meta["modularex"]
+    arms = []
+    for port in ex.outputs():
+        stack = [ex.assigns[port.name]]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Binary) and node.op is Op.OR:
+                stack += (node.a, node.b)
+            elif isinstance(node, Binary) and node.op is Op.AND \
+                    and isinstance(node.b, Ext) and isinstance(node.b.a, Sig):
+                arms.append(("ex_" + node.b.a.name, port.name))
+    return arms
+
+
+def test_every_modularex_arm_is_conditional_on_its_select():
+    """All three code generators emit each ModularEX arm of the full RV32E
+    core as ``(val if sel else 0)``: no select is sign-extended into a
+    mask, so a retirement evaluates only the arms whose select is set."""
+    core = build_rissp([d.mnemonic for d in INSTRUCTIONS])
+    arms = _modularex_arms(core)
+    selects = Counter(select for select, _ in arms)
+    assert len(selects) == len(core.meta["mnemonics"])
+    sources = {"compile_module": compile_module(core).source,
+               "compile_core": compile_core(core).source,
+               "compile_fleet": compile_fleet(core).source}
+    for kind, source in sources.items():
+        # Sign-extending a 1-bit value emits ``(x >> 0)``.
+        assert ">> 0)" not in source, kind
+        for select in selects:
+            assert f"if v_{select} else 0)" in source, (kind, select)
+    # The per-cycle pair emits every distinct arm exactly once.
+    assert Counter(re.findall(r"if v_(ex_sel_\w+) else 0\)",
+                              sources["compile_module"])) == selects
 
 
 def _random_words(seed, count):

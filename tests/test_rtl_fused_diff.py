@@ -193,6 +193,47 @@ def test_af_detect_irq_fused_matches_compiled(trap_core):
         "firmware took no interrupts"
 
 
+# ---------------------------------------------- multi-hot ModularEX selects
+
+#: Rows 0-1 set the operands; row 2 is the add whose result the
+#: multi-hot core ORs with the xor arm's.
+MULTI_HOT = """.text
+main:
+    li a1, 3
+    li a2, 1
+    add a0, a1, a2
+    ret
+"""
+
+
+def test_multi_hot_select_agrees_on_every_backend(full_core):
+    """ModularEX ORs every arm whose select is set, and the compiled
+    backends evaluate only those arms — exact for any select pattern, not
+    only one-hot.  With the xor arm's select driven by the add match too,
+    every add fires two arms: (3 + 1) | (3 ^ 1) = 6.  The fused loop, a
+    one-lane fleet, the per-cycle compiled backend and the interpreter
+    agree on that result and every RVFI column, and all report the same
+    cosim mismatch against the golden 4."""
+    from repro.rtl.fleet import FleetSim
+
+    variant = full_core.with_assigns({
+        "ex_sel_xor": full_core.assigns["ex_sel_xor"]
+        | full_core.sig("ex_sel_add")})
+    program = assemble(MULTI_HOT)
+    reference = _assert_lockstep(variant, program, 100, context="multi-hot")
+    assert (reference.exit_code, reference.halted_by) == (6, "ecall")
+    fleet = FleetSim(variant, program, 1, trace_lanes=(0,))
+    [lane] = fleet.run(max_instructions=100)
+    assert (lane.exit_code, lane.instructions, lane.halted_by) == \
+        (reference.exit_code, reference.instructions, reference.halted_by)
+    for field in RvfiTrace.FIELDS:
+        assert lane.trace.column(field) == reference.trace.column(field), \
+            field
+    for backend in BACKENDS:
+        assert cosimulate(variant, program, backend=backend) == \
+            CosimMismatch(2, "rd_wdata", 6, 4), backend
+
+
 # ---------------------------------------------- two-source arbitration
 
 #: Both sources armed; the sensor delivers every 50 ticks and the timer

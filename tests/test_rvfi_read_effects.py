@@ -4,8 +4,9 @@ The seed recorded ``mem_rmask=0b1111`` and the raw full memory word for
 *every* RTL load — so ``cosimulate`` could not compare the read side of the
 memory interface at all.  These tests pin the fixed convention (true byte
 address, ``(1 << width) - 1`` lane mask, extended sub-word value), prove
-cosimulation now detects injected read corruption, and cover the
-ebreak/ecall halt-cause plumbing.
+cosimulation now detects injected read corruption, pin that the RTL trace
+records the source operands the core's read ports delivered, and cover
+the ebreak/ecall halt-cause plumbing.
 """
 
 import pytest
@@ -123,6 +124,46 @@ def test_cosim_detects_injected_read_mask_corruption(full_core, monkeypatch):
     mismatch = cosimulate(full_core, assemble(_SUBWORD_LOADS),
                           backend="compiled")
     assert mismatch is not None and mismatch.field == "mem_rmask"
+
+
+#: rs2 = a1 = 0x80000003 for both the sll (shift amount: low 5 bits) and
+#: the sb (stored byte: low 8 bits), so bit 31 of rs2 never reaches an
+#: architectural result.
+_READ_PORT_PROBE = """.text
+main:
+    li a1, 0x80000003
+    li a2, 5
+    addi a4, sp, -16
+    sll a3, a2, a1
+    sb a1, 0(a4)
+    ret
+"""
+
+
+@pytest.mark.parametrize("backend", ["fused", "compiled", "interpreter"])
+def test_rs_rdata_is_what_the_read_port_delivered(full_core, backend):
+    """The RTL trace records ``rs*_rdata`` from the core's read ports,
+    not from the harness's copy of the register file.  A core whose rs2
+    read port flips bit 31 computes the probe's sll and sb correctly, so
+    cosim passes, but its own trace carries the corrupt operand, which
+    the checker's shadow register file rejects at the sll row."""
+    from repro.isa.encoding import decode
+    from repro.rtl.ir import const
+
+    variant = full_core.with_assigns({
+        "rf_rs2_data": full_core.assigns["rf_rs2_data"]
+        ^ const(0x80000000, 32)})
+    prog = assemble(_READ_PORT_PROBE)
+    assert cosimulate(variant, prog, backend=backend) is None
+    trace = RisspSim(variant, prog, trace=True, backend=backend).run(100) \
+        .trace
+    sll = next(row for row in trace if decode(row.insn).mnemonic == "sll")
+    report = check_trace(trace, initial_regs=abi_initial_regs())
+    assert report.errors[:1] == [
+        f"order={sll.order} pc={sll.pc_rdata:#x}: rs2 x11 read 0x3, "
+        f"shadow 0x80000003"]
+    healthy = RisspSim(full_core, prog, trace=True, backend=backend).run(100)
+    assert check_trace(healthy.trace, initial_regs=abi_initial_regs()).passed
 
 
 _EBREAK = ".text\nmain:\n li a0, 77\n ebreak\n"

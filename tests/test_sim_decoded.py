@@ -120,7 +120,7 @@ def test_compiled_executor_matches_spec(d):
             record = compile_recorder(instr, encode(instr),
                                       recorded.image.invalidate)
             got_pc = record(recorded.regs, recorded.memory, pc, 7,
-                            got_trace.append_row)
+                            got_trace.row_sink())
             if got_pc < 0:   # ecall/ebreak: retire_one's job, no row
                 assert got_pc == want_pc and len(got_trace) == 0, instr
                 assert recorded.regs == oracle.regs, instr
@@ -151,7 +151,7 @@ def test_refused_recording_changes_and_records_nothing(instr, rs1, rs2):
     trace = RvfiTrace()
     with pytest.raises(type(refused.value)):
         compile_recorder(instr, encode(instr), recorded.image.invalidate)(
-            recorded.regs, recorded.memory, 0x40, 0, trace.append_row)
+            recorded.regs, recorded.memory, 0x40, 0, trace.row_sink())
     assert len(trace) == 0 and recorded.regs == oracle.regs
 
 

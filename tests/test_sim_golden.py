@@ -88,6 +88,38 @@ def test_trace_extend_into_ring_matches_append_row(capacity):
                 assert got.column(field) == want.column(field), field
 
 
+@pytest.mark.parametrize("capacity", [None, 1, 7])
+def test_row_sink_records_like_append_row(capacity):
+    """row_sink takes one 17-tuple per row and records the same trace as
+    append_row, mixed freely on one trace; column() and extend copy, so
+    neither lets a later write reach the other trace."""
+    from repro.sim import RvfiTrace
+
+    want = RvfiTrace(capacity=capacity)
+    got = RvfiTrace(capacity=capacity)
+    sink = got.row_sink()
+    for order in range(12):
+        row = tuple(range(order, order + 17))
+        want.append_row(*row)
+        if order % 3:
+            sink(row)
+        else:
+            got.append_row(*row)
+    assert got.total_appended == want.total_appended == 12
+    assert len(got) == len(want) == min(12, capacity or 12)
+    assert list(got.rows()) == list(want.rows())
+    assert [got.row(i) for i in range(len(got))] == list(want.rows())
+    for field in RvfiTrace.FIELDS:
+        assert got.column(field) == want.column(field), field
+    column = got.column("insn")
+    column[-1] ^= 1
+    assert got.column("insn") == want.column("insn") != column
+    copy = RvfiTrace()
+    copy.extend(got)
+    got.poke(-1, "insn", 0)
+    assert copy.peek(-1, "insn") == want.peek(-1, "insn") != 0
+
+
 def test_stack_pointer_initialized():
     p = assemble(""".text
 main:

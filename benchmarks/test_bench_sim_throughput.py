@@ -23,16 +23,26 @@ the compiled recorders cosimulation's golden side runs) must record the
 loop at >=2x the rate of ``retire_one`` called row by row into the same
 kind of columnar trace — the reflective retirement every recorded row
 went through before the recorders.  Same ABBA pairing and median.
+
+The RVFI checker gate: ``check_trace`` on that recorded loop trace must
+run at >=2.5x its rate with the compiled check arms forced off (the arm
+compiler patched to compile nothing, so the reflective ``spec.step``
+check judges every row, as it did before the arms).  Same ABBA pairing
+and median; the arms-on rate is logged as ``rvfi_check_rps``.
 """
 
 import statistics
 import time
+from unittest import mock
 
 from repro.isa.encoding import decode
 from repro.isa.spec import step
 from repro.isa.assembler import assemble
-from repro.sim import GoldenSim, RvfiTrace, run_program, run_program_serv
+from repro.sim import (
+    GoldenSim, RvfiTrace, abi_initial_regs, run_program, run_program_serv,
+)
 from repro.soc import SocSpec
+from repro.verify import rvfi
 
 _LOOP = """.text
 main:
@@ -83,6 +93,10 @@ _IDLE_ITERS = 50_000
 #: takes about a tenth of a second.
 _RECORDED_PAIRS = 8
 _RECORDED_ITERS = 5_000
+
+#: Arms-on/arms-off pairs behind the RVFI checker gate (even, for ABBA
+#: balance), each checking the recorded loop's ~10k-row trace once.
+_CHECK_PAIRS = 8
 
 # The seed decoded every word on every retirement; bypass the lru_cache to
 # reproduce that cost honestly.
@@ -155,6 +169,22 @@ def _reflective_mips(program, iters):
     return count / elapsed / 1e6
 
 
+def _check_rps(trace):
+    """``check_trace``'s rate on a clean ``trace``, in rows per second."""
+    started = time.perf_counter()
+    report = rvfi.check_trace(trace, initial_regs=abi_initial_regs())
+    elapsed = time.perf_counter() - started
+    assert report.passed and report.records_checked == len(trace)
+    return len(trace) / elapsed
+
+
+def _reflective_check_rps(trace):
+    """The same check with no compiled arms: every row is judged by the
+    reflective code, the checker's reference."""
+    with mock.patch.object(rvfi, "_compile_arm", lambda word: None):
+        return _check_rps(trace)
+
+
 def _abba_pairs(pairs, base, candidate):
     """(median candidate/base throughput ratio, median candidate MIPS)
     over ``pairs`` back-to-back pairs, alternating which side runs
@@ -176,6 +206,7 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
     pair_prog = assemble(_LOOP.format(n=_IDLE_ITERS))
     idle_prog = assemble(_LOOP_SOC_IDLE.format(n=_IDLE_ITERS))
     recorded_prog = assemble(_LOOP.format(n=_RECORDED_ITERS))
+    loop_trace = GoldenSim(recorded_prog, trace=True).run().trace
 
     def report():
         idle_ratio, idle_mips = _abba_pairs(
@@ -186,6 +217,10 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
             _RECORDED_PAIRS,
             lambda: _reflective_mips(recorded_prog, _RECORDED_ITERS),
             lambda: _recorded_mips(recorded_prog, _RECORDED_ITERS))
+        check_ratio, check_rps = _abba_pairs(
+            _CHECK_PAIRS,
+            lambda: _reflective_check_rps(loop_trace),
+            lambda: _check_rps(loop_trace))
         return {
             "naive_mips": _naive_mips(naive_prog, _NAIVE_INSTRUCTIONS),
             "golden_mips": _fast_mips(fast_prog, run_program),
@@ -194,12 +229,15 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
             "serv_mips": _fast_mips(fast_prog, run_program_serv),
             "soc_idle_ratio": idle_ratio,
             "recorded_vs_reflective": recorded_ratio,
+            "rvfi_check_rps": check_rps,
+            "rvfi_check_vs_reflective": check_ratio,
         }
 
     stats = benchmark.pedantic(report, rounds=1, iterations=1)
     speedup = stats["golden_mips"] / stats["naive_mips"]
     idle_ratio = stats["soc_idle_ratio"]
     recorded_ratio = stats["recorded_vs_reflective"]
+    check_ratio = stats["rvfi_check_vs_reflective"]
     print("\n=== Simulator throughput (1.6M-instruction loop) ===")
     print(f"seed-style interpreter:   {stats['naive_mips']:6.3f} MIPS")
     print(f"golden ISS fast path:     {stats['golden_mips']:6.3f} MIPS "
@@ -211,6 +249,10 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
           f"MIPS ({recorded_ratio:.1f}x retire_one per row, median of "
           f"{_RECORDED_PAIRS} ABBA pairs)")
     print(f"serv timing model:        {stats['serv_mips']:6.3f} MIPS")
+    print(f"RVFI check_trace:         {stats['rvfi_check_rps'] / 1e6:6.3f} "
+          f"M rows/s on the {len(loop_trace)}-row recorded trace "
+          f"({check_ratio:.1f}x with arms forced off, median of "
+          f"{_CHECK_PAIRS} ABBA pairs)")
     bench_artifact("sim_throughput", {
         **stats,
         "decoded_cache_speedup": speedup,
@@ -230,3 +272,9 @@ def test_bench_sim_throughput(benchmark, bench_artifact):
     assert recorded_ratio >= 2.0, (
         f"recorded golden only {recorded_ratio:.2f}x retire_one per row "
         f"(< 2x)")
+    # The compiled check arms must keep their gain over the reflective
+    # per-row spec.step check (about 4x on this loop; 1x would mean the
+    # rows fell back to the reflective code).
+    assert check_ratio >= 2.5, (
+        f"check_trace with arms only {check_ratio:.2f}x the reflective "
+        f"check (< 2.5x)")

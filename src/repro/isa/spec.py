@@ -22,7 +22,12 @@ Three execution interfaces are offered over the same semantic tables:
   golden ISS records reference traces with these.
 
 All three share ``_ALU_OPS``/``_BRANCH_TAKEN`` and the width tables
-below, so they cannot drift apart on semantics.
+below, so they cannot drift apart on semantics.  Two consumers outside
+this module read the tables too: the RTL harness takes a traced load's
+width from ``_LOAD_WIDTH`` (:mod:`repro.rtl.core_sim`), and the RVFI
+checker builds its per-word compiled check arms from ``_ALU_OPS``,
+``_IMM_TO_ALU``, ``_BRANCH_TAKEN``, ``_LOAD_WIDTH`` and ``_STORE_WIDTH``
+(:mod:`repro.verify.rvfi`), keeping :func:`step` as its reference.
 """
 
 from __future__ import annotations

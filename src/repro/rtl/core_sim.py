@@ -568,7 +568,9 @@ def cosimulate(core: Module, program: Program,
                max_instructions: int = 2_000_000,
                golden_trace_out: RvfiTrace | None = None,
                backend: str | None = None,
-               soc: "object | None" = None) -> CosimMismatch | None:
+               soc: "object | None" = None,
+               rtl_trace_out: RvfiTrace | None = None
+               ) -> CosimMismatch | None:
     """Lock-step compare RISSP RTL execution against the golden ISS.
 
     Returns None only when the run matches *through the halting
@@ -598,12 +600,13 @@ def cosimulate(core: Module, program: Program,
     every row retired before it compared clean, and the RTL's refusal
     loses to a golden refusal at an earlier row.
 
-    ``golden_trace_out``, an :class:`RvfiTrace`, when given, receives
-    exactly the compared golden rows: through the divergent index on a
-    mismatch, the rows before a refusal, every row on a clean run.
-    Callers wanting to additionally spec-check the reference (see
-    :func:`repro.verify.rvfi.check_trace`) reuse this trace instead of
-    paying for a second traced golden run.
+    ``golden_trace_out`` and ``rtl_trace_out``, :class:`RvfiTrace` sinks,
+    when given, receive exactly the compared rows of their side: through
+    the divergent index on a mismatch, the rows before a refusal, every
+    row on a clean run.  A caller that spec-checks the core's own
+    retirements (:func:`repro.verify.rvfi.check_trace`, as
+    :meth:`repro.core.flow.RisspFlow.generate` does) reuses
+    ``rtl_trace_out`` instead of paying for a second traced RTL run.
 
     ``backend`` forces the RTL evaluator backend (``"fused"`` /
     ``"compiled"`` / ``"interpreter"``); the default follows
@@ -617,20 +620,26 @@ def cosimulate(core: Module, program: Program,
     gold = GoldenSim(program, trace=True, soc=soc)
     field_slots = [RvfiTrace.FIELDS.index(name) for name in COSIM_FIELDS]
     if rtl._fused is not None:
-        return _cosimulate_fused(rtl, gold, golden_trace_out, field_slots,
-                                 max_instructions)
+        return _cosimulate_fused(rtl, gold, golden_trace_out, rtl_trace_out,
+                                 field_slots, max_instructions)
     # The per-cycle walk stays row by row: running a per-cycle backend a
     # chunk past a divergence would multiply the cost of every mutant on
     # the interpreter oracle.
     gold_trace = golden_trace_out if golden_trace_out is not None \
         else RvfiTrace(capacity=1)
+    # The RTL row is kept only once the golden side has retired its twin,
+    # so a golden refusal leaves the RTL row it was not compared with out.
     rtl_trace = RvfiTrace(capacity=1)
+    keep_rtl = rtl_trace_out.row_sink() if rtl_trace_out is not None \
+        else None
     for index in range(max_instructions):
         rtl_halt, _ = rtl._cycle(index, rtl_trace)
         gold_halt, _ = gold.retire_one(index, gold_trace)
-        mismatch = _retirement_mismatch(index, rtl_trace.row(-1),
-                                        gold_trace.row(-1), rtl_halt,
-                                        gold_halt, field_slots)
+        rtl_row = rtl_trace.row(-1)
+        if keep_rtl is not None:
+            keep_rtl(rtl_row)
+        mismatch = _retirement_mismatch(index, rtl_row, gold_trace.row(-1),
+                                        rtl_halt, gold_halt, field_slots)
         if mismatch is not None:
             return mismatch
         if rtl_halt:
@@ -662,6 +671,7 @@ COSIM_CHUNK = 4096
 
 def _cosimulate_fused(rtl: RisspSim, gold,
                       golden_trace_out: RvfiTrace | None,
+                      rtl_trace_out: RvfiTrace | None,
                       field_slots: list[int],
                       max_instructions: int) -> CosimMismatch | None:
     """Chunked cosimulation: fused RTL chunks against golden chunks.
@@ -694,13 +704,19 @@ def _cosimulate_fused(rtl: RisspSim, gold,
             refusal = exc
         mismatch = _chunk_mismatch(order, chunk, gold_chunk, rtl_halted,
                                    gold_halted, field_slots)
-        if golden_trace_out is not None:
-            if mismatch is None:
-                golden_trace_out.extend(gold_chunk)
+        # The compared rows: through the divergent one, else every row
+        # the golden side retired (all of the chunk's unless it refused).
+        compared = len(gold_chunk) if mismatch is None \
+            else mismatch.index - order + 1
+        for out, side in ((golden_trace_out, gold_chunk),
+                          (rtl_trace_out, chunk)):
+            if out is None:
+                continue
+            if compared == len(side):
+                out.extend(side)
             else:
-                record = golden_trace_out.row_sink()
-                for row in islice(gold_chunk.rows(),
-                                  mismatch.index - order + 1):
+                record = out.row_sink()
+                for row in islice(side.rows(), compared):
                     record(row)
         if mismatch is not None:
             return mismatch

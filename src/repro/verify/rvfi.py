@@ -8,12 +8,29 @@ checks run here over the RVFI retirement traces either simulator emits
 tuple, or a list of :class:`repro.sim.tracing.RvfiRecord`):
 
   * **insn checks** — re-execute each retired instruction with the spec and
-    compare ``pc_wdata``, ``rd_addr``/``rd_wdata`` and store effects,
-  * **reg checks** — maintain a shadow register file from retired writes
-    (x0 pinned to zero) and require every ``rs*_rdata`` it covers to
-    match it,
+    compare ``pc_wdata``, ``rd_addr``/``rd_wdata`` and both sides of the
+    memory interface: a store's address, data and ``mem_wmask`` of
+    ``(1 << width) - 1``; a load's address (``rs1_rdata + imm`` mod
+    2^32), ``mem_rmask`` of ``(1 << width) - 1`` and ``mem_rdata`` equal
+    to its own width-extension (the read-effect convention of
+    :mod:`repro.sim.tracing`); no read or write effect on any other row,
+  * **reg checks** — where an instruction reads ``rs1``/``rs2``, the
+    row's ``rs*_addr`` is the decoded field, and a shadow register file
+    built from retired writes (x0 pinned to zero) must match every
+    ``rs*_rdata`` it covers,
   * **pc checks** — ``pc_rdata`` of instruction *n+1* must equal
     ``pc_wdata`` of instruction *n*, and ``order`` must be gapless.
+
+The reflective code in :func:`check_trace` states these checks once,
+with :func:`repro.isa.spec.step`, and is the only writer of errors.  Most
+rows never reach it: each distinct instruction word compiles a *check
+arm* (:func:`_compile_arm`) from the spec's own semantic tables, a
+closure that accepts a row only when the reflective code would find
+nothing wrong with it, and then applies the same shadow write.  A row the
+arm declines, and every Zicsr, ``mret``, ``wfi``, ``ecall`` and
+``ebreak`` row, goes to the reflective code.  So reports are identical
+with and without arms by construction; ``tests/test_verify.py`` patches
+the arm compiler to return None and requires it.
 
 Machine-mode extension (PR 3, multi-source in PR 5): the checker follows
 the riscv-formal ``rvfi_trap``/``rvfi_intr`` conventions — a trapping
@@ -35,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..isa.bits import sign_extend, to_u32
 from ..isa.csrs import (
@@ -55,7 +72,15 @@ from ..isa.csrs import (
 )
 from ..isa.encoding import DecodeError, Instruction, decode
 from ..isa.instructions import CSR_OPS
-from ..isa.spec import SpecError, step
+from ..isa.spec import (
+    _ALU_OPS,
+    _BRANCH_TAKEN,
+    _IMM_TO_ALU,
+    _LOAD_WIDTH,
+    _STORE_WIDTH,
+    SpecError,
+    step,
+)
 from ..sim.csr import CsrError, READ_ONLY_CSRS, warl_mask
 from ..sim.tracing import RvfiRecord, RvfiTrace
 
@@ -134,17 +159,20 @@ class _ShadowCsrs:
         return lambda addr: values.get(addr, learned)
 
 
-def _record_load(mem_addr: int, mem_rmask: int, mem_rdata: int):
-    """Spec ``load`` callback modelling a load from a row's own memory
-    view (its read-effect triple)."""
+def _record_load(mem_rdata: int, accesses: list[tuple[int, int, int]]):
+    """Spec ``load`` callback answering from a row's own read effect.
+
+    The value is the low ``width`` bytes of ``mem_rdata``, extended as the
+    load's signedness asks: under the read-effect convention of
+    :mod:`repro.sim.tracing`, ``mem_rdata`` already holds the value that
+    lands in ``rd``.  Each access the spec makes is appended to
+    ``accesses`` as ``(addr, width, value)``, so the checker can hold the
+    row's ``mem_addr``, ``mem_rmask`` and ``mem_rdata`` to it."""
     def load(addr: int, width: int, signed: bool) -> int:
-        offset = (addr - (mem_addr & ~0x3)) & 0x3
-        if width == 4 or mem_rmask != 0b1111:
-            value = mem_rdata
-        else:
-            value = (mem_rdata >> (8 * offset)) & ((1 << (8 * width)) - 1)
+        value = mem_rdata & ((1 << (8 * width)) - 1)
         if signed and width < 4:
             value = to_u32(sign_extend(value, 8 * width))
+        accesses.append((addr, width, value))
         return value
     return load
 
@@ -172,6 +200,177 @@ def _word_facts(word: int) -> _WordFacts:
     return instr, uses_rs1, uses_rs2, system
 
 
+#: A compiled row check: ``arm(shadow, pc_rdata, pc_wdata, rs1_addr,
+#: rs2_addr, rs1_rdata, rs2_rdata, rd_addr, rd_wdata, mem_addr, mem_rmask,
+#: mem_wmask, mem_rdata, mem_wdata) -> bool``, the row's own fields in
+#: ``FIELDS`` order.
+Arm = Callable[..., bool]
+
+
+def _compile_arm(word: int) -> Arm | None:
+    """The compiled check of one instruction word, or None when the word
+    is undecodable or is a Zicsr op, ``mret``, ``wfi``, ``ecall`` or
+    ``ebreak``: their rows need the shadow CSR file or end the trace, and
+    the reflective code judges every one of them.
+
+    The arm judges an untrapped row of ``word``.  It returns True only
+    when the reflective row check in :func:`check_trace` would append no
+    error, and only then applies the same shadow-register write.  On
+    False it has changed nothing and the reflective code judges the row,
+    so reports are identical with or without arms.  The semantics come
+    from the spec's own tables (``_ALU_OPS``, ``_IMM_TO_ALU``,
+    ``_BRANCH_TAKEN``, ``_LOAD_WIDTH``, ``_STORE_WIDTH``); what the arm
+    hoists out of the row is the decode, the mnemonic dispatch, the
+    :class:`~repro.isa.spec.Effects` record and the load callback.
+    """
+    try:
+        instr = decode(word)
+    except DecodeError:
+        return None
+    m = instr.mnemonic
+    rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+
+    if m in _ALU_OPS:
+        op = _ALU_OPS[m]
+
+        def arm_alu(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                    m_addr, rmask, wmask, rdata, wdata):
+            if (a1 != rs1 or a2 != rs2 or rd_a != rd or rmask or wmask
+                    or pc_w != (pc + 4) & 0xFFFFFFFF
+                    or shadow.get(rs1, v1) != v1
+                    or shadow.get(rs2, v2) != v2):
+                return False
+            if rd:
+                if rd_w != op(v1, v2) & 0xFFFFFFFF:
+                    return False
+                shadow[rd] = rd_w
+            return True
+        return arm_alu
+
+    if m in _IMM_TO_ALU:
+        op = _ALU_OPS[_IMM_TO_ALU[m]]
+
+        def arm_alu_imm(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                        m_addr, rmask, wmask, rdata, wdata):
+            if (a1 != rs1 or rd_a != rd or rmask or wmask
+                    or pc_w != (pc + 4) & 0xFFFFFFFF
+                    or shadow.get(rs1, v1) != v1):
+                return False
+            if rd:
+                if rd_w != op(v1, imm) & 0xFFFFFFFF:
+                    return False
+                shadow[rd] = rd_w
+            return True
+        return arm_alu_imm
+
+    if m in _BRANCH_TAKEN:
+        cond = _BRANCH_TAKEN[m]
+
+        def arm_branch(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                       m_addr, rmask, wmask, rdata, wdata):
+            target = (pc + imm if cond(v1, v2) else pc + 4) & 0xFFFFFFFF
+            return not (target & 0x3 or pc_w != target
+                        or a1 != rs1 or a2 != rs2 or rd_a or rmask or wmask
+                        or shadow.get(rs1, v1) != v1
+                        or shadow.get(rs2, v2) != v2)
+        return arm_branch
+
+    if m in _LOAD_WIDTH:
+        width, signed = _LOAD_WIDTH[m]
+        lane = (1 << (8 * width)) - 1
+        rmask_want = (1 << width) - 1
+        # A signed sub-word value with its top lane bit set extends with
+        # ones above the lane.
+        sign = (lane + 1) >> 1 if signed and width < 4 else 0
+        fill = 0xFFFFFFFF ^ lane
+
+        def arm_load(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                     m_addr, rmask, wmask, rdata, wdata):
+            value = rdata & lane
+            if value & sign:
+                value |= fill
+            if (rdata != value or rmask != rmask_want
+                    or m_addr != (v1 + imm) & 0xFFFFFFFF
+                    or a1 != rs1 or rd_a != rd or wmask
+                    or pc_w != (pc + 4) & 0xFFFFFFFF
+                    or shadow.get(rs1, v1) != v1):
+                return False
+            if rd:
+                if rd_w != value:
+                    return False
+                shadow[rd] = rd_w
+            return True
+        return arm_load
+
+    if m in _STORE_WIDTH:
+        width = _STORE_WIDTH[m]
+        lane = (1 << (8 * width)) - 1
+        wmask_want = (1 << width) - 1
+
+        def arm_store(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                      m_addr, rmask, wmask, rdata, wdata):
+            return not (wmask != wmask_want
+                        or m_addr != (v1 + imm) & 0xFFFFFFFF
+                        or wdata != v2 & lane
+                        or a1 != rs1 or a2 != rs2 or rd_a or rmask
+                        or pc_w != (pc + 4) & 0xFFFFFFFF
+                        or shadow.get(rs1, v1) != v1
+                        or shadow.get(rs2, v2) != v2)
+        return arm_store
+
+    if m in ("lui", "auipc"):
+        adds_pc = m == "auipc"
+
+        def arm_upper(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                      m_addr, rmask, wmask, rdata, wdata):
+            if (pc_w != (pc + 4) & 0xFFFFFFFF or rd_a != rd
+                    or rmask or wmask):
+                return False
+            if rd:
+                if rd_w != ((pc if adds_pc else 0) + imm) & 0xFFFFFFFF:
+                    return False
+                shadow[rd] = rd_w
+            return True
+        return arm_upper
+
+    if m == "jal":
+        def arm_jal(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                    m_addr, rmask, wmask, rdata, wdata):
+            target = (pc + imm) & 0xFFFFFFFF
+            if target & 0x3 or pc_w != target or rd_a != rd \
+                    or rmask or wmask:
+                return False
+            if rd:
+                if rd_w != (pc + 4) & 0xFFFFFFFF:
+                    return False
+                shadow[rd] = rd_w
+            return True
+        return arm_jal
+
+    if m == "jalr":
+        def arm_jalr(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                     m_addr, rmask, wmask, rdata, wdata):
+            target = (v1 + imm) & 0xFFFFFFFE
+            if (target & 0x3 or pc_w != target or a1 != rs1 or rd_a != rd
+                    or rmask or wmask or shadow.get(rs1, v1) != v1):
+                return False
+            if rd:
+                if rd_w != (pc + 4) & 0xFFFFFFFF:
+                    return False
+                shadow[rd] = rd_w
+            return True
+        return arm_jalr
+
+    if m == "fence":
+        def arm_fence(shadow, pc, pc_w, a1, a2, v1, v2, rd_a, rd_w,
+                      m_addr, rmask, wmask, rdata, wdata):
+            return not (pc_w != (pc + 4) & 0xFFFFFFFF
+                        or rd_a or rmask or wmask)
+        return arm_fence
+
+    return None
+
+
 def _at(order: int, pc: int) -> str:
     """Location prefix of an error message."""
     return f"order={order} pc={pc:#x}"
@@ -193,15 +392,28 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
     record's fields — so both forms yield identical reports and no record
     is built per row.  The shadow register file starts from
     ``initial_regs`` plus x0, which always reads as 0.
+
+    The pc, order, interrupt and trap checks run on every row.  An
+    untrapped row then goes to its word's compiled arm
+    (:func:`_compile_arm`, memoized per word for this trace), unless the
+    word is undecodable or a Zicsr op, ``mret``, ``wfi``, ``ecall`` or
+    ``ebreak``.  An arm that accepts the row has applied the shadow write
+    the reflective code would; any other row is judged by the reflective
+    code below, which re-executes it with :func:`repro.isa.spec.step` and
+    is the only writer of errors.  So the arms change the speed of the
+    check, never its report.
     """
     report = RvfiCheckReport()
     errors = report.errors
     shadow: dict[int, int] = dict(initial_regs or {})
     shadow[0] = 0
     csrs = _ShadowCsrs()
-    # Facts per decodable word, memoized for this trace; an undecodable
-    # word is never stored, so its DecodeError is raised on every row.
+    # Facts and arms per word, memoized for this trace; an undecodable
+    # word is never stored in word_facts, so its DecodeError is raised on
+    # every row.
     word_facts: dict[int, _WordFacts] = {}
+    arms: dict[int, Arm | None] = {}
+    checked = 0
     prev_pc_wdata: int | None = None
     prev_order: int | None = None
     rows = trace.rows() if isinstance(trace, RvfiTrace) \
@@ -212,7 +424,7 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
          mem_rdata, mem_wdata, trap, intr) in rows:
         if len(errors) >= max_errors:
             break
-        report.records_checked += 1
+        checked += 1
 
         # --- pc checks -------------------------------------------------
         if prev_order is not None and order != prev_order + 1:
@@ -253,6 +465,16 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
                             insn if cause == CAUSE_ILLEGAL_INSTRUCTION else 0)
             continue
 
+        # --- compiled arm ------------------------------------------------
+        arm = arms.get(insn)
+        if arm is None and insn not in arms:
+            arm = arms[insn] = _compile_arm(insn)
+        if arm is not None and arm(shadow, pc_rdata, pc_wdata, rs1_addr,
+                                   rs2_addr, rs1_rdata, rs2_rdata, rd_addr,
+                                   rd_wdata, mem_addr, mem_rmask, mem_wmask,
+                                   mem_rdata, mem_wdata):
+            continue
+
         # --- reg checks --------------------------------------------------
         facts = word_facts.get(insn)
         if facts is None:
@@ -263,14 +485,22 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
                               f"{exc}")
                 continue
         instr, uses_rs1, uses_rs2, system = facts
-        if uses_rs1 and rs1_addr in shadow \
-                and rs1_rdata != shadow[rs1_addr]:
-            errors.append(f"{_at(order, pc_rdata)}: rs1 x{rs1_addr} read "
-                          f"{rs1_rdata:#x}, shadow {shadow[rs1_addr]:#x}")
-        if uses_rs2 and rs2_addr in shadow \
-                and rs2_rdata != shadow[rs2_addr]:
-            errors.append(f"{_at(order, pc_rdata)}: rs2 x{rs2_addr} read "
-                          f"{rs2_rdata:#x}, shadow {shadow[rs2_addr]:#x}")
+        if uses_rs1:
+            if rs1_addr != instr.rs1:
+                errors.append(f"{_at(order, pc_rdata)}: rs1_addr "
+                              f"{rs1_addr} != insn rs1 {instr.rs1}")
+            if rs1_addr in shadow and rs1_rdata != shadow[rs1_addr]:
+                errors.append(f"{_at(order, pc_rdata)}: rs1 x{rs1_addr} "
+                              f"read {rs1_rdata:#x}, shadow "
+                              f"{shadow[rs1_addr]:#x}")
+        if uses_rs2:
+            if rs2_addr != instr.rs2:
+                errors.append(f"{_at(order, pc_rdata)}: rs2_addr "
+                              f"{rs2_addr} != insn rs2 {instr.rs2}")
+            if rs2_addr in shadow and rs2_rdata != shadow[rs2_addr]:
+                errors.append(f"{_at(order, pc_rdata)}: rs2 x{rs2_addr} "
+                              f"read {rs2_rdata:#x}, shadow "
+                              f"{shadow[rs2_addr]:#x}")
 
         # --- insn checks -------------------------------------------------
         csr_known = True
@@ -283,11 +513,10 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
             else:
                 learned = pc_wdata if system == "mret" else 0
             read_csr = csrs.reader(learned)
+        loads: list[tuple[int, int, int]] = []
         try:
             expected = step(instr, pc_rdata, rs1_rdata, rs2_rdata,
-                            _record_load(mem_addr, mem_rmask, mem_rdata)
-                            if mem_rmask else None,
-                            read_csr)
+                            _record_load(mem_rdata, loads), read_csr)
         except (SpecError, CsrError) as exc:
             errors.append(f"{_at(order, pc_rdata)}: spec refusal: {exc}")
             continue
@@ -301,12 +530,31 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
         elif want_rd and csr_known and rd_wdata != expected.rd_data:
             errors.append(f"{_at(order, pc_rdata)}: rd_wdata {rd_wdata:#x} "
                           f"!= spec {expected.rd_data:#x}")
+        if loads:
+            # The read effect is the access the spec made: its address,
+            # its lane mask, and the extended value it returned.
+            load_addr, width, value = loads[0]
+            if mem_addr != load_addr:
+                errors.append(f"{_at(order, pc_rdata)}: load addr "
+                              f"{mem_addr:#x} != {load_addr:#x}")
+            if mem_rmask != (1 << width) - 1:
+                errors.append(f"{_at(order, pc_rdata)}: load rmask "
+                              f"{mem_rmask:#x} != {(1 << width) - 1:#x}")
+            if mem_rdata != value:
+                errors.append(f"{_at(order, pc_rdata)}: load data "
+                              f"{mem_rdata:#x} != extended {value:#x}")
+        elif mem_rmask:
+            errors.append(f"{_at(order, pc_rdata)}: spurious load effect")
         if expected.mem_write is not None:
             mw = expected.mem_write
             if not mem_wmask:
                 errors.append(f"{_at(order, pc_rdata)}: missing store "
                               f"effect")
             else:
+                if mem_wmask != (1 << mw.width) - 1:
+                    errors.append(f"{_at(order, pc_rdata)}: store wmask "
+                                  f"{mem_wmask:#x} != "
+                                  f"{(1 << mw.width) - 1:#x}")
                 if mem_addr != mw.addr:
                     errors.append(f"{_at(order, pc_rdata)}: store addr "
                                   f"{mem_addr:#x} != {mw.addr:#x}")
@@ -347,4 +595,5 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
             shadow[want_rd] = rd_wdata if not csr_known \
                 else expected.rd_data
 
+    report.records_checked = checked
     return report

@@ -520,34 +520,54 @@ def test_cosim_golden_refusal_after_divergence_loses(full_core, long_loop,
 
 def test_cosim_golden_refusal_after_clean_rows_propagates(
         full_core, long_loop, monkeypatch):
+    """The refusal is raised, and both trace sinks keep only the rows the
+    golden side retired and compared: not the RTL row (nor, on the fused
+    path, the rest of the RTL chunk) the golden side never saw."""
     program, _ = long_loop
     _patch_golden(monkeypatch, MID_CHUNK2 + 1, refuse=True)
     for backend in ("fused", "compiled"):
+        sink = RvfiTrace()
+        rtl_sink = RvfiTrace()
         with pytest.raises(SimulationError, match="injected golden refusal"):
-            cosimulate(full_core, program, backend=backend)
+            cosimulate(full_core, program, backend=backend,
+                       golden_trace_out=sink, rtl_trace_out=rtl_sink)
+        assert len(sink) == len(rtl_sink) == MID_CHUNK2 + 1
+        assert list(rtl_sink.rows()) == list(sink.rows())
 
 
 @pytest.mark.parametrize("backend", ["fused", "compiled"])
 def test_golden_trace_out_stops_at_the_mismatch(full_core, long_loop,
                                                 monkeypatch, backend):
+    """Both trace sinks receive exactly the compared rows, through the
+    divergent one: the RTL sink holds the corrupt row, the golden sink
+    its clean twin, and every earlier row is the same on both sides."""
     program, _ = long_loop
     _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "pc_wdata")
     sink = RvfiTrace()
+    rtl_sink = RvfiTrace()
     mismatch = cosimulate(full_core, program, backend=backend,
-                          golden_trace_out=sink)
+                          golden_trace_out=sink, rtl_trace_out=rtl_sink)
     assert mismatch.index == MID_CHUNK2
-    assert len(sink) == MID_CHUNK2 + 1
-    assert [row.order for row in sink[-2:]] == [MID_CHUNK2 - 1, MID_CHUNK2]
+    for trace in (sink, rtl_sink):
+        assert len(trace) == MID_CHUNK2 + 1
+        assert [row.order for row in trace[-2:]] == \
+            [MID_CHUNK2 - 1, MID_CHUNK2]
+    assert rtl_sink.peek(-1, "pc_wdata") == sink.peek(-1, "pc_wdata") ^ 4
+    assert rtl_sink.column("pc_wdata")[:-1] == sink.column("pc_wdata")[:-1]
 
 
 @pytest.mark.parametrize("backend", ["fused", "compiled"])
 @pytest.mark.parametrize("capacity", [1, 7])
 def test_ring_sink_counts_every_golden_retirement(full_core, long_loop,
                                                   backend, capacity):
+    """A clean run hands every row to ring sinks on both sides."""
     program, retired = long_loop
     sink = RvfiTrace(capacity=capacity)
+    rtl_sink = RvfiTrace(capacity=capacity)
     assert cosimulate(full_core, program, backend=backend,
-                      golden_trace_out=sink) is None
-    assert sink.total_appended == retired and len(sink) == capacity
+                      golden_trace_out=sink, rtl_trace_out=rtl_sink) is None
+    assert sink.total_appended == rtl_sink.total_appended == retired
+    assert len(sink) == len(rtl_sink) == capacity
     assert [row.order for row in sink] == \
         list(range(retired - capacity, retired))
+    assert list(rtl_sink.rows()) == list(sink.rows())

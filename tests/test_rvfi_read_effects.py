@@ -166,6 +166,36 @@ def test_rs_rdata_is_what_the_read_port_delivered(full_core, backend):
     assert check_trace(healthy.trace, initial_regs=abi_initial_regs()).passed
 
 
+@pytest.mark.parametrize("flipped", [False, True],
+                         ids=["healthy", "rs2_bit31"])
+def test_flow_rvfi_verdict_is_about_the_core(monkeypatch, flipped):
+    """``RisspFlow.generate`` spec-checks the core's own retirements (the
+    RTL side of its cosim), not the golden reference's.  Through the
+    flow, the read-port probe on the bit-31 core passes cosim and fails
+    the RVFI check; on the healthy core both pass."""
+    from repro.core import flow as flow_module
+    from repro.rtl.ir import const
+    from repro.workloads import WORKLOADS
+    from repro.workloads.registry import Workload
+
+    monkeypatch.setitem(WORKLOADS, "read_port_probe", Workload(
+        "read_port_probe", _READ_PORT_PROBE, "test",
+        "rs2 read-port bit-31 probe", lang="asm"))
+    if flipped:
+        build = flow_module.build_rissp
+
+        def build_flipped(*args, **kwargs):
+            core = build(*args, **kwargs)
+            return core.with_assigns({
+                "rf_rs2_data": core.assigns["rf_rs2_data"]
+                ^ const(0x80000000, 32)})
+        monkeypatch.setattr(flow_module, "build_rissp", build_flipped)
+    result = flow_module.RisspFlow().generate("read_port_probe",
+                                              run_verification=True)
+    assert result.verified["cosim"] is True
+    assert result.verified["rvfi"] is not flipped
+
+
 _EBREAK = ".text\nmain:\n li a0, 77\n ebreak\n"
 
 

@@ -31,11 +31,6 @@ def sign_extend(value: int, bits: int) -> int:
     return value
 
 
-def zero_extend(value: int, bits: int) -> int:
-    """Zero-extend (mask) the low ``bits`` bits of ``value``."""
-    return value & ((1 << bits) - 1)
-
-
 def bit(value: int, index: int) -> int:
     """Return bit ``index`` of ``value`` (0 or 1)."""
     return (value >> index) & 1
@@ -53,8 +48,3 @@ def fits_signed(value: int, nbits: int) -> bool:
     lo = -(1 << (nbits - 1))
     hi = (1 << (nbits - 1)) - 1
     return lo <= value <= hi
-
-
-def fits_unsigned(value: int, nbits: int) -> bool:
-    """True if ``value`` is representable as an ``nbits``-bit unsigned immediate."""
-    return 0 <= value < (1 << nbits)

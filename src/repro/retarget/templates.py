@@ -27,10 +27,6 @@ LabelFn = Callable[[], str]
 Template = Callable[..., list[str]]
 
 
-def _not_into(dest: str, src: str) -> list[str]:
-    return [f"xori {dest}, {src}, -1"]
-
-
 # ------------------------------------------------------------- arithmetic
 
 def _sub(rd, rs1, rs2, label):
@@ -214,29 +210,6 @@ def _bgeu(rs1, rs2, target, label):
 
 
 # ------------------------------------------------------------ memory ops
-
-def _load_common(rd, offset, base, label, width, signed):
-    """Sub-word load from the aligned word using shifts."""
-    lines = [
-        f"addi {TEMP0}, {base}, {offset}",      # effective address
-        f"addi {TEMP1}, x0, -4",
-        f"and {TEMP1}, {TEMP0}, {TEMP1}",       # aligned address
-        f"lw {TEMP1}, 0({TEMP1})",              # aligned word
-        # lane offset in bits: (addr & 3) * 8
-        f"addi {rd}, x0, 3",
-        f"and {rd}, {rd}, {TEMP0}",
-        f"add {rd}, {rd}, {rd}",
-        f"add {rd}, {rd}, {rd}",
-        f"add {rd}, {rd}, {rd}",                # (addr&3)*8
-        # shift the lane to the top, then extend down
-        f"addi {TEMP0}, x0, {32 - 8 * width}",
-        f"xori {rd}, {rd}, -1",
-        f"addi {rd}, {rd}, 1",                  # negate lane shift
-        f"add {TEMP0}, {TEMP0}, {rd}",          # left = 32-8w-lane...
-        f"sll {TEMP1}, {TEMP1}, {TEMP0}",
-    ]
-    return lines
-
 
 def _lbu(rd, offset, base, label):
     big = label()

@@ -43,8 +43,6 @@ a SoC via :class:`~repro.rtl.core_sim.RisspSim` per instance instead.
 
 from __future__ import annotations
 
-import os
-
 from ..isa.bits import to_u32
 from ..isa.encoding import Instruction, encode
 from ..isa.program import DEFAULT_MEM_SIZE, Program
@@ -61,6 +59,7 @@ from .core_sim import (
     _WORD_CLASS,
 )
 from .ir import Module
+from .sim import resolve_backend
 
 #: Default retirements per batched pass: long enough to amortize the
 #: per-pass lane setup, short enough that freshly-halted lanes stop
@@ -102,10 +101,9 @@ class FleetSim:
         self.mem_size = mem_size
         self.instances = len(programs)
         self._programs = programs
-        resolved = backend or os.environ.get("REPRO_RTL_BACKEND", "fused")
-        self._backend = resolved
+        self._backend = resolve_backend(backend)
         self._fleet = compile_fleet(core) \
-            if resolved == "fused" and core_fusable(core) else None
+            if self._backend == "fused" and core_fusable(core) else None
         self._register_names = tuple(core.registers)
         self._reg_index = {name: index for index, name
                            in enumerate(self._register_names)}

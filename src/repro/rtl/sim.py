@@ -25,10 +25,13 @@ public interface and bit-identical semantics:
 
 Force a backend per instance with ``RtlSim(module, backend="interpreter")``
 or process-wide with the ``REPRO_RTL_BACKEND`` environment variable (the
-constructor argument wins).  The RISCOF-analog compliance flow, RVFI
-cosimulation and the fmax/serv benchmark harnesses all run whole programs
-through :class:`RtlSim`/:class:`~repro.rtl.core_sim.RisspSim` and
-therefore ride the fused backend by default.
+constructor argument wins).  :func:`resolve_backend` is the one reader of
+both, for :class:`RtlSim` and :class:`~repro.rtl.fleet.FleetSim`, and it
+rejects an unknown name at construction.  The RISCOF-analog compliance
+flow, RVFI cosimulation and the fmax/serv benchmark harnesses all run
+whole programs through :class:`RtlSim` or
+:class:`~repro.rtl.core_sim.RisspSim`, so they ride the fused backend by
+default.
 """
 
 from __future__ import annotations
@@ -127,6 +130,18 @@ def eval_expr(expr: Expr, env: dict[str, int]) -> int:
     raise IrError(f"unknown expression node {type(expr).__name__}")
 
 
+def resolve_backend(backend: str | None) -> str:
+    """The backend a simulator is built on: ``backend``, or when it is
+    None the ``REPRO_RTL_BACKEND`` environment variable, else ``"fused"``.
+    An unknown name raises :class:`IrError` here, so a simulator given one
+    fails at construction, not at its first step."""
+    if backend is None:
+        backend = os.environ.get("REPRO_RTL_BACKEND", "fused")
+    if backend not in ("fused", "compiled", "interpreter"):
+        raise IrError(f"unknown RTL backend {backend!r}")
+    return backend
+
+
 class RtlSim:
     """Simulate one :class:`Module` cycle by cycle.
 
@@ -147,11 +162,7 @@ class RtlSim:
     def __init__(self, module: Module, backend: str | None = None):
         module.check()
         self.module = module
-        if backend is None:
-            backend = os.environ.get("REPRO_RTL_BACKEND", "fused")
-        if backend not in ("fused", "compiled", "interpreter"):
-            raise IrError(f"unknown RTL backend {backend!r}")
-        self.backend = backend
+        self.backend = backend = resolve_backend(backend)
         self._compiled: CompiledModule | None = None
         # The compiled code has the evaluation order baked in, so _order is
         # interpreter-only.

@@ -133,10 +133,6 @@ class CoverageMap:
     def uncovered(self) -> tuple[str, ...]:
         return tuple(name for name in BINS if not self.counts[name])
 
-    def covered_in(self, prefix: str) -> tuple[str, ...]:
-        return tuple(name for name in self.covered()
-                     if name.startswith(prefix))
-
     def to_doc(self) -> dict[str, int]:
         return {name: self.counts[name] for name in BINS}
 

@@ -137,12 +137,12 @@ def run_soc_scenario(core, scenario: SocScenario, backend: str = "fused"):
     return info, master
 
 
-def _compare_soc_backends(core, scenario: SocScenario) -> str | None:
+def _compare_soc_backends(core, scenario: SocScenario, fused_info: dict,
+                          fused_trace: RvfiTrace) -> str | None:
     """Replay the scenario on the golden ISS and diff the fused run
-    against it — full cosim-column compare over the master traces.
-    Returns ``None`` on a clean match, else a replayable verdict."""
-    fused_info, fused_trace = run_soc_scenario(core, scenario,
-                                               backend="fused")
+    (``run_soc_scenario``'s ``(info, trace)``) against it — full
+    cosim-column compare over the master traces.  Returns ``None`` on a
+    clean match, else a replayable verdict."""
     golden_info, golden_trace = run_soc_scenario(core, scenario,
                                                  backend="golden")
     if fused_info != golden_info:
@@ -277,7 +277,7 @@ def run_scenario(core, scenario, check_backends: bool = False) -> dict:
                                   len(scenario.waveform.samples()))
         if check_backends:
             _obs.bump("scenario.replays")
-            failure = _compare_soc_backends(core, scenario)
+            failure = _compare_soc_backends(core, scenario, info, trace)
     elif isinstance(scenario, FleetScenario):
         info, rows, delta = run_fleet_scenario(core, scenario)
         cov = coverage_from_fleet([row[3] for row in rows], delta)

@@ -4,8 +4,8 @@ Executes RV32I/E programs straight from the executable spec
 (:mod:`repro.isa.spec`).  It is the reference model for RISCOF-style
 signature comparison and the source of reference RVFI traces.
 
-Two execution paths share one :class:`~repro.sim.decoded.DecodedImage`
-(the decoded-op cache, see :mod:`repro.sim.decoded`):
+Two loops share one :class:`~repro.sim.decoded.DecodedImage` (the
+decoded-op cache, see :mod:`repro.sim.decoded`):
 
 * **fast path** (``trace=False``, the default): :meth:`GoldenSim.run`
   dispatches precompiled executor closures keyed by pc — no per-retirement
@@ -16,39 +16,44 @@ Two execution paths share one :class:`~repro.sim.decoded.DecodedImage`
   cosimulation): :meth:`GoldenSim.run_chunk` dispatches the recording
   form of the same closures (:func:`~repro.isa.spec.compile_recorder`),
   each of which retires one instruction and records its full RVFI row
-  with one call of the trace's ``row_sink``.  Retirements no compiled
-  closure can complete — interrupt entry, MMIO, Zicsr/``mret``/``wfi``,
-  ``ecall``/``ebreak``, illegal and RV32E-bound words, and the first
-  execution at each pc — go through :meth:`GoldenSim.retire_one`, the
-  reflective ``spec.step`` retirement.
-  ``retire_one`` is also the per-row entry (the Serv model, the per-cycle
-  cosimulation walk) and the oracle the recorders are tested against bit
-  for bit.
+  with one call of the trace's ``row_sink``.
 
-Machine-mode traps (PR 3): a :class:`~repro.sim.csr.CsrFile` is always
-present.  With ``mtvec == 0`` (reset) the seed's halt convention holds —
-``ecall`` terminates with the exit value in ``a0``, ``ebreak`` with a
-breakpoint status.  Once firmware installs a handler, ``ecall``/``ebreak``
-and illegal instructions become trap entries, ``mret`` returns, and (with
-a :class:`~repro.soc.SocSpec` attached) the machine timer raises
-interrupts.  The decoded-op cache contract is preserved: compiled
-executors never see CSR or interrupt state — system instructions return
-the :data:`~repro.isa.spec.DEFER_SYSTEM` sentinel and are retired through
-the slow path, and the *interrupt check happens per retirement in the run
-loop* (a single integer comparison against a precomputed fire index), so
-enabling the subsystem costs the idle fast path almost nothing.
+Both loops, and the Serv model's (:mod:`repro.sim.serv`), follow one rule.
+A cached closure retires the instruction while the retirement index is
+below the interrupt fire index and the closure returns a real next pc; a
+pc's first execution compiles its closure through the image and runs it
+in the same iteration.  Every other retirement — interrupt entry, MMIO,
+Zicsr/``mret``/``wfi``, ``ecall``/``ebreak``, undecodable and RV32E-bound
+words — goes to :meth:`GoldenSim.retire_one`, the reflective ``spec.step``
+retirement.  That is the one slow path: the reference's trap, interrupt,
+MMIO, CSR, ``wfi``, poweroff and halt rules live there and nowhere else.
+``retire_one`` is also the per-row entry (the per-cycle cosimulation
+walk) and the oracle the closures are tested against bit for bit.
 
-MMIO (PR 3): with a SoC attached, ``self.memory`` is a
-:class:`~repro.soc.SocBus`.  The fast and recorded paths run the bus in
-*deferred* mode — device accesses abort the compiled closure before any
-side effect and the instruction retires through the reflective path with
-the SoC clock synced — so device reads always see exact time and device
-writes (e.g. re-arming ``mtimecmp``) are honoured before the next
-retirement.
+Machine-mode traps: a :class:`~repro.sim.csr.CsrFile` is always present.
+With ``mtvec == 0`` (reset) the seed's halt convention holds — ``ecall``
+terminates with the exit value in ``a0``, ``ebreak`` with a breakpoint
+status.  Once firmware installs a handler, ``ecall``/``ebreak`` and
+illegal instructions become trap entries, ``mret`` returns, and (with a
+:class:`~repro.soc.SocSpec` attached) the devices raise interrupts.  The
+compiled closures never see CSR or interrupt state: system instructions
+return the :data:`~repro.isa.spec.DEFER_SYSTEM` sentinel, and the
+*interrupt check happens per retirement in the run loop* (a single integer
+comparison against a precomputed fire index), so enabling the subsystem
+costs the idle fast path almost nothing.
+
+MMIO: with a SoC attached, ``self.memory`` is a :class:`~repro.soc.SocBus`
+in direct mode, and the compiled closures run on a copy of it in
+*deferred* mode.  A device access there aborts the closure before any side
+effect, and the instruction retires through :meth:`GoldenSim.retire_one`
+on the bus itself with the SoC clock synced, so device reads always see
+exact time and device writes (e.g. re-arming ``mtimecmp``) are honoured
+before the next retirement.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from ..isa.bits import to_u32
@@ -59,7 +64,7 @@ from ..isa.csrs import (
 )
 from ..isa.program import DEFAULT_MEM_SIZE, Program
 from ..isa.registers import RV32E_NUM_REGS
-from ..isa.spec import DEFER_SYSTEM, HALT_EBREAK, step
+from ..isa.spec import step
 from .csr import CsrError, CsrFile
 from .decoded import DecodedImage, SimulationError
 from .memory import Memory
@@ -71,8 +76,6 @@ from ..soc.bus import MmioDeferred, PowerOffSignal
 
 __all__ = ["GoldenSim", "RunResult", "SimulationError", "abi_initial_regs",
            "run_program"]
-
-_M32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -108,8 +111,14 @@ class GoldenSim:
         self.csr = CsrFile()
         from ..soc import attach_soc
         self.soc = attach_soc(soc, self.memory)
+        #: The memory the compiled closures run on: with a SoC, a copy of
+        #: the bus in deferred mode, so a device access sends its
+        #: instruction to retire_one, which uses the bus itself.
+        self._fast_memory = self.memory
         if self.soc is not None:
             self.memory = self.soc.bus
+            self._fast_memory = copy.copy(self.memory)
+            self._fast_memory.deferred = True
         self.num_regs = num_regs
         self.regs = [0] * num_regs
         self.pc = to_u32(program.entry)
@@ -139,9 +148,12 @@ class GoldenSim:
                    sink: RvfiTrace | None = None) -> tuple[bool, str]:
         """Retire one instruction; returns (halted, halt_reason).
 
-        When ``sink`` is given the retirement's RVFI fields are appended to
-        it as one row (:meth:`RvfiTrace.append_row`) — no per-retirement
-        record allocation.
+        The one slow path: every retirement a run loop's compiled closure
+        cannot complete comes here, so each trap, interrupt, MMIO, CSR,
+        ``wfi``, poweroff and halt rule of the reference is stated once,
+        below.  When ``sink`` is given the retirement's RVFI fields are
+        appended to it as one row (:meth:`RvfiTrace.append_row`) — no
+        per-retirement record allocation.
         Interrupt entry happens *between* retirements: when an enabled
         source's level is high the arbiter redirects the pc to the handler
         and the handler's first instruction retires with ``intr`` set to
@@ -246,56 +258,40 @@ class GoldenSim:
                             trap=1, intr=intr)
         return False, ""
 
-    # ----------------------------------------------------------- fast path
-
     def _wfi_resume(self, order: int) -> bool:
-        """Shared ``wfi`` semantics (PR 5 conformance fix): fast-forward
-        the clock to the next *enabled* (``mie``) source edge regardless
-        of ``mstatus.MIE`` — the privileged-spec wake rule — and return
-        True.  Returns False when no enabled source can ever become
-        pending (nothing armed, or no SoC at all): the run then ends
-        deterministically with ``halted_by == "wfi"`` instead of
-        spinning."""
+        """Shared ``wfi`` semantics: fast-forward the clock to the next
+        *enabled* (``mie``) source edge regardless of ``mstatus.MIE`` —
+        the privileged-spec wake rule — and return True.  Returns False
+        when no enabled source can ever become pending (nothing armed, or
+        no SoC at all): the run then ends deterministically with
+        ``halted_by == "wfi"`` instead of spinning."""
         wake = self.csr.wfi_wake_mask()
         if self.soc is None or not wake:
             return False
         return self.soc.skip_to_event(order + 1, wake)
 
-    def _exec_system(self, pc: int, order: int) -> tuple[int, bool]:
-        """Slow-path retirement of one deferred system instruction
-        (csrr*/mret/wfi); returns ``(next_pc, wfi_halt)``.  Rare by
-        construction — trap setup and handler entry/exit only."""
-        if self.soc is not None:
-            self.csr.set_pending(self.soc.irq_lines(order))
-        op = self.image.get(pc)
-        instr = op.instr
-        rs1 = 0 if instr.definition.csr_uimm else self.read_reg(instr.rs1)
-        try:
-            effects = step(instr, pc, rs1, 0, csr=self.csr.read)
-            if effects.csr_write is not None:
-                self.csr.write(*effects.csr_write)
-        except CsrError:
-            if not self.csr.traps_enabled:
-                raise SimulationError(
-                    f"{instr.mnemonic} at {pc:#x}: illegal CSR access "
-                    f"(csr {instr.imm:#x})") from None
-            return self.csr.trap_enter(CAUSE_ILLEGAL_INSTRUCTION, pc,
-                                       op.word), False
-        if effects.is_mret:
-            self.csr.do_mret()
-        halted = effects.is_wfi and not self._wfi_resume(order)
-        if effects.rd is not None:
-            self.write_reg(effects.rd, effects.rd_data)
-        return effects.next_pc, halted
+    # ----------------------------------------------------------- run loops
 
     def _fire_index(self) -> int:
         """Retirement index of the next arbitrated interrupt (``NEVER``
         with no SoC attached or no source able to fire).  The run loops
-        re-read it only where machine state can move it: MMIO
-        retirements, system instructions, trap and interrupt entries."""
+        re-read it after each :meth:`retire_one` retirement, the only
+        place machine state can move it."""
         if self.soc is None:
             return NEVER
         return self.soc.fire_index(self.csr)
+
+    def _compile_at(self, pc: int, closures: dict):
+        """A pc's first execution: compile it through the decoded-op cache
+        and return its closure from ``closures`` (the image's
+        ``executors`` or ``recorders``).  None for a word only
+        :meth:`retire_one` can retire: undecodable or RV32E-bound, which
+        traps or raises there."""
+        try:
+            self.image.get(pc)
+        except SimulationError:
+            return None
+        return closures[pc]
 
     def run(self, max_instructions: int = 20_000_000) -> RunResult:
         """Run to halt (or instruction limit).
@@ -303,11 +299,13 @@ class GoldenSim:
         With tracing on, :meth:`run_chunk` records every retirement.  With
         tracing off this is the decoded-op fast path: one dict probe plus
         one compiled-closure call per retired instruction, and exactly one
-        integer comparison (``count >= fire_at``, the precomputed earliest
+        integer comparison against ``fire_at`` (the precomputed earliest
         fire index over every enabled interrupt source — the packed
         pending word collapses to one integer, ``NEVER`` without a SoC).
-        At fire time the full pending word is assembled and
-        :meth:`CsrFile.pending_cause` arbitrates.
+        A first execution compiles in place.  Every retirement the
+        executor cannot complete — the fire index reached, an MMIO
+        access, a sentinel, an undecodable word — goes to
+        :meth:`retire_one`.
         """
         if self._trace_enabled:
             trace = RvfiTrace(capacity=self._trace_capacity)
@@ -315,80 +313,40 @@ class GoldenSim:
                                                    trace)
             return self._result(count, reason if halted else "limit",
                                 trace)
-        csr = self.csr
-        soc = self.soc
         regs = self.regs
-        memory = self.memory
-        get_op = self.image.get
-        ex_get = self.image.executors.get
+        memory = self._fast_memory
+        executors = self.image.executors
+        ex_get = executors.get
+        compile_at = self._compile_at
+        retire = self.retire_one
+        fire_at = self._fire_index()
         pc = self.pc
         count = 0
         halted_by = "limit"
-        fire_at = self._fire_index()
-        if soc is not None:
-            soc.bus.deferred = True
         try:
             while count < max_instructions:
-                if count >= fire_at:
-                    csr.set_pending(soc.irq_lines(count))
-                    pc = csr.take_interrupt(csr.pending_cause(), pc)
-                    fire_at = soc.fire_index(csr)
-                    continue    # interrupt entry retires nothing
-                execute = ex_get(pc)
-                if execute is None:
+                execute = ex_get(pc) or compile_at(pc, executors)
+                if execute is not None and count < fire_at:
                     try:
-                        execute = get_op(pc).execute
-                    except SimulationError:
-                        if not csr.traps_enabled:
-                            raise
-                        pc = csr.trap_enter(CAUSE_ILLEGAL_INSTRUCTION, pc,
-                                            memory.fetch(pc))
-                        fire_at = self._fire_index()
-                        count += 1
-                        continue
+                        next_pc = execute(regs, memory, pc)
+                    except MmioDeferred:
+                        pass
+                    else:
+                        if next_pc >= 0:
+                            pc = next_pc
+                            count += 1
+                            continue
+                self.pc = pc
                 try:
-                    next_pc = execute(regs, memory, pc)
-                except MmioDeferred:
-                    soc.bus.deferred = False
-                    try:
-                        soc.sync(count)
-                        next_pc = self._retire_mmio(pc)
-                        soc.rebase(count)
-                    except PowerOffSignal as sig:
-                        count += 1
-                        pc = (pc + 4) & _M32
-                        halted_by = "poweroff"
-                        self._poweroff_code = sig.exit_code
-                        break
-                    finally:
-                        soc.bus.deferred = True
-                    count += 1
-                    pc = next_pc
-                    fire_at = soc.fire_index(csr)
-                    continue
+                    halted, reason = retire(count)
+                finally:
+                    pc = self.pc
                 count += 1
-                if next_pc >= 0:
-                    pc = next_pc
-                    continue
-                if next_pc == DEFER_SYSTEM:
-                    pc, wfi_halt = self._exec_system(pc, count - 1)
-                    fire_at = self._fire_index()
-                    if wfi_halt:
-                        halted_by = "wfi"
-                        break
-                    continue
-                if csr.traps_enabled:
-                    pc = csr.trap_enter(
-                        CAUSE_BREAKPOINT if next_pc == HALT_EBREAK
-                        else CAUSE_ECALL_M, pc)
-                    fire_at = self._fire_index()
-                    continue
-                pc = (pc + 4) & _M32
-                halted_by = "ebreak" if next_pc == HALT_EBREAK else "ecall"
-                break
+                if halted:
+                    halted_by = reason
+                    break
+                fire_at = self._fire_index()
         finally:
-            if soc is not None:
-                soc.bus.deferred = False
             self.pc = pc
         return self._result(count, halted_by, [])
 
@@ -409,31 +367,26 @@ class GoldenSim:
 
         The golden counterpart of ``RisspSim._fused_run``: state persists
         on the simulator between calls, so a run can be split into chunks
-        at any index and records the same rows.  Cached instructions run
-        their recording closures; every other retirement — interrupt entry
-        (the count reaching :meth:`Soc.fire_index`), MMIO (the bus defers
-        it, as on the fast path), system instructions, ``ecall``/
-        ``ebreak``, illegal and RV32E-bound words, and the first execution
-        at each pc — goes through :meth:`retire_one` with the bus in
-        direct mode.  Either way the row is exactly the one
-        :meth:`retire_one` records, and a refused retirement raises with
-        no row appended.
+        at any index and records the same rows.  The loop is :meth:`run`'s
+        with the recording closures: a cached or freshly compiled recorder
+        retires the instruction below the fire index, and every other
+        retirement goes through :meth:`retire_one`.  Either way the row is
+        exactly the one :meth:`retire_one` records, and a refused
+        retirement raises with no row appended.
         """
-        soc = self.soc
-        bus = soc.bus if soc is not None else None
         regs = self.regs
-        memory = self.memory
-        rec_get = self.image.recorders.get
+        memory = self._fast_memory
+        recorders = self.image.recorders
+        rec_get = recorders.get
+        compile_at = self._compile_at
         append = sink.row_sink()
         retire = self.retire_one
         fire_at = self._fire_index()
         pc = self.pc
         count = order
-        if bus is not None:
-            bus.deferred = True
         try:
             while count < limit:
-                record = rec_get(pc)
+                record = rec_get(pc) or compile_at(pc, recorders)
                 if record is not None and count < fire_at:
                     try:
                         next_pc = record(regs, memory, pc, count, append)
@@ -445,39 +398,17 @@ class GoldenSim:
                             count += 1
                             continue
                 self.pc = pc
-                if bus is not None:
-                    bus.deferred = False
                 try:
                     halted, reason = retire(count, sink)
                 finally:
                     pc = self.pc
-                    if bus is not None:
-                        bus.deferred = True
                 count += 1
                 if halted:
                     return True, reason, count
                 fire_at = self._fire_index()
         finally:
-            if bus is not None:
-                bus.deferred = False
             self.pc = pc
         return False, "", count
-
-    def _retire_mmio(self, pc: int) -> int:
-        """Reflective retirement of one instruction whose memory access
-        hit an MMIO window (fast path only; bus is in direct mode and the
-        SoC clock is already synced).  Returns the next pc."""
-        op = self.image.get(pc)
-        instr = op.instr
-        effects = step(instr, pc, self.read_reg(instr.rs1),
-                       self.read_reg(instr.rs2), self.memory.load)
-        if effects.mem_write is not None:
-            mw = effects.mem_write
-            self.memory.store(mw.addr, mw.data, mw.width)
-            self.image.invalidate(mw.addr)
-        if effects.rd is not None:
-            self.write_reg(effects.rd, effects.rd_data)
-        return effects.next_pc
 
 
 #: Sentinel return address holding an ``ecall``; ``ret`` from main halts here.

@@ -12,14 +12,12 @@ determines an instruction's cost is computed once per static instruction at
 decode time (the seed decoded every retired word a *second* time just for
 cycle counting), so the Serv model now runs at golden-ISS fast-path speed.
 
-Machine-mode traps and the SoC (PR 3) come for free from the wrapped
-golden ISS: system instructions cost one full serial word pass, trap/
-interrupt entries redirect the pc exactly as on the golden model (the
-bit-serial redirect penalty is charged through the ordinary
-``branch_extra`` term when the next pc diverges from pc+4).  With a SoC
-attached the model runs retirement-by-retirement through the golden
-reference path so the interrupt check stays per-retirement; the pure
-compute fast loop is untouched.
+Machine-mode traps and the SoC come from the wrapped golden ISS, whose one
+slow path, :meth:`~repro.sim.golden.GoldenSim.retire_one`, retires every
+row the compiled executors cannot; Serv charges such a row from the RVFI
+row it records.  A trap entry costs one full serial word pass, and a
+redirect pays the ``branch_extra`` term when the next pc diverges from
+pc+4.  A Serv with a SoC attached runs the same fast loop as a plain one.
 
 The *structural* model of Serv (gates, flip-flop fraction) used by the
 synthesis and physical-implementation experiments lives in
@@ -28,14 +26,13 @@ synthesis and physical-implementation experiments lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..isa.program import DEFAULT_MEM_SIZE, Program
-from ..isa.spec import DEFER_SYSTEM, HALT_EBREAK
+from ..soc.bus import MmioDeferred
 from .decoded import SimulationError
 from .golden import GoldenSim, RunResult
-from ..isa.csrs import CAUSE_BREAKPOINT, CAUSE_ECALL_M, \
-    CAUSE_ILLEGAL_INSTRUCTION
+from .tracing import RvfiTrace
 
 #: Datapath width — one cycle per bit.
 _WORD_BITS = 32
@@ -86,90 +83,59 @@ class ServSim:
         return cycles
 
     def run(self, max_instructions: int = 20_000_000) -> RunResult:
-        """Run to halt; ``cycles`` reflects bit-serial execution."""
+        """Run to halt; ``cycles`` reflects bit-serial execution.
+
+        The loop is :meth:`GoldenSim.run`'s, with or without a SoC: below
+        the fire index a cached or freshly compiled executor retires the
+        instruction, charged by its decoded-op class; every other
+        retirement goes to ``retire_one`` and is charged from the row it
+        records.  A traced run sends every row to ``retire_one``.
+        """
         golden = self._golden
-        if golden._trace_enabled or golden.soc is not None:
-            return self._run_stepped(max_instructions)
+        traced = golden._trace_enabled
+        trace = RvfiTrace(capacity=golden._trace_capacity if traced else 1)
         op_cycles = self._op_cycles
-        csr = golden.csr
         regs = golden.regs
-        memory = golden.memory
+        memory = golden._fast_memory
         get_op = golden.image.get
+        retire = golden.retire_one
+        # A fire index of 0 sends every row of a traced run to retire_one.
+        fire_at = 0 if traced else golden._fire_index()
         pc = golden.pc
-        cycles = 0
-        count = 0
+        cycles = count = 0
         halted_by = "limit"
         try:
             while count < max_instructions:
+                if count < fire_at:
+                    try:
+                        op = get_op(pc)
+                        next_pc = op.execute(regs, memory, pc)
+                    except (SimulationError, MmioDeferred):
+                        next_pc = -1
+                    if next_pc >= 0:
+                        cycles += op_cycles(op, next_pc != pc + 4)
+                        pc = next_pc
+                        count += 1
+                        continue
+                golden.pc = pc
                 try:
-                    op = get_op(pc)
-                except SimulationError:
-                    if not csr.traps_enabled:
-                        raise
-                    pc = csr.trap_enter(CAUSE_ILLEGAL_INSTRUCTION, pc,
-                                        memory.fetch(pc))
-                    cycles += self.config.bits
-                    count += 1
-                    continue
-                next_pc = op.execute(regs, memory, pc)
+                    halted, reason = retire(count, trace)
+                finally:
+                    pc = golden.pc
+                row = trace.row(-1)
+                pc_rdata, pc_wdata, trapped = row[2], row[3], row[15]
+                cycles += self.config.bits if trapped else op_cycles(
+                    get_op(pc_rdata), pc_wdata != (pc_rdata + 4) & _M32)
                 count += 1
-                if next_pc >= 0:
-                    cycles += op_cycles(op, next_pc != pc + 4)
-                    pc = next_pc
-                else:
-                    cycles += op_cycles(op, False)
-                    if next_pc == DEFER_SYSTEM:
-                        pc, wfi_halt = golden._exec_system(pc, count - 1)
-                        if wfi_halt:
-                            halted_by = "wfi"
-                            break
-                        continue
-                    if csr.traps_enabled:
-                        pc = csr.trap_enter(
-                            CAUSE_BREAKPOINT if next_pc == HALT_EBREAK
-                            else CAUSE_ECALL_M, pc)
-                        continue
-                    pc = (pc + 4) & _M32
-                    halted_by = "ebreak" if next_pc == HALT_EBREAK else "ecall"
+                if halted:
+                    halted_by = reason
                     break
+                if not traced:
+                    fire_at = golden._fire_index()
         finally:
             golden.pc = pc
-        return RunResult(exit_code=golden.read_reg(10),
-                         instructions=count, cycles=cycles,
-                         halted_by=halted_by, trace=[])
-
-    def _run_stepped(self, max_instructions: int) -> RunResult:
-        """Retirement-by-retirement loop through the golden reference path
-        (used when tracing and/or a SoC is attached): cycle costs come
-        from the decoded-op classification of each retired row."""
-        from .tracing import RvfiTrace
-
-        golden = self._golden
-        cycles = 0
-        count = 0
-        trace = RvfiTrace(capacity=golden._trace_capacity) \
-            if golden._trace_enabled else RvfiTrace(capacity=1)
-        halted_by = "limit"
-        while count < max_instructions:
-            halted, reason = golden.retire_one(count, trace)
-            row = trace.row(-1)
-            pc_rdata, pc_wdata, trapped = row[2], row[3], row[15]
-            if trapped:
-                cycles += self.config.bits
-            else:
-                op = golden.image.get(pc_rdata)
-                cycles += self._op_cycles(
-                    op, pc_wdata != (pc_rdata + 4) & _M32)
-            count += 1
-            if halted:
-                halted_by = reason
-                break
-        exit_code = golden._poweroff_code if halted_by == "poweroff" \
-            else golden.read_reg(10)
-        return RunResult(exit_code=exit_code,
-                         instructions=count, cycles=cycles,
-                         halted_by=halted_by,
-                         trace=trace if golden._trace_enabled else [])
+        result = golden._result(count, halted_by, trace if traced else [])
+        return replace(result, cycles=cycles)
 
 
 def run_program_serv(program: Program,

@@ -13,14 +13,14 @@ Two deliberate hard edges:
 * **No execution from MMIO**: :meth:`SocBus.fetch` refuses device
   addresses, so the decoded-op cache can never capture (and stale-cache) a
   volatile device read as an instruction — it raises instead.
-* **Deferred mode** (:attr:`SocBus.deferred`): the ISS fast path flips
-  this on around its compiled-executor loop.  Any MMIO access then raises
-  :class:`MmioDeferred` *before* performing side effects; the loop catches
-  it and retires that one instruction through the reflective slow path
-  with the SoC clock synced.  Device reads therefore always observe exact
-  time and device writes (e.g. re-arming ``mtimecmp``) take effect before
-  the next retirement, while the hot loop itself stays free of device
-  bookkeeping.
+* **Deferred mode** (:attr:`SocBus.deferred`): the ISS run loops hand
+  their compiled closures a copy of the bus with this on.  Any MMIO access
+  there raises :class:`MmioDeferred` *before* performing side effects; the
+  loop catches it and retires that one instruction through the reflective
+  slow path, on the bus itself, with the SoC clock synced.  Device reads
+  therefore always observe exact time and device writes (e.g. re-arming
+  ``mtimecmp``) take effect before the next retirement, while the hot loop
+  itself stays free of device bookkeeping.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class SocBus:
         self._windows: list[tuple[int, int, Device]] = []
         self._irq_devices: list[Device] = []
         #: When True, MMIO accesses raise :class:`MmioDeferred` with no
-        #: side effects (set by the ISS fast path, see module docstring).
+        #: side effects (set on the ISS run loops' copy, see module
+        #: docstring).
         self.deferred = False
 
     def attach(self, base: int, size: int, device: Device) -> None:
@@ -117,9 +118,6 @@ class SocBus:
         """Bytes addressable through :attr:`raw`: exactly the RAM window,
         so every device access routes through the bus."""
         return self.ram.size
-
-    def is_mmio(self, addr: int) -> bool:
-        return any(base <= addr < end for base, end, _ in self._windows)
 
     def _route(self, addr: int, width: int) -> tuple[Device, int]:
         for base, end, device in self._windows:

@@ -181,10 +181,6 @@ class Netlist:
             out[gate.kind] = out.get(gate.kind, 0) + 1
         return out
 
-    def num_dffs(self) -> int:
-        return sum(1 for g in self.gates.values()
-                   if g.kind is GateType.DFF)
-
 
 def sweep_dead(netlist: Netlist) -> Netlist:
     """Dead-gate elimination: keep only logic reachable from outputs/DFFs.

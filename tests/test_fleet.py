@@ -28,7 +28,7 @@ from repro.isa.program import DEFAULT_MEM_SIZE
 from repro.rtl.compiled import compile_fleet
 from repro.rtl.core_sim import RisspSim
 from repro.rtl.fleet import FleetSim
-from repro.rtl.ir import const, mux
+from repro.rtl.ir import IrError, const, mux
 from repro.rtl.rissp import build_rissp
 from repro.sim.golden import SimulationError
 from repro.sim.memory import MemoryError_
@@ -200,6 +200,17 @@ def test_forced_backend_matches_fused(full_core, loop_program):
             for r in actual] == \
         [(r.exit_code, r.instructions, r.halted_by) for r in expected]
     assert oracle.lane_state(0) == "halted"
+
+
+def test_unknown_backend_raises_at_construction(full_core, loop_program,
+                                                monkeypatch):
+    """A bad backend name, as an argument or through REPRO_RTL_BACKEND,
+    is rejected where it is given, not at the first step."""
+    with pytest.raises(IrError, match="unknown RTL backend 'bogus'"):
+        FleetSim(full_core, loop_program, 2, backend="bogus")
+    monkeypatch.setenv("REPRO_RTL_BACKEND", "bogus")
+    with pytest.raises(IrError, match="unknown RTL backend 'bogus'"):
+        FleetSim(full_core, loop_program, 2)
 
 
 # ------------------------------------------------- divergence fallback

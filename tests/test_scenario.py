@@ -98,7 +98,8 @@ def test_soc_scenarios_match_golden_column_for_column(core):
         scenario = random_scenario(seed, scenario_id="xback")
         if not isinstance(scenario, SocScenario):
             continue
-        assert _compare_soc_backends(core, scenario) is None
+        info, trace = run_soc_scenario(core, scenario, "fused")
+        assert _compare_soc_backends(core, scenario, info, trace) is None
         checked += 1
     assert checked >= 5
 
@@ -126,11 +127,12 @@ def test_fault_injection_perturbs_the_run(core):
     faulted = dataclasses.replace(
         base, faults=(FaultEvent(10, "reg", 9, 0x1234_5678),))
     clean_info, _ = run_soc_scenario(core, base, "fused")
-    fault_info, _ = run_soc_scenario(core, faulted, "fused")
+    fault_info, fault_trace = run_soc_scenario(core, faulted, "fused")
     assert clean_info["halted_by"] == fault_info["halted_by"] \
         == "poweroff"
     assert clean_info["exit_code"] != fault_info["exit_code"]
-    assert _compare_soc_backends(core, faulted) is None
+    assert _compare_soc_backends(core, faulted, fault_info,
+                                 fault_trace) is None
 
 
 # ------------------------------------------------------ directed recipes

@@ -5,6 +5,7 @@ import pytest
 
 from repro.isa.assembler import assemble
 from repro.isa.bits import to_s32
+from repro.isa.csrs import MCAUSE, MEPC, MSTATUS
 from repro.isa.encoding import Instruction, decode, encode
 from repro.isa.instructions import (
     BRANCHES, BY_MNEMONIC, Format, INSTRUCTIONS, LOADS, STORES,
@@ -155,8 +156,16 @@ def test_refused_recording_changes_and_records_nothing(instr, rs1, rs2):
     assert len(trace) == 0 and recorded.regs == oracle.regs
 
 
+def _machine_state(sim):
+    """Final pc, register file and trap CSRs of a finished run."""
+    return (sim.pc, list(sim.regs),
+            [sim.csr.read(addr) for addr in (MEPC, MCAUSE, MSTATUS)])
+
+
 def _retire_one_loop(program, soc, limit=2_000_000):
-    """The reference recorded run: ``retire_one`` row by row."""
+    """The reference recorded run: ``retire_one`` row by row.  Returns
+    ``(exit_code, count, halted_by)``, the final machine state and the
+    trace."""
     sim = GoldenSim(program, soc=soc)
     trace = RvfiTrace()
     count = 0
@@ -169,34 +178,52 @@ def _retire_one_loop(program, soc, limit=2_000_000):
             break
     exit_code = sim._poweroff_code if halted_by == "poweroff" \
         else sim.read_reg(10)
-    return (exit_code, count, halted_by), trace
+    return (exit_code, count, halted_by), _machine_state(sim), trace
 
 
 def _recorded_programs():
-    from repro.verify.fuzz import FUZZ_BASE_SEED, derive_seed, random_program
+    from repro.verify.fuzz import (
+        FUZZ_BASE_SEED, derive_seed, random_program, random_trap_program,
+    )
     from repro.workloads import SOC_NAMES, WORKLOADS
 
     for index in range(8):
         yield pytest.param(random_program(derive_seed(FUZZ_BASE_SEED, index)),
                            None, id=f"fuzz{index}")
+    for index in range(2):
+        yield pytest.param(
+            random_trap_program(derive_seed(FUZZ_BASE_SEED, index)), None,
+            id=f"trap{index}")
     for name in ("armpit", "xgboost", "af_detect") + SOC_NAMES:
         yield pytest.param(name, WORKLOADS[name].soc_spec, id=name)
+
+
+def _build(source):
+    from repro.workloads import WORKLOADS, build_program
+
+    return build_program(source) if source in WORKLOADS \
+        else assemble(source)
 
 
 @pytest.mark.parametrize("source, soc", _recorded_programs())
 def test_recorded_run_matches_retire_one_loop(source, soc):
     """GoldenSim(trace=True).run() — the compiled recorders, with
     retire_one only for what they cannot retire — records the same trace,
-    column by column, and the same result as retire_one row by row."""
-    from repro.workloads import WORKLOADS, build_program
-
-    program = build_program(source) if source in WORKLOADS \
-        else assemble(source)
-    want, want_trace = _retire_one_loop(program, soc)
-    result = GoldenSim(program, trace=True, soc=soc).run()
+    column by column, and the same result as retire_one row by row.  The
+    untraced fast path, whose closures send the same rows to retire_one,
+    ends in the same result and the same machine state."""
+    program = _build(source)
+    want, want_state, want_trace = _retire_one_loop(program, soc)
+    recorded = GoldenSim(program, trace=True, soc=soc)
+    result = recorded.run()
     assert (result.exit_code, result.instructions, result.halted_by) == want
+    assert _machine_state(recorded) == want_state
     for field in RvfiTrace.FIELDS:
         assert result.trace.column(field) == want_trace.column(field), field
+    fast = GoldenSim(program, soc=soc)
+    result = fast.run()
+    assert (result.exit_code, result.instructions, result.halted_by) == want
+    assert _machine_state(fast) == want_state
 
 
 def test_decode_is_memoized():
@@ -270,10 +297,7 @@ def test_illegal_word_rejected_on_execution():
         run_program(p)
 
 
-def test_serv_cycles_identical_traced_and_untraced():
-    """Fast-path and trace-recording Serv loops share one cycle model."""
-    from repro.sim import ServSim
-    p = assemble(""".text
+_SERV_LOOP = """.text
 main:
     li a0, 0
     li a1, 20
@@ -283,12 +307,25 @@ loop:
     addi a0, a0, 1
     bne a0, a1, loop
     ret
-""")
-    fast = ServSim(p).run()
-    recorded = ServSim(p, trace=True).run()
-    assert fast.cycles == recorded.cycles
-    assert fast.instructions == recorded.instructions
-    assert fast.exit_code == recorded.exit_code
+"""
+
+
+@pytest.mark.parametrize("source, soc", [
+    pytest.param(_SERV_LOOP, None, id="serv_loop"), *_recorded_programs()])
+def test_serv_cycles_identical_traced_and_untraced(source, soc):
+    """Fast-path and trace-recording Serv loops share one cycle model: the
+    traced loop charges every row from retire_one, the fast loop only the
+    rows its executors cannot retire, SoC firmware included."""
+    from repro.sim import ServSim
+    program = _build(source)
+    fast = ServSim(program, soc=soc)
+    recorded = ServSim(program, trace=True, soc=soc)
+    want = recorded.run()
+    got = fast.run()
+    assert (got.cycles, got.instructions, got.exit_code, got.halted_by) \
+        == (want.cycles, want.instructions, want.exit_code, want.halted_by)
+    assert len(want.trace) == want.instructions
+    assert _machine_state(fast._golden) == _machine_state(recorded._golden)
 
 
 def test_rv32e_register_bound_enforced():

@@ -40,6 +40,7 @@ import typing
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from .rtl.sim import BACKENDS
 from .verify.fuzz import FUZZ_BASE_SEED
 
 #: Stage names, in the order a multi-stage invocation runs them.
@@ -70,8 +71,9 @@ class FarmConfig:
         "generated core; pass none to run fuzz chunks only)")
     backends: tuple[str, ...] = _cfg(
         ("fused",),
-        "RTL evaluator backends (fused / compiled / interpreter); cosim "
-        "runs each, mutation requires them to agree per mutant")
+        "RTL evaluator backends (the interpreter is the oracle); cosim "
+        "runs each, mutation requires them to agree per mutant",
+        choices=BACKENDS)
     workers: int = _cfg(
         1, "process-pool size; 1 = the exact serial path")
     shards: int = _cfg(
@@ -148,7 +150,7 @@ def build_parser(config_cls=FarmConfig) -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(config_cls.__doc__ or "").strip(),
         epilog="example: python -m repro cosim mutation --workers 4 "
-               "--fuzz-chunks 8 --backends fused compiled")
+               "--fuzz-chunks 8")
     hints = typing.get_type_hints(config_cls)
     for spec in dataclasses.fields(config_cls):
         metadata = dict(spec.metadata)

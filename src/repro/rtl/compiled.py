@@ -1,4 +1,4 @@
-"""Compiled RTL backend: lower a :class:`Module` to straight-line Python.
+"""Compiled RTL evaluation: lower a :class:`Module` to straight-line Python.
 
 The tree-walking evaluator in :mod:`repro.rtl.sim` pays an isinstance
 dispatch, a dict probe and a Python call per expression node on every
@@ -46,7 +46,7 @@ precomputed fire index, exactly like the ISS fast path), harness-emulated
 Zicsr/``wfi`` retirement, and halt classification.  Loop-carried register
 state is refreshed from ``env`` on entry and flushed back on exit (also
 on exceptions), so ``RtlSim.reset`` and peek/poke fault injection between
-``run_cycles`` calls observe exactly the per-cycle backends' register and
+``run_cycles`` calls observe exactly the interpreter's register and
 register-file state.  Combinational ``env`` entries are not settled after
 a run; a probe drives ``set_inputs``/``eval_comb`` first, as the state
 tests do.
@@ -530,7 +530,8 @@ def core_fusable(module: Module, facts=None) -> bool:
     loop is generated against: a storage-exposed register file with two
     combinationally-assigned read ports and a write port, the imem/dmem
     input ports, the :data:`CORE_INTERFACE` outputs and a committed ``pc``
-    register.  Anything else falls back to the per-cycle harness.
+    register.  :func:`compile_core` refuses anything else, so a fused
+    ``RisspSim``, ``cosimulate`` or ``FleetSim`` fails at construction.
 
     The answer is judged from the module's ``repro.analysis.StructuralFacts``
     (a cycle vetoes fusing; the driver map names the combinational
@@ -1074,7 +1075,7 @@ def _generate_core_source(module: Module) -> str:
     lines.extend("        " + statement for statement in flush)
     # Flush the last word the *hardware datapath* evaluated, not the raw
     # fetch: an emulated Zicsr/wfi retirement never drives the RTL inputs
-    # on the per-cycle oracles either, so a paused probe must not see the
+    # on the interpreter either, so a paused probe must not see the
     # emulated word settle through the combinational logic.
     emit(f"        env['imem_rdata'] = {sig_var('imem_rdata')}")
     emit(f"        env['dmem_rdata'] = {sig_var('dmem_rdata')}")
@@ -1092,7 +1093,7 @@ def compile_core(module: Module) -> CompiledCore:
     Same caching contract as :func:`compile_module`: the module is checked
     (frozen) and the cache is keyed on the module object alone, so a
     failure-injection variant from ``with_assigns`` compiles on its own.
-    Callers must check :func:`core_fusable` first."""
+    A module that is not :func:`core_fusable` raises :class:`IrError`."""
     module.check()
     if not core_fusable(module):
         raise IrError(f"module {module.name} does not expose the fused "

@@ -20,8 +20,8 @@ Machine-mode division of labour (PR 3, multi-source in PR 5): a
 trap-capable core (built with ``mret`` in its subset, see
 :func:`repro.rtl.rissp.build_rissp`) performs ``ecall``/``ebreak`` trap
 entry to ``mtvec`` and ``mret`` return *in hardware* — the
-mtvec/mepc/mcause CSR registers live in the RTL module and the compiled
-backend commits them like any other register.  The Zicsr register
+mtvec/mepc/mcause CSR registers live in the RTL module and every backend
+commits them like any other register.  The Zicsr register
 instructions and ``wfi`` have no hardware block; this harness retires
 them testbench-side through the same :func:`repro.isa.spec.step`
 semantics the golden ISS uses (the CSR state *is* the hardware registers,
@@ -56,7 +56,7 @@ from ..sim.memory import Memory, MemoryError_
 from ..sim.tracing import RvfiTrace, load_read_fields
 from ..soc import NEVER
 from ..soc.bus import PowerOffSignal
-from .compiled import WSTRB_WIDTH as _WSTRB_WIDTH
+from .compiled import WSTRB_WIDTH as _WSTRB_WIDTH, compile_core
 from .ir import Module
 from .sim import RtlSim
 
@@ -181,16 +181,11 @@ class RisspSim:
         self._trace_enabled = trace
         self._trace_capacity = trace_capacity
         self._poweroff_code = 0
-        self._fused = None
+        # compile_core refuses a core without the fused harness interface.
+        self._fused = compile_core(core) \
+            if self.rtl.backend == "fused" else None
         self._fused_ctx = None
         self._fused_sink: RvfiTrace | None = None
-        if self.rtl.backend == "fused":
-            from .compiled import compile_core, core_fusable
-            if core_fusable(core):
-                self._fused = compile_core(core)
-        if self._fused is None:
-            # The per-cycle loop runs this core: compile it here, not in run().
-            self.rtl.compiled()
         # ABI setup mirrors the golden ISS: sp at top, ra at the halt stub.
         from ..isa.encoding import Instruction, encode
         from ..sim.golden import _HALT_SENTINEL, abi_initial_regs
@@ -201,7 +196,7 @@ class RisspSim:
 
     def _cycle(self, order: int,
                sink: RvfiTrace | None = None) -> tuple[bool, str]:
-        """Advance one cycle; returns (halted, halt_reason).
+        """Advance one cycle on the interpreter; returns (halted, reason).
 
         When ``sink`` is given (requires ``trace=True`` construction), the
         retirement's RVFI fields are appended to it as one row, with
@@ -494,9 +489,9 @@ class RisspSim:
         State persists in ``rtl.env``/``regfile_data`` between calls, so
         runs are resumable (the chunked cosimulation uses this) and
         peek/poke fault injection between calls behaves exactly like the
-        per-cycle backends.  Combinational signals are not settled after
-        the run: a probe drives ``rtl.set_inputs``/``rtl.eval_comb``
-        first, as on the per-cycle backends.
+        interpreter.  Combinational signals are not settled after the
+        run: a probe drives ``rtl.set_inputs``/``rtl.eval_comb`` first,
+        as on the interpreter.
         """
         self._fused_sink = trace
         sink = trace.row_sink() if trace is not None else None
@@ -530,23 +525,24 @@ class RisspSim:
             counters["fused.exit.halt"] += 1
         return halted, reason, retired
 
+    def _advance(self, count: int, limit: int,
+                 trace: RvfiTrace | None) -> tuple[bool, str, int]:
+        """Retire from ``count`` up to ``limit`` (or a halt) on this sim's
+        backend; returns ``(halted, reason, count)``."""
+        if self._fused is not None:
+            return self._fused_run(count, limit, trace)
+        halted, reason = False, ""
+        while count < limit and not halted:
+            halted, reason = self._cycle(count, trace)
+            count += 1
+        return halted, reason, count
+
     def run(self, max_instructions: int = 2_000_000) -> RunResult:
         """Run to halt; single-cycle core, so cycles == instructions."""
         trace = RvfiTrace(capacity=self._trace_capacity) \
             if self._trace_enabled else None
-        if self._fused is not None:
-            halted, reason, count = self._fused_run(0, max_instructions,
-                                                    trace)
-            halted_by = (reason or "ecall") if halted else "limit"
-        else:
-            count = 0
-            halted_by = "limit"
-            while count < max_instructions:
-                halted, reason = self._cycle(count, trace)
-                count += 1
-                if halted:
-                    halted_by = reason or "ecall"
-                    break
+        halted, reason, count = self._advance(0, max_instructions, trace)
+        halted_by = (reason or "ecall") if halted else "limit"
         exit_code = self._poweroff_code if halted_by == "poweroff" \
             else self._read_rf(10)
         return RunResult(exit_code=exit_code, instructions=count,
@@ -581,8 +577,8 @@ def cosimulate(core: Module, program: Program,
     flags must agree.
 
     Both sides retire into row-major :class:`RvfiTrace` sinks.  On the
-    per-cycle backends each retirement's two rows are compared whole as
-    they retire: the RTL and the golden reference (through
+    interpreter each retirement's two rows are compared whole as they
+    retire: the RTL and the golden reference (through
     ``GoldenSim.retire_one``) step one row at a time.  With the fused
     backend the RTL side executes in chunks of :data:`COSIM_CHUNK`
     retirements, the golden reference records the same span through its
@@ -608,11 +604,12 @@ def cosimulate(core: Module, program: Program,
     :meth:`repro.core.flow.RisspFlow.generate` does) reuses
     ``rtl_trace_out`` instead of paying for a second traced RTL run.
 
-    ``backend`` forces the RTL evaluator backend (``"fused"`` /
-    ``"compiled"`` / ``"interpreter"``); the default follows
-    :class:`RtlSim`.  ``soc`` attaches a :class:`~repro.soc.SocSpec` —
-    each side instantiates its own device set from it, so lock-step
-    covers MMIO and interrupt timing.
+    ``backend`` forces the RTL evaluator backend (``"fused"`` or
+    ``"interpreter"``); the default follows :class:`RtlSim`.  On
+    ``"fused"`` a core without the fused harness interface raises
+    :class:`~repro.rtl.ir.IrError` before either side runs.  ``soc``
+    attaches a :class:`~repro.soc.SocSpec` — each side instantiates its
+    own device set from it, so lock-step covers MMIO and interrupt timing.
     """
     from ..sim.golden import GoldenSim
 
@@ -622,9 +619,8 @@ def cosimulate(core: Module, program: Program,
     if rtl._fused is not None:
         return _cosimulate_fused(rtl, gold, golden_trace_out, rtl_trace_out,
                                  field_slots, max_instructions)
-    # The per-cycle walk stays row by row: running a per-cycle backend a
-    # chunk past a divergence would multiply the cost of every mutant on
-    # the interpreter oracle.
+    # The interpreter's walk stays row by row: running it a chunk past a
+    # divergence would multiply the cost of every mutant on the oracle.
     gold_trace = golden_trace_out if golden_trace_out is not None \
         else RvfiTrace(capacity=1)
     # The RTL row is kept only once the golden side has retired its twin,

@@ -50,7 +50,7 @@ from ..sim.golden import _HALT_SENTINEL, RunResult, abi_initial_regs
 from ..obs import telemetry as _obs
 from ..sim.memory import Memory
 from ..sim.tracing import RvfiTrace
-from .compiled import compile_fleet, core_fusable
+from .compiled import compile_fleet
 from .core_sim import (
     RisspSim,
     _classify_word,
@@ -102,8 +102,8 @@ class FleetSim:
         self.instances = len(programs)
         self._programs = programs
         self._backend = resolve_backend(backend)
-        self._fleet = compile_fleet(core) \
-            if self._backend == "fused" and core_fusable(core) else None
+        # compile_fleet refuses a core without the fused harness interface.
+        self._fleet = compile_fleet(core) if self._backend == "fused" else None
         self._register_names = tuple(core.registers)
         self._reg_index = {name: index for index, name
                            in enumerate(self._register_names)}
@@ -187,7 +187,7 @@ class FleetSim:
         fallback = [l for l in lanes if self._status[l] == _FALLBACK]
         batch = [l for l in lanes if self._status[l] == _BATCHED]
         if batch and self._fleet is None:
-            # Non-fused backend (oracle run): every lane is per-instance.
+            # Interpreter backend (oracle run): every lane is per-instance.
             for lane in batch:
                 self._materialize(lane)
             fallback += batch
@@ -255,16 +255,8 @@ class FleetSim:
         count = self._counts[lane]
         if count >= target:
             return
-        trace = self._traces.get(lane)
-        if sim._fused is not None:
-            halted, reason, count = sim._fused_run(count, target, trace)
-        else:
-            halted, reason = False, ""
-            while count < target:
-                halted, reason = sim._cycle(count, trace)
-                count += 1
-                if halted:
-                    break
+        halted, reason, count = sim._advance(count, target,
+                                             self._traces.get(lane))
         self._counts[lane] = count
         if halted:
             self._status[lane] = _HALTED

@@ -532,7 +532,7 @@ def map_children(expr: Expr, fn) -> Expr:
 
     Leaves (:class:`Const`/:class:`Sig`) are returned unchanged.  The
     single place that knows every node's shape — all expression rewriters
-    (:func:`substitute`, the compiled backend's memoized substitution and
+    (:func:`substitute`, the code generators' memoized substitution and
     its word-only subtree extraction) dispatch through it, so adding a
     node type cannot silently leave one walker behind.
     """

@@ -190,11 +190,10 @@ def build_rissp(mnemonics: list[str],
     core.check()
     # Every stitched RISSP must satisfy the fused-loop harness interface
     # (storage-exposed RF, imem/dmem ports, the CORE_INTERFACE outputs) —
-    # assert the contract at build time so a stitching change that would
-    # silently demote RisspSim to the per-cycle path fails loudly instead.
+    # assert the contract at build time, so a stitching change that breaks
+    # it fails here rather than at the first fused simulator built on it.
     from .compiled import core_fusable
     if not core_fusable(core):
         raise IrError(f"{name}: stitched core lost the fused harness "
                       f"interface")
-    core.meta["fusable"] = True
     return core

@@ -1,37 +1,24 @@
 """Cycle-accurate evaluation of RTL IR modules.
 
-This is the repo's RTL simulator.  Three backends share the exact same
-public interface and bit-identical semantics:
+Two backends (:data:`BACKENDS`) share one interface and bit-identical
+semantics:
 
-* ``"fused"`` (the default): the per-cycle entry points below are the
-  ``exec``-compiled pair from :mod:`repro.rtl.compiled`, built on first
-  per-cycle use.  For RISSP-shaped cores driven through
-  :class:`repro.rtl.core_sim.RisspSim`, whole-program execution instead
-  rides the fused cycle loop (:func:`repro.rtl.compiled.compile_core`),
-  which keeps fetch, the combinational settle, memory traffic and the
-  register commit inside one generated function (see
-  ``benchmarks/test_bench_rtl_throughput.py``), so such a run never
-  builds the per-cycle pair.
-* ``"compiled"``: the PR 2 per-cycle compiled backend — same two
-  ``exec``-compiled functions, but every cycle crosses the
-  Python/:class:`RtlSim` boundary (``set_inputs``/``eval_comb``/``get``/
-  ``tick``).  Kept as the mid-level oracle for the fused loop.
-* ``"interpreter"``: the original tree-walking evaluator built on
-  :func:`eval_expr`, which walks every expression node each cycle.  It is
-  the reference oracle; the differential harnesses in
-  ``tests/test_rtl_compiled_diff.py`` and ``tests/test_rtl_fused_diff.py``
-  check the fast backends against it on randomized DAGs, randomized
-  programs and whole-core lock-step runs.
+* ``"fused"`` (the default), the fast path.  A RISSP-shaped core run
+  through :class:`repro.rtl.core_sim.RisspSim` executes whole programs in
+  the fused cycle loop (:func:`repro.rtl.compiled.compile_core`): fetch,
+  combinational settle, memory traffic and register commit in one
+  generated function.  A core without that harness interface is refused
+  at construction.  :class:`RtlSim`'s per-cycle entry points (block
+  testbenches, formal checks, probes of a paused core) evaluate through
+  the ``exec``-compiled pair of :func:`repro.rtl.compiled.compile_module`.
+* ``"interpreter"``: the tree-walking evaluator built on :func:`eval_expr`.
+  It is the reference oracle and the only per-cycle whole-program
+  harness; ``tests/test_rtl_compiled_diff.py`` and
+  ``tests/test_rtl_fused_diff.py`` check the fast paths against it.
 
-Force a backend per instance with ``RtlSim(module, backend="interpreter")``
-or process-wide with the ``REPRO_RTL_BACKEND`` environment variable (the
-constructor argument wins).  :func:`resolve_backend` is the one reader of
-both, for :class:`RtlSim` and :class:`~repro.rtl.fleet.FleetSim`, and it
-rejects an unknown name at construction.  The RISCOF-analog compliance
-flow, RVFI cosimulation and the fmax/serv benchmark harnesses all run
-whole programs through :class:`RtlSim` or
-:class:`~repro.rtl.core_sim.RisspSim`, so they ride the fused backend by
-default.
+:func:`resolve_backend` reads a simulator's ``backend`` argument, else
+the ``REPRO_RTL_BACKEND`` environment variable, and rejects an unknown
+name at construction.
 """
 
 from __future__ import annotations
@@ -130,14 +117,18 @@ def eval_expr(expr: Expr, env: dict[str, int]) -> int:
     raise IrError(f"unknown expression node {type(expr).__name__}")
 
 
+#: The RTL backend names, the default first.
+BACKENDS = ("fused", "interpreter")
+
+
 def resolve_backend(backend: str | None) -> str:
     """The backend a simulator is built on: ``backend``, or when it is
     None the ``REPRO_RTL_BACKEND`` environment variable, else ``"fused"``.
     An unknown name raises :class:`IrError` here, so a simulator given one
     fails at construction, not at its first step."""
     if backend is None:
-        backend = os.environ.get("REPRO_RTL_BACKEND", "fused")
-    if backend not in ("fused", "compiled", "interpreter"):
+        backend = os.environ.get("REPRO_RTL_BACKEND", BACKENDS[0])
+    if backend not in BACKENDS:
         raise IrError(f"unknown RTL backend {backend!r}")
     return backend
 
@@ -154,9 +145,9 @@ class RtlSim:
         sim.tick()           # commit registers
 
     Construction checks, and so freezes, ``module``; on an already
-    checked module it derives nothing.  On the ``fused`` and ``compiled``
-    backends the per-cycle pair (:func:`~repro.rtl.compiled.compile_module`)
-    is built on first per-cycle use, not at construction.
+    checked module it derives nothing.  On the ``fused`` backend the
+    per-cycle pair (:func:`~repro.rtl.compiled.compile_module`) is built
+    on the first :meth:`eval_comb` or :meth:`tick`, not at construction.
     """
 
     def __init__(self, module: Module, backend: str | None = None):
@@ -173,12 +164,9 @@ class RtlSim:
             self.regfile_data = [0] * module.regfile.num_regs
         self.reset()
 
-    def compiled(self) -> CompiledModule | None:
-        """The compiled per-cycle pair, built on first call (None on the
-        interpreter).  :meth:`eval_comb` and :meth:`tick` call it; a
-        harness about to run a per-cycle loop calls it up front so the
-        compile stays out of the loop."""
-        if self._compiled is None and self._order is None:
+    def _pair(self) -> CompiledModule:
+        """The compiled per-cycle pair, built on first call (fused only)."""
+        if self._compiled is None:
             self._compiled = compile_module(self.module)
         return self._compiled
 
@@ -202,7 +190,7 @@ class RtlSim:
     def eval_comb(self) -> None:
         """Evaluate all combinational assigns (registers hold state)."""
         if self._order is None:
-            self.compiled().eval_comb(self.env, self.regfile_data)
+            self._pair().eval_comb(self.env, self.regfile_data)
             return
         spec = self.module.regfile
         if spec is not None:
@@ -216,7 +204,7 @@ class RtlSim:
     def tick(self) -> None:
         """Commit registers and the register-file write port."""
         if self._order is None:
-            self.compiled().tick(self.env, self.regfile_data)
+            self._pair().tick(self.env, self.regfile_data)
             return
         updates: dict[str, int] = {}
         for reg in self.module.registers.values():

@@ -4,7 +4,7 @@ replay and coverage extraction.
 The SoC runner exploits the resumable-run contract both simulator
 families share: every ``run(max_instructions=N)`` call restarts the
 retirement counter at zero with machine state persisting, and peek/poke
-between calls behaves exactly like the per-cycle backends.  A scenario
+between calls behaves exactly like the interpreter.  A scenario
 with fault events therefore runs as *segments* split at the fault times;
 between segments the platform clock is re-synced and re-based
 identically on every backend (``soc.sync(k); soc.rebase(0)``), the pokes

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import random
 
+from ..isa import INSTRUCTIONS
+from ..isa.encoding import EncodingError, Instruction, encode
+
 _MASK64 = (1 << 64) - 1
 
 #: Default base seed of the differential fuzz campaigns (tests and the
@@ -140,3 +143,20 @@ def random_trap_program(seed: int) -> str:
         "    addi a0, a0, 100",
         "    mret",
     ]) + "\n"
+
+
+def random_words(seed: int, count: int) -> list[int]:
+    """``count`` random encodable RV32E instruction words (any mnemonic,
+    registers below x16, even immediates): per-cycle RTL stimulus."""
+    rng = random.Random(seed)
+    mnemonics = [d.mnemonic for d in INSTRUCTIONS]
+    words: list[int] = []
+    while len(words) < count:
+        try:
+            words.append(encode(Instruction(
+                rng.choice(mnemonics), rd=rng.randrange(16),
+                rs1=rng.randrange(16), rs2=rng.randrange(16),
+                imm=rng.randrange(-2048, 2048) & ~1), num_regs=16))
+        except (EncodingError, ValueError):
+            continue
+    return words

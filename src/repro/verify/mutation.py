@@ -85,9 +85,9 @@ def enumerate_mutations(netlist: Netlist, limit: int = 120) -> list[Mutation]:
 #
 # The gate-level campaign above asks whether the *block testbenches* catch
 # faults.  The RTL-level set below asks the same of the whole-program
-# verification flows (cosimulation, compliance) now that they ride the
-# compiled evaluator backend: a fast path that silently stopped propagating
-# faults would show up here as a surviving mutant.
+# verification flows (cosimulation, compliance), which ride the fused
+# cycle loop: a fast path that silently stopped propagating faults would
+# show up here as a surviving mutant.
 
 #: Word-operator substitutions applied as RTL mutations.  Every pair keeps
 #: the expression width unchanged, so mutants still pass Module.check().

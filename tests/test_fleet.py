@@ -433,9 +433,9 @@ def test_midrun_peek_and_memory_poke(full_core, loop_program):
 
 
 def test_poke_register_reaches_fallback_lane(trap_core, loop_program):
-    fleet = FleetSim(trap_core, loop_program, 1, backend="compiled")
+    fleet = FleetSim(trap_core, loop_program, 1, backend="interpreter")
     fleet.poke_regfile(0, 12, 4)
-    fleet.step(3)  # materializes (non-fused backend)
+    fleet.step(3)  # materializes (interpreter backend)
     assert fleet.lane_state(0) == "fallback"
     fleet.poke_register(0, "mtvec", 0x80)
     assert fleet.peek_register(0, "mtvec") == 0x80

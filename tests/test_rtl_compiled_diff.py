@@ -1,8 +1,9 @@
-"""Differential test harness: compiled RTL backend vs the interpreter.
+"""Differential test harness: compiled RTL evaluation vs the interpreter.
 
 The tree-walking evaluator (:func:`repro.rtl.sim.eval_expr`) is the
-reference oracle; the ``exec``-compiled backend
-(:mod:`repro.rtl.compiled`) must be bit-identical to it on every signal of
+reference oracle; the ``exec``-compiled per-cycle pair
+(:func:`repro.rtl.compiled.compile_module`, what :class:`RtlSim` runs on
+the ``fused`` backend) must be bit-identical to it on every signal of
 every module.  Following the fast-path-vs-exact-reference methodology the
 ISSUE borrows from the IRM-CG paper, this harness checks the fast backend
 against the oracle two ways:
@@ -31,13 +32,13 @@ import pytest
 from repro import obs
 from repro.analysis import structural_facts
 from repro.isa import INSTRUCTIONS
-from repro.isa.encoding import EncodingError, Instruction, encode
 from repro.rtl import build_rissp, compile_module
 from repro.rtl.compiled import compile_core, compile_fleet, stable_fingerprint
 from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
                           Op, Port, RegFileSpec, Register, Sig, Slice, const)
 from repro.rtl.rissp import _read_mux_tree
 from repro.rtl.sim import RtlSim
+from repro.verify.fuzz import random_words
 
 _WIDTHS = (1, 2, 3, 5, 7, 8, 13, 16, 17, 24, 31, 32, 33, 48, 63, 64)
 
@@ -186,7 +187,7 @@ def _assert_same_state(compiled, interp, context):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_dag_backends_identical(seed):
     module, inputs = _random_module(seed)
-    compiled = RtlSim(module, backend="compiled")
+    compiled = RtlSim(module, backend="fused")
     interp = RtlSim(module, backend="interpreter")
     rng = random.Random(seed + 10_000)
     for vector in range(12):
@@ -202,7 +203,7 @@ def test_random_dag_backends_identical(seed):
 
 def test_masked_arm_fuzz_covers_every_select_pattern():
     """Across the DAG fuzz seeds, the masked-arm nodes see no select set,
-    exactly one, and several at once — the compiled backend's lazy arms
+    exactly one, and several at once — the compiled pair's lazy arms
     are checked against the oracle on every pattern, multi-hot included."""
     from repro.rtl.sim import eval_expr
 
@@ -230,7 +231,7 @@ def test_random_dag_every_signal_matches_eval_expr():
     from repro.rtl.sim import eval_expr
 
     module, inputs = _random_module(99)
-    compiled = RtlSim(module, backend="compiled")
+    compiled = RtlSim(module, backend="fused")
     rng = random.Random(7)
     _drive_both(rng, (compiled,), inputs)
     compiled.eval_comb()
@@ -277,30 +278,14 @@ def test_every_modularex_arm_is_conditional_on_its_select():
                               sources["compile_module"])) == selects
 
 
-def _random_words(seed, count):
-    rng = random.Random(seed)
-    mnemonics = [d.mnemonic for d in INSTRUCTIONS]
-    words = []
-    while len(words) < count:
-        try:
-            words.append(encode(Instruction(
-                rng.choice(mnemonics),
-                rd=rng.randrange(16), rs1=rng.randrange(16),
-                rs2=rng.randrange(16),
-                imm=rng.randrange(-2048, 2048) & ~1), num_regs=16))
-        except (EncodingError, ValueError):
-            continue
-    return words
-
-
 def test_rissp_core_lockstep_fuzz():
     """Whole-module lock-step: the full RV32E RISSP on both backends, a few
     thousand cycles of random instructions, full state compared per cycle."""
     core = build_rissp([d.mnemonic for d in INSTRUCTIONS])
-    compiled = RtlSim(core, backend="compiled")
+    compiled = RtlSim(core, backend="fused")
     interp = RtlSim(core, backend="interpreter")
     rng = random.Random(2025)
-    for cycle, word in enumerate(_random_words(2025, 2000)):
+    for cycle, word in enumerate(random_words(2025, 2000)):
         dmem = rng.getrandbits(32)
         for sim in (compiled, interp):
             sim.set_inputs(imem_rdata=word, dmem_rdata=dmem)
@@ -335,7 +320,7 @@ def _checked_module():
 
 
 def _eval_o(module, a, b):
-    sim = RtlSim(module, backend="compiled")
+    sim = RtlSim(module, backend="fused")
     sim.set_inputs(a=a, b=b)
     sim.eval_comb()
     return sim.get("o")
@@ -410,8 +395,8 @@ def test_frozen_core_sims_derive_nothing(monkeypatch):
     from repro.rtl.fleet import FleetSim
 
     core, program = fleet_exercise_target()
-    RisspSim(core, program)
-    FleetSim(core, program, 1)
+    RisspSim(core, program, backend="fused")
+    FleetSim(core, program, 1, backend="fused")
     CoreSpec.of(core)
     counts = {"walks": 0, "hashes": 0}
 
@@ -428,8 +413,8 @@ def test_frozen_core_sims_derive_nothing(monkeypatch):
                             counting("hashes", node.__hash__))
     with obs.session() as telemetry:
         RtlSim(core)
-        RisspSim(core, program)
-        FleetSim(core, program, 4)
+        RisspSim(core, program, backend="fused")
+        FleetSim(core, program, 4, backend="fused")
         CoreSpec.of(core)
     assert counts == {"walks": 0, "hashes": 0}
     hits = {kind: telemetry.counters[f"compile_cache.{kind}.hit"]
@@ -441,8 +426,8 @@ def test_frozen_core_sims_derive_nothing(monkeypatch):
 
 def test_construction_compiles_only_the_loop_that_runs():
     """A fused cosimulation compiles the fused loop and never the
-    per-cycle pair; a per-cycle RisspSim compiles its pair once, at
-    construction, so the compile stays out of run()."""
+    per-cycle pair; an interpreter RisspSim compiles nothing, at
+    construction or in run()."""
     from repro.farm import fleet_exercise_target
     from repro.rtl.core_sim import RisspSim, cosimulate
 
@@ -455,8 +440,8 @@ def test_construction_compiles_only_the_loop_that_runs():
     assert counters["compile_cache.module.hit"] == 0
     assert counters["compile_cache.core.miss"] == 1
     with obs.session() as telemetry:
-        sim = RisspSim(variant, program, backend="compiled")
-        assert telemetry.counters["compile_cache.module.miss"] == 1
+        sim = RisspSim(variant, program, backend="interpreter")
         assert sim.run().halted_by == "ecall"
-    assert telemetry.counters["compile_cache.module.miss"] == 1
-    assert telemetry.counters["compile_cache.module.hit"] == 0
+    assert not any(telemetry.counters[f"compile_cache.{kind}.{event}"]
+                   for kind in ("module", "core", "fleet")
+                   for event in ("hit", "miss"))

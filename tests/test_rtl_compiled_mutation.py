@@ -1,21 +1,20 @@
-"""Mutation smoke test for the compiled and fused RTL backends.
+"""Mutation smoke test for the exec-compiled fused RTL backend.
 
-The point of the fast paths is speed, not leniency: running verification
-on the compiled evaluator — per-cycle or through the fused whole-cycle
-loop — must kill exactly the faults the interpreter kills.  This test
-injects the deterministic RTL mutant set from :mod:`repro.verify.mutation`
-into a RISSP core and asserts that
+The point of the fast path is speed, not leniency: running verification
+through the fused whole-cycle loop must kill exactly the faults the
+interpreter kills.  This test injects the deterministic RTL mutant set
+from :mod:`repro.verify.mutation` into a RISSP core and asserts that
 
-* every mutant trips cosimulation on the compiled backend (a mismatch, a
+* every mutant trips cosimulation on the fused backend (a mismatch, a
   "limit" pseudo-mismatch, or a simulator refusal all count as caught) —
   except mutants that are *architecturally equivalent on this program*,
   which is proven by lock-step-comparing the mutant RTL against the
   pristine RTL (the analog of the gate campaign's equivalence filter:
   cosimulation can only ever see architectural effects),
-* the full mutant-kill matrix is *identical* across all three backends —
-  every mutant the oracle kills is killed through the fused loop with the
-  very same verdict, so the fast paths neither weaken nor accidentally
-  "improve" verification,
+* the full mutant-kill matrix is *identical* on both backends — every
+  mutant the oracle kills is killed through the fused loop with the very
+  same verdict, so the fast path neither weakens nor accidentally
+  "improves" verification,
 * the pristine core still cosimulates cleanly, so the trips are the
   mutants' doing.
 """
@@ -101,7 +100,7 @@ def _architectural_trace(core, program):
 
 
 def test_pristine_core_is_clean(core, program):
-    assert _verdict(core, program, "compiled") is None
+    assert _verdict(core, program, "fused") is None
 
 
 def test_every_mutant_trips_compiled_cosimulation(core, program):
@@ -114,38 +113,36 @@ def test_every_mutant_trips_compiled_cosimulation(core, program):
     missed = []
     for mutation in mutations:
         mutant = apply_rtl_mutation(core, mutation)
-        if _verdict(mutant, program, "compiled") is not None:
+        if _verdict(mutant, program, "fused") is not None:
             tripped += 1
         elif _architectural_trace(mutant, program) != pristine:
             missed.append(mutation.description)
-    assert not missed, f"compiled cosim missed distinguishable: {missed}"
+    assert not missed, f"fused cosim missed distinguishable: {missed}"
     # The set must have teeth: most sampled mutants are distinguishable.
     assert tripped >= 15, f"only {tripped}/24 mutants distinguishable"
 
 
 def test_backends_agree_on_mutant_verdicts(core, program):
-    """The fast paths must catch a mutant exactly when the oracle does."""
+    """The fast path must catch a mutant exactly when the oracle does."""
     mutations = enumerate_rtl_mutations(core, limit=24)
     for mutation in mutations[::4]:
         mutant = apply_rtl_mutation(core, mutation)
         fused = _verdict(mutant, program, "fused")
-        compiled = _verdict(mutant, program, "compiled")
         interpreted = _verdict(mutant, program, "interpreter")
-        assert fused == compiled == interpreted, (
-            f"{mutation.description}: fused={fused} compiled={compiled} "
+        assert fused == interpreted, (
+            f"{mutation.description}: fused={fused} "
             f"interpreter={interpreted}")
 
 
 def test_fused_kill_matrix_matches_oracle(core, program):
     """Full matrix parity: every RTL mutant killed by the tree-walking
-    oracle is killed *through the fused loop* (and the per-cycle compiled
-    backend) with the same verdict — per-mutant, per-backend, asserted
-    equal row by row.  The interpreter column makes this independent of
-    the _Emitter codegen the two fast backends share; the cycle budget is
-    trimmed so the oracle's runaway-mutant legs stay affordable (a limit
-    kill is a limit kill at any budget)."""
+    oracle is killed *through the fused loop* with the same verdict —
+    per-mutant, per-backend, asserted equal row by row.  The interpreter
+    column makes this independent of the _Emitter codegen; the cycle
+    budget is trimmed so the oracle's runaway-mutant legs stay affordable
+    (a limit kill is a limit kill at any budget)."""
     matrix = rtl_mutant_kill_matrix(
-        core, program, backends=("fused", "compiled", "interpreter"),
+        core, program, backends=("fused", "interpreter"),
         limit=24, max_instructions=400)
     assert len(matrix) == 24
     unequal = {description: verdicts

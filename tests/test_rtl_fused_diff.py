@@ -1,13 +1,12 @@
-"""Differential fuzz harness: fused cycle loop vs per-cycle backends.
+"""Differential fuzz harness: fused cycle loop vs the interpreter.
 
 PR 4 fused the whole RTL cycle loop into one generated function
 (:func:`repro.rtl.compiled.compile_core`).  The speedup is only
 trustworthy if the fused fast path is observationally identical to the
-oracles, so this suite runs the same programs lock-step on all three
-backends — ``fused``, per-cycle ``compiled`` (PR 2) and the tree-walking
-``interpreter`` — and compares the complete columnar RVFI trace
-(including the ``trap``/``intr`` flags), the halt cause and the exit
-code, row by row:
+oracle, so this suite runs the same programs lock-step on both backends
+— ``fused`` and the tree-walking ``interpreter`` — and compares the
+complete columnar RVFI trace (including the ``trap``/``intr`` flags), the
+halt cause and the exit code, row by row:
 
 * **randomized programs** — a seeded generator mixes every ALU/shift/
   compare op with memory round-trips and bounded loops.  Since PR 6 the
@@ -21,21 +20,24 @@ code, row by row:
 * **real workloads from every registry category** — a MicroC-compiled
   embench kernel and extreme-edge app (bounded-prefix lock-step, so the
   interpreter leg stays cheap) plus the event-driven SoC firmware images
-  with their MMIO platform and timer interrupts, run to halt;
+  with their MMIO platform and timer interrupts, run to halt; the long
+  interrupt-driven af_detect_irq firmware is cosimulated fused to halt
+  and its RTL trace spec-checked;
 * **fault injection** — corrupted fused-side rows must surface as cosim
   mismatches, proving the chunked fused compare path actually gates;
 * **the lock-step contract** — exact first-divergence index and field
   inside a later chunk, halt-flag divergence on either side, golden
   refusals ordered after an earlier divergence, what the golden sink
-  holds afterwards; the fused verdict must equal the per-cycle one;
+  holds afterwards; the fused verdict must equal the interpreter's;
 * **backend selection** — ``REPRO_RTL_BACKEND`` must pick each backend,
-  and only ``fused`` may arm the fused loop.
+  only ``fused`` may arm the fused loop, and it refuses a core without
+  the fused harness interface at construction.
 """
 
 import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
-from repro.rtl import build_rissp
+from repro.rtl import build_rissp, core_sim
 from repro.rtl.core_sim import (
     COSIM_CHUNK,
     COSIM_FIELDS,
@@ -54,7 +56,7 @@ from repro.verify.fuzz import (
 )
 from repro.workloads import WORKLOADS, build_program
 
-BACKENDS = ("fused", "compiled", "interpreter")
+BACKENDS = ("fused", "interpreter")
 
 #: Per-chunk seeds of the fuzz campaign — (chunk index, derived seed)
 #: pairs, so every parametrized test id doubles as the replay recipe.
@@ -82,26 +84,25 @@ def _rows(result):
 
 def _assert_lockstep(core, program, max_instructions, soc=None,
                      context=""):
-    """Run on every backend with full tracing; all rows must be equal."""
+    """Run on both backends with full tracing; all rows must be equal."""
     results = {}
     for backend in BACKENDS:
         sim = RisspSim(core, program, trace=True, backend=backend, soc=soc)
         results[backend] = sim.run(max_instructions)
     reference = results["interpreter"]
+    result = results["fused"]
+    assert (result.exit_code, result.instructions, result.halted_by) \
+        == (reference.exit_code, reference.instructions,
+            reference.halted_by), f"{context}: fused outcome"
+    rows = _rows(result)
     ref_rows = _rows(reference)
-    for backend in ("fused", "compiled"):
-        result = results[backend]
-        assert (result.exit_code, result.instructions, result.halted_by) \
-            == (reference.exit_code, reference.instructions,
-                reference.halted_by), f"{context}: {backend} outcome"
-        rows = _rows(result)
-        assert len(rows) == len(ref_rows), f"{context}: {backend} length"
-        for index, (got, want) in enumerate(zip(rows, ref_rows)):
-            if got != want:
-                fields = [(name, a, b) for name, a, b in
-                          zip(RvfiTrace.FIELDS, got, want) if a != b]
-                raise AssertionError(
-                    f"{context}: {backend} row {index} diverges: {fields}")
+    assert len(rows) == len(ref_rows), f"{context}: fused length"
+    for index, (got, want) in enumerate(zip(rows, ref_rows)):
+        if got != want:
+            fields = [(name, a, b) for name, a, b in
+                      zip(RvfiTrace.FIELDS, got, want) if a != b]
+            raise AssertionError(
+                f"{context}: fused row {index} diverges: {fields}")
     return reference
 
 
@@ -156,7 +157,7 @@ def test_compiled_workload_prefix_lockstep(name, full_core):
                                          ("sensor_streaming", 1_600)])
 def test_soc_firmware_lockstep_on_all_backends(name, limit, trap_core):
     """Event-driven SoC firmware (timer ISR, wfi, MMIO devices — and the
-    two-source all-C streaming image) on all three backends — trap/intr
+    two-source all-C streaming image) on both backends — trap/intr
     columns included.  The asm images run to halt; the streaming image
     runs a bounded prefix so the interpreter leg stays affordable (its
     full run is fused-cosimulated in test_soc)."""
@@ -173,24 +174,23 @@ def test_soc_firmware_lockstep_on_all_backends(name, limit, trap_core):
         assert reference.halted_by in ("ecall", "poweroff")
 
 
-def test_af_detect_irq_fused_matches_compiled(trap_core):
-    """The long interrupt-driven firmware (all-MicroC since PR 5): fused
-    vs per-cycle compiled to halt (the interpreter leg is covered by the
-    shorter images above)."""
+def test_af_detect_irq_fused_trace_satisfies_spec(trap_core):
+    """The long interrupt-driven firmware (all MicroC), the only RTL run
+    of it to halt: fused cosim against the golden ISS, then the RVFI
+    checker on the core's own trace.  Its interpreter leg would cost
+    about 40x the fused run; the shorter images above cover the
+    interpreter on the same interrupt machinery."""
+    from repro.sim.golden import abi_initial_regs
+    from repro.verify.rvfi import check_trace
+
     workload = WORKLOADS["af_detect_irq"]
-    program = build_program(workload)
-    results = {}
-    for backend in ("fused", "compiled"):
-        sim = RisspSim(trap_core, program, trace=True, backend=backend,
-                       soc=workload.soc_spec)
-        results[backend] = sim.run(200_000)
-    fused, compiled = results["fused"], results["compiled"]
-    assert (fused.exit_code, fused.instructions, fused.halted_by) == \
-        (compiled.exit_code, compiled.instructions, compiled.halted_by)
-    assert _rows(fused) == _rows(compiled)
-    intr_slot = RvfiTrace.FIELDS.index("intr")
-    assert any(row[intr_slot] for row in _rows(fused)), \
-        "firmware took no interrupts"
+    trace = RvfiTrace()
+    assert cosimulate(trap_core, build_program(workload),
+                      max_instructions=200_000, backend="fused",
+                      soc=workload.soc_spec, rtl_trace_out=trace) is None
+    report = check_trace(trace, initial_regs=abi_initial_regs())
+    assert report.passed, report.errors
+    assert any(trace.column("intr")), "firmware took no interrupts"
 
 
 # ---------------------------------------------- multi-hot ModularEX selects
@@ -207,13 +207,13 @@ main:
 
 
 def test_multi_hot_select_agrees_on_every_backend(full_core):
-    """ModularEX ORs every arm whose select is set, and the compiled
-    backends evaluate only those arms — exact for any select pattern, not
+    """ModularEX ORs every arm whose select is set, and the generated
+    loops evaluate only those arms — exact for any select pattern, not
     only one-hot.  With the xor arm's select driven by the add match too,
     every add fires two arms: (3 + 1) | (3 ^ 1) = 6.  The fused loop, a
-    one-lane fleet, the per-cycle compiled backend and the interpreter
-    agree on that result and every RVFI column, and all report the same
-    cosim mismatch against the golden 4."""
+    one-lane fleet and the interpreter agree on that result and every
+    RVFI column, and all report the same cosim mismatch against the
+    golden 4."""
     from repro.rtl.fleet import FleetSim
 
     variant = full_core.with_assigns({
@@ -299,9 +299,9 @@ RACE_SPEC_KWARGS = dict(sensor_samples=tuple(range(1, 40)),
 
 
 def test_two_source_race_lockstep_on_all_backends(trap_core):
-    """Timer and sensor pending in the same retirement window: all three
-    RTL backends and the golden ISS must take the two entries in the
-    same (fixed-priority) order, visible in the intr cause codes."""
+    """Timer and sensor pending in the same retirement window: both RTL
+    backends and the golden ISS must take the two entries in the same
+    (fixed-priority) order, visible in the intr cause codes."""
     from repro.soc import SocSpec
 
     program = assemble(TWO_SOURCE_RACE)
@@ -365,14 +365,26 @@ def test_env_var_selects_every_backend(full_core, monkeypatch):
         monkeypatch.setenv("REPRO_RTL_BACKEND", backend)
         sim = RisspSim(full_core, program)
         assert sim.rtl.backend == backend
-        # Only the fused backend arms the whole-cycle loop; the per-cycle
-        # oracles must keep driving _cycle.
+        # Only the fused backend arms the whole-cycle loop; the
+        # interpreter must keep driving _cycle.
         assert (sim._fused is not None) == (backend == "fused")
         result = sim.run(20_000)
         outcomes[backend] = (result.exit_code, result.instructions,
                              result.halted_by)
-    assert outcomes["fused"] == outcomes["compiled"] == \
-        outcomes["interpreter"]
+    assert outcomes["fused"] == outcomes["interpreter"]
+
+
+def test_resolve_backend_knows_only_fused_and_interpreter(monkeypatch):
+    """``fused`` is the default and the only fast path; the retired
+    per-cycle ``compiled`` name is refused like any unknown one."""
+    from repro.rtl.ir import IrError
+    from repro.rtl.sim import resolve_backend
+
+    monkeypatch.delenv("REPRO_RTL_BACKEND", raising=False)
+    assert resolve_backend(None) == "fused"
+    assert tuple(map(resolve_backend, BACKENDS)) == BACKENDS
+    with pytest.raises(IrError, match="unknown RTL backend 'compiled'"):
+        resolve_backend("compiled")
 
 
 def test_constructor_backend_beats_env_var(full_core, monkeypatch):
@@ -387,21 +399,49 @@ def test_rissp_cores_advertise_fused_interface(full_core, trap_core):
     from repro.rtl import core_fusable
 
     for core in (full_core, trap_core):
-        assert core.meta["fusable"] and core_fusable(core)
+        assert core_fusable(core)
+
+
+def test_non_fusable_core_is_refused_at_construction():
+    """On the fused backend a module without the fused harness interface
+    (a bare library block) raises IrError when the simulator is built —
+    RisspSim, cosimulate and FleetSim alike — instead of constructing and
+    failing at its first cycle.  The interpreter still constructs."""
+    from repro.rtl import default_library
+    from repro.rtl.fleet import FleetSim
+    from repro.rtl.ir import IrError
+
+    block = default_library().get_block("add")
+    program = assemble(MULTI_HOT)
+    refusal = "does not expose the fused harness interface"
+    with pytest.raises(IrError, match=refusal):
+        RisspSim(block, program, backend="fused")
+    with pytest.raises(IrError, match=refusal):
+        cosimulate(block, program, backend="fused")
+    with pytest.raises(IrError, match=refusal):
+        FleetSim(block, program, 2, backend="fused")
+    assert RisspSim(block, program, backend="interpreter")._fused is None
 
 
 # ------------------------------------------- lock-step contract
 #
 # The fused cosim compares chunk columns against the golden sink's newest
-# slot; these pin what that must keep from the per-cycle walk: the exact
-# first divergence, the halt flags, the exception order and what the
-# golden sink holds.  Each injection works on the fused and the per-cycle
-# compiled backend alike, and the two verdicts must agree.
+# slot; these pin what that must keep from the interpreter's per-row
+# walk: the exact first divergence, the halt flags, the exception order
+# and what the golden sink holds.  Each injection works on the fused
+# backend and the interpreter alike, and the two verdicts must agree.
+# They run the loop's own core with a small COSIM_CHUNK (the `small_chunk`
+# fixture), so the interpreter leg retires about a hundred rows; one
+# fused-only run keeps the production chunk.
 
-#: ~4.5k retirements: two COSIM_CHUNK chunks plus a tail.
+#: The loop's subset: ``li`` (lui/addi), ``bnez`` (bne), ``ret`` (jalr)
+#: and the halt stub's ``ecall``.
+LOOP_SUBSET = ["addi", "lui", "bne", "jalr", "ecall"]
+
+#: 3n + 3 retirements: ``li``, n loop passes, ``ret`` and the halt stub.
 LONG_LOOP = """.text
 main:
-    li t0, 1500
+    li t0, {n}
 loop:
     addi a0, a0, 3
     addi t0, t0, -1
@@ -409,16 +449,35 @@ loop:
     ret
 """
 
+#: The fused chunk the contract tests cosimulate with.
+SMALL_CHUNK = 64
+
 #: Mid-way through the second fused chunk.
-MID_CHUNK2 = COSIM_CHUNK + 17
+MID_CHUNK2 = SMALL_CHUNK + 17
+
+
+def _long_loop(chunk, n):
+    """The loop program with its retirement count: one full ``chunk``
+    plus a tail that holds row ``chunk + 17`` and the halt."""
+    program = assemble(LONG_LOOP.format(n=n))
+    retired = run_program(program).instructions
+    assert chunk + 18 < retired - 2 < 2 * chunk
+    return program, retired
+
+
+@pytest.fixture(scope="module")
+def loop_core():
+    return build_rissp(LOOP_SUBSET)
 
 
 @pytest.fixture(scope="module")
 def long_loop():
-    program = assemble(LONG_LOOP)
-    retired = run_program(program).instructions
-    assert MID_CHUNK2 + 1 < retired - 2 < 2 * COSIM_CHUNK
-    return program, retired
+    return _long_loop(SMALL_CHUNK, 35)
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(core_sim, "COSIM_CHUNK", SMALL_CHUNK)
 
 
 def _corrupt_rtl_row(monkeypatch, target, field):
@@ -478,66 +537,85 @@ def _patch_golden(monkeypatch, at, halt=None, refuse=False):
 
 def _both_backends(core, program, **kwargs):
     verdicts = {backend: cosimulate(core, program, backend=backend, **kwargs)
-                for backend in ("fused", "compiled")}
-    assert verdicts["fused"] == verdicts["compiled"], verdicts
+                for backend in BACKENDS}
+    assert verdicts["fused"] == verdicts["interpreter"], verdicts
     return verdicts["fused"]
 
 
 @pytest.mark.parametrize("field", COSIM_FIELDS)
 def test_cosim_reports_exact_divergence_mid_second_chunk(
-        full_core, long_loop, monkeypatch, field):
+        loop_core, long_loop, small_chunk, monkeypatch, field):
     program, _ = long_loop
     golden = GoldenSim(program, trace=True).run().trace.peek(MID_CHUNK2,
                                                              field)
     _corrupt_rtl_row(monkeypatch, MID_CHUNK2, field)
-    assert _both_backends(full_core, program) == \
+    assert _both_backends(loop_core, program) == \
         CosimMismatch(MID_CHUNK2, field, golden ^ 4, golden)
 
 
-def test_cosim_reports_golden_halt_one_row_early(full_core, long_loop,
-                                                 monkeypatch):
+def test_cosim_divergence_at_the_production_chunk(full_core, monkeypatch):
+    """The fused path alone at the production COSIM_CHUNK on the full
+    core: a corrupt row mid-way through the second chunk is reported
+    exactly, and both trace sinks stop at it."""
+    target = COSIM_CHUNK + 17
+    program, _ = _long_loop(COSIM_CHUNK, 1500)
+    _corrupt_rtl_row(monkeypatch, target, "rd_wdata")
+    sink = RvfiTrace()
+    rtl_sink = RvfiTrace()
+    mismatch = cosimulate(full_core, program, backend="fused",
+                          golden_trace_out=sink, rtl_trace_out=rtl_sink)
+    golden = sink.peek(-1, "rd_wdata")
+    assert mismatch == CosimMismatch(target, "rd_wdata", golden ^ 4, golden)
+    assert len(sink) == len(rtl_sink) == target + 1
+
+
+def test_cosim_reports_golden_halt_one_row_early(loop_core, long_loop,
+                                                 small_chunk, monkeypatch):
     program, retired = long_loop
     _patch_golden(monkeypatch, retired - 2, halt=True)
-    assert _both_backends(full_core, program) == \
+    assert _both_backends(loop_core, program) == \
         CosimMismatch(retired - 2, "halt", 0, 1)
 
 
-def test_cosim_reports_rtl_only_halt(full_core, long_loop, monkeypatch):
+def test_cosim_reports_rtl_only_halt(loop_core, long_loop, small_chunk,
+                                     monkeypatch):
     program, retired = long_loop
     _patch_golden(monkeypatch, retired - 1, halt=False)
-    assert _both_backends(full_core, program) == \
+    assert _both_backends(loop_core, program) == \
         CosimMismatch(retired - 1, "halt", 1, 0)
 
 
-def test_cosim_golden_refusal_after_divergence_loses(full_core, long_loop,
+def test_cosim_golden_refusal_after_divergence_loses(loop_core, long_loop,
+                                                     small_chunk,
                                                      monkeypatch):
     program, _ = long_loop
     _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "rd_wdata")
     _patch_golden(monkeypatch, MID_CHUNK2 + 1, refuse=True)
-    mismatch = _both_backends(full_core, program)
+    mismatch = _both_backends(loop_core, program)
     assert (mismatch.index, mismatch.field) == (MID_CHUNK2, "rd_wdata")
 
 
 def test_cosim_golden_refusal_after_clean_rows_propagates(
-        full_core, long_loop, monkeypatch):
+        loop_core, long_loop, small_chunk, monkeypatch):
     """The refusal is raised, and both trace sinks keep only the rows the
     golden side retired and compared: not the RTL row (nor, on the fused
     path, the rest of the RTL chunk) the golden side never saw."""
     program, _ = long_loop
     _patch_golden(monkeypatch, MID_CHUNK2 + 1, refuse=True)
-    for backend in ("fused", "compiled"):
+    for backend in BACKENDS:
         sink = RvfiTrace()
         rtl_sink = RvfiTrace()
         with pytest.raises(SimulationError, match="injected golden refusal"):
-            cosimulate(full_core, program, backend=backend,
+            cosimulate(loop_core, program, backend=backend,
                        golden_trace_out=sink, rtl_trace_out=rtl_sink)
         assert len(sink) == len(rtl_sink) == MID_CHUNK2 + 1
         assert list(rtl_sink.rows()) == list(sink.rows())
 
 
-@pytest.mark.parametrize("backend", ["fused", "compiled"])
-def test_golden_trace_out_stops_at_the_mismatch(full_core, long_loop,
-                                                monkeypatch, backend):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_trace_out_stops_at_the_mismatch(loop_core, long_loop,
+                                                small_chunk, monkeypatch,
+                                                backend):
     """Both trace sinks receive exactly the compared rows, through the
     divergent one: the RTL sink holds the corrupt row, the golden sink
     its clean twin, and every earlier row is the same on both sides."""
@@ -545,7 +623,7 @@ def test_golden_trace_out_stops_at_the_mismatch(full_core, long_loop,
     _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "pc_wdata")
     sink = RvfiTrace()
     rtl_sink = RvfiTrace()
-    mismatch = cosimulate(full_core, program, backend=backend,
+    mismatch = cosimulate(loop_core, program, backend=backend,
                           golden_trace_out=sink, rtl_trace_out=rtl_sink)
     assert mismatch.index == MID_CHUNK2
     for trace in (sink, rtl_sink):
@@ -556,15 +634,16 @@ def test_golden_trace_out_stops_at_the_mismatch(full_core, long_loop,
     assert rtl_sink.column("pc_wdata")[:-1] == sink.column("pc_wdata")[:-1]
 
 
-@pytest.mark.parametrize("backend", ["fused", "compiled"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("capacity", [1, 7])
-def test_ring_sink_counts_every_golden_retirement(full_core, long_loop,
-                                                  backend, capacity):
+def test_ring_sink_counts_every_golden_retirement(loop_core, long_loop,
+                                                  small_chunk, backend,
+                                                  capacity):
     """A clean run hands every row to ring sinks on both sides."""
     program, retired = long_loop
     sink = RvfiTrace(capacity=capacity)
     rtl_sink = RvfiTrace(capacity=capacity)
-    assert cosimulate(full_core, program, backend=backend,
+    assert cosimulate(loop_core, program, backend=backend,
                       golden_trace_out=sink, rtl_trace_out=rtl_sink) is None
     assert sink.total_appended == rtl_sink.total_appended == retired
     assert len(sink) == len(rtl_sink) == capacity

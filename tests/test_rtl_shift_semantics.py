@@ -8,17 +8,17 @@ operators and how :mod:`repro.synth.lower` bit-blasts them):
 * shift amounts have their own width (may exceed the value width's range),
 * ``SLT``/``SGE`` compare two's-complement values at the declared width.
 
-Every case runs against both the interpreter (``eval_expr``) and the
-compiled backend; a divergence here means ``eval_expr``'s edge handling is
-wrong and must be fixed there — never replicated into the compiled code.
+Every case runs on both backends: the interpreter (``eval_expr``) and
+the fused backend, whose :class:`RtlSim` evaluates through the compiled
+per-cycle pair (:func:`repro.rtl.compiled.compile_module`); a divergence
+here means ``eval_expr``'s edge handling is wrong and must be fixed there
+— never replicated into the compiled code.
 """
 
 import pytest
 
 from repro.rtl.ir import Binary, Const, Module, Op
-from repro.rtl.sim import RtlSim, eval_expr
-
-BACKENDS = ("compiled", "interpreter")
+from repro.rtl.sim import BACKENDS, RtlSim, eval_expr
 
 
 def _shift_module(width, amount_width):

@@ -6,14 +6,14 @@ The register-file tests drive a storage-exposed read port, the shape
 :func:`repro.rtl.rissp.build_rissp` builds: the array drives one storage
 wire per register, and the port's data is a read-mux tree over them with
 x0 as the constant-zero entry.  (The small module is not a RISSP, so the
-``fused`` parametrization also locks in that its :class:`RtlSim` level
-behaviour stays identical to ``compiled``.)
+``fused`` parametrization checks :class:`RtlSim`'s compiled per-cycle
+pair against the interpreter.)
 
 The fused-state tests at the bottom pin the PR 4 flush/refresh contract:
 the generated ``run_cycles`` loads register state from ``env`` on entry
 and flushes it back on exit, so pausing a run to poke ``env``/the
 register file (fault injection) or to ``reset()`` must behave exactly
-like the per-cycle oracles.
+like the interpreter.
 """
 
 import pytest
@@ -22,9 +22,7 @@ from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import RisspSim, build_rissp
 from repro.rtl.ir import Module, RegFileSpec, const
 from repro.rtl.rissp import _read_mux_tree
-from repro.rtl.sim import RtlSim
-
-BACKENDS = ("fused", "compiled", "interpreter")
+from repro.rtl.sim import BACKENDS, RtlSim
 
 
 def _regfile_module(num_regs=8):
@@ -171,7 +169,7 @@ def _paused_run(backend, poke):
 def test_poke_regfile_between_runs_matches_oracle(backend):
     """Fault injection into the register file while paused: the fused
     loop must pick the poked value up from the shared array exactly like
-    the per-cycle backends (its state is refreshed on entry)."""
+    the interpreter (its state is refreshed on entry)."""
     def poke(sim):
         sim.rtl.regfile_data[10] = 190          # a0: skip most iterations
 
@@ -236,8 +234,8 @@ def test_env_coherent_after_partial_run(backend):
     pcs = {b: sim.rtl.get("pc") for b, sim in sims.items()}
     assert len(set(pcs.values())) == 1, pcs
     regs = {b: list(sim.rtl.regfile_data) for b, sim in sims.items()}
-    assert regs["fused"] == regs["compiled"] == regs["interpreter"]
-    # Drive one cycle by hand through the per-cycle API on all three.
+    assert regs["fused"] == regs["interpreter"]
+    # Drive one cycle by hand through the per-cycle API on both.
     word = sims["fused"].memory.fetch(pcs["fused"])
     probes = {}
     for backend, sim in sims.items():
@@ -247,4 +245,4 @@ def test_env_coherent_after_partial_run(backend):
                            for name in ("next_pc", "halt", "illegal",
                                         "rf_we", "rf_waddr", "rf_wdata",
                                         "dmem_re", "dmem_wstrb")}
-    assert probes["fused"] == probes["compiled"] == probes["interpreter"]
+    assert probes["fused"] == probes["interpreter"]

@@ -101,11 +101,11 @@ def test_cosim_detects_injected_read_corruption(full_core, monkeypatch):
         return halted, reason
 
     monkeypatch.setattr(RisspSim, "_cycle", corrupted)
-    # backend="compiled" pins the per-cycle path the patched _cycle rides;
-    # the fused-loop compare path gets the same treatment in
+    # backend="interpreter" pins the per-cycle path the patched _cycle
+    # rides; the fused-loop compare path gets the same treatment in
     # tests/test_rtl_fused_diff.py.
     mismatch = cosimulate(full_core, assemble(_SUBWORD_LOADS),
-                          backend="compiled")
+                          backend="interpreter")
     assert mismatch is not None and mismatch.field == "mem_rdata"
     assert mismatch.rtl_value == mismatch.golden_value ^ 1
 
@@ -122,7 +122,7 @@ def test_cosim_detects_injected_read_mask_corruption(full_core, monkeypatch):
 
     monkeypatch.setattr(RisspSim, "_cycle", corrupted)
     mismatch = cosimulate(full_core, assemble(_SUBWORD_LOADS),
-                          backend="compiled")
+                          backend="interpreter")
     assert mismatch is not None and mismatch.field == "mem_rmask"
 
 
@@ -140,7 +140,7 @@ main:
 """
 
 
-@pytest.mark.parametrize("backend", ["fused", "compiled", "interpreter"])
+@pytest.mark.parametrize("backend", ["fused", "interpreter"])
 def test_rs_rdata_is_what_the_read_port_delivered(full_core, backend):
     """The RTL trace records ``rs*_rdata`` from the core's read ports,
     not from the harness's copy of the register file.  A core whose rs2

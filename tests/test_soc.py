@@ -479,7 +479,7 @@ def test_trap_free_cores_unchanged(trap_core):
     assert trap_core.meta["trap_unit"]
 
 
-@pytest.mark.parametrize("backend", ["fused", "compiled", "interpreter"])
+@pytest.mark.parametrize("backend", ["fused", "interpreter"])
 def test_cosimulate_timer_interrupt_workload(trap_core, backend):
     prog = assemble(TIMER_LOOP)
     mismatch = cosimulate(trap_core, prog, soc=SocSpec(), backend=backend)
@@ -596,7 +596,7 @@ def test_mcause_has_interrupt_bit_after_timer_entry():
 
 
 def _run_everywhere(trap_core, src, soc=None, n=50_000):
-    """One program on golden, Serv and all three RTL backends; all five
+    """One program on golden, Serv and both RTL backends; all four
     outcomes (halt cause, exit code, instruction count) must agree."""
     prog = assemble(src)
     outcomes = {}
@@ -606,7 +606,7 @@ def _run_everywhere(trap_core, src, soc=None, n=50_000):
                           result.instructions)
     serv = ServSim(prog, soc=soc).run(n)
     outcomes["serv"] = (serv.halted_by, serv.exit_code, serv.instructions)
-    for backend in ("fused", "compiled", "interpreter"):
+    for backend in ("fused", "interpreter"):
         r = RisspSim(trap_core, prog, backend=backend, soc=soc).run(n)
         outcomes[f"rtl-{backend}"] = (r.halted_by, r.exit_code,
                                       r.instructions)
@@ -942,7 +942,7 @@ def test_rv32e_register_bound_word_refused_without_handler(trap_core):
     prog = assemble(src)
     with pytest.raises(SimulationError):
         GoldenSim(prog).run()
-    for backend in ("fused", "compiled", "interpreter"):
+    for backend in ("fused", "interpreter"):
         with pytest.raises(SimulationError):
             RisspSim(trap_core, prog, backend=backend).run()
 

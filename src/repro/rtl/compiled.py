@@ -21,8 +21,8 @@ harness in ``tests/test_rtl_compiled_diff.py`` locks the two together.
 
 Masked arms are lazy.  ModularEX joins its blocks with a one-hot AND-OR
 switch, ``OR_i (val_i & sel_i.sext(w))`` (:mod:`repro.rtl.modularex`).
-Every generated function emits an AND whose operand is a sign-extended
-1-bit select as ``(val if sel else 0)``, so a cycle evaluates the inlined
+The per-cycle pair emits an AND whose operand is a sign-extended 1-bit
+select as ``(val if sel else 0)``, so a cycle evaluates the inlined
 datapath of only the arms whose select is set.  This is exact for any
 select pattern, zero-, one- or multi-hot: the extension is all ones when
 ``sel`` is 1 and zero when it is 0, and ``val``'s code is already masked
@@ -33,13 +33,15 @@ On top of the per-cycle pair, :func:`compile_core` fuses the *whole RTL
 cycle loop* of a RISSP-shaped core (PR 4) into a single generated
 ``run_cycles(ctx, count, limit, sink)`` function: instruction fetch reads
 the RAM bytearray directly, every combinational assign lives in a Python
-local (no ``env`` dict traffic inside the loop), a data-memory read
-re-evaluates only the dependency cone of ``dmem_rdata`` instead of the
-whole DAG, the store-strobe decode and the register/register-file commit
-are inlined, and each retirement's RVFI row is recorded with one call of
-the trace's :meth:`~repro.sim.tracing.RvfiTrace.row_sink`, one 17-tuple
-built straight from the signal locals (``rs1_rdata``/``rs2_rdata`` are
-the core's own read-port outputs).  The loop calls back into Python only
+local (no ``env`` dict traffic inside the loop), what depends only on
+the fetched word comes from a per-word decode cache, the signals the
+data-memory read needs are evaluated before it and every other signal
+once after it, the store-strobe decode and the register/register-file
+commit are inlined, and each retirement's RVFI row is recorded with one
+call of the trace's :meth:`~repro.sim.tracing.RvfiTrace.row_sink`, one
+17-tuple built straight from the signal locals (``rs1_rdata``/
+``rs2_rdata`` are the core's own read-port outputs).  The loop calls back
+into Python only
 for the rare events the harness owns: MMIO/device-window accesses, traps
 and interrupts (one integer compare of the retirement counter against a
 precomputed fire index, exactly like the ISS fast path), harness-emulated
@@ -50,6 +52,17 @@ on exceptions), so ``RtlSim.reset`` and peek/poke fault injection between
 register-file state.  Combinational ``env`` entries are not settled after
 a run; a probe drives ``set_inputs``/``eval_comb`` first, as the state
 tests do.
+
+The fused loop does not test a switch's selects per retirement.  The
+decode cache also holds ``_act``, the indices of the selects that are set
+for the word, and each switch OR whose arms have word-only selects is
+emitted as its other leaves followed by one active-arm pass, ``for _k in
+_act:``, whose balanced ``if _k < m`` tree ORs in (``v |= val``) the arms
+of select ``_k``.  That is the same OR, so it is exact for the same
+reasons, and the ModularEX default arm is one more arm, under ``NOT(OR of
+selects)``.  An arm whose select is not a decode value stays inline as
+``(val if sel else 0)``; an OR that reads a signal of the same pass is
+evaluated whole after it.
 
 :func:`compile_fleet` generates the batched ``run_fleet`` loop around the
 same retirement body (:func:`_emit_retirement`): where ``run_cycles``
@@ -227,15 +240,13 @@ class _Emitter:
         mask = _mask(w)
         if op in (Op.SHL, Op.LSHR, Op.ASHR):
             return self.build_shift(expr, op, w, mask)
-        if op is Op.AND:
-            # Masked arm, ``val & sel.sext(w)`` in either operand order:
-            # the extension is all ones or zero, so the AND is ``val`` or
-            # 0, and ``val`` is evaluated only when its select is set.
-            for value, select_mask in ((expr.a, expr.b), (expr.b, expr.a)):
-                select = _arm_select(select_mask)
-                if select is not None:
-                    return (f"({self.ref(value)} if {self.ref(select)} "
-                            f"else 0)")
+        arm = _masked_arm(expr)
+        if arm is not None:
+            # Masked arm, ``val & sel.sext(w)``: the extension is all ones
+            # or zero, so the AND is ``val`` or 0, and ``val`` is evaluated
+            # only when its select is set.
+            select, value = arm
+            return f"({self.ref(value)} if {self.ref(select)} else 0)"
         a = self.ref(expr.a)
         b = self.ref(expr.b)
         if op is Op.ADD:
@@ -300,6 +311,31 @@ def _arm_select(expr: Expr) -> Expr | None:
     if isinstance(expr, Ext) and expr.signed and expr.a.width == 1:
         return expr.a
     return None
+
+
+def _masked_arm(expr: Expr) -> tuple[Expr, Expr] | None:
+    """``(select, value)`` of a masked arm ``value & sel.sext(w)``, in
+    either operand order, else None."""
+    if isinstance(expr, Binary) and expr.op is Op.AND:
+        for value, select_mask in ((expr.a, expr.b), (expr.b, expr.a)):
+            select = _arm_select(select_mask)
+            if select is not None:
+                return select, value
+    return None
+
+
+def _or_leaves(expr: Expr) -> list[Expr]:
+    """The operands of ``expr``'s OR tree, left to right (``[expr]`` when
+    ``expr`` is not an OR)."""
+    leaves: list[Expr] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Binary) and node.op is Op.OR:
+            stack += (node.b, node.a)
+        else:
+            leaves.append(node)
+    return leaves
 
 
 def _count_refs(roots: list[Expr]) -> dict[Expr, int]:
@@ -616,13 +652,34 @@ def _substitute_memo(expr: Expr, mapping: dict[str, Expr],
 
 
 @dataclass
+class _Segment:
+    """One straight-line stretch of the retirement body and its
+    active-arm pass.
+
+    ``order`` lists the stretch's signals in topological order.  A *pass
+    member* (a key of ``other``) is an OR some of whose leaves are masked
+    arms ``val & sel.sext(w)`` with a word-only ``sel``: its statement
+    ORs only its other leaves, ``other[name]``, and the pass then ORs in
+    ``val`` for each set select, ``arms[index]`` listing the ``(member,
+    val)`` pairs of select ``index``.  A signal in ``tail`` reads a pass
+    member (or another tail signal), so it is evaluated whole after the
+    pass; so is an OR that reads one, arms inline."""
+
+    order: list
+    other: dict
+    arms: dict
+    tail: set
+
+
+@dataclass
 class _CoreAnalysis:
     """Dataflow analysis behind the fused retirement body.
 
     Everything :func:`_emit_retirement` and the ``decode_comb`` emission
     need to know about a fusable core's DAG: the needed-set closure, the
-    single-use inlining rewrite, the ``dmem_rdata`` dependency cone, the
-    word-only decode extraction and the tick roots.  The analysis is a
+    single-use inlining rewrite, the word-only decode extraction, the
+    split of the per-cycle signals around the data-memory read and the
+    active-arm passes, and the tick roots.  The analysis is a
     deterministic function of the module, so the ``decode_out`` tuple
     layout — the value format of the shared per-word decode cache — is
     identical in ``run_cycles`` and ``run_fleet``, which is what lets
@@ -635,8 +692,11 @@ class _CoreAnalysis:
     trap_core: bool
     registers: list                      # module registers, commit order
     effective: dict                      # post-inline/extract assigns
-    cycle_names: list                    # eager per-cycle statements
+    cycle_names: list                    # eager per-cycle signals
     cone_names: list                     # dmem_rdata dependency cone
+    pre_load: _Segment                   # what the load itself reads
+    post_load: _Segment                  # everything else, after the load
+    act_selects: list                    # select signal per _act index
     decode_names: list                   # word-only signals (decode_comb)
     synth_order: list                    # synthesized word-only subtrees
     decode_out: list                     # decode_comb return layout
@@ -652,7 +712,14 @@ class _CoreAnalysis:
 
 
 def _analyze_core(module: Module) -> _CoreAnalysis:
-    """Run the shared fused-loop dataflow analysis over a fusable core."""
+    """Run the shared fused-loop dataflow analysis over a fusable core.
+
+    In order: the needed-set closure, single-use inlining, the
+    ``dmem_rdata`` cone, the word-only decode extraction, the split of
+    the per-cycle signals around the data-memory read (every signal is
+    evaluated once, except a cone signal the load itself reads, which
+    only a mutant has), and each stretch's active-arm pass plan
+    (:func:`_plan_segment`), whose selects ``_act`` indexes."""
     spec = module.regfile
     order = module.order
     sig_var = _make_sig_namer(module)
@@ -688,9 +755,13 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     # and ModularEX's masked arms lower to Python conditional expressions,
     # this makes whole unselected datapath arms lazy — the dominant
     # fused-loop speedup.  Harness-consumed controls always stay eager
-    # statements.
+    # statements, and so does a switch OR (an OR with masked-arm leaves)
+    # unless its one consumer merely copies it: folded into, say, the trap
+    # slice's ``Mux``, it could not be an active-arm pass member.
     refs_all = _count_refs([module.assigns[name] for name in emit_names]
                            + tick_exprs)
+    copied = {module.assigns[name].name for name in emit_names
+              if isinstance(module.assigns[name], Sig)}
     inline_map: dict[str, Expr] = {}
     effective: dict[str, Expr] = {}
     memo: dict[Expr, Expr] = {}
@@ -701,7 +772,9 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
         # topological order every signal a memoized node references was
         # already mapped (or ruled out) when that node was first rewritten.
         if name not in control and \
-                refs_all.get(Sig(name, module.signal_width(name)), 0) == 1:
+                refs_all.get(Sig(name, module.signal_width(name)), 0) == 1 \
+                and (name in copied or not any(
+                    map(_masked_arm, _or_leaves(module.assigns[name])))):
             inline_map[name] = expr
     eager_names = [name for name in emit_names if name not in inline_map]
     tick_memo: dict[Expr, Expr] = {}
@@ -712,8 +785,8 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
                    for reg in registers
                    if reg.next is not None and reg.enable is not None}
 
-    # Dependency cone of dmem_rdata: the only assigns re-evaluated after a
-    # data-memory read lands (the per-cycle harness re-runs the whole DAG).
+    # Dependency cone of dmem_rdata: the signals a data-memory read can
+    # change (the per-cycle harness re-runs the whole DAG after a load).
     cone: set[str] = set()
     for name in eager_names:
         deps = expr_signals(effective[name])
@@ -752,7 +825,7 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     def extract(expr: Expr) -> Expr:
         """Hoist maximal word-only subtrees into decode_comb outputs.  Of a
         sign-extended select only the 1-bit select is hoisted, so the
-        cycle body keeps the masked arm the emitter makes lazy."""
+        cycle body keeps the masked arm for the active-arm pass."""
         if isinstance(expr, (Const, Sig)):
             return expr
         done = extract_memo.get(expr)
@@ -775,21 +848,51 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     tick_next = {name: extract(expr) for name, expr in tick_next.items()}
     tick_enable = {name: extract(expr) for name, expr in tick_enable.items()}
 
-    # Decode values the cycle body consumes: word-only *signals* the loop
-    # template or a datapath expression reads, plus every synthesized
-    # subtree.  Anything else word-only stays private to decode_comb.
+    # Around the data-memory read: the load reads ``illegal``, ``dmem_re``
+    # and ``dmem_addr``, so their dependencies are evaluated before it;
+    # every other per-cycle signal is evaluated once, after it.  A cone
+    # signal the load reads (only a mutant has one) is evaluated before
+    # the load with ``dmem_rdata = 0`` and again after it, as the
+    # per-cycle harness does.
+    before = {"illegal", "dmem_re", "dmem_addr"}
+    for name in reversed(cycle_names):
+        if name in before:
+            before |= expr_signals(effective[name])
+    decoded = word_only | {sig.name for sig, _ in synth_order}
+    act_index: dict[str, int] = {}
+    pre_load = _plan_segment(
+        [name for name in cycle_names if name in before], effective,
+        decoded, act_index)
+    post_load = _plan_segment(
+        [name for name in cycle_names if name not in before or name in cone],
+        effective, decoded, act_index)
+
+    # Decode values the cycle body consumes: word-only *signals* and
+    # synthesized subtrees the loop template or a datapath expression
+    # reads, plus ``_act``, the indices of the set pass selects.  A select
+    # only the passes test reaches the body through ``_act`` alone;
+    # anything else word-only stays private to decode_comb.
     used_by_cycle = set(control)
-    for name in cycle_names:
-        used_by_cycle |= expr_signals(effective[name])
+    for segment in (pre_load, post_load):
+        for name in segment.order:
+            for leaf in segment.other.get(name, (effective[name],)):
+                used_by_cycle |= expr_signals(leaf)
+        for entries in segment.arms.values():
+            for _, value in entries:
+                used_by_cycle |= expr_signals(value)
     for expr in list(tick_next.values()) + list(tick_enable.values()):
         used_by_cycle |= expr_signals(expr)
     decode_out = [name for name in decode_names if name in used_by_cycle]
-    decode_out += [sig.name for sig, _ in synth_order]
+    decode_out += [sig.name for sig, _ in synth_order
+                   if sig.name in used_by_cycle]
+    if act_index:
+        decode_out.append("_act")
 
     return _CoreAnalysis(
         module=module, sig_var=sig_var, trap_core=trap_core,
         registers=registers, effective=effective, cycle_names=cycle_names,
-        cone_names=cone_names, decode_names=decode_names,
+        cone_names=cone_names, pre_load=pre_load, post_load=post_load,
+        act_selects=list(act_index), decode_names=decode_names,
         synth_order=synth_order, decode_out=decode_out,
         tick_next=tick_next, tick_enable=tick_enable, we_sig=we_sig,
         waddr_sig=waddr_sig, wdata_sig=wdata_sig,
@@ -797,16 +900,128 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
         rs1_data_sig=rs1_data_sig, rs2_data_sig=rs2_data_sig)
 
 
+def _plan_segment(order: list[str], effective: dict[str, Expr],
+                  decoded: set[str], act_index: dict[str, int]) -> _Segment:
+    """Split one stretch of per-cycle signals around its active-arm pass.
+
+    Walks ``order`` topologically: a signal that reads a pass member or a
+    tail signal joins the tail; otherwise an OR with at least one masked
+    arm whose select is a decode value (``decoded``) becomes a pass
+    member, its other leaves kept for its own statement.  Each pass
+    select gets the next free index in ``act_index`` (shared by both
+    stretches, so ``_act`` is one tuple)."""
+    other: dict[str, list[Expr]] = {}
+    arms: dict[int, list[tuple[str, Expr]]] = {}
+    tail: set[str] = set()
+    for name in order:
+        expr = effective[name]
+        if expr_signals(expr) & (tail | set(other)):
+            tail.add(name)
+            continue
+        rest: list[Expr] = []
+        served: list[tuple[str, Expr]] = []
+        for leaf in _or_leaves(expr):
+            arm = _masked_arm(leaf)
+            if arm is not None and isinstance(arm[0], Sig) \
+                    and arm[0].name in decoded:
+                served.append((arm[0].name, arm[1]))
+            else:
+                rest.append(leaf)
+        if not served:
+            continue
+        other[name] = rest
+        for select, value in served:
+            index = act_index.setdefault(select, len(act_index))
+            arms.setdefault(index, []).append((name, value))
+    return _Segment(order=order, other=other, arms=arms, tail=tail)
+
+
+def _emit_segment(a: _CoreAnalysis, segment: _Segment,
+                  body: _Emitter) -> None:
+    """Emit one stretch of the retirement body at ``body``'s indent: its
+    signals in topological order (a pass member ORs only its other
+    leaves), then its active-arm pass, then its tail.
+
+    The pass is one ``for _k in _act:`` loop whose balanced ``if _k < m``
+    tree runs, for each set select ``_k``, the ``v |= val`` statements of
+    that select's arms.  Each block evaluates its arms with an emitter of
+    its own over a copy of ``body``'s cache, so a value the stretch
+    already computed is reused, while a temp shared only by arms stays
+    inside the blocks that read it.
+    """
+    sig_var = a.sig_var
+    effective = a.effective
+    indent = body.indent
+    lines = body.lines
+    for name in segment.order:
+        if name in segment.tail:
+            continue
+        other = segment.other.get(name)
+        if other is None:
+            code = body.ref(effective[name])
+        else:
+            code = " | ".join(body.ref(leaf) for leaf in other) or "0"
+        lines.append(f"{indent}{sig_var(name)} = {code}")
+    if segment.arms:
+        lines.append(f"{indent}for _k in {sig_var('_act')}:")
+        lines.extend(_arm_tree(a, segment, body, 0, len(a.act_selects),
+                               indent + "    "))
+    for name in segment.order:
+        if name in segment.tail:
+            lines.append(f"{indent}{sig_var(name)} = "
+                         f"{body.ref(effective[name])}")
+
+
+def _arm_tree(a: _CoreAnalysis, segment: _Segment, body: _Emitter,
+              lo: int, hi: int, indent: str) -> list[str]:
+    """The pass statements for select indices in ``[lo, hi)``, where the
+    enclosing tests have established ``lo <= _k < hi``.  A range narrows
+    to the indices this stretch serves, splits at its midpoint, and ends
+    in a block that knows ``_k`` exactly."""
+    present = [index for index in range(lo, hi) if index in segment.arms]
+    if not present:
+        return []
+    first, last = present[0], present[-1] + 1
+    if (first, last) != (lo, hi):
+        tests = ([f"_k >= {first}"] if first > lo else []) \
+            + ([f"_k < {last}"] if last < hi else [])
+        return [f"{indent}if {' and '.join(tests)}:"] + _arm_tree(
+            a, segment, body, first, last, indent + "    ")
+    if hi - lo == 1:
+        entries = segment.arms[lo]
+        block: list[str] = []
+        arm = _Emitter(block, indent,
+                       _count_refs([value for _, value in entries]),
+                       a.sig_var, "a", max_inline=_FUSED_MAX_INLINE)
+        arm.cache = dict(body.cache)
+        arm.const_cache = body.const_cache
+        for name, value in entries:
+            code = arm.ref(value)
+            block.append(f"{indent}{a.sig_var(name)} |= {code}")
+        return block
+    mid = (lo + hi) // 2
+    return ([f"{indent}if _k < {mid}:"]
+            + _arm_tree(a, segment, body, lo, mid, indent + "    ")
+            + [f"{indent}else:"]
+            + _arm_tree(a, segment, body, mid, hi, indent + "    "))
+
+
 def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
                      intr: str) -> None:
     """Emit one retirement, fetch to tick, as the body of a cycle loop.
 
     ``run_cycles`` (one instance) and ``run_fleet`` (N lanes) both run
-    this body.  It mirrors :meth:`repro.rtl.core_sim.RisspSim._cycle`
-    statement for statement — same evaluation order, same RVFI row
-    fields — with the per-cycle ``env`` traffic replaced by locals and
-    the full-DAG second evaluation replaced by the ``dmem_rdata``
-    dependency cone.
+    this body.  It computes what :meth:`repro.rtl.core_sim.RisspSim._cycle`
+    computes, with the same exits in the same order and the same RVFI row
+    fields, but with locals for the per-cycle ``env`` traffic, and with
+    each signal evaluated once where ``_cycle`` settles the whole DAG
+    with ``dmem_rdata = 0`` and again after a load: the signals the load
+    reads (``illegal``, ``dmem_re``, ``dmem_addr`` and their
+    dependencies) come before it, the rest after it (see
+    :class:`_Segment`).  A ``dmem_rdata``-cone signal the load reads, in
+    a mutant only, is evaluated both before (with ``dmem_rdata = 0``) and
+    after, as in ``_cycle``.  Each stretch ORs its switch arms in one
+    active-arm pass (:func:`_emit_segment`).
 
     The RVFI row goes to ``sink`` (a trace's
     :meth:`~repro.sim.tracing.RvfiTrace.row_sink`, or None when untraced)
@@ -856,9 +1071,7 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     body = _core_emitter(lines, "            ",
                          [effective[name] for name in a.cycle_names],
                          sig_var, "t", module)
-    for name in a.cycle_names:
-        code = body.ref(effective[name])
-        emit(f"            {sig_var(name)} = {code}")
+    _emit_segment(a, a.pre_load, body)
     emit(f"            if {sig_var('illegal')}:")
     lines.extend(exit_to("illegal", "                "))
     emit(f"            reading = {sig_var('dmem_re')}")
@@ -872,12 +1085,13 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     emit("                else:")
     lines.extend(exit_to("load_oob", "                    "))
     emit(f"                {sig_var('dmem_rdata')} = mem_word")
-    cone_emitter = _core_emitter(
-        lines, "                ",
-        [effective[name] for name in a.cone_names], sig_var, "c", module)
-    for name in a.cone_names:
-        code = cone_emitter.ref(effective[name])
-        emit(f"                {sig_var(name)} = {code}")
+    # Code cached before the load that reads the load's data (through a
+    # cone signal evaluated early) is stale after it.
+    stale = {"dmem_rdata", *a.cone_names}
+    for expr in [expr for expr in body.cache
+                 if expr_signals(expr) & stale]:
+        del body.cache[expr]
+    _emit_segment(a, a.post_load, body)
     emit("            mem_addr = mem_wmask = mem_wdata = 0")
     emit(f"            _wstrb = {sig_var('dmem_wstrb')}")
     emit("            if _wstrb:")
@@ -992,6 +1206,10 @@ def _generate_core_source(module: Module) -> str:
             emit(f"    {sig_var(name)} = {code}")
         for sig, expr in synth_order:
             emit(f"    {sig_var(sig.name)} = {decode_emitter.ref(expr)}")
+        if a.act_selects:
+            flags = "".join(sig_var(name) + ", " for name in a.act_selects)
+            emit(f"    {sig_var('_act')} = tuple("
+                 f"_k for _k, _s in enumerate(({flags})) if _s)")
         returned = "".join(sig_var(name) + ", " for name in decode_out)
         emit(f"    return ({returned})")
         emit("")

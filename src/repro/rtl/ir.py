@@ -9,7 +9,9 @@ Instruction hardware blocks, ModularEX and the full RISSP are all built as
   * :mod:`repro.synth.lower` — bit-blasting into a gate netlist for PPA.
 
 Expressions are immutable, hashable dataclasses; equality is structural,
-which the synthesis structural-hashing pass exploits directly.
+which the synthesis structural-hashing pass exploits directly.  Each node
+hashes its subtree once and keeps the value, so the code generators' and
+the lowerer's per-node dict probes cost O(1), not O(subtree).
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ _T = TypeVar("_T")
 
 
 class Op(Enum):
-    """Word-level operators."""
+    """Word-level operators.  Hashed by identity (members are singletons),
+    which is C-level, where ``Enum.__hash__`` is a Python call per probe."""
+
+    __hash__ = object.__hash__
 
     ADD = "add"
     SUB = "sub"
@@ -54,6 +59,13 @@ class Expr:
     """Base class for expression nodes.  ``width`` is always defined."""
 
     width: int
+
+    def __getstate__(self) -> dict:
+        # The cached hash is per process (string hashing is salted), so it
+        # never crosses a pickle; the copy rehashes on first use.
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
     # Convenience builders so block construction reads like RTL.
     def __add__(self, other: "Expr") -> "Expr":
@@ -114,6 +126,24 @@ class Expr:
         return Ext(self, width, signed=True)
 
 
+def _hash_once(cls):
+    """Class decorator over a frozen IR dataclass: keep its generated
+    structural ``__hash__``, but compute it once per node and cache it on
+    the instance (children's hashes are cached the same way)."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 def _coerce(value, width: int) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -122,6 +152,7 @@ def _coerce(value, width: int) -> Expr:
     raise IrError(f"cannot use {value!r} as an expression")
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Const(Expr):
     """A constant of explicit ``width`` bits."""
@@ -136,6 +167,7 @@ class Const(Expr):
                            self.value & ((1 << self.width) - 1))
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Sig(Expr):
     """Reference to a named signal (port, wire or register output)."""
@@ -144,6 +176,7 @@ class Sig(Expr):
     width: int
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Not(Expr):
     """Bitwise complement."""
@@ -155,6 +188,7 @@ class Not(Expr):
         return self.a.width
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Binary(Expr):
     """Binary word operator."""
@@ -177,6 +211,7 @@ class Binary(Expr):
         return self.a.width
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Mux(Expr):
     """2-way multiplexer: ``sel ? a : b`` with 1-bit ``sel``."""
@@ -197,6 +232,7 @@ class Mux(Expr):
         return self.a.width
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Cat(Expr):
     """Concatenation, most-significant part first (Verilog ``{a, b, c}``)."""
@@ -212,6 +248,7 @@ class Cat(Expr):
         return sum(p.width for p in self.parts)
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Slice(Expr):
     """Bit-field extraction ``a[hi:lo]`` (inclusive)."""
@@ -230,6 +267,7 @@ class Slice(Expr):
         return self.hi - self.lo + 1
 
 
+@_hash_once
 @dataclass(frozen=True, eq=True)
 class Ext(Expr):
     """Zero/sign extension to ``out_width`` bits."""

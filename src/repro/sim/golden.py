@@ -182,7 +182,10 @@ class GoldenSim:
             return self._retire_trap(order, sink, pc, self.memory.fetch(pc),
                                      CAUSE_ILLEGAL_INSTRUCTION, intr)
         instr = op.instr
-        rs1 = 0 if instr.definition.csr_uimm else self.read_reg(instr.rs1)
+        # A Zicsr immediate form's rs1 field is its uimm: no register read,
+        # so its row names none (as the RTL harness's row does).
+        rs1_addr = 0 if instr.definition.csr_uimm else instr.rs1
+        rs1 = self.read_reg(rs1_addr)
         rs2 = self.read_reg(instr.rs2)
 
         mem_addr = mem_rmask = mem_wmask = mem_rdata = mem_wdata = 0
@@ -237,7 +240,7 @@ class GoldenSim:
 
         if sink is not None:
             sink.append_row(
-                order, op.word, pc, effects.next_pc, instr.rs1, instr.rs2,
+                order, op.word, pc, effects.next_pc, rs1_addr, instr.rs2,
                 rs1, rs2, effects.rd or 0,
                 effects.rd_data if effects.rd else 0,
                 mem_addr, mem_rmask, mem_wmask, mem_rdata, mem_wdata,

@@ -23,6 +23,10 @@ from enum import Enum
 
 
 class GateType(Enum):
+    # Identity hash (C-level) for the per-gate strash and membership
+    # probes; ``Enum.__hash__`` is a Python call.
+    __hash__ = object.__hash__
+
     CONST0 = "const0"
     CONST1 = "const1"
     NOT = "not"

@@ -493,6 +493,11 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
                 errors.append(f"{_at(order, pc_rdata)}: rs1 x{rs1_addr} "
                               f"read {rs1_rdata:#x}, shadow "
                               f"{shadow[rs1_addr]:#x}")
+        elif system == "csr" and rs1_addr:
+            # A Zicsr immediate form reads no register: its rs1 field is
+            # the uimm, so a row naming a register there is malformed.
+            errors.append(f"{_at(order, pc_rdata)}: rs1_addr {rs1_addr} "
+                          f"on {instr.mnemonic}, whose rs1 field is a uimm")
         if uses_rs2:
             if rs2_addr != instr.rs2:
                 errors.append(f"{_at(order, pc_rdata)}: rs2_addr "

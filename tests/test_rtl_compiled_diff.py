@@ -21,6 +21,7 @@ against the oracle two ways:
   comparing complete ``env`` and register-file state every cycle.
 """
 
+import ast
 import hashlib
 import random
 import re
@@ -257,10 +258,71 @@ def _modularex_arms(core):
     return arms
 
 
+def _act_selects(core_source):
+    """The select locals of ``decode_comb``'s ``_act`` tuple, by index."""
+    tree = ast.parse(core_source)
+    [target] = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "v__act"]
+    [generator] = target.value.args[0].generators
+    return [name.id for name in generator.iter.args[0].elts]
+
+
+def _pass_blocks(source, function, selects):
+    """``(select index, target)`` of every ``v |= val`` in the active-arm
+    passes of ``function``, after checking that the ``if`` tests around
+    it pin the pass's ``_k`` to that one index."""
+    [func] = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    blocks = []
+
+    def walk(suite, lo, hi):
+        for stmt in suite:
+            if isinstance(stmt, ast.AugAssign):
+                assert isinstance(stmt.op, ast.BitOr) and hi - lo == 1, \
+                    (function, stmt.lineno, lo, hi)
+                blocks.append((lo, stmt.target.id))
+            elif isinstance(stmt, ast.If):
+                tests = stmt.test.values \
+                    if isinstance(stmt.test, ast.BoolOp) else [stmt.test]
+                body = (lo, hi)
+                for test in tests:
+                    assert test.left.id == "_k"
+                    bound = test.comparators[0].value
+                    if isinstance(test.ops[0], ast.Lt):
+                        body = (body[0], min(body[1], bound))
+                        rest = (max(lo, bound), hi)
+                    else:
+                        body = (max(body[0], bound), body[1])
+                        rest = (lo, min(hi, bound))
+                walk(stmt.body, *body)
+                if stmt.orelse:
+                    assert len(tests) == 1
+                    walk(stmt.orelse, *rest)
+            elif not isinstance(stmt, ast.Assign):
+                raise AssertionError(f"{function}:{stmt.lineno}: "
+                                     f"unexpected statement in a pass")
+
+    loops = [node for node in ast.walk(func)
+             if isinstance(node, ast.For) and node.target.id == "_k"]
+    assert loops, function
+    for loop in loops:
+        assert loop.iter.id == "v__act"
+        walk(loop.body, 0, len(selects))
+    return blocks, ast.get_source_segment(source, func)
+
+
 def test_every_modularex_arm_is_conditional_on_its_select():
-    """All three code generators emit each ModularEX arm of the full RV32E
-    core as ``(val if sel else 0)``: no select is sign-extended into a
-    mask, so a retirement evaluates only the arms whose select is set."""
+    """No generated code sign-extends a select into a mask, and each
+    ModularEX arm of the full RV32E core is evaluated only when its select
+    is set.  The per-cycle pair emits every arm as ``(val if sel else
+    0)``.  The fused loops emit every arm of a pass signal only inside its
+    own select's block of an active-arm pass: the ``if _k < m`` tests
+    around each ``v |= val`` pin ``_k`` to one ``_act`` index, every
+    select (and the default arm's) has a block that ORs into ``next_pc``,
+    no select has more blocks' ORs than arms, and the loops reach the
+    selects through ``_act`` alone."""
     core = build_rissp([d.mnemonic for d in INSTRUCTIONS])
     arms = _modularex_arms(core)
     selects = Counter(select for select, _ in arms)
@@ -271,11 +333,26 @@ def test_every_modularex_arm_is_conditional_on_its_select():
     for kind, source in sources.items():
         # Sign-extending a 1-bit value emits ``(x >> 0)``.
         assert ">> 0)" not in source, kind
-        for select in selects:
-            assert f"if v_{select} else 0)" in source, (kind, select)
+    source = sources["compile_module"]
+    for select in selects:
+        assert f"if v_{select} else 0)" in source, select
     # The per-cycle pair emits every distinct arm exactly once.
     assert Counter(re.findall(r"if v_(ex_sel_\w+) else 0\)",
-                              sources["compile_module"])) == selects
+                              source)) == selects
+
+    act = _act_selects(sources["compile_core"])
+    default = set(act) - {f"v_{select}" for select in selects}
+    assert len(act) == len(selects) + 1 and len(default) == 1, act
+    assert next(iter(default)).startswith("v__dec")
+    for kind, function in (("compile_core", "run_cycles"),
+                           ("compile_fleet", "run_fleet")):
+        blocks, body = _pass_blocks(sources[kind], function, act)
+        assert {act[index] for index, target in blocks
+                if target == "v_ex_next_pc"} == set(act), kind
+        ors = Counter(act[index] for index, _ in blocks)
+        for select, count in selects.items():
+            assert ors[f"v_{select}"] <= count, (kind, select)
+        assert "v_ex_sel_" not in body, kind
 
 
 def test_rissp_core_lockstep_fuzz():

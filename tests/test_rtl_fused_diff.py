@@ -45,6 +45,7 @@ from repro.rtl.core_sim import (
     RisspSim,
     cosimulate,
 )
+from repro.rtl.ir import const
 from repro.sim.golden import GoldenSim, SimulationError, run_program
 from repro.sim.tracing import RvfiTrace
 from repro.verify.fuzz import (
@@ -232,6 +233,86 @@ def test_multi_hot_select_agrees_on_every_backend(full_core):
     for backend in BACKENDS:
         assert cosimulate(variant, program, backend=backend) == \
             CosimMismatch(2, "rd_wdata", 6, 4), backend
+
+
+def _load_reads_cone(core):
+    """``lw`` also stores, at its address XOR the loaded word's bits 2-4
+    and with data those bits XOR a constant: the address is a
+    ``dmem_rdata``-cone signal the load itself reads, and the lane bits
+    are a temp shared with the store data."""
+    lane = core.sig("dmem_rdata") & const(0x1C, 32)
+    lw = core.sig("ex_sel_lw")
+    return {"dmem_addr": core.assigns["dmem_addr"] ^ lane,
+            "dmem_wstrb": core.assigns["dmem_wstrb"]
+            | (const(0xF, 4) & lw.sext(4)),
+            "dmem_wdata": core.assigns["dmem_wdata"]
+            | ((lane ^ const(0x5A5A5A5A, 32)) & lw.sext(32))}
+
+
+#: ``with_assigns`` variants of the full core, each a shape the fused
+#: loops' active-arm pass must serve exactly: selects ORed into another
+#: (two-hot), three selects ORed into one, a select tied to 0 (its words
+#: decode illegal), a ``dmem_rdata``-cone address the load itself reads
+#: (evaluated before the load and again after it), an OR arm that reads
+#: a pass member (evaluated after the pass), and arms whose select is not
+#: a decode value (a select wire that reads ``pc``, a read-port bit;
+#: evaluated inline).
+SELECT_PATTERNS = {
+    "two_hot": lambda core: {
+        "ex_sel_xor": core.assigns["ex_sel_xor"] | core.sig("ex_sel_add")},
+    "three_ored": lambda core: {
+        "ex_sel_or": core.assigns["ex_sel_or"] | core.sig("ex_sel_and")
+        | core.sig("ex_sel_xor")},
+    "tied_to_zero": lambda core: {"ex_sel_sltu": const(0, 1)},
+    "load_reads_cone": _load_reads_cone,
+    "arm_reads_pass_member": lambda core: {
+        "rf_wdata": core.assigns["rf_wdata"]
+        | (core.sig("ex_next_pc") & core.sig("ex_sel_add").sext(32))},
+    "runtime_select": lambda core: {
+        "ex_sel_or": core.assigns["ex_sel_or"]
+        | (core.sig("ex_sel_add") & core.sig("pc").bit(2)),
+        "rf_wdata": core.assigns["rf_wdata"]
+        | (core.sig("rf_rs1_data") & core.sig("rf_rs2_data").bit(0).sext(32))},
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(SELECT_PATTERNS))
+def test_every_select_pattern_agrees_on_every_backend(full_core, pattern):
+    """Over seeded random programs, a fused ``RisspSim``, a one-lane
+    ``FleetSim`` and the interpreter agree on each variant's result row
+    (or refusal) and every RVFI column."""
+    from repro.rtl.fleet import FleetSim
+    from repro.sim import MemoryError_
+
+    variant = full_core.with_assigns(SELECT_PATTERNS[pattern](full_core))
+
+    def outcome(run):
+        try:
+            result = run()
+        except (SimulationError, MemoryError_) as exc:
+            return (type(exc), str(exc)), None
+        return (result.exit_code, result.instructions,
+                result.halted_by), result.trace
+
+    for index in range(2):
+        seed = derive_seed(FUZZ_BASE_SEED, index)
+        program = assemble(random_program(seed))
+        runs = {backend: (lambda backend=backend: RisspSim(
+            variant, program, trace=True, backend=backend).run(2_000))
+            for backend in BACKENDS}
+        runs["fleet"] = lambda: FleetSim(
+            variant, program, 1, backend="fused",
+            trace_lanes=(0,)).run(2_000)[0]
+        expected, expected_trace = outcome(runs.pop("interpreter"))
+        for name, run in runs.items():
+            actual, actual_trace = outcome(run)
+            assert actual == expected, (pattern, seed, name)
+            if expected_trace is None:
+                continue
+            for field in RvfiTrace.FIELDS:
+                assert actual_trace.column(field) == \
+                    expected_trace.column(field), (pattern, seed, name,
+                                                   field)
 
 
 # ---------------------------------------------- two-source arbitration

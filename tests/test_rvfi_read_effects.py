@@ -196,6 +196,26 @@ def test_flow_rvfi_verdict_is_about_the_core(monkeypatch, flipped):
     assert result.verified["rvfi"] is not flipped
 
 
+@pytest.mark.parametrize("name", ["uart_selftest", "label_refresh"])
+def test_golden_and_core_agree_on_rs1_addr(name):
+    """A Zicsr immediate form (``csrrsi``/``csrrci``) reads no register,
+    so the reference and the core both record ``rs1_addr`` 0 on its row;
+    cosim's compared columns leave ``rs1_addr`` out, so the two traces
+    are compared here.  Both firmware images toggle ``mstatus.MIE`` with
+    immediates."""
+    from repro.farm.campaigns import workload_target
+    from repro.isa.encoding import decode
+
+    core, program, soc = workload_target(name)
+    golden, rtl = RvfiTrace(), RvfiTrace()
+    assert cosimulate(core, program, soc=soc, golden_trace_out=golden,
+                      rtl_trace_out=rtl) is None
+    uimm = [row for row in rtl
+            if decode(row.insn).mnemonic in ("csrrsi", "csrrci")]
+    assert uimm and all(row.rs1_addr == 0 for row in uimm)
+    assert golden.column("rs1_addr") == rtl.column("rs1_addr")
+
+
 _EBREAK = ".text\nmain:\n li a0, 77\n ebreak\n"
 
 

@@ -317,6 +317,9 @@ DEFECTS = [
      lambda r: {"rs1_addr": 13}, "rs1_addr 13 != insn rs1 11"),
     ("rs2_addr", "plain", ("add", 0),
      lambda r: {"rs2_addr": 13}, "rs2_addr 13 != insn rs2 12"),
+    ("rs1_addr_on_csr_uimm", "soc", ("csrrsi", 0),
+     lambda r: {"rs1_addr": 8},
+     "rs1_addr 8 on csrrsi, whose rs1 field is a uimm"),
     ("rs1_shadow", "plain", ("add", 0),
      lambda r: {"rs1_rdata": r["rs1_rdata"] ^ 1}, "rs1 x11 read 0xb"),
     ("rs2_shadow", "plain", ("add", 0),

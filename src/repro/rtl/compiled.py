@@ -31,10 +31,14 @@ exclusive, so a mutant that sets two selects still ORs both arms.
 
 On top of the per-cycle pair, :func:`compile_core` fuses the *whole RTL
 cycle loop* of a RISSP-shaped core (PR 4) into a single generated
-``run_cycles(ctx, count, limit, sink)`` function: instruction fetch reads
-the RAM bytearray directly, every combinational assign lives in a Python
+``run_cycles(ctx, count, limit, sink)`` function: instruction fetch and
+the data-memory read index a word view of the RAM bytearray
+(:func:`repro.sim.memory.word_view`, bound once per call; stores write
+byte slices), every combinational assign lives in a Python
 local (no ``env`` dict traffic inside the loop), what depends only on
-the fetched word comes from a per-word decode cache, the signals the
+the fetched word comes from a per-word decode cache, each register-file
+read port built as ``build_rissp``'s mux tree is one index by its
+address (:func:`_indexed_read_ports`), the signals the
 data-memory read needs are evaluated before it and every other signal
 once after it, the store-strobe decode and the register/register-file
 commit are inlined, and each retirement's RVFI row is recorded with one
@@ -78,11 +82,13 @@ cached code.  Failure injection derives a fresh module with
 
 from __future__ import annotations
 
+import functools
 import re
 import weakref
 from dataclasses import dataclass
 
 from ..obs import telemetry as _obs
+from ..sim.memory import word_view
 from .ir import (
     Binary,
     Cat,
@@ -96,6 +102,8 @@ from .ir import (
     Op,
     Sig,
     Slice,
+    _read_mux_tree,
+    const,
     expr_signals,
     map_children,
 )
@@ -612,9 +620,11 @@ def _seed_storage(emitter: _Emitter, module: Module) -> None:
 
     Pre-seeding the emitter cache with an indexing expression (instead of
     loading all ``num_regs - 1`` storage wires into locals each cycle)
-    keeps the read-mux trees lazy: a nested conditional expression only
-    evaluates the one leaf the address selects, so a cycle touches two
-    register-file slots, not thirty."""
+    keeps any other reader of a storage wire lazy.  A stitched core's
+    read ports never get here: each is read by index
+    (:func:`_indexed_read_ports`).  A read port that is not the shared
+    tree — a ``with_assigns`` variant's — stays a nested conditional
+    expression, which evaluates only the one leaf its address selects."""
     spec = module.regfile
     mask = _mask(spec.width)
     for index, name in enumerate(spec.storage_signals, start=1):
@@ -709,6 +719,32 @@ class _CoreAnalysis:
     rs2_addr_sig: str
     rs1_data_sig: str
     rs2_data_sig: str
+    #: read-port data signal -> address signal, for the ports read by index
+    indexed: dict
+
+
+def _indexed_read_ports(module: Module) -> dict[str, str]:
+    """``{data signal: address signal}`` of the read ports whose assign is
+    exactly the tree :func:`repro.rtl.rissp.build_rissp` builds,
+    ``_read_mux_tree([const 0] + storage, address)`` over an address as
+    wide as the tree is deep.
+
+    Entry ``a`` of that tree is ``regfile[a] & mask`` for ``a >= 1`` and 0
+    for ``a = 0``, so the fused loop reads such a port as ``(regfile[a] &
+    mask) if a else 0``: one index instead of a four-deep conditional
+    chain, and no address bit in the decode tuple.  Any other read port
+    (a ``with_assigns`` variant's, say) keeps its tree."""
+    spec = module.regfile
+    entries = [const(0, spec.width)] + [
+        Sig(name, module.signal_width(name))
+        for name in spec.storage_signals]
+    indexed: dict[str, str] = {}
+    for addr, data in spec.read_ports:
+        width = module.signal_width(addr)
+        if 1 << width == len(entries) and module.assigns[data] == \
+                _read_mux_tree(entries, Sig(addr, width)):
+            indexed[data] = addr
+    return indexed
 
 
 def _analyze_core(module: Module) -> _CoreAnalysis:
@@ -843,8 +879,12 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
         extract_memo[expr] = result
         return result
 
+    # A port read by index keeps its tree out of the decode extraction, so
+    # its address bits never become decode values.
+    indexed = _indexed_read_ports(module)
     for name in cycle_names:
-        effective[name] = extract(effective[name])
+        if name not in indexed:
+            effective[name] = extract(effective[name])
     tick_next = {name: extract(expr) for name, expr in tick_next.items()}
     tick_enable = {name: extract(expr) for name, expr in tick_enable.items()}
 
@@ -897,7 +937,8 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
         tick_next=tick_next, tick_enable=tick_enable, we_sig=we_sig,
         waddr_sig=waddr_sig, wdata_sig=wdata_sig,
         rs1_addr_sig=rs1_addr_sig, rs2_addr_sig=rs2_addr_sig,
-        rs1_data_sig=rs1_data_sig, rs2_data_sig=rs2_data_sig)
+        rs1_data_sig=rs1_data_sig, rs2_data_sig=rs2_data_sig,
+        indexed=indexed)
 
 
 def _plan_segment(order: list[str], effective: dict[str, Expr],
@@ -950,7 +991,6 @@ def _emit_segment(a: _CoreAnalysis, segment: _Segment,
     inside the blocks that read it.
     """
     sig_var = a.sig_var
-    effective = a.effective
     indent = body.indent
     lines = body.lines
     for name in segment.order:
@@ -958,7 +998,7 @@ def _emit_segment(a: _CoreAnalysis, segment: _Segment,
             continue
         other = segment.other.get(name)
         if other is None:
-            code = body.ref(effective[name])
+            code = _signal_code(a, body, name)
         else:
             code = " | ".join(body.ref(leaf) for leaf in other) or "0"
         lines.append(f"{indent}{sig_var(name)} = {code}")
@@ -969,7 +1009,18 @@ def _emit_segment(a: _CoreAnalysis, segment: _Segment,
     for name in segment.order:
         if name in segment.tail:
             lines.append(f"{indent}{sig_var(name)} = "
-                         f"{body.ref(effective[name])}")
+                         f"{_signal_code(a, body, name)}")
+
+
+def _signal_code(a: _CoreAnalysis, body: _Emitter, name: str) -> str:
+    """The code of one whole per-cycle signal: an indexed read of the
+    register file for a port in ``a.indexed``, else its expression."""
+    addr = a.indexed.get(name)
+    if addr is None:
+        return body.ref(a.effective[name])
+    var = a.sig_var(addr)
+    mask = _mask(a.module.regfile.width)
+    return f"(regfile[{var}] & {mask}) if {var} else 0"
 
 
 def _arm_tree(a: _CoreAnalysis, segment: _Segment, body: _Emitter,
@@ -1029,9 +1080,12 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     are the register-file read ports' data signals, which are always
     evaluated eagerly.
 
-    ``exit_to(event, indent)`` returns the lines to emit where the
-    generated code cannot finish the retirement itself.  The events are
-    named like the ``fleet.diverge.*`` counters: ``fetch``,
+    The enclosing loop binds ``regfile``, ``mem`` (the RAM bytearray,
+    which stores write), ``words`` (its
+    :func:`~repro.sim.memory.word_view`, which fetch and load read) and
+    ``ram_size``.  ``exit_to(event, indent)`` returns the lines to emit
+    where the generated code cannot finish the retirement itself.  The
+    events are named like the ``fleet.diverge.*`` counters: ``fetch``,
     ``rv32e_bound``, ``emulated``, ``illegal``, ``load_oob``, ``other``
     (malformed store strobe), ``store_oob``, ``trap`` and ``mret`` (the
     last two and ``emulated`` on trap-capable cores only).  None fires
@@ -1049,7 +1103,7 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     emit("            if pc & 3 or pc + 4 > ram_size:")
     lines.extend(exit_to("fetch", "                "))
     emit("            else:")
-    emit("                w = int.from_bytes(mem[pc:pc + 4], 'little')")
+    emit("                w = words[pc >> 2]")
     emit("            cls = wclass_get(w)")
     emit("            if cls is None:")
     emit("                cls = classify(w)")
@@ -1069,7 +1123,8 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
         emit("                _dv = _DCACHE[w] = decode_comb(w)")
         emit(f"            ({unpacked}) = _dv")
     body = _core_emitter(lines, "            ",
-                         [effective[name] for name in a.cycle_names],
+                         [effective[name] for name in a.cycle_names
+                          if name not in a.indexed],
                          sig_var, "t", module)
     _emit_segment(a, a.pre_load, body)
     emit(f"            if {sig_var('illegal')}:")
@@ -1080,8 +1135,7 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     emit(f"                load_addr = {sig_var('dmem_addr')}")
     emit("                _ba = load_addr & 4294967292")
     emit("                if _ba + 4 <= ram_size:")
-    emit("                    mem_word = int.from_bytes("
-         "mem[_ba:_ba + 4], 'little')")
+    emit("                    mem_word = words[_ba >> 2]")
     emit("                else:")
     lines.extend(exit_to("load_oob", "                    "))
     emit(f"                {sig_var('dmem_rdata')} = mem_word")
@@ -1170,7 +1224,7 @@ def _emit_retirement(a: _CoreAnalysis, lines: list[str], exit_to,
     emit("                break")
 
 
-def _generate_core_source(module: Module) -> str:
+def _generate_core_source(a: _CoreAnalysis) -> str:
     """Generate the fused ``run_cycles`` source for a fusable core.
 
     The loop body is :func:`_emit_retirement`; at each of its exit events
@@ -1178,7 +1232,6 @@ def _generate_core_source(module: Module) -> str:
     methods), flushing loop-carried registers to ``env`` around any
     callback that can read or write them, and carries on.
     """
-    a = _analyze_core(module)
     module = a.module
     sig_var = a.sig_var
     trap_core = a.trap_core
@@ -1273,6 +1326,7 @@ def _generate_core_source(module: Module) -> str:
     emit(f"    {sig_var('dmem_rdata')} = env.get('dmem_rdata', 0)")
     if trap_core:
         emit("    fire_at = fire_index()")
+    emit("    words = word_view(mem)")
     emit("    try:")
     emit("        while count < limit:")
     if trap_core:
@@ -1290,6 +1344,7 @@ def _generate_core_source(module: Module) -> str:
         emit("                intr = 0")
     _emit_retirement(a, lines, call_back, intr)
     emit("    finally:")
+    emit("        words.release()")
     lines.extend("        " + statement for statement in flush)
     # Flush the last word the *hardware datapath* evaluated, not the raw
     # fetch: an emulated Zicsr/wfi retirement never drives the RTL inputs
@@ -1312,6 +1367,12 @@ def compile_core(module: Module) -> CompiledCore:
     (frozen) and the cache is keyed on the module object alone, so a
     failure-injection variant from ``with_assigns`` compiles on its own.
     A module that is not :func:`core_fusable` raises :class:`IrError`."""
+    return _compile_core(module, lambda: _analyze_core(module))
+
+
+def _compile_core(module: Module, analysis) -> CompiledCore:
+    """:func:`compile_core`, with the core's :class:`_CoreAnalysis` from
+    ``analysis()``, which only a cache miss calls."""
     module.check()
     if not core_fusable(module):
         raise IrError(f"module {module.name} does not expose the fused "
@@ -1324,9 +1385,10 @@ def compile_core(module: Module) -> CompiledCore:
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.counters["compile_cache.core.miss"] += 1
     from ..sim.decoded import SimulationError
-    source = _generate_core_source(module)
+    source = _generate_core_source(analysis())
     namespace: dict[str, object] = {"WSTRB_WIDTH": WSTRB_WIDTH,
-                                    "SimulationError": SimulationError}
+                                    "SimulationError": SimulationError,
+                                    "word_view": word_view}
     exec(compile(source, f"<rtl-fused:{module.name}>", "exec"), namespace)
     compiled = CompiledCore(run_cycles=namespace["run_cycles"],
                             source=source, namespace=namespace)
@@ -1362,8 +1424,10 @@ def _generate_fleet_source(a: _CoreAnalysis) -> str:
     retirements over per-instance state arrays: ``mems[lane]`` (RAM
     bytearray), ``regfiles[lane]`` (register-file list), ``regs[lane]``
     (module-register bank laid out per :attr:`CompiledFleet.registers`),
-    ``counts[lane]`` and ``sinks[lane]`` (RVFI row sink or None).  The
-    cycle body is the single-instance retirement, :func:`_emit_retirement`
+    ``counts[lane]`` and ``sinks[lane]`` (RVFI row sink or None); each
+    lane's RAM is read through a word view bound for its stretch of the
+    pass.  The cycle body is the single-instance retirement,
+    :func:`_emit_retirement`
     (decode cache grafted from the fused namespace by
     :func:`compile_fleet`).
 
@@ -1404,6 +1468,7 @@ def _generate_fleet_source(a: _CoreAnalysis) -> str:
     emit("    for lane in lanes:")
     emit("        regfile = regfiles[lane]")
     emit("        mem = mems[lane]")
+    emit("        words = word_view(mem)")
     emit("        _rb = regbanks[lane]")
     for index, reg in enumerate(a.registers):
         emit(f"        {sig_var(reg.name)} = _rb[{index}]"
@@ -1417,6 +1482,7 @@ def _generate_fleet_source(a: _CoreAnalysis) -> str:
     emit("        while count < limit:")
     _emit_retirement(a, lines, lambda event, indent: [
         f"{indent}stop = {event!r}", f"{indent}break"], "0")
+    emit("        words.release()")
     for index, reg in enumerate(a.registers):
         emit(f"        _rb[{index}] = {sig_var(reg.name)}")
     emit("        counts[lane] = count")
@@ -1441,8 +1507,13 @@ def compile_fleet(module: Module) -> CompiledFleet:
     :class:`~repro.rtl.fleet.FleetSim` sharing this module — and the
     per-instance fused path diverged lanes fall back to — decodes each
     distinct instruction word exactly once per process.  Same caching
-    contract as :func:`compile_core`."""
-    core = compile_core(module)
+    contract as :func:`compile_core`.
+
+    A call that compiles the core too generates ``run_cycles`` and
+    ``run_fleet`` from one :class:`_CoreAnalysis`.  The analysis is not
+    kept past the call, since most cores never build a fleet."""
+    analysis = functools.cache(lambda: _analyze_core(module))
+    core = _compile_core(module, analysis)
     compiled = _fleet_cache.get(module)
     if compiled is not None:
         if _obs._ACTIVE is not None:
@@ -1450,9 +1521,10 @@ def compile_fleet(module: Module) -> CompiledFleet:
         return compiled
     if _obs._ACTIVE is not None:
         _obs._ACTIVE.counters["compile_cache.fleet.miss"] += 1
-    source = _generate_fleet_source(_analyze_core(module))
+    source = _generate_fleet_source(analysis())
     namespace: dict[str, object] = {
         "WSTRB_WIDTH": WSTRB_WIDTH,
+        "word_view": word_view,
         "_DCACHE": core.namespace.get("_DCACHE"),
         "decode_comb": core.namespace.get("decode_comb"),
     }

@@ -45,16 +45,17 @@ from operator import ne
 
 from ..isa.bits import to_u32
 from ..isa.csrs import CAUSE_ILLEGAL_INSTRUCTION, MCAUSE, MEPC, MTVEC
-from ..isa.encoding import DecodeError, decode
+from ..isa.encoding import DecodeError, Instruction, decode, encode
 from ..isa.instructions import CSR_OPS
 from ..isa.program import DEFAULT_MEM_SIZE, Program
 from ..isa.spec import _LOAD_WIDTH, SpecError, step
 from ..obs import telemetry as _obs
 from ..sim.csr import CsrError, CsrFile
-from ..sim.golden import RunResult, SimulationError
+from ..sim.golden import (_HALT_SENTINEL, RunResult, SimulationError,
+                          abi_initial_regs)
 from ..sim.memory import Memory, MemoryError_
 from ..sim.tracing import RvfiTrace, load_read_fields
-from ..soc import NEVER
+from ..soc import NEVER, attach_soc
 from ..soc.bus import PowerOffSignal
 from .compiled import WSTRB_WIDTH as _WSTRB_WIDTH, compile_core
 from .ir import Module
@@ -72,6 +73,9 @@ _EMULATED = set(CSR_OPS) | {"wfi"}
 
 #: RV32E register-file size every generated RISSP shares.
 _RV32E_REGS = 16
+
+#: The halt stub every harness stores at the halt sentinel.
+_ECALL_WORD = encode(Instruction("ecall"))
 
 #: word -> fused-loop class (0 = hardware, 1 = harness-emulated Zicsr/wfi,
 #: 2 = mret, 3 = decodable word whose register fields violate the RV32E
@@ -115,8 +119,12 @@ def _halt_reason(word: int) -> str:
 
 def _trace_load_fields(word: int, addr: int,
                        mem_word: int) -> tuple[int, int, int]:
-    """RVFI read-effect triple for a traced load (fused-loop callback)."""
-    width, signed = _LOAD_WIDTH[decode(word).mnemonic]
+    """RVFI read-effect triple of a retirement that read data memory, for
+    every RTL loop.  A read on a word that is not a load (a core whose
+    ``dmem_re`` fires where it should not) is recorded as a 4-byte
+    unsigned read, so cosim and ``check_trace`` report it instead of the
+    trace raising."""
+    width, signed = _LOAD_WIDTH.get(decode(word).mnemonic, (4, False))
     return load_read_fields(addr, mem_word, width, signed)
 
 
@@ -170,7 +178,6 @@ class RisspSim:
                  soc: "object | None" = None):
         self.core = core
         self.memory = Memory.from_program(program, mem_size)
-        from ..soc import attach_soc
         self.soc = attach_soc(soc, self.memory)
         if self.soc is not None:
             self.memory = self.soc.bus
@@ -187,9 +194,7 @@ class RisspSim:
         self._fused_ctx = None
         self._fused_sink: RvfiTrace | None = None
         # ABI setup mirrors the golden ISS: sp at top, ra at the halt stub.
-        from ..isa.encoding import Instruction, encode
-        from ..sim.golden import _HALT_SENTINEL, abi_initial_regs
-        self.memory.store(_HALT_SENTINEL, encode(Instruction("ecall")), 4)
+        self.memory.store(_HALT_SENTINEL, _ECALL_WORD, 4)
         if self.rtl.regfile_data is not None:
             for index, value in abi_initial_regs(mem_size).items():
                 self.rtl.regfile_data[index] = value
@@ -283,9 +288,8 @@ class RisspSim:
         if sink is not None:
             mem_rmask = mem_rdata = 0
             if reading:
-                width, signed = _LOAD_WIDTH[decode(word).mnemonic]
-                mem_addr, mem_rmask, mem_rdata = load_read_fields(
-                    load_addr, mem_word, width, signed)
+                mem_addr, mem_rmask, mem_rdata = _trace_load_fields(
+                    word, load_addr, mem_word)
             we = rtl.get("rf_we")
             waddr = rtl.get("rf_waddr") if we else 0
             # Source operands as the core's read ports delivered them.

@@ -298,6 +298,24 @@ def mux(sel: Expr, a: Expr, b: Expr) -> Expr:
     return Mux(sel, a, b)
 
 
+def _read_mux_tree(entries: list[Expr], addr: Expr) -> Expr:
+    """Balanced binary mux tree selecting ``entries[addr]`` (addr LSB first).
+
+    This is the register-file read port as synthesis sees it: 15 MUX2 cells
+    per bit for a 16-entry RV32E file.  The fused loop recognizes a read
+    port assigned exactly this tree over ``[const 0] + storage`` and reads
+    it by index (:func:`repro.rtl.compiled._indexed_read_ports`).
+    """
+    level = list(entries)
+    bit = 0
+    while len(level) > 1:
+        sel = addr.bit(bit)
+        level = [mux(sel, level[i + 1], level[i])
+                 for i in range(0, len(level), 2)]
+        bit += 1
+    return level[0]
+
+
 # --------------------------------------------------------------------------
 # Module structure
 

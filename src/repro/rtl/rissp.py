@@ -16,27 +16,12 @@ SystemVerilog, and :mod:`repro.synth` can lower it to gates.
 
 from __future__ import annotations
 
-from .ir import Expr, IrError, Module, RegFileSpec, cat, const, inline, mux
+from .ir import (Expr, IrError, Module, RegFileSpec, _read_mux_tree, cat,
+                 const, inline, mux)
 from .library import IsaHardwareLibrary, default_library
 from .modularex import build_modularex
 
 REG_ADDR_BITS = 4
-
-
-def _read_mux_tree(entries: list[Expr], addr: Expr) -> Expr:
-    """Balanced binary mux tree selecting ``entries[addr]`` (addr LSB first).
-
-    This is the register-file read port as synthesis sees it: 15 MUX2 cells
-    per bit for a 16-entry RV32E file.
-    """
-    level = list(entries)
-    bit = 0
-    while len(level) > 1:
-        sel = addr.bit(bit)
-        level = [mux(sel, level[i + 1], level[i])
-                 for i in range(0, len(level), 2)]
-        bit += 1
-    return level[0]
 
 
 def build_rissp(mnemonics: list[str],

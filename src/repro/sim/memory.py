@@ -7,12 +7,52 @@ enforced at the core's interface level, not here).
 
 from __future__ import annotations
 
+import struct
+import sys
+
 from ..isa.bits import sign_extend, to_u32
 from ..isa.program import DEFAULT_MEM_SIZE, Program
 
 
 class MemoryError_(Exception):
     """Out-of-range or misaligned access (suffixed to avoid the builtin)."""
+
+
+class _LittleEndianWords:
+    """Read-only little-endian 32-bit word view of a bytearray, for hosts
+    whose native ``I`` is not a 4-byte little-endian word."""
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: bytearray):
+        self._raw = raw
+
+    def __getitem__(self, index: int) -> int:
+        base = index << 2
+        return int.from_bytes(self._raw[base:base + 4], "little")
+
+    def release(self) -> None:
+        """Nothing to release: the shim holds no buffer export."""
+
+
+_NATIVE_WORDS = sys.byteorder == "little" and struct.calcsize("I") == 4
+
+
+def word_view(raw: bytearray):
+    """Aligned 32-bit little-endian words of ``raw``: ``view[i]`` is the
+    word at byte address ``4 * i``.
+
+    The fused RTL loops fetch and load through this view.  On a
+    little-endian host with a 4-byte ``I`` it is ``memoryview(raw)
+    .cast("I")``, a C-level index; elsewhere a shim that decodes each
+    indexed word with ``int.from_bytes``.  ``raw``'s length must be a
+    multiple of 4 (every :class:`Memory` size is).  Same-length writes
+    into ``raw`` show through the view; a resize while the memoryview is
+    alive raises ``BufferError``, so a caller releases the view when done.
+    """
+    if _NATIVE_WORDS:
+        return memoryview(raw).cast("I")
+    return _LittleEndianWords(raw)
 
 
 class Memory:

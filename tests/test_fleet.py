@@ -244,7 +244,9 @@ def test_trapping_lane_diverges_while_batch_continues(trap_core):
         mret
     """
     program = assemble(source)
-    fleet = FleetSim(trap_core, program, 4,
+    # Which lanes stay batched is the fused fleet loop's mechanism, so
+    # the fleet is pinned to it; the references follow the suite backend.
+    fleet = FleetSim(trap_core, program, 4, backend="fused",
                      trace_lanes=(0, 1, 2, 3))
     for lane in range(4):
         fleet.poke_regfile(lane, 12, lane % 2)
@@ -395,7 +397,9 @@ def test_divergence_event_matches_single_core(request, row):
 def test_midrun_poke_on_batched_lane(full_core, loop_program):
     """Poking one batched lane mid-run redirects only that lane — the
     same fault-injection surface the single-instance harness offers."""
-    fleet = FleetSim(full_core, loop_program, 3)
+    # A batched lane is the fused fleet loop's; the reference follows the
+    # suite backend.
+    fleet = FleetSim(full_core, loop_program, 3, backend="fused")
     for lane in range(3):
         fleet.poke_regfile(lane, 12, 50)
     fleet.step(5)
@@ -409,7 +413,7 @@ def test_midrun_poke_on_batched_lane(full_core, loop_program):
     # retirement count.
     sim = RisspSim(full_core, loop_program)
     sim.rtl.regfile_data[12] = 50
-    sim._fused_run(0, 5, None)
+    sim._advance(0, 5, None)
     sim.rtl.regfile_data[12] = 3
     reference = sim.run(max_instructions=1_000)
     # run() restarts its budget; align on total retirements instead.

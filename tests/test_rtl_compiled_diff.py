@@ -36,8 +36,8 @@ from repro.isa import INSTRUCTIONS
 from repro.rtl import build_rissp, compile_module
 from repro.rtl.compiled import compile_core, compile_fleet, stable_fingerprint
 from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
-                          Op, Port, RegFileSpec, Register, Sig, Slice, const)
-from repro.rtl.rissp import _read_mux_tree
+                          Op, Port, RegFileSpec, Register, Sig, Slice,
+                          _read_mux_tree, const)
 from repro.rtl.sim import RtlSim
 from repro.verify.fuzz import random_words
 
@@ -353,6 +353,36 @@ def test_every_modularex_arm_is_conditional_on_its_select():
         for select, count in selects.items():
             assert ors[f"v_{select}"] <= count, (kind, select)
         assert "v_ex_sel_" not in body, kind
+
+
+#: The edge_flow apps plus crc32: every ``workload_target`` core the
+#: generated-source checks cover.
+WORKLOAD_CORES = ("armpit", "xgboost", "af_detect", "af_detect_irq",
+                  "sensor_streaming", "label_refresh", "uart_selftest",
+                  "crc32")
+
+
+def test_fused_loops_index_read_ports_and_view_words():
+    """On the full core and every workload core, ``run_cycles`` and
+    ``run_fleet`` read each register-file port with one index, so no
+    read-mux tree (whose leaves include ``regfile[15]``) is emitted, and
+    fetch and load read RAM through the word view, never a byte slice.
+    (``tests/test_rtl_fused_diff.py`` runs a read port that is not the
+    shared tree, which keeps its tree.)"""
+    from repro.farm.campaigns import workload_target
+
+    full = build_rissp([d.mnemonic for d in INSTRUCTIONS])
+    cores = [full] + [workload_target(name)[0] for name in WORKLOAD_CORES]
+    for core in cores:
+        for kind, source in (("run_cycles", compile_core(core).source),
+                             ("run_fleet", compile_fleet(core).source)):
+            context = (core.name, kind)
+            for port in ("v_rf_rs1_addr", "v_rf_rs2_addr"):
+                assert source.count(f"regfile[{port}]") == 1, context
+            assert "regfile[15]" not in source, context
+            assert "int.from_bytes(" not in source, context
+            assert source.count("w = words[pc >> 2]") == 1, context
+            assert source.count("mem_word = words[_ba >> 2]") == 1, context
 
 
 def test_rissp_core_lockstep_fuzz():

@@ -23,6 +23,9 @@ halt cause and the exit code, row by row:
   with their MMIO platform and timer interrupts, run to halt; the long
   interrupt-driven af_detect_irq firmware is cosimulated fused to halt
   and its RTL trace spec-checked;
+* **self-modifying text** — words patched by ``sw``, ``sh`` and ``sb``
+  are fetched through the fused loops' RAM word view, and the view's
+  non-native shim runs a fused loop row for row like the interpreter;
 * **fault injection** — corrupted fused-side rows must surface as cosim
   mismatches, proving the chunked fused compare path actually gates;
 * **the lock-step contract** — exact first-divergence index and field
@@ -45,7 +48,7 @@ from repro.rtl.core_sim import (
     RisspSim,
     cosimulate,
 )
-from repro.rtl.ir import const
+from repro.rtl.ir import _read_mux_tree, const
 from repro.sim.golden import GoldenSim, SimulationError, run_program
 from repro.sim.tracing import RvfiTrace
 from repro.verify.fuzz import (
@@ -249,14 +252,24 @@ def _load_reads_cone(core):
             | ((lane ^ const(0x5A5A5A5A, 32)) & lw.sext(32))}
 
 
+def _swapped_read_leaves(core):
+    """rs2 reads t1 for t0 and t0 for t1: a read port that is not the
+    tree ``build_rissp`` builds, so the fused loops keep its tree."""
+    entries = [const(0, 32)] + [core.sig(name)
+                                for name in core.regfile.storage_signals]
+    entries[5], entries[6] = entries[6], entries[5]
+    return {"rf_rs2_data": _read_mux_tree(entries, core.sig("rf_rs2_addr"))}
+
+
 #: ``with_assigns`` variants of the full core, each a shape the fused
-#: loops' active-arm pass must serve exactly: selects ORed into another
-#: (two-hot), three selects ORed into one, a select tied to 0 (its words
-#: decode illegal), a ``dmem_rdata``-cone address the load itself reads
-#: (evaluated before the load and again after it), an OR arm that reads
-#: a pass member (evaluated after the pass), and arms whose select is not
-#: a decode value (a select wire that reads ``pc``, a read-port bit;
-#: evaluated inline).
+#: loops must serve exactly: selects ORed into another (two-hot), three
+#: selects ORed into one, a select tied to 0 (its words decode illegal), a
+#: ``dmem_rdata``-cone address the load itself reads (evaluated before
+#: the load and again after it), an OR arm that reads a pass member
+#: (evaluated after the pass), arms whose select is not a decode value (a
+#: select wire that reads ``pc``, a read-port bit; evaluated inline), and
+#: a read port that is not the shared tree (read through its tree, not by
+#: index).
 SELECT_PATTERNS = {
     "two_hot": lambda core: {
         "ex_sel_xor": core.assigns["ex_sel_xor"] | core.sig("ex_sel_add")},
@@ -273,6 +286,7 @@ SELECT_PATTERNS = {
         | (core.sig("ex_sel_add") & core.sig("pc").bit(2)),
         "rf_wdata": core.assigns["rf_wdata"]
         | (core.sig("rf_rs1_data") & core.sig("rf_rs2_data").bit(0).sext(32))},
+    "swapped_read_leaves": _swapped_read_leaves,
 }
 
 
@@ -313,6 +327,120 @@ def test_every_select_pattern_agrees_on_every_backend(full_core, pattern):
                 assert actual_trace.column(field) == \
                     expected_trace.column(field), (pattern, seed, name,
                                                    field)
+
+
+def test_swapped_read_port_keeps_its_tree(full_core):
+    """Only a read port assigned exactly the shared tree is read by
+    index: the swapped rs2 port is emitted as its tree in both loops."""
+    from repro.rtl.compiled import compile_core, compile_fleet
+
+    variant = full_core.with_assigns(_swapped_read_leaves(full_core))
+    for source in (compile_core(variant).source,
+                   compile_fleet(variant).source):
+        assert source.count("regfile[v_rf_rs1_addr]") == 1
+        assert "regfile[v_rf_rs2_addr]" not in source
+        assert source.count("regfile[15]") == 1
+
+
+# ------------------------------------------- self-modifying text, word view
+
+def _patched_text_program(store):
+    """Executes ``addi a0, a0, 1`` at ``target``, then patches that word
+    with ``sw`` (to ``addi a0, a0, 100``) or with ``sh`` (its upper half,
+    the same patch) and later ``sb`` (its top byte, to ``addi a0, a0,
+    260``), executing each patched word."""
+    from repro.isa.bits import to_s32
+    from repro.isa.encoding import Instruction, encode
+
+    first = encode(Instruction("addi", rd=10, rs1=10, imm=100))
+    second = (first & 0x00FFFFFF) | (0x10 << 24)
+    if store == "sw":
+        patch = [f"    li a2, {to_s32(first)}", "    sw a2, 0(a1)"]
+    else:
+        patch = [f"    li a2, {first >> 16}", f"    li a5, {second >> 24}",
+                 "    bnez a3, top_byte",
+                 "    sh a2, 2(a1)",
+                 "    j patched",
+                 "top_byte:",
+                 "    sb a5, 3(a1)",
+                 "patched:"]
+    return assemble("\n".join([
+        ".text", "main:", "    li a0, 0", "    li a3, 0",
+        "    la a1, target", "loop:", "target:", "    addi a0, a0, 1"]
+        + patch + [
+        "    addi a3, a3, 1", "    li a4, 3", "    blt a3, a4, loop",
+        "    ret"]) + "\n")
+
+
+@pytest.mark.parametrize("store", ["sw", "sb_sh"])
+def test_self_modifying_text_agrees_on_every_backend(full_core, store):
+    """A store into the text shows through the fused loops' word view at
+    the next fetch: a fused ``RisspSim``, a one-lane ``FleetSim`` and the
+    interpreter agree on the result and every RVFI column, and the
+    golden reference computes the same exit code."""
+    from repro.rtl.fleet import FleetSim
+
+    program = _patched_text_program(store)
+    expected = run_program(program)
+    assert expected.exit_code == (201 if store == "sw" else 361)
+    reference = _assert_lockstep(full_core, program, 1_000, context=store)
+    [lane] = FleetSim(full_core, program, 1, backend="fused",
+                      trace_lanes=(0,)).run(1_000)
+    for result in (reference, lane):
+        assert (result.exit_code, result.halted_by) == \
+            (expected.exit_code, "ecall")
+    assert lane.instructions == reference.instructions
+    for field in RvfiTrace.FIELDS:
+        assert lane.trace.column(field) == reference.trace.column(field), \
+            field
+
+
+def test_word_view_shim_matches_memoryview():
+    """The little-endian shim reads the same words as the native view
+    and sees later same-length writes."""
+    import random
+    import struct
+    import sys
+
+    from repro.sim.memory import _LittleEndianWords, word_view
+
+    raw = bytearray(random.Random(FUZZ_BASE_SEED).randbytes(4096))
+    shim = _LittleEndianWords(raw)
+    expected = list(struct.unpack(f"<{len(raw) // 4}I", raw))
+    assert [shim[i] for i in range(len(expected))] == expected
+    view = word_view(raw)
+    if sys.byteorder == "little":
+        assert isinstance(view, memoryview)
+        assert view.tolist() == expected
+    raw[8:12] = (0xDEADBEEF).to_bytes(4, "little")
+    assert shim[2] == view[2] == 0xDEADBEEF
+    view.release()
+
+
+def test_fused_loop_runs_on_the_shim(full_core, monkeypatch):
+    """With the shim in place of the native view, a fused loop retires
+    the self-modifying program row for row like the interpreter."""
+    from repro.rtl.compiled import compile_core
+    from repro.sim.memory import _LittleEndianWords
+
+    variant = full_core.with_assigns({})    # a core with its own namespace
+    views = []
+
+    def shim_view(raw):
+        views.append(_LittleEndianWords(raw))
+        return views[-1]
+
+    monkeypatch.setitem(compile_core(variant).namespace, "word_view",
+                        shim_view)
+    program = _patched_text_program("sb_sh")
+    result = RisspSim(variant, program, trace=True, backend="fused") \
+        .run(1_000)
+    reference = RisspSim(full_core, program, trace=True,
+                         backend="interpreter").run(1_000)
+    assert views
+    assert (result.exit_code, result.instructions, result.halted_by) == \
+        (reference.exit_code, reference.instructions, reference.halted_by)
+    assert _rows(result) == _rows(reference)
 
 
 # ---------------------------------------------- two-source arbitration

@@ -20,8 +20,7 @@ import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import RisspSim, build_rissp
-from repro.rtl.ir import Module, RegFileSpec, const
-from repro.rtl.rissp import _read_mux_tree
+from repro.rtl.ir import Module, RegFileSpec, _read_mux_tree, const
 from repro.rtl.sim import BACKENDS, RtlSim
 
 

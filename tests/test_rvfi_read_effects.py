@@ -13,6 +13,7 @@ import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import RisspSim, build_rissp, cosimulate
+from repro.rtl.core_sim import CosimMismatch
 from repro.sim import GoldenSim, RvfiTrace, abi_initial_regs, run_program
 from repro.verify import check_trace
 
@@ -164,6 +165,38 @@ def test_rs_rdata_is_what_the_read_port_delivered(full_core, backend):
         f"shadow 0x80000003"]
     healthy = RisspSim(full_core, prog, trace=True, backend=backend).run(100)
     assert check_trace(healthy.trace, initial_regs=abi_initial_regs()).passed
+
+
+_STORE_PROBE = """.text
+main:
+    li a1, 0x1234
+    addi a4, sp, -16
+    sw a1, 0(a4)
+    lw a0, 0(a4)
+    ret
+"""
+
+
+@pytest.mark.parametrize("backend", ["fused", "interpreter"])
+def test_read_on_a_store_is_a_spurious_load_effect(full_core, backend):
+    """A core whose ``dmem_re`` also fires on ``sw`` records that read as
+    a 4-byte unsigned read: cosim reports it in the ``mem_rmask`` column
+    of the ``sw`` row, and the checker names it on the core's own trace.
+    Tracing it used to raise ``KeyError: 'sw'`` on both backends."""
+    from repro.isa.encoding import decode
+
+    variant = full_core.with_assigns({
+        "dmem_re": full_core.assigns["dmem_re"]
+        | full_core.sig("ex_sel_sw")})
+    rtl = RvfiTrace()
+    mismatch = cosimulate(variant, assemble(_STORE_PROBE), backend=backend,
+                          rtl_trace_out=rtl)
+    sw = list(rtl)[-1]
+    assert decode(sw.insn).mnemonic == "sw"
+    assert mismatch == CosimMismatch(sw.order, "mem_rmask", 0b1111, 0)
+    report = check_trace(rtl, initial_regs=abi_initial_regs())
+    assert report.errors == [
+        f"order={sw.order} pc={sw.pc_rdata:#x}: spurious load effect"]
 
 
 @pytest.mark.parametrize("flipped", [False, True],

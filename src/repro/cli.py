@@ -95,9 +95,6 @@ class FarmConfig:
         (1, 2, 4), "worker counts the bench stage times")
     fleet_instances: int = _cfg(
         1024, "core+firmware instances the fleet stage batches")
-    fleet_quantum: int = _cfg(
-        256, "retirements per batched fleet pass (scheduling only — "
-             "never changes results)")
     scenario_count: int = _cfg(
         64, "random scenarios the scenarios stage generates")
     scenario_seed: int = _cfg(
@@ -321,8 +318,7 @@ def _stage_fleet(config: FarmConfig) -> tuple[bool, dict]:
         _echo("fleet: needs at least one instance -> FAIL")
         return False, {}
     metrics = fleet_throughput_metrics(
-        instances=config.fleet_instances, workers=config.workers,
-        quantum=config.fleet_quantum)
+        instances=config.fleet_instances, workers=config.workers)
     _echo(f"  instances            {metrics['instances']}")
     _echo(f"  retirements          {metrics['retirements']}")
     _echo(f"  fleet cycles/sec     {metrics['fleet_cycles_per_sec']:,.0f}")

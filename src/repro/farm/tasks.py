@@ -216,9 +216,10 @@ class FleetShardTask:
     """One contiguous lane range of a batched fleet campaign.
 
     The shard builds a :class:`~repro.rtl.fleet.FleetSim` over its lanes
-    only, differentiates each lane by poking ``id_register`` with a value
-    derived from the lane's *global* index (so results are a pure
-    function of the lane index, not of how the campaign was sharded), and
+    only, differentiates each lane by poking ``FLEET_ID_REGISTER`` with
+    :func:`~repro.farm.campaigns.fleet_lane_value` of the lane's *global*
+    index (so results are a pure function of the lane index, not of how
+    the campaign was sharded), and
     returns one ``(lane, exit_code, instructions, halted_by)`` row per
     lane in lane order — the merge step concatenates shard results in
     shard order, which restores the serial row order exactly.
@@ -229,18 +230,9 @@ class FleetShardTask:
     program: Program
     lane_lo: int
     lane_hi: int
-    id_register: int = 12
-    id_base: int = 12
-    id_spread: int = 5
     max_instructions: int = 100_000
     quantum: int = 256
     mem_size: int = 0x10000
-
-    def lane_id_value(self, lane: int) -> int:
-        """Per-lane workload parameter: pure function of the global lane
-        index (``id_spread`` staggers halt times across the batch)."""
-        return self.id_base + (lane % self.id_spread
-                               if self.id_spread else 0)
 
     def describe(self) -> str:
         return (f"fleet {self.task_id}: core={self.core.name} "
@@ -249,13 +241,14 @@ class FleetShardTask:
 
     def run(self) -> list[tuple[int, int, int, str]]:
         from ..rtl.fleet import FleetSim
+        from .campaigns import FLEET_ID_REGISTER, fleet_lane_value
 
         fleet = FleetSim(self.core.build(), self.program,
                          self.lane_hi - self.lane_lo,
                          mem_size=self.mem_size)
         for slot, lane in enumerate(range(self.lane_lo, self.lane_hi)):
-            fleet.poke_regfile(slot, self.id_register,
-                               self.lane_id_value(lane))
+            fleet.poke_regfile(slot, FLEET_ID_REGISTER,
+                               fleet_lane_value(lane))
         results = fleet.run(max_instructions=self.max_instructions,
                             quantum=self.quantum)
         return [(lane, result.exit_code, result.instructions,
@@ -302,9 +295,10 @@ class ComplianceTask:
 
     ``run()`` returns the concatenated mismatch strings of its mnemonics,
     in target order; the merge step concatenates shard results in shard
-    order, reproducing the serial report exactly.  Workers sharing a
-    ``$REPRO_CACHE_DIR`` also share golden reference signatures through
-    the atomic on-disk cache (see :mod:`repro.verify.riscof`).
+    order, reproducing the serial report exactly.  A worker computes the
+    golden reference signature of each of its mnemonics once, in memory
+    (see :mod:`repro.verify.riscof`): a campaign's shards split its
+    target list, so no two of them need the same signature.
     """
 
     task_id: str

@@ -68,8 +68,6 @@ def cache_rates(counters: dict) -> dict:
             lookups - counters.get("decode_cache.misses", 0), lookups),
         "riscof.sig_memo_hit_rate": _rate(
             counters.get("riscof.sig_memo_hit", 0), sig_lookups),
-        "riscof.sig_disk_hit_rate": _rate(
-            counters.get("riscof.sig_disk_hit", 0), sig_lookups),
         "farm.core_rebuild.memo_hit_rate": _rate(
             counters.get("farm.core_rebuild.memo_hit", 0), rebuilds),
     }

@@ -45,8 +45,8 @@ Counter taxonomy (see README for the narrative):
     divergences classified by cause (fetch, emulated, mret, rv32e_bound,
     illegal, trap, load_oob, store_oob, other).
 ``riscof.*``
-    Golden-signature cache for the compliance flow: lookups, in-process
-    memo hits, on-disk cache hits, full golden recomputes.
+    Golden-signature memo of the compliance flow: lookups, in-process
+    memo hits, full golden recomputes (hits + recomputes == lookups).
 ``farm.*``
     Task counts and worker-side core rebuilds (per-process memo hit vs
     full build).
@@ -99,10 +99,9 @@ COUNTERS: tuple[str, ...] = (
     "fleet.diverge.load_oob",
     "fleet.diverge.store_oob",
     "fleet.diverge.other",
-    # -- riscof golden-signature cache
+    # -- riscof golden-signature memo
     "riscof.sig_lookup",
     "riscof.sig_memo_hit",
-    "riscof.sig_disk_hit",
     "riscof.sig_recompute",
     # -- farm
     "farm.tasks",

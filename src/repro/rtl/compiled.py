@@ -545,8 +545,9 @@ def compile_module(module: Module) -> CompiledModule:
 # ---------------------------------------------------------------------------
 # Fused whole-cycle loop (PR 4)
 
-#: dmem byte-strobe -> store width; shared by the per-cycle harness and the
-#: generated fused loop so both reject malformed strobes identically.
+#: dmem byte-strobe -> store width; shared by the per-cycle harness, the
+#: generated fused loop and the block testbench, so all three reject
+#: malformed strobes identically.
 WSTRB_WIDTH = {0b0001: 1, 0b0010: 1, 0b0100: 1, 0b1000: 1,
                0b0011: 2, 0b1100: 2, 0b1111: 4}
 

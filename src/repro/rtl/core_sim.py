@@ -500,25 +500,22 @@ class RisspSim:
         self._fused_sink = trace
         sink = trace.row_sink() if trace is not None else None
         active = _obs._ACTIVE
-        if active is None:
-            try:
-                return self._fused.run_cycles(self._fused_context(), count,
-                                              limit, sink)
-            finally:
-                self._fused_sink = None
-        # Telemetry path: decode-cache stats from the shared per-word
-        # cache's growth (misses are exact; lookups are counted as
-        # retirements, which over-counts probes — emulated Zicsr/wfi and
-        # RV32E-bound words never probe the cache — so the derived hit
-        # rate is an upper bound).  Nothing is injected into the
-        # generated loop itself.
-        dcache = self._fused.namespace.get("_DCACHE")
-        words_before = len(dcache) if dcache is not None else 0
+        if active is not None:
+            # Decode-cache stats from the shared per-word cache's growth
+            # (misses are exact; lookups are counted as retirements,
+            # which over-counts probes — emulated Zicsr/wfi and
+            # RV32E-bound words never probe the cache — so the derived
+            # hit rate is an upper bound).  Nothing is injected into the
+            # generated loop itself.
+            dcache = self._fused.namespace.get("_DCACHE")
+            words_before = len(dcache) if dcache is not None else 0
         try:
             halted, reason, retired = self._fused.run_cycles(
                 self._fused_context(), count, limit, sink)
         finally:
             self._fused_sink = None
+        if active is None:
+            return halted, reason, retired
         counters = active.counters
         counters["fused.runs"] += 1
         counters["fused.retired"] += retired - count
@@ -580,25 +577,23 @@ def cosimulate(core: Module, program: Program,
     writeback, memory effect (read *and* write side) and trap/interrupt
     flags must agree.
 
-    Both sides retire into row-major :class:`RvfiTrace` sinks.  On the
-    interpreter each retirement's two rows are compared whole as they
-    retire: the RTL and the golden reference (through
-    ``GoldenSim.retire_one``) step one row at a time.  With the fused
-    backend the RTL side executes in chunks of :data:`COSIM_CHUNK`
-    retirements, the golden reference records the same span through its
-    compiled recorders (``GoldenSim.run_chunk``), and both record each
-    row with one call of their chunk trace's ``row_sink`` — a 17-tuple
-    appended by the flat list's ``extend``.  Each chunk's two traces are
-    then compared by column, :data:`COSIM_FIELDS` as whole lists (copies
-    sliced from the flat rows); the divergent index is searched for only
-    after a mismatch.  So the golden side may run at most one chunk past
-    a divergence.  Either way the verdict is the same: the first
-    divergence is the lowest retirement index whose fields or halt flags
-    differ, reported with the first differing field in
-    :data:`COSIM_FIELDS` order (``"halt"`` when only the halt flags
-    differ); a refusal (exception) on either side is raised only when
-    every row retired before it compared clean, and the RTL's refusal
-    loses to a golden refusal at an earlier row.
+    One loop on both backends.  Each chunk, the RTL side retires up to a
+    chunk of rows (``RisspSim._advance``: the fused loop or the
+    interpreter's ``_cycle``); the golden reference then records exactly
+    as many through ``GoldenSim.run_chunk`` (fewer when it halts or
+    refuses first), each side into its own :class:`RvfiTrace`, and
+    :func:`_chunk_mismatch` compares the two traces by column.  A chunk
+    is :data:`COSIM_CHUNK` rows on the fused backend and one row on the
+    interpreter, so the golden side may run at most one chunk past a
+    divergence and an oracle run stops at the divergent row.  The
+    verdict: the first divergence is the lowest retirement index whose
+    fields or halt flags differ, reported with the first differing field
+    in :data:`COSIM_FIELDS` order (``"halt"`` when only the halt flags
+    differ).  A refusal (SimulationError/MemoryError_) on the RTL side
+    ends its chunk and is raised only when every row retired before it
+    compared clean; a golden refusal ends the golden chunk early, so it
+    loses to a divergence among the rows it did retire and wins over any
+    later RTL refusal.
 
     ``golden_trace_out`` and ``rtl_trace_out``, :class:`RvfiTrace` sinks,
     when given, receive exactly the compared rows of their side: through
@@ -620,79 +615,17 @@ def cosimulate(core: Module, program: Program,
     rtl = RisspSim(core, program, trace=True, backend=backend, soc=soc)
     gold = GoldenSim(program, trace=True, soc=soc)
     field_slots = [RvfiTrace.FIELDS.index(name) for name in COSIM_FIELDS]
-    if rtl._fused is not None:
-        return _cosimulate_fused(rtl, gold, golden_trace_out, rtl_trace_out,
-                                 field_slots, max_instructions)
-    # The interpreter's walk stays row by row: running it a chunk past a
+    # One-row chunks on the interpreter: running it a chunk past a
     # divergence would multiply the cost of every mutant on the oracle.
-    gold_trace = golden_trace_out if golden_trace_out is not None \
-        else RvfiTrace(capacity=1)
-    # The RTL row is kept only once the golden side has retired its twin,
-    # so a golden refusal leaves the RTL row it was not compared with out.
-    rtl_trace = RvfiTrace(capacity=1)
-    keep_rtl = rtl_trace_out.row_sink() if rtl_trace_out is not None \
-        else None
-    for index in range(max_instructions):
-        rtl_halt, _ = rtl._cycle(index, rtl_trace)
-        gold_halt, _ = gold.retire_one(index, gold_trace)
-        rtl_row = rtl_trace.row(-1)
-        if keep_rtl is not None:
-            keep_rtl(rtl_row)
-        mismatch = _retirement_mismatch(index, rtl_row, gold_trace.row(-1),
-                                        rtl_halt, gold_halt, field_slots)
-        if mismatch is not None:
-            return mismatch
-        if rtl_halt:
-            return None
-    return CosimMismatch(max_instructions, "limit", 0, 0)
-
-
-def _retirement_mismatch(order: int, rtl_row: tuple, gold_row: tuple,
-                         rtl_halt: bool, gold_halt: bool,
-                         field_slots: list[int]) -> CosimMismatch | None:
-    """First-divergence verdict for one retirement — the single compare
-    both the per-cycle walk and the chunked fused path go through, so
-    their verdicts cannot drift apart."""
-    if rtl_row != gold_row:
-        for slot, field_name in zip(field_slots, COSIM_FIELDS):
-            if rtl_row[slot] != gold_row[slot]:
-                return CosimMismatch(order, field_name, rtl_row[slot],
-                                     gold_row[slot])
-    if rtl_halt != gold_halt:
-        return CosimMismatch(order, "halt", int(rtl_halt), int(gold_halt))
-    return None
-
-
-#: Retirements per fused-cosimulation chunk: bounds both sides' trace
-#: buffers, and how far either side can run past a divergence before the
-#: chunk's rows are compared.
-COSIM_CHUNK = 4096
-
-
-def _cosimulate_fused(rtl: RisspSim, gold,
-                      golden_trace_out: RvfiTrace | None,
-                      rtl_trace_out: RvfiTrace | None,
-                      field_slots: list[int],
-                      max_instructions: int) -> CosimMismatch | None:
-    """Chunked cosimulation: fused RTL chunks against golden chunks.
-
-    Each chunk, the RTL retires up to :data:`COSIM_CHUNK` rows; the golden
-    reference then records exactly as many (fewer when it halts or
-    refuses first), and :func:`_chunk_mismatch` compares the two traces
-    by column.  Verdict-equivalent to the per-cycle walk: an RTL-side
-    refusal (SimulationError/MemoryError_) ends the RTL chunk and is
-    raised only if the chunk's rows all matched; a golden refusal ends
-    the golden chunk early, so it loses to a divergence among the rows
-    it did retire and wins over any later RTL refusal.
-    """
+    chunk_len = COSIM_CHUNK if rtl._fused is not None else 1
     order = 0
     while order < max_instructions:
         chunk = RvfiTrace()
         refusal = None
         rtl_halted = False
         try:
-            rtl_halted, _, _ = rtl._fused_run(
-                order, min(order + COSIM_CHUNK, max_instructions), chunk)
+            rtl_halted, _, _ = rtl._advance(
+                order, min(order + chunk_len, max_instructions), chunk)
         except (SimulationError, MemoryError_) as exc:
             refusal = exc
         gold_chunk = RvfiTrace()
@@ -728,6 +661,12 @@ def _cosimulate_fused(rtl: RisspSim, gold,
     return CosimMismatch(max_instructions, "limit", 0, 0)
 
 
+#: Retirements per fused-cosimulation chunk: bounds both sides' trace
+#: buffers, and how far either side can run past a divergence before the
+#: chunk's rows are compared.
+COSIM_CHUNK = 4096
+
+
 def _chunk_mismatch(order: int, chunk: RvfiTrace, gold_chunk: RvfiTrace,
                     rtl_halted: bool, gold_halted: bool,
                     field_slots: list[int]) -> CosimMismatch | None:
@@ -738,7 +677,8 @@ def _chunk_mismatch(order: int, chunk: RvfiTrace, gold_chunk: RvfiTrace,
     The :data:`COSIM_FIELDS` columns are compared as whole lists; only a
     column that differs is scanned for its first differing index.  Each
     side's halt flag belongs to its last row.  The lowest divergent index
-    is then judged by :func:`_retirement_mismatch`, like a per-cycle row.
+    is reported with its first differing field, or as ``"halt"`` when
+    only the halt flags differ there.
     """
     rows = len(gold_chunk)
     rtl_last = len(chunk) - 1
@@ -754,7 +694,12 @@ def _chunk_mismatch(order: int, chunk: RvfiTrace, gold_chunk: RvfiTrace,
                 compress(count(), map(ne, rtl_column, gold_column)), first))
     if first == rows:
         return None
-    return _retirement_mismatch(
-        order + first, chunk.row(first), gold_chunk.row(first),
-        rtl_halted and first == rtl_last, gold_halted and first == rows - 1,
-        field_slots)
+    rtl_row = chunk.row(first)
+    gold_row = gold_chunk.row(first)
+    for slot, name in zip(field_slots, COSIM_FIELDS):
+        if rtl_row[slot] != gold_row[slot]:
+            return CosimMismatch(order + first, name, rtl_row[slot],
+                                 gold_row[slot])
+    return CosimMismatch(order + first, "halt",
+                         int(rtl_halted and first == rtl_last),
+                         int(gold_halted and first == rows - 1))

@@ -11,14 +11,13 @@ against a reference model (Spike).  Here:
     region.
 
 ``run_compliance`` returns a report listing any signature divergence.
+Each golden signature is computed once per process and kept in memory.
+There is no cross-process cache: a sharded campaign splits the mnemonics
+disjointly across its shards, so no worker would read another's entry.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pathlib
-import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -153,30 +152,8 @@ def _compliance_binary(mnemonic: str) -> Program:
     return assemble(compliance_program(mnemonic))
 
 
-def _signature_cache_dir() -> str | None:
-    """Shared on-disk signature cache root: ``$REPRO_CACHE_DIR``, or
-    disabled when unset (the in-process memo below always applies)."""
-    return os.environ.get("REPRO_CACHE_DIR") or None
-
-
-def _program_digest(program: Program) -> str:
-    """Content digest of a linked image — the disk-cache key component
-    that makes a stale entry impossible: any change to the generated
-    compliance program (or the assembler) changes the key."""
-    blob = hashlib.sha256()
-    blob.update(program.text_bytes())
-    blob.update(bytes(program.data_bytes))
-    blob.update(repr((program.text_base, program.data_base,
-                      program.entry)).encode())
-    return blob.hexdigest()[:16]
-
-
-def _cached_signature_path(mnemonic: str,
-                           cache_dir: str | None) -> pathlib.Path | None:
-    if cache_dir is None:
-        return None
-    digest = _program_digest(_compliance_binary(mnemonic))
-    return pathlib.Path(cache_dir) / f"riscof-sig-{mnemonic}-{digest}.bin"
+#: mnemonic -> golden-reference signature, one golden run per process.
+_REFERENCE_SIGNATURES: dict[str, bytes] = {}
 
 
 def _reference_signature(mnemonic: str) -> bytes:
@@ -184,74 +161,26 @@ def _reference_signature(mnemonic: str) -> bytes:
 
     The reference depends only on the (deterministic) program, never on
     the core under test, so the golden run happens once per process — the
-    same sharing the compliance binaries already had.  The in-process
-    memo is keyed by ``(mnemonic, resolved cache dir)``, so changing
-    ``$REPRO_CACHE_DIR`` mid-process takes effect on the next call
-    instead of silently reusing the old cache decision.
-
-    With ``$REPRO_CACHE_DIR`` set the signature is additionally shared
-    *across* processes, which is what makes a sharded compliance campaign
-    cheap: the cache key is ``(mnemonic, program content digest)`` — two
-    workers can never interleave entries for different programs under one
-    key — and a worker that finds the entry skips the golden run
-    entirely.  Writes are atomic (temp file in the same directory +
-    ``os.replace``), so a reader sees either nothing or one complete
-    signature, never a torn write; racing writers both produce the same
-    bytes and the last rename wins.  A short or missing entry is treated
-    as absent and recomputed.
+    same sharing the compliance binaries have.
 
     Telemetry (when a :mod:`repro.obs` session is active) counts every
-    lookup here and classifies the resolution tier: an lru memo hit is
-    detected from the memo's miss count not moving, a disk hit or full
-    golden recompute is counted inside the memo body.
+    lookup and whether the memo answered it or a golden run recomputed
+    it, so memo hits + recomputes == lookups.
     """
+    signature = _REFERENCE_SIGNATURES.get(mnemonic)
     active = _obs._ACTIVE
-    if active is None:
-        return _reference_signature_memo(mnemonic, _signature_cache_dir())
-    active.counters["riscof.sig_lookup"] += 1
-    misses_before = _reference_signature_memo.cache_info().misses
-    signature = _reference_signature_memo(mnemonic, _signature_cache_dir())
-    if _reference_signature_memo.cache_info().misses == misses_before:
-        active.counters["riscof.sig_memo_hit"] += 1
-    return signature
-
-
-@lru_cache(maxsize=None)
-def _reference_signature_memo(mnemonic: str,
-                              cache_dir: str | None) -> bytes:
-    expected = 4 * SIGNATURE_WORDS
-    path = _cached_signature_path(mnemonic, cache_dir)
-    if path is not None:
-        try:
-            cached = path.read_bytes()
-        except OSError:
-            cached = b""
-        if len(cached) == expected:
-            if _obs._ACTIVE is not None:
-                _obs._ACTIVE.counters["riscof.sig_disk_hit"] += 1
-            return cached
-    if _obs._ACTIVE is not None:
-        _obs._ACTIVE.counters["riscof.sig_recompute"] += 1
-    program = _compliance_binary(mnemonic)
-    ref = GoldenSim(program)
-    ref.run(max_instructions=100_000)
-    signature = _signature(ref.memory, program)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name + ".")
-        try:
-            try:
-                os.write(fd, signature)
-            finally:
-                os.close(fd)
-            os.replace(tmp_name, path)
-        finally:
-            # A failed write or replace must not leak the temp file into
-            # the shared cache dir (after a successful replace the name
-            # is gone and this is a no-op).
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
+    if active is not None:
+        active.counters["riscof.sig_lookup"] += 1
+        if signature is None:
+            active.counters["riscof.sig_recompute"] += 1
+        else:
+            active.counters["riscof.sig_memo_hit"] += 1
+    if signature is None:
+        program = _compliance_binary(mnemonic)
+        ref = GoldenSim(program)
+        ref.run(max_instructions=100_000)
+        signature = _REFERENCE_SIGNATURES[mnemonic] = _signature(
+            ref.memory, program)
     return signature
 
 
@@ -293,7 +222,7 @@ def check_compliance_mnemonic(core: Module, mnemonic: str) -> list[str]:
     Returns the mismatch strings for this mnemonic (at most one — the
     first diverging signature word, same convention as always).  This is
     the unit of work a compliance shard executes; it touches no state
-    beyond the per-process/ per-``$REPRO_CACHE_DIR`` reference memos.
+    beyond the per-process memos of binaries and reference signatures.
     """
     program = _compliance_binary(mnemonic)
     dut = RisspSim(core, program)

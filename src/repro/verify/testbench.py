@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa.spec import Effects
+from ..rtl.compiled import WSTRB_WIDTH
 from ..rtl.ir import Module
 from ..rtl.sim import RtlSim
 from .arch_tests import TestVector, vectors_for
-
-_WSTRB_TO_WIDTH = {0b0001: 1, 0b0010: 1, 0b0100: 1, 0b1000: 1,
-                   0b0011: 2, 0b1100: 2, 0b1111: 4}
 
 
 @dataclass
@@ -105,7 +103,7 @@ def _check(sim: RtlSim, block: Module, vector: TestVector,
             fail("spec stores but block has no store port")
             return
         wstrb = sim.get("dmem_wstrb")
-        width = _WSTRB_TO_WIDTH.get(wstrb)
+        width = WSTRB_WIDTH.get(wstrb)
         if width != mw.width:
             fail(f"wstrb {wstrb:#06b} width {width} != {mw.width}")
             return

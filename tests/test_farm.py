@@ -25,7 +25,6 @@ from repro.farm import (
     mutation_exercise_target,
     run_tasks,
 )
-from repro.isa.instructions import INSTRUCTIONS
 from repro.rtl.compiled import stable_fingerprint
 from repro.rtl.rissp import build_rissp
 from repro.verify.fuzz import FUZZ_BASE_SEED, derive_seed, fuzz_chunk_seeds
@@ -245,92 +244,12 @@ def test_fuzz_task_ids_embed_replayable_seeds():
     assert list(results) == expected
 
 
-# ---------------------------------------- process-safe signature cache
+# ------------------------------------------------- signature memo
 
-def _full_core():
-    return build_rissp([d.mnemonic for d in INSTRUCTIONS])
-
-
-def test_signature_cache_writes_atomically(tmp_path, monkeypatch):
+def test_compliance_leaves_the_cache_dir_empty(tmp_path, monkeypatch):
+    """Reference signatures live in the per-process memo only: the package
+    reads no cache-dir variable and writes no signature file."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     core = build_rissp(COMPLIANCE_SUBSET)
     assert riscof.check_compliance_mnemonic(core, "add") == []
-    entries = list(tmp_path.glob("riscof-sig-add-*.bin"))
-    assert len(entries) == 1
-    assert len(entries[0].read_bytes()) == 4 * riscof.SIGNATURE_WORDS
-    # Atomic rename leaves no temp files behind.
-    assert list(tmp_path.glob("*.bin.*")) == []
-
-
-def test_signature_cache_hit_skips_the_golden_run(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    core = build_rissp(COMPLIANCE_SUBSET)
-    assert riscof.check_compliance_mnemonic(core, "sub") == []
-    # Drop the in-process memo so the next call must go through the disk
-    # cache — the cross-process path a farm worker exercises.
-    riscof._reference_signature_memo.cache_clear()
-
-    class Detonator:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("golden run despite warm disk cache")
-
-    monkeypatch.setattr(riscof, "GoldenSim", Detonator)
-    assert riscof.check_compliance_mnemonic(core, "sub") == []
-
-
-def test_short_cache_entry_is_recomputed(tmp_path, monkeypatch):
-    """A torn/truncated entry must read as absent, never as a signature."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    core = build_rissp(COMPLIANCE_SUBSET)
-    assert riscof.check_compliance_mnemonic(core, "and") == []
-    entry = next(tmp_path.glob("riscof-sig-and-*.bin"))
-    entry.write_bytes(b"\xde\xad")  # corrupt: far too short
-    riscof._reference_signature_memo.cache_clear()
-    assert riscof.check_compliance_mnemonic(core, "and") == []
-    assert len(entry.read_bytes()) == 4 * riscof.SIGNATURE_WORDS
-
-
-def test_failed_cache_write_leaves_no_temp_files(tmp_path, monkeypatch):
-    """Regression: a write failure between mkstemp and os.replace used to
-    leak the temp file into the shared cache dir forever (mkstemp names
-    survive the process).  The write path must unlink its temp file on
-    any failure — and still produce no signature file."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    riscof._reference_signature_memo.cache_clear()
-
-    import os as os_module
-
-    def failing_write(fd, data):
-        raise OSError("injected: disk full")
-
-    monkeypatch.setattr(riscof.os, "write", failing_write)
-    with pytest.raises(OSError, match="disk full"):
-        riscof._reference_signature("add")
-    monkeypatch.undo()
-    assert list(tmp_path.iterdir()) == []  # no entry, no stray temp
-
-    # A failing replace (entry path turned into a directory) must also
-    # clean up its temp file.
-    riscof._reference_signature_memo.cache_clear()
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    program = riscof._compliance_binary("add")
-    digest = riscof._program_digest(program)
-    entry = tmp_path / f"riscof-sig-add-{digest}.bin"
-    entry.mkdir()
-    with pytest.raises(OSError):
-        riscof._reference_signature("add")
-    entry.rmdir()
     assert list(tmp_path.iterdir()) == []
-
-
-def test_cache_key_distinguishes_programs(tmp_path, monkeypatch):
-    """Two mnemonics can never interleave under one key: the file name
-    carries both the mnemonic and the program content digest."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    core = build_rissp(COMPLIANCE_SUBSET)
-    assert riscof.check_compliance_mnemonic(core, "or") == []
-    assert riscof.check_compliance_mnemonic(core, "slt") == []
-    names = sorted(p.name for p in tmp_path.glob("riscof-sig-*.bin"))
-    assert len(names) == 2 and names[0] != names[1]
-    digests = {name.rsplit("-", 1)[1] for name in names}
-    assert len(digests) == 2  # distinct programs -> distinct digests

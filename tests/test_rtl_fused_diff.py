@@ -634,14 +634,14 @@ def test_non_fusable_core_is_refused_at_construction():
 
 # ------------------------------------------- lock-step contract
 #
-# The fused cosim compares chunk columns against the golden sink's newest
-# slot; these pin what that must keep from the interpreter's per-row
-# walk: the exact first divergence, the halt flags, the exception order
-# and what the golden sink holds.  Each injection works on the fused
-# backend and the interpreter alike, and the two verdicts must agree.
-# They run the loop's own core with a small COSIM_CHUNK (the `small_chunk`
-# fixture), so the interpreter leg retires about a hundred rows; one
-# fused-only run keeps the production chunk.
+# Cosim compares chunk columns, COSIM_CHUNK rows at a time on the fused
+# backend and one row at a time on the interpreter; these pin what the
+# chunk size must not change: the exact first divergence, the halt
+# flags, the exception order and what the trace sinks hold.  Each
+# injection works on the fused backend and the interpreter alike, and
+# the two verdicts must agree.  They run the loop's own core with a small
+# COSIM_CHUNK (the `small_chunk` fixture), so the interpreter leg retires
+# about a hundred rows; one fused-only run keeps the production chunk.
 
 #: The loop's subset: ``li`` (lui/addi), ``bnez`` (bne), ``ret`` (jalr)
 #: and the halt stub's ``ecall``.
@@ -714,10 +714,11 @@ def _corrupt_rtl_row(monkeypatch, target, field):
 
 def _patch_golden(monkeypatch, at, halt=None, refuse=False):
     """At golden retirement ``at``: raise a refusal before retiring, or
-    override the halt flag after retiring normally.  Injected through both
-    golden entries: ``retire_one`` (the per-cycle walk's) and ``run_chunk``
-    (the fused path's), which is split at ``at`` so that row retires
-    through the patched ``retire_one``."""
+    override the halt flag after retiring normally.  Cosim drives the
+    golden side through ``run_chunk`` on both backends, and its compiled
+    recorders retire most rows without ``retire_one``, so the patched
+    ``run_chunk`` is split at ``at`` and retires that row through the
+    patched ``retire_one``."""
     retire_one = GoldenSim.retire_one
     run_chunk = GoldenSim.run_chunk
 
@@ -776,6 +777,25 @@ def test_cosim_divergence_at_the_production_chunk(full_core, monkeypatch):
     golden = sink.peek(-1, "rd_wdata")
     assert mismatch == CosimMismatch(target, "rd_wdata", golden ^ 4, golden)
     assert len(sink) == len(rtl_sink) == target + 1
+
+
+def test_interpreter_cosim_stops_at_the_divergent_row(loop_core, long_loop,
+                                                      monkeypatch):
+    """The interpreter's chunk is one row: the RTL side runs no cycle past
+    the divergence, so a mutant on the oracle costs only its prefix."""
+    program, _ = long_loop
+    _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "rd_wdata")
+    corrupt_cycle = RisspSim._cycle
+    cycles = []
+
+    def counted(self, order, sink=None):
+        cycles.append(order)
+        return corrupt_cycle(self, order, sink)
+
+    monkeypatch.setattr(RisspSim, "_cycle", counted)
+    mismatch = cosimulate(loop_core, program, backend="interpreter")
+    assert (mismatch.index, mismatch.field) == (MID_CHUNK2, "rd_wdata")
+    assert cycles == list(range(MID_CHUNK2 + 1))
 
 
 def test_cosim_reports_golden_halt_one_row_early(loop_core, long_loop,

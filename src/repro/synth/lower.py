@@ -4,7 +4,10 @@ This is the technology-independent "elaboration + mapping" front half of the
 synthesis flow.  Word operators lower to the classic structures a synthesis
 tool infers (ripple-carry adders, barrel shifters, one-hot AND-OR muxes),
 after which the netlist-level constant propagation / structural hashing /
-dead sweep perform the paper's "redundancy removal".
+dead sweep perform the paper's "redundancy removal".  :func:`lower_module`
+returns the swept :class:`~repro.synth.netlist.Netlist` itself: a port,
+register-file storage word or register ``name`` of width ``w`` becomes the
+input, output or DFF pins ``name[0]`` .. ``name[w-1]``.
 
 The register file primitive is **not** lowered — its interface signals
 become primary outputs/inputs, matching the paper's setup where "each RISSP
@@ -12,8 +15,6 @@ is synthesized without the RF".
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from ..rtl.ir import (
     Binary,
@@ -28,20 +29,9 @@ from ..rtl.ir import (
     Sig,
     Slice,
 )
-from .netlist import GateType, Netlist, sweep_dead
+from .netlist import Netlist, sweep_dead
 
 Bits = list  # list[int] of netlist node ids, LSB first
-
-
-@dataclass
-class LoweredDesign:
-    """Result of lowering a module: netlist plus name-level pin maps."""
-
-    module_name: str
-    netlist: Netlist
-    input_bits: dict[str, Bits] = field(default_factory=dict)
-    output_bits: dict[str, Bits] = field(default_factory=dict)
-    dff_bits: dict[str, Bits] = field(default_factory=dict)
 
 
 class _Lowerer:
@@ -186,9 +176,8 @@ class _Lowerer:
 
     # --------------------------------------------------------------- module
 
-    def run(self) -> LoweredDesign:
+    def run(self) -> Netlist:
         module = self.module
-        design = LoweredDesign(module.name, self.net)
         regfile_data = set()
         regfile_interface = set()
         if module.regfile is not None:
@@ -204,18 +193,15 @@ class _Lowerer:
             bits = [self.net.add_input(f"{port.name}[{i}]")
                     for i in range(port.width)]
             self.values[port.name] = bits
-            design.input_bits[port.name] = bits
         for name in regfile_data:
             width = module.signal_width(name)
             bits = [self.net.add_input(f"{name}[{i}]") for i in range(width)]
             self.values[name] = bits
-            design.input_bits[name] = bits
         for reg in module.registers.values():
             bits = [self.net.add_dff(f"{reg.name}[{i}]",
                                      (reg.reset_value >> i) & 1)
                     for i in range(reg.width)]
             self.values[reg.name] = bits
-            design.dff_bits[reg.name] = bits
 
         for name in module.order:
             self.values[name] = self.lower_expr(module.assigns[name])
@@ -236,16 +222,14 @@ class _Lowerer:
         out_names += sorted(regfile_interface)
         for name in out_names:
             bits = self.values[name]
-            design.output_bits[name] = bits
             for index, node in enumerate(bits):
                 self.net.set_output(f"{name}[{index}]", node)
-        return design
+        return self.net
 
 
-def lower_module(module: Module, sweep: bool = True) -> LoweredDesign:
-    """Lower ``module`` to gates; optionally run dead-gate elimination."""
+def lower_module(module: Module) -> Netlist:
+    """Lower ``module`` to gates and run dead-gate elimination."""
     module.check()
-    design = _Lowerer(module).run()
-    if sweep:
-        sweep_dead(design.netlist)
-    return design
+    netlist = _Lowerer(module).run()
+    sweep_dead(netlist)
+    return netlist

@@ -14,6 +14,12 @@ the constructor API:
 
 A third pass, dead-gate elimination, runs after construction
 (:func:`sweep_dead`).
+
+Node ids are handed out in creation order, and every constructor looks
+up its operands, which therefore already exist: a combinational gate only
+ever reads smaller ids.  So ``Netlist.gates`` in dict order is a
+topological order, and timing, power and gate-level simulation walk it
+as is.
 """
 
 from __future__ import annotations
@@ -49,7 +55,16 @@ class Gate:
 
 
 class Netlist:
-    """Mutable gate network under construction; optimizes as it builds."""
+    """Mutable gate network under construction; optimizes as it builds.
+
+    ``gates`` maps node id to gate in creation order, and that order is
+    the netlist's only graph order: every combinational gate reads only
+    smaller ids, because a constructor can only be handed nodes that
+    exist.  The one late edge is a DFF's ``d`` input, patched by
+    :meth:`connect_dff`; a DFF is a source in every walk (its output is
+    state), so the order stays topological.  A walk in dict order that
+    met an input it had not yet seen would raise ``KeyError``.
+    """
 
     def __init__(self):
         self.gates: dict[int, Gate] = {}
@@ -186,42 +201,27 @@ class Netlist:
         return out
 
 
-def sweep_dead(netlist: Netlist) -> Netlist:
-    """Dead-gate elimination: keep only logic reachable from outputs/DFFs.
+def sweep_dead(netlist: Netlist) -> None:
+    """Dead-gate elimination, in place: prune ``netlist.gates`` (and
+    ``dff_init``) to the logic that reaches a primary output.
 
-    Returns a new compacted netlist-view (same object, gates dict pruned) —
-    the unused-instruction logic the RISSP philosophy removes shows up here
-    as a concrete gate-count drop.
+    One worklist from the outputs suffices: it follows every gate's
+    inputs, a live DFF's ``d`` input among them, so the ``d`` cone of a
+    flop that feeds an output stays, and a flop no output reaches goes
+    together with its cone.  The constants stay.  Pruning keeps the
+    survivors in creation order.  The unused-instruction logic the RISSP
+    philosophy removes shows up here as a concrete gate-count drop.
     """
     live: set[int] = set()
     stack = list(netlist.outputs.values())
-    # DFFs are roots too only if they themselves are live; iterate to fixpoint
-    # starting from outputs, pulling in DFF d-cones on demand.
     while stack:
         node = stack.pop()
         if node in live:
             continue
         live.add(node)
-        gate = netlist.gates[node]
-        stack.extend(gate.inputs)
-    changed = True
-    while changed:
-        changed = False
-        for node, gate in list(netlist.gates.items()):
-            if gate.kind is GateType.DFF and node in live:
-                for dep in gate.inputs:
-                    if dep not in live:
-                        stack = [dep]
-                        while stack:
-                            inner = stack.pop()
-                            if inner in live:
-                                continue
-                            live.add(inner)
-                            stack.extend(netlist.gates[inner].inputs)
-                        changed = True
+        stack.extend(netlist.gates[node].inputs)
     netlist.gates = {node: gate for node, gate in netlist.gates.items()
                      if node in live
                      or gate.kind in (GateType.CONST0, GateType.CONST1)}
     netlist.dff_init = {node: init for node, init in netlist.dff_init.items()
                         if node in netlist.gates}
-    return netlist

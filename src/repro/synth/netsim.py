@@ -4,45 +4,15 @@ Used for synthesis-equivalence checking (word-level RTL evaluation vs the
 lowered gates — the paper's synthesis tool performs the same check via
 equivalence checking) and as the execution engine for the MCY-analog
 mutation coverage measurement.
+
+One combinational pass walks ``netlist.gates`` in dict order, which is
+creation order and so topological (see :class:`.netlist.Netlist`): every
+gate's inputs are evaluated before it, and a DFF reads its state.
 """
 
 from __future__ import annotations
 
-from .netlist import Gate, GateType, Netlist
-
-
-def topo_gates(netlist: Netlist) -> list[int]:
-    """Topological order of combinational gates (sources first)."""
-    order: list[int] = []
-    state: dict[int, int] = {}
-
-    sources = (GateType.CONST0, GateType.CONST1, GateType.INPUT, GateType.DFF)
-    dff_nodes = [n for n, g in netlist.gates.items()
-                 if g.kind is GateType.DFF]
-    # DFF outputs are sources, but their *data-input cones* are
-    # combinational logic that must be scheduled too.
-    dff_fanin = [g.inputs[0] for n, g in netlist.gates.items()
-                 if g.kind is GateType.DFF]
-    for root in list(netlist.outputs.values()) + dff_nodes + dff_fanin:
-        stack = [(root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                state[node] = 2
-                order.append(node)
-                continue
-            mark = state.get(node, 0)
-            if mark:
-                continue
-            state[node] = 1
-            gate = netlist.gates[node]
-            stack.append((node, True))
-            if gate.kind in sources:
-                continue
-            for dep in gate.inputs:
-                if state.get(dep, 0) == 0:
-                    stack.append((dep, False))
-    return order
+from .netlist import GateType, Netlist
 
 
 class NetSim:
@@ -50,7 +20,6 @@ class NetSim:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order = topo_gates(netlist)
         self.values: dict[int, int] = {}
         self.dff_state: dict[int, int] = dict(netlist.dff_init)
 
@@ -58,9 +27,7 @@ class NetSim:
         """Evaluate with named input bits; returns named output bits."""
         values = self.values
         values.clear()
-        gates = self.netlist.gates
-        for node in self._order:
-            gate = gates[node]
+        for node, gate in self.netlist.gates.items():
             kind = gate.kind
             if kind is GateType.CONST0:
                 values[node] = 0

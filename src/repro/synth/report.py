@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..rtl.ir import Module
-from .lower import LoweredDesign, lower_module
+from .lower import lower_module
 from .netlist import GateType
 from .optimize import MappedStats, mapped_stats
 from .power import PowerBreakdown, power_at
@@ -71,10 +71,20 @@ class SynthReport:
     area: AreaStats
     timing: TimingReport
     lib: TechLib
-    avg_area_ge: float = 0.0    # averaged across the positive-slack sweep
-    avg_power_mw: float = 0.0
-    power_at_fmax: PowerBreakdown | None = None
-    design: LoweredDesign | None = field(default=None, repr=False)
+    # The measurement protocol, derived in __post_init__ from the fields
+    # above: averages across the positive-slack sweep, power at fmax.
+    avg_area_ge: float = field(init=False, default=0.0)
+    avg_power_mw: float = field(init=False, default=0.0)
+    power_at_fmax: PowerBreakdown | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        sweep = self.timing.sweep_khz
+        if sweep:
+            areas = [self.area_at(khz) for khz in sweep]
+            self.avg_area_ge = sum(areas) / len(areas)
+            powers = [self.power_mw_at(khz).total_mw for khz in sweep]
+            self.avg_power_mw = sum(powers) / len(powers)
+            self.power_at_fmax = self.power_mw_at(self.timing.fmax_khz)
 
     @property
     def fmax_khz(self) -> int:
@@ -115,31 +125,16 @@ class SynthReport:
 
 
 def synthesize(module: Module, lib: TechLib = FLEXIC_GEN3,
-               seed: str | None = None,
-               keep_design: bool = True) -> SynthReport:
+               seed: str | None = None) -> SynthReport:
     """Run the synthesis flow over ``module`` and measure PPA."""
-    design = lower_module(module, sweep=True)
-    netlist = design.netlist
-    timing = analyze_timing(netlist, lib, seed=seed or module.name)
+    netlist = lower_module(module)
     stats = mapped_stats(netlist, lib)
-    area = area_stats(stats, lib)
-    report = SynthReport(
+    return SynthReport(
         name=module.name,
         mnemonics=tuple(module.meta.get("mnemonics", ())),
         gate_counts=netlist.counts(),
         mapped=stats,
-        area=area,
-        timing=timing,
+        area=area_stats(stats, lib),
+        timing=analyze_timing(netlist, lib, seed=seed or module.name),
         lib=lib,
-        design=design,
     )
-    sweep = timing.sweep_khz
-    if sweep:
-        areas = [report.area_at(khz) for khz in sweep]
-        report.avg_area_ge = sum(areas) / len(areas)
-        powers = [report.power_mw_at(khz).total_mw for khz in sweep]
-        report.avg_power_mw = sum(powers) / len(powers)
-        report.power_at_fmax = report.power_mw_at(timing.fmax_khz)
-    if not keep_design:
-        report.design = None
-    return report

@@ -17,15 +17,9 @@ from __future__ import annotations
 from ..isa.instructions import INSTRUCTIONS
 from .netlist import GateType
 from .optimize import MappedStats
-from .power import power_at
-from .report import AreaStats, SynthReport
-from .techlib import FLEXIC_GEN3, TechLib, design_jitter
-from .timing import (
-    SWEEP_START_KHZ,
-    SWEEP_STEP_KHZ,
-    SWEEP_STOP_KHZ,
-    TimingReport,
-)
+from .report import SynthReport, area_stats
+from .techlib import FLEXIC_GEN3, TechLib
+from .timing import timing_from_units
 
 #: Serial-state flip-flops: instruction/operand shift registers, serial PC,
 #: FSM state, CSR-less control.  (Serv's RF lives in RAM and is excluded.)
@@ -45,39 +39,14 @@ SERV_CPI = 32.0
 
 def synthesize_serv(lib: TechLib = FLEXIC_GEN3) -> SynthReport:
     """Produce a :class:`SynthReport` for Serv under ``lib``."""
-    jitter = design_jitter(lib, "serv")
-    path_ns = SERV_PATH_UNITS * lib.delay_ns_per_unit * jitter
-    period_ns = path_ns + lib.clock_overhead_ns
-    fmax_analog = 1e6 / period_ns
-    sweep = tuple(khz for khz in range(SWEEP_START_KHZ, SWEEP_STOP_KHZ + 1,
-                                       SWEEP_STEP_KHZ)
-                  if khz <= fmax_analog)
-    timing = TimingReport(
-        critical_path_units=SERV_PATH_UNITS,
-        critical_path_ns=path_ns,
-        period_ns=period_ns,
-        fmax_khz_analog=fmax_analog,
-        fmax_khz=sweep[-1] if sweep else 0,
-        sweep_khz=sweep)
     stats = MappedStats(comb_area_ge=SERV_COMB_RAW_GE,
                         dff_count=SERV_DFF_COUNT,
                         cell_counts={"SERIAL_CORE": 1})
-    ff_area = SERV_DFF_COUNT * lib.cell(GateType.DFF).area_ge
-    area = AreaStats(comb_ge=SERV_COMB_RAW_GE * lib.area_scale,
-                     ff_ge=ff_area, dff_count=SERV_DFF_COUNT)
-    report = SynthReport(
+    return SynthReport(
         name="serv",
         mnemonics=tuple(d.mnemonic for d in INSTRUCTIONS),
         gate_counts={GateType.DFF: SERV_DFF_COUNT},
         mapped=stats,
-        area=area,
-        timing=timing,
-        lib=lib,
-        design=None)
-    if sweep:
-        areas = [report.area_at(khz) for khz in sweep]
-        report.avg_area_ge = sum(areas) / len(areas)
-        powers = [report.power_mw_at(khz).total_mw for khz in sweep]
-        report.avg_power_mw = sum(powers) / len(powers)
-        report.power_at_fmax = report.power_mw_at(timing.fmax_khz)
-    return report
+        area=area_stats(stats, lib),
+        timing=timing_from_units(SERV_PATH_UNITS, lib, seed="serv"),
+        lib=lib)

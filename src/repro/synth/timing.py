@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import GateType, Netlist
-from .netsim import topo_gates
 from .techlib import DFF_SETUP_UNITS, TechLib, design_jitter
 
 SWEEP_START_KHZ = 100
@@ -31,11 +30,14 @@ class TimingReport:
 
 
 def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
-    """Longest arrival time in delay units (DFF clk->q counted at source)."""
+    """Longest arrival time in delay units (DFF clk->q counted at source).
+
+    One pass over ``netlist.gates`` in creation order, which is
+    topological: every gate's inputs already have an arrival time.
+    """
     arrival: dict[int, float] = {}
     worst = 0.0
-    for node in topo_gates(netlist):
-        gate = netlist.gates[node]
+    for node, gate in netlist.gates.items():
         kind = gate.kind
         if kind in (GateType.CONST0, GateType.CONST1, GateType.INPUT):
             arrival[node] = 0.0
@@ -43,24 +45,29 @@ def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
         if kind is GateType.DFF:
             arrival[node] = lib.cell(GateType.DFF).delay_units
             continue
-        here = max((arrival.get(dep, 0.0) for dep in gate.inputs),
-                   default=0.0) + lib.cell(kind).delay_units
+        here = max(arrival[dep] for dep in gate.inputs) \
+            + lib.cell(kind).delay_units
         arrival[node] = here
         if here > worst:
             worst = here
     # Paths ending in a DFF pay setup.
     for node, gate in netlist.gates.items():
         if gate.kind is GateType.DFF:
-            end = arrival.get(gate.inputs[0], 0.0) + DFF_SETUP_UNITS
+            end = arrival[gate.inputs[0]] + DFF_SETUP_UNITS
             if end > worst:
                 worst = end
     return worst
 
 
-def analyze_timing(netlist: Netlist, lib: TechLib,
-                   seed: str = "") -> TimingReport:
-    """Full timing report with the paper's 25 kHz frequency sweep."""
-    units = critical_path_units(netlist, lib)
+def timing_from_units(units: float, lib: TechLib,
+                      seed: str = "") -> TimingReport:
+    """Clock a critical path of ``units`` delay units under ``lib``.
+
+    Scales the path by the library's delay per unit and the design's
+    seeded jitter, adds the clock overhead, and replays the paper's 25 kHz
+    frequency sweep.  Every core's timing goes through here, the
+    synthesized RISSPs and the structural Serv model alike.
+    """
     jitter = design_jitter(lib, seed) if seed else 1.0
     path_ns = units * lib.delay_ns_per_unit * jitter
     period_ns = path_ns + lib.clock_overhead_ns
@@ -76,3 +83,9 @@ def analyze_timing(netlist: Netlist, lib: TechLib,
                         fmax_khz_analog=fmax_khz_analog,
                         fmax_khz=fmax,
                         sweep_khz=sweep)
+
+
+def analyze_timing(netlist: Netlist, lib: TechLib,
+                   seed: str = "") -> TimingReport:
+    """Full timing report with the paper's 25 kHz frequency sweep."""
+    return timing_from_units(critical_path_units(netlist, lib), lib, seed)

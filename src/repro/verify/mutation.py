@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..rtl.ir import Binary, Const, Expr, Module, Mux, Not, Op
-from ..synth.lower import LoweredDesign, lower_module
+from ..synth.lower import lower_module
 from ..synth.netlist import Gate, GateType, Netlist
 from ..synth.netsim import NetSim
 from .arch_tests import TestVector, vectors_for
@@ -272,13 +272,10 @@ def _outputs_for(netlist: Netlist, inputs: dict[str, int]) -> tuple:
 
 
 def run_mutation_campaign(block: Module,
-                          design: LoweredDesign | None = None,
                           limit: int = 120) -> MutationReport:
     """Measure whether the block's testbench kills injected faults."""
     mnemonic = str(block.meta.get("mnemonic", block.name))
-    if design is None:
-        design = lower_module(block)
-    netlist = design.netlist
+    netlist = lower_module(block)
     vectors = vectors_for(mnemonic)
     probes = [_vector_inputs(block, v) for v in vectors]
     golden = [_outputs_for(netlist, p) for p in probes]

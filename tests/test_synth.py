@@ -33,11 +33,11 @@ def datapath_module():
 def test_gate_lowering_equivalence(a, b):
     """The lowered netlist computes exactly what the RTL eval computes."""
     m = datapath_module()
-    design = lower_module(m)
+    netlist = lower_module(m)
     rtl = RtlSim(m)
     rtl.set_inputs(a=a, b=b)
     rtl.eval_comb()
-    words = eval_words(design.netlist, {"a": a, "b": b},
+    words = eval_words(netlist, {"a": a, "b": b},
                        {"a": 32, "b": 32})
     for out in ("add", "sub", "ult", "slt", "eq", "shl", "shr", "sar",
                 "mx"):
@@ -54,8 +54,8 @@ def test_structural_hashing_shares_logic():
     a2 = single.input("a", 32)
     b2 = single.input("b", 32)
     single.assign(single.output("x", 32), a2 + b2)
-    both = lower_module(m).netlist.counts()
-    one = lower_module(single).netlist.counts()
+    both = lower_module(m).counts()
+    one = lower_module(single).counts()
     assert both == one   # second adder strash-merged away
 
 
@@ -63,7 +63,7 @@ def test_constant_folding_removes_logic():
     m = Module("c")
     a = m.input("a", 32)
     m.assign(m.output("o", 32), (a & const(0, 32)) | (a ^ a))
-    net = lower_module(m).netlist
+    net = lower_module(m)
     assert sum(net.counts().values()) == 0   # folds to constant 0
 
 
@@ -72,7 +72,7 @@ def test_dead_sweep():
     a = m.input("a", 32)
     m.assign(m.wire("unused", 32), a + const(12345, 32))
     m.assign(m.output("o", 32), a)
-    net = lower_module(m, sweep=True).netlist
+    net = lower_module(m)
     assert sum(net.counts().values()) == 0
 
 
@@ -86,8 +86,8 @@ def test_timing_monotone_with_depth():
     for _ in range(4):
         x = x + const(1, 32)
     deep.assign(deep.output("o", 32), x)
-    t1 = analyze_timing(lower_module(shallow).netlist, FLEXIC_GEN3)
-    t2 = analyze_timing(lower_module(deep).netlist, FLEXIC_GEN3)
+    t1 = analyze_timing(lower_module(shallow), FLEXIC_GEN3)
+    t2 = analyze_timing(lower_module(deep), FLEXIC_GEN3)
     assert t2.critical_path_units > t1.critical_path_units
 
 
@@ -124,8 +124,7 @@ def test_mapped_stats_compress_and_or():
     a = m.input("a", 1)
     b = m.input("b", 1)
     m.assign(m.output("o", 1), (a & s0) | (b & s1))
-    design = lower_module(m)
-    stats = mapped_stats(design.netlist, FLEXIC_GEN3)
+    stats = mapped_stats(lower_module(m), FLEXIC_GEN3)
     assert stats.cell_counts.get("AO22") == 1
 
 

@@ -10,6 +10,7 @@ executable spec (:mod:`repro.isa.spec`).
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 from ..isa.bits import to_u32
@@ -52,7 +53,11 @@ class TestVector:
 
 
 def _lcg(seed: int):
-    """Deterministic pseudo-random 32-bit stream (no global random state)."""
+    """Deterministic pseudo-random 32-bit stream (no global random state).
+
+    :func:`vectors_for` seeds it with a CRC of the mnemonic, not ``hash()``,
+    which Python salts per process.
+    """
     state = seed & 0xFFFF_FFFF
     while True:
         state = (1103515245 * state + 12345) & 0xFFFF_FFFF
@@ -77,7 +82,7 @@ def _expected(instr: Instruction, pc: int, rs1: int, rs2: int,
 def vectors_for(mnemonic: str, extra_random: int = 32) -> list[TestVector]:
     """Directed + pseudo-random vectors for one instruction."""
     d = BY_MNEMONIC[mnemonic]
-    rng = _lcg(0xC0FFEE ^ hash(mnemonic) & 0xFFFF)
+    rng = _lcg(0xC0FFEE ^ zlib.crc32(mnemonic.encode()) & 0xFFFF)
     out: list[TestVector] = []
 
     def emit(rd: int, rs1: int, rs2: int, imm: int,

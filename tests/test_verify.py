@@ -22,6 +22,32 @@ def test_vector_counts_substantial():
     assert len(vectors_for("beq")) > 100
 
 
+def test_vectors_are_the_same_in_every_process():
+    """The pseudo-random vectors of an R- and an I-format block do not
+    depend on Python's per-process string-hash salt (``PYTHONHASHSEED``),
+    so a block's mutation campaign splits the same way in every run."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "from repro.verify import vectors_for\n"
+        "for m in ('add', 'slti'):\n"
+        "    print(m, [(v.insn_word, v.pc, v.rs1_val, v.rs2_val,"
+        " v.mem_word) for v in vectors_for(m)])\n")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src"),
+                 "PYTHONHASHSEED": hash_seed}).stdout
+        for hash_seed in ("1", "2")]
+    assert outputs[0].count("\n") == 2
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("mnemonic", ["add", "beq", "lw", "sb", "jalr"])
 def test_mutation_coverage_full(mnemonic):
     report = run_mutation_campaign(build_block(mnemonic), limit=30)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .findings import Finding
 

@@ -24,7 +24,7 @@ from ..rtl.rissp import build_rissp
 from ..synth.report import SynthReport, synthesize
 from ..synth.techlib import FLEXIC_GEN3, TechLib
 from ..workloads import WORKLOADS
-from .subset_analysis import SubsetProfile, extract_subset, profile_program
+from .subset_analysis import SubsetProfile, profile_program
 
 
 @dataclass

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from ..isa.assembler import Assembler, _split_operands, _strip_comment
-from ..isa.instructions import BRANCHES, BY_MNEMONIC, Format, LOADS, STORES
+from ..isa.instructions import BRANCHES, LOADS, STORES
 from .synthesizer import SynthesisReport, synthesize_macros
 from .templates import MINIMAL_SUBSET, TEMP0
 

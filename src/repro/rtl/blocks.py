@@ -33,8 +33,8 @@ spec is a meaningful check and not a tautology.
 
 from __future__ import annotations
 
-from ..isa.instructions import BY_MNEMONIC, Format, InstrDef, lookup
-from .ir import Const, Expr, Module, Sig, cat, const, mux
+from ..isa.instructions import BY_MNEMONIC, Format, lookup
+from .ir import Const, Expr, Module, cat, const, mux
 
 REG_ADDR_BITS = 4  # RV32E: 16 registers
 

@@ -44,7 +44,7 @@ from itertools import compress, count, islice
 from operator import ne
 
 from ..isa.bits import to_u32
-from ..isa.csrs import CAUSE_ILLEGAL_INSTRUCTION, MCAUSE, MEPC, MTVEC
+from ..isa.csrs import CAUSE_ILLEGAL_INSTRUCTION
 from ..isa.encoding import DecodeError, Instruction, decode, encode
 from ..isa.instructions import CSR_OPS
 from ..isa.program import DEFAULT_MEM_SIZE, Program

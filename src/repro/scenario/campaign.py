@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ..obs import telemetry as _obs
 from ..verify.fuzz import FUZZ_BASE_SEED, derive_seed
-from .coverage import BINS, CoverageMap, coverage_from_trace, family_bins
+from .coverage import CoverageMap, coverage_from_trace, family_bins
 from .gen import DEFAULT_BUDGET, mutate_toward, random_scenario
 from .run import outcome_coverage, scenario_core_spec
 

@@ -28,7 +28,7 @@ from ..sim.golden import SimulationError
 from ..sim.memory import MemoryError_
 from ..sim.tracing import RvfiTrace
 from .coverage import CoverageMap, coverage_from_fleet, coverage_from_trace
-from .gen import SCRATCH_BASE, FleetScenario, SocScenario
+from .gen import FleetScenario, SocScenario
 
 #: RVFI columns compared across backends — the cosim contract
 #: (rs1/rs2 read-effect columns are backend-representation-specific).

@@ -5,9 +5,7 @@ synthesis flow.  Word operators lower to the classic structures a synthesis
 tool infers (ripple-carry adders, barrel shifters, one-hot AND-OR muxes),
 after which the netlist-level constant propagation / structural hashing /
 dead sweep perform the paper's "redundancy removal".  :func:`lower_module`
-returns the swept :class:`~repro.synth.netlist.Netlist` itself: a port,
-register-file storage word or register ``name`` of width ``w`` becomes the
-input, output or DFF pins ``name[0]`` .. ``name[w-1]``.
+returns the swept netlist, a word ``name`` becoming pins ``name[0]``, ...
 
 The register file primitive is **not** lowered — its interface signals
 become primary outputs/inputs, matching the paper's setup where "each RISSP

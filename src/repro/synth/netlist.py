@@ -14,12 +14,6 @@ the constructor API:
 
 A third pass, dead-gate elimination, runs after construction
 (:func:`sweep_dead`).
-
-Node ids are handed out in creation order, and every constructor looks
-up its operands, which therefore already exist: a combinational gate only
-ever reads smaller ids.  So ``Netlist.gates`` in dict order is a
-topological order, and timing, power and gate-level simulation walk it
-as is.
 """
 
 from __future__ import annotations
@@ -57,13 +51,11 @@ class Gate:
 class Netlist:
     """Mutable gate network under construction; optimizes as it builds.
 
-    ``gates`` maps node id to gate in creation order, and that order is
-    the netlist's only graph order: every combinational gate reads only
-    smaller ids, because a constructor can only be handed nodes that
-    exist.  The one late edge is a DFF's ``d`` input, patched by
-    :meth:`connect_dff`; a DFF is a source in every walk (its output is
-    state), so the order stays topological.  A walk in dict order that
-    met an input it had not yet seen would raise ``KeyError``.
+    ``gates`` is in creation order, and every walk (timing, mapping,
+    :class:`~repro.synth.netsim.NetSim`) relies on it being topological:
+    a constructor is handed only nodes that exist, so a combinational
+    gate reads only smaller ids.  The one late edge, a DFF's ``d`` input
+    (:meth:`connect_dff`), is harmless because a DFF is a source.
     """
 
     def __init__(self):
@@ -202,15 +194,11 @@ class Netlist:
 
 
 def sweep_dead(netlist: Netlist) -> None:
-    """Dead-gate elimination, in place: prune ``netlist.gates`` (and
-    ``dff_init``) to the logic that reaches a primary output.
+    """Dead-gate elimination, in place: keep the constants and the logic
+    an output reaches (through DFF ``d`` inputs too), in creation order.
 
-    One worklist from the outputs suffices: it follows every gate's
-    inputs, a live DFF's ``d`` input among them, so the ``d`` cone of a
-    flop that feeds an output stays, and a flop no output reaches goes
-    together with its cone.  The constants stay.  Pruning keeps the
-    survivors in creation order.  The unused-instruction logic the RISSP
-    philosophy removes shows up here as a concrete gate-count drop.
+    The unused-instruction logic the RISSP philosophy removes shows up
+    here as a concrete gate-count drop.
     """
     live: set[int] = set()
     stack = list(netlist.outputs.values())

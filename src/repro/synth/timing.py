@@ -30,11 +30,8 @@ class TimingReport:
 
 
 def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
-    """Longest arrival time in delay units (DFF clk->q counted at source).
-
-    One pass over ``netlist.gates`` in creation order, which is
-    topological: every gate's inputs already have an arrival time.
-    """
+    """Longest arrival time in delay units (DFF clk->q counted at source),
+    in one pass over the gates in creation (so topological) order."""
     arrival: dict[int, float] = {}
     worst = 0.0
     for node, gate in netlist.gates.items():
@@ -61,13 +58,8 @@ def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
 
 def timing_from_units(units: float, lib: TechLib,
                       seed: str = "") -> TimingReport:
-    """Clock a critical path of ``units`` delay units under ``lib``.
-
-    Scales the path by the library's delay per unit and the design's
-    seeded jitter, adds the clock overhead, and replays the paper's 25 kHz
-    frequency sweep.  Every core's timing goes through here, the
-    synthesized RISSPs and the structural Serv model alike.
-    """
+    """Clock a path of ``units`` delay units (jittered by ``seed``) and
+    replay the 25 kHz sweep; the RISSPs and the Serv model share it."""
     jitter = design_jitter(lib, seed) if seed else 1.0
     path_ns = units * lib.delay_ns_per_unit * jitter
     period_ns = path_ns + lib.clock_overhead_ns

@@ -220,6 +220,9 @@ def test_raising_stage_still_writes_json_out(tmp_path, capsys,
                             description="fuzz seed=0x1234")
 
     monkeypatch.setitem(cli._STAGE_RUNNERS, "cosim", explode)
+    # The fleet stage writes BENCH_fleet_throughput.json; at 16 instances
+    # it must not replace the 1024-instance artifact the bench wrote.
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     out_path = tmp_path / "results.json"
     code = run(parse_config(["cosim", "fleet", "--fleet-instances", "16",
                              "--json-out", str(out_path)]))
@@ -232,6 +235,7 @@ def test_raising_stage_still_writes_json_out(tmp_path, capsys,
     assert "boom" in results["cosim"]["error"]
     # The stage after the explosion still ran and was recorded.
     assert results["fleet"]["ok"] is True
+    assert (tmp_path / "BENCH_fleet_throughput.json").exists()
 
 
 def test_telemetry_flags_write_manifest_and_trace(tmp_path, capsys):

@@ -141,3 +141,58 @@ def test_netsim_dff_state():
     sim.tick()
     out = sim.eval_comb({"d": 0})
     assert out["q"] == 0
+
+
+def _assert_creation_order_is_topological(netlist):
+    ids = list(netlist.gates)
+    assert ids == sorted(ids)
+    for node, gate in netlist.gates.items():
+        if gate.kind is not GateType.DFF:
+            assert all(dep < node for dep in gate.inputs), (node, gate)
+
+
+def test_creation_order_is_topological():
+    """Timing, mapping and NetSim walk ``Netlist.gates`` in dict order.
+    That is sound because ids ascend in that order and every
+    combinational gate reads only smaller ids; a DFF, a source in every
+    walk, is the one gate whose ``d`` input may come later."""
+    from repro.isa import INSTRUCTIONS
+    from repro.rtl import build_block
+    from repro.rtl.library import default_library
+
+    core = lower_module(build_rissp([d.mnemonic for d in INSTRUCTIONS]))
+    _assert_creation_order_is_topological(core)
+    # The pc flops are created before their next-state cone.
+    assert any(gate.inputs[0] > node for node, gate in core.gates.items()
+               if gate.kind is GateType.DFF)
+    for mnemonic in default_library().mnemonics:
+        _assert_creation_order_is_topological(
+            lower_module(build_block(mnemonic)))
+
+
+def test_sweep_dead_keeps_late_flop_cone_and_drops_unreached_flop():
+    """A DFF created before its ``d`` cone, as every lowered register
+    is: the sweep's one worklist from the outputs keeps the cone of a
+    flop an output reads, and a flop no output reaches goes together
+    with its cone."""
+    from repro.synth import Netlist, sweep_dead
+    net = Netlist()
+    a = net.add_input("a")
+    b = net.add_input("b")
+    live_ff = net.add_dff("live", init=1)
+    dead_ff = net.add_dff("dead")
+    and_ab = net.g_and(a, b)
+    live_d = net.g_xor(and_ab, live_ff)
+    not_a = net.g_not(a)
+    dead_d = net.g_or(not_a, dead_ff)
+    net.connect_dff(live_ff, live_d)
+    net.connect_dff(dead_ff, dead_d)
+    net.set_output("q", live_ff)
+    sweep_dead(net)
+    assert list(net.gates) == [net.zero, net.one, a, b, live_ff, and_ab,
+                               live_d]
+    assert net.dff_init == {live_ff: 1}
+    sim = NetSim(net)
+    assert sim.eval_comb({"a": 1, "b": 1})["q"] == 1   # init value
+    sim.tick()
+    assert sim.eval_comb({"a": 1, "b": 1})["q"] == 0   # (1 & 1) ^ 1

@@ -5,7 +5,8 @@ synthesis flow.  Word operators lower to the classic structures a synthesis
 tool infers (ripple-carry adders, barrel shifters, one-hot AND-OR muxes),
 after which the netlist-level constant propagation / structural hashing /
 dead sweep perform the paper's "redundancy removal".  :func:`lower_module`
-returns the swept netlist, a word ``name`` becoming pins ``name[0]``, ...
+returns the swept netlist; a word signal ``name`` becomes the pins
+``name[0]``, ``name[1]``, ...
 
 The register file primitive is **not** lowered — its interface signals
 become primary outputs/inputs, matching the paper's setup where "each RISSP

@@ -56,8 +56,7 @@ class MutationReport:
 def enumerate_mutations(netlist: Netlist, limit: int = 120) -> list[Mutation]:
     """Deterministically pick up to ``limit`` single-gate mutations."""
     candidates: list[Mutation] = []
-    for node in sorted(netlist.gates):
-        gate = netlist.gates[node]
+    for node, gate in netlist.gates.items():
         if gate.kind in (GateType.CONST0, GateType.CONST1, GateType.INPUT,
                          GateType.DFF):
             continue

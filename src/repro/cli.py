@@ -141,15 +141,15 @@ def _int(text: str) -> int:
     return int(text, 0)
 
 
-def build_parser(config_cls=FarmConfig) -> argparse.ArgumentParser:
-    """Generate the argparse surface from the config dataclass."""
+def build_parser() -> argparse.ArgumentParser:
+    """Generate the argparse surface from :class:`FarmConfig`."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description=(config_cls.__doc__ or "").strip(),
+        description=(FarmConfig.__doc__ or "").strip(),
         epilog="example: python -m repro cosim mutation --workers 4 "
                "--fuzz-chunks 8")
-    hints = typing.get_type_hints(config_cls)
-    for spec in dataclasses.fields(config_cls):
+    hints = typing.get_type_hints(FarmConfig)
+    for spec in dataclasses.fields(FarmConfig):
         metadata = dict(spec.metadata)
         help_text = metadata.pop("help", None)
         positional = metadata.pop("positional", False)
@@ -181,12 +181,12 @@ def build_parser(config_cls=FarmConfig) -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv=None, config_cls=FarmConfig) -> FarmConfig:
-    parser = build_parser(config_cls)
+def parse_config(argv=None) -> FarmConfig:
+    parser = build_parser()
     namespace = parser.parse_args(argv)
-    values = {spec.name: getattr(namespace, spec.name)
-              for spec in dataclasses.fields(config_cls)}
-    for spec in dataclasses.fields(config_cls):
+    fields = dataclasses.fields(FarmConfig)
+    values = {spec.name: getattr(namespace, spec.name) for spec in fields}
+    for spec in fields:
         allowed = spec.metadata.get("choices")
         if spec.metadata.get("positional") and allowed:
             for item in values[spec.name] or ():
@@ -194,14 +194,14 @@ def parse_config(argv=None, config_cls=FarmConfig) -> FarmConfig:
                     parser.error(
                         f"argument {spec.name}: invalid choice: {item!r} "
                         f"(choose from {', '.join(allowed)})")
-    positionals = {spec.name for spec in dataclasses.fields(config_cls)
+    positionals = {spec.name for spec in fields
                    if spec.metadata.get("positional")}
     for name, value in list(values.items()):
         if value is None or (value == [] and name in positionals):
             del values[name]  # dataclass default applies
         elif isinstance(value, list):
             values[name] = tuple(value)
-    return config_cls(**values)
+    return FarmConfig(**values)
 
 
 # ---------------------------------------------------------------- stages

@@ -26,6 +26,9 @@ from ..synth.techlib import FLEXIC_GEN3, TechLib
 from ..workloads import WORKLOADS
 from .subset_analysis import SubsetProfile, profile_program
 
+#: The paper's compile setting: every application is built at -O2.
+OPT_LEVEL = "O2"
+
 
 @dataclass
 class RisspResult:
@@ -47,16 +50,14 @@ class RisspFlow:
     """Generate, verify and evaluate RISSPs for applications or domains."""
 
     def __init__(self, library: IsaHardwareLibrary | None = None,
-                 lib: TechLib = FLEXIC_GEN3, opt_level: str = "O2"):
+                 lib: TechLib = FLEXIC_GEN3):
         self.library = library or default_library()
         self.techlib = lib
-        self.opt_level = opt_level
 
-    def generate(self, name: str, source: str | None = None,
-                 run_verification: bool = False,
-                 run_physical: bool = False,
-                 lint: bool = True) -> RisspResult:
-        """Run the full flow for one application.
+    def generate(self, name: str, run_verification: bool = False,
+                 run_physical: bool = False) -> RisspResult:
+        """Run the full flow for one registered application
+        (:data:`repro.workloads.WORKLOADS`), compiled at ``-O2``.
 
         ``run_verification`` additionally executes the RISCOF-analog
         compliance suite, a lock-step cosimulation of the application binary
@@ -74,32 +75,29 @@ class RisspFlow:
         apps about half the fast path's rate, and four to five times the
         rate of the reflective per-row retirement.
 
-        ``lint`` gates the stitched core on the structural lint
-        (:mod:`repro.analysis`): a bad core fails here, at generation time,
-        with the finding list — not later in cosim.
+        The stitched core passes the structural lint
+        (:mod:`repro.analysis`) on every build: a bad core fails here, at
+        generation time, with the finding list — not later in cosim.
         """
-        workload = WORKLOADS.get(name) if source is None else None
-        soc_spec = workload.soc_spec if workload is not None else None
-        if source is None:
-            source = WORKLOADS[name].source
-        if workload is not None and workload.lang == "asm":
+        workload = WORKLOADS[name]
+        if workload.lang == "asm":
             # The legacy assembly firmware images bypass the -O sweep;
             # the interrupt-driven SoC workloads are pure MicroC since
             # PR 5 and take the ordinary compile path below.
             from ..isa.assembler import assemble
-            program = assemble(source)
+            program = assemble(workload.source)
             opt_level = "-"
         else:
-            program = compile_to_program(source, self.opt_level).program
-            opt_level = self.opt_level
+            program = compile_to_program(workload.source,
+                                         OPT_LEVEL).program
+            opt_level = OPT_LEVEL
         profile = profile_program(name, program, opt_level)
         core = build_rissp(profile.core_subset(), self.library,
-                           name=f"rissp_{name}",
-                           reset_pc=program.entry, lint=lint)
+                           name=f"rissp_{name}", reset_pc=program.entry)
         synth = synthesize(core, self.techlib, seed=name)
         result = RisspResult(name=name, profile=profile, core=core,
                              synth=synth, program=program,
-                             soc_spec=soc_spec)
+                             soc_spec=workload.soc_spec)
         if run_verification:
             from ..sim.golden import abi_initial_regs
             from ..sim.tracing import RvfiTrace
@@ -108,7 +106,8 @@ class RisspFlow:
             rtl_trace = RvfiTrace()
             mismatch = cosimulate(core, program,
                                   max_instructions=2_000_000,
-                                  soc=soc_spec, rtl_trace_out=rtl_trace)
+                                  soc=workload.soc_spec,
+                                  rtl_trace_out=rtl_trace)
             result.verified["cosim"] = mismatch is None
             compliance = run_compliance(core)
             result.verified["riscof"] = compliance.compliant
@@ -125,7 +124,7 @@ class RisspFlow:
                             mnemonics: list[str]) -> RisspResult:
         """Generate a RISSP directly from an instruction subset (e.g. one
         of the paper's Table 3 lists)."""
-        profile = SubsetProfile(name=name, opt_level=self.opt_level,
+        profile = SubsetProfile(name=name, opt_level=OPT_LEVEL,
                                 mnemonics=tuple(sorted(mnemonics)),
                                 static_instructions=0, code_size_bytes=0)
         core = build_rissp(profile.core_subset(), self.library,

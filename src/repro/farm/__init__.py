@@ -33,7 +33,6 @@ from .campaigns import (
     lint_targets,
     mutation_exercise_target,
     sharded_compliance_mismatches,
-    sharded_mutant_kill_matrix,
     workload_target,
 )
 from .runner import (
@@ -62,6 +61,5 @@ __all__ = [
     "fleet_campaign", "fleet_exercise_target", "fleet_lane_value",
     "fleet_throughput_metrics", "lint_campaign", "lint_targets",
     "mutation_exercise_target", "run_tasks",
-    "sharded_compliance_mismatches", "sharded_mutant_kill_matrix",
-    "workload_target",
+    "sharded_compliance_mismatches", "workload_target",
 ]

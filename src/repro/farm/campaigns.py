@@ -10,9 +10,10 @@ Each campaign here follows one shape:
    serial code path produces — so every campaign is bit-identical for any
    worker count, which the farm tests assert by diffing merged results.
 
-The kill-matrix and compliance campaigns are the farm backends of
-:func:`repro.verify.mutation.rtl_mutant_kill_matrix` and
-:func:`repro.verify.riscof.run_compliance`; the cosim campaign is the
+The compliance campaign is the farm backend of
+:func:`repro.verify.riscof.run_compliance` (the mutant kill matrix,
+:func:`repro.verify.mutation.rtl_mutant_kill_matrix`, builds its own
+tasks); the cosim campaign is the
 ``repro`` CLI's cosim stage (real workloads on their own generated cores,
 plus seeded fuzz chunks).
 """
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 from ..isa.program import Program
 from ..rtl.ir import Module
 from ..verify.fuzz import FUZZ_BASE_SEED, derive_seed
-from .runner import run_tasks
+from .runner import run_tasks, shard_ranges
 from .tasks import (
     ComplianceTask,
     CoreSpec,
@@ -34,30 +35,7 @@ from .tasks import (
     FleetShardTask,
     FuzzCosimTask,
     LintTask,
-    MutantTask,
 )
-
-# ------------------------------------------------------------- mutation
-
-def sharded_mutant_kill_matrix(core: Module, program: Program,
-                               backends: Sequence[str],
-                               limit: int = 24,
-                               max_instructions: int = 2_000,
-                               workers: int = 1
-                               ) -> dict[str, dict[str, str | None]]:
-    """Farm path of :func:`repro.verify.mutation.rtl_mutant_kill_matrix`:
-    one task per mutant, merged in enumeration order."""
-    from ..verify.mutation import enumerate_rtl_mutations
-
-    spec = CoreSpec.of(core)
-    count = len(enumerate_rtl_mutations(core, limit=limit))
-    tasks = [MutantTask(task_id=f"mutant[{index:03d}]", core=spec,
-                        program=program, index=index, limit=limit,
-                        backends=tuple(backends),
-                        max_instructions=max_instructions)
-             for index in range(count)]
-    return dict(run_tasks(tasks, workers=workers))
-
 
 # ----------------------------------------------------------- compliance
 
@@ -65,31 +43,18 @@ def sharded_compliance_mismatches(core: Module, targets: Iterable[str],
                                   workers: int = 1,
                                   shards: int = 0) -> list[str]:
     """Farm path of :func:`repro.verify.riscof.run_compliance`: the
-    target list split into ``shards`` contiguous groups (0 = one group
-    per worker), mismatches concatenated in target order."""
+    target list cut into ``shards`` contiguous ranges (0 = one range per
+    worker), mismatches concatenated in range order, which is target
+    order."""
     spec = CoreSpec.of(core)
     targets = list(targets)
-    shards = shards or workers
-    shards = max(1, min(shards, len(targets)))
-    groups: list[list[str]] = [[] for _ in range(shards)]
-    for index, mnemonic in enumerate(targets):
-        groups[index % shards].append(mnemonic)
     tasks = [ComplianceTask(task_id=f"compliance[{index:02d}]", core=spec,
-                            mnemonics=tuple(group))
-             for index, group in enumerate(groups) if group]
-    results = run_tasks(tasks, workers=workers)
-    # Round-robin sharding + per-shard target order means re-interleaving
-    # by original target position restores the serial mismatch order.
-    by_mnemonic: dict[str, list[str]] = {}
-    for task, mismatches in zip(tasks, results):
-        remaining = list(mismatches)
-        for mnemonic in task.mnemonics:
-            mine = [m for m in remaining if m.startswith(f"{mnemonic}:")]
-            by_mnemonic[mnemonic] = mine
-            remaining = [m for m in remaining if m not in mine]
+                            mnemonics=tuple(targets[lo:hi]))
+             for index, (lo, hi) in enumerate(
+                 shard_ranges(len(targets), shards or workers))]
     merged: list[str] = []
-    for mnemonic in targets:
-        merged.extend(by_mnemonic.get(mnemonic, []))
+    for mismatches in run_tasks(tasks, workers=workers):
+        merged.extend(mismatches)
     return merged
 
 
@@ -296,16 +261,13 @@ def fleet_campaign(instances: int, workers: int = 1, shards: int = 0,
     for any worker/shard split."""
     core, program = fleet_exercise_target()
     spec = CoreSpec.of(core)
-    shards = shards or workers
-    shards = max(1, min(shards, instances))
-    bounds = [instances * index // shards for index in range(shards + 1)]
     tasks = [FleetShardTask(
         task_id=f"fleet[{index:02d}]", core=spec, program=program,
         lane_lo=lo, lane_hi=hi,
         max_instructions=max_instructions, quantum=quantum,
         mem_size=FLEET_MEM_SIZE)
-        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        if hi > lo]
+        for index, (lo, hi) in enumerate(
+            shard_ranges(instances, shards or workers))]
     rows: list[tuple[int, int, int, str]] = []
     for shard_rows in run_tasks(tasks, workers=workers):
         rows.extend(shard_rows)
@@ -511,10 +473,13 @@ def mutation_exercise_target() -> tuple[Module, Program]:
             assemble(MUTATION_EXERCISE_PROGRAM))
 
 
+#: Mutants and per-mutant cosim budget of the scaling campaign.
+_SCALING_MUTANTS = 32
+_SCALING_BUDGET = 4_000
+
+
 def farm_scaling_metrics(worker_counts: Sequence[int] = (1, 2, 4),
-                         limit: int = 32,
-                         backends: Sequence[str] = ("fused",),
-                         max_instructions: int = 4_000) -> dict:
+                         backends: Sequence[str] = ("fused",)) -> dict:
     """Campaign wall-clock vs worker count, for ``BENCH_farm_scaling``.
 
     Runs the mutant-kill-matrix campaign once per worker count (the
@@ -531,8 +496,9 @@ def farm_scaling_metrics(worker_counts: Sequence[int] = (1, 2, 4),
     for workers in worker_counts:
         started = time.perf_counter()
         matrix = rtl_mutant_kill_matrix(
-            core, program, backends=tuple(backends), limit=limit,
-            max_instructions=max_instructions, workers=workers)
+            core, program, backends=tuple(backends),
+            limit=_SCALING_MUTANTS, max_instructions=_SCALING_BUDGET,
+            workers=workers)
         wallclock[f"workers_{workers}"] = time.perf_counter() - started
         matrices.append(matrix)
     reference = matrices[0]

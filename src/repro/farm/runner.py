@@ -153,6 +153,17 @@ def run_tasks(tasks: Iterable[FarmTask],
     return _merge_snapshots(parent, results)
 
 
+def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
+    """Cut ``count`` items into at most ``shards`` contiguous, nonempty
+    ``(lo, hi)`` ranges of near-equal size, in item order.
+
+    Campaigns that shard a list give each range to one task and
+    concatenate the task results in task order, which is item order."""
+    shards = max(1, min(shards, count))
+    bounds = [count * index // shards for index in range(shards + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
 def _merge_snapshots(parent: obs.Telemetry,
                      pairs: Iterable[tuple[object, dict]]) -> list:
     """Fold task snapshots into the parent session (submission order)."""

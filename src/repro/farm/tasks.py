@@ -51,13 +51,13 @@ class CoreSpec:
 
     ``fingerprint`` (when non-empty) is the stable structural hash the
     rebuilt module must match; it travels with every task so cross-process
-    rebuild divergence is an error, never a wrong verdict.
+    rebuild divergence is an error, never a wrong verdict.  The subset
+    alone decides the trap unit (present iff it holds ``mret``).
     """
 
     mnemonics: tuple[str, ...]
     name: str = "rissp"
     reset_pc: int = 0
-    trap_unit: bool = False
     fingerprint: str = ""
 
     @classmethod
@@ -76,7 +76,6 @@ class CoreSpec:
                 f"ship stitched RISSPs across process boundaries")
         return cls(mnemonics=tuple(mnemonics), name=core.name,
                    reset_pc=core.registers["pc"].reset_value,
-                   trap_unit=bool(core.meta.get("trap_unit")),
                    fingerprint=stable_fingerprint(core))
 
     def build(self) -> Module:
@@ -100,8 +99,7 @@ def _materialize(spec: CoreSpec) -> Module:
     from ..rtl.rissp import build_rissp
 
     core = build_rissp(list(spec.mnemonics), name=spec.name,
-                       reset_pc=spec.reset_pc,
-                       with_traps=spec.trap_unit or None)
+                       reset_pc=spec.reset_pc)
     if spec.fingerprint:
         rebuilt = stable_fingerprint(core)
         if rebuilt != spec.fingerprint:
@@ -184,10 +182,10 @@ class MutantTask:
     """One kill-matrix row: mutant ``index`` of the deterministic
     enumeration over the pristine core, judged under every backend.
 
-    ``run()`` returns ``(description, {backend: verdict})`` — the exact
-    row the serial :func:`~repro.verify.mutation.rtl_mutant_kill_matrix`
-    loop computes, because mutant enumeration is a pure function of the
-    (fingerprint-checked) core structure.
+    ``run()`` returns ``(description, {backend: verdict})``, one row of
+    :func:`~repro.verify.mutation.rtl_mutant_kill_matrix`; the row is the
+    same in any process, because mutant enumeration is a pure function of
+    the (fingerprint-checked) core structure.
     """
 
     task_id: str

@@ -246,7 +246,7 @@ Executor = Callable[[list, object, int], int]
 
 
 def compile_step(instr: Instruction,
-                 store_hook: Callable[[int], None] | None = None) -> Executor:
+                 store_hook: Callable[[int], None]) -> Executor:
     """Specialize ``instr`` into a closure executing its semantics in place.
 
     The closure mutates ``regs`` and ``memory`` directly and returns the
@@ -255,9 +255,9 @@ def compile_step(instr: Instruction,
     Writes to ``x0`` are dropped at compile time; loads to ``x0`` still
     perform the access so faults surface identically to :func:`step`.
 
-    ``store_hook``, when given, is called with the effective address after
-    every store the closure performs — the decoded-program cache uses it to
-    invalidate entries covering self-modified text.
+    ``store_hook`` is called with the effective address after every store
+    the closure performs — the decoded-program cache uses it to invalidate
+    entries covering self-modified text.
     """
     m = instr.mnemonic
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
@@ -310,19 +310,13 @@ def compile_step(instr: Instruction,
     if m in _STORE_WIDTH:
         width = _STORE_WIDTH[m]
         mask = (1 << (8 * width)) - 1
-        if store_hook is None:
-            def ex_store(regs, memory, pc):
-                memory.store((regs[rs1] + imm) & _M32, regs[rs2] & mask,
-                             width)
-                return pc + 4
-            return ex_store
 
-        def ex_store_hooked(regs, memory, pc):
+        def ex_store(regs, memory, pc):
             addr = (regs[rs1] + imm) & _M32
             memory.store(addr, regs[rs2] & mask, width)
             store_hook(addr)
             return pc + 4
-        return ex_store_hooked
+        return ex_store
 
     if m == "lui":
         if rd == 0:

@@ -44,7 +44,6 @@ a SoC via :class:`~repro.rtl.core_sim.RisspSim` per instance instead.
 from __future__ import annotations
 
 from ..isa.bits import to_u32
-from ..isa.encoding import Instruction, encode
 from ..isa.program import DEFAULT_MEM_SIZE, Program
 from ..sim.golden import _HALT_SENTINEL, RunResult, abi_initial_regs
 from ..obs import telemetry as _obs
@@ -52,6 +51,7 @@ from ..sim.memory import Memory
 from ..sim.tracing import RvfiTrace
 from .compiled import compile_fleet
 from .core_sim import (
+    _ECALL_WORD,
     RisspSim,
     _classify_word,
     _halt_reason,
@@ -83,8 +83,7 @@ class FleetSim:
     def __init__(self, core: Module, program: Program | None = None,
                  instances: int | None = None, *,
                  programs=None, mem_size: int = DEFAULT_MEM_SIZE,
-                 backend: str | None = None,
-                 trace_lanes=(), trace_capacity: int | None = None):
+                 backend: str | None = None, trace_lanes=()):
         if programs is None:
             if program is None:
                 raise ValueError("FleetSim needs a program (or programs)")
@@ -114,7 +113,6 @@ class FleetSim:
         # program object, then a bytes copy per lane — the whole point of
         # the fleet path is never paying RisspSim construction per lane.
         templates: dict[int, tuple[bytes, int]] = {}
-        ecall_word = encode(Instruction("ecall"))
         self._mems: list[bytearray] = []
         self._regfiles: list[list[int]] = []
         self._regs: list[list[int]] = []
@@ -130,7 +128,7 @@ class FleetSim:
                 memory = Memory.from_program(prog, mem_size)
                 # ABI setup mirrors RisspSim: ecall stub at the halt
                 # sentinel, sp at top of RAM, ra at the stub.
-                memory.store(_HALT_SENTINEL, ecall_word, 4)
+                memory.store(_HALT_SENTINEL, _ECALL_WORD, 4)
                 cached = (bytes(memory.raw), to_u32(prog.entry))
                 templates[id(prog)] = cached
             template, entry = cached
@@ -149,7 +147,7 @@ class FleetSim:
         self._sims: dict[int, RisspSim] = {}
         self._traces: dict[int, RvfiTrace] = {}
         for lane in trace_lanes:
-            self.trace(lane, capacity=trace_capacity)
+            self.trace(lane)
         self._ctx = {
             "mems": self._mems, "regfiles": self._regfiles,
             "regs": self._regs, "counts": self._counts,
@@ -160,13 +158,13 @@ class FleetSim:
 
     # ------------------------------------------------------------ tracing
 
-    def trace(self, lane: int, capacity: int | None = None) -> RvfiTrace:
+    def trace(self, lane: int) -> RvfiTrace:
         """Attach (or fetch) the RVFI trace of one lane; rows follow the
         same row-major convention as every other harness; the batched
         loop records through the trace's ``row_sink``."""
         trace = self._traces.get(lane)
         if trace is None:
-            trace = self._traces[lane] = RvfiTrace(capacity=capacity)
+            trace = self._traces[lane] = RvfiTrace()
             self._sinks[lane] = trace.row_sink()
         return trace
 

@@ -75,11 +75,10 @@ class IsaHardwareLibrary:
             raise LibraryError(f"instruction {mnemonic!r} not in the "
                                f"library") from None
 
-    def verify(self, verifier: Verifier,
-               mnemonics: Iterable[str] | None = None) -> dict[str, bool]:
-        """Run ``verifier`` over blocks and record the results."""
+    def verify(self, verifier: Verifier) -> dict[str, bool]:
+        """Run ``verifier`` over every block and record the results."""
         results = {}
-        for name in (mnemonics or self.mnemonics):
+        for name in self.mnemonics:
             entry = self.entry(name)
             passed, report = verifier(entry.module)
             entry.verified = passed
@@ -87,11 +86,11 @@ class IsaHardwareLibrary:
             results[name] = passed
         return results
 
-    def mark_verified(self, mnemonics: Iterable[str] | None = None) -> None:
+    def mark_verified(self) -> None:
         """Trusted fast-path used when verification ran elsewhere (tests
         exercise the honest path via :meth:`verify`)."""
-        for name in (mnemonics or self.mnemonics):
-            self.entry(name).verified = True
+        for entry in self._entries.values():
+            entry.verified = True
 
     def get_block(self, mnemonic: str, require_verified: bool = True) -> Module:
         """Release a block for RISSP construction (Step 2 'pull')."""
@@ -110,18 +109,17 @@ class IsaHardwareLibrary:
 _DEFAULT: IsaHardwareLibrary | None = None
 
 
-def default_library(verified: bool = True) -> IsaHardwareLibrary:
-    """Process-wide cached library.
+def default_library() -> IsaHardwareLibrary:
+    """Process-wide cached library, its blocks marked pre-verified.
 
-    With ``verified=True`` the blocks are marked pre-verified — the honest
-    verification pipeline is exercised by :mod:`repro.verify` and the test
-    suite; rebuilding+reverifying for every generator call would only redo
-    identical deterministic work.
+    The honest verification pipeline is exercised by :mod:`repro.verify`
+    and the test suite; rebuilding+reverifying for every generator call
+    would only redo identical deterministic work.  Every call re-marks
+    the blocks, so a caller that cleared a block's flag on this shared
+    instance cannot leak that into the next build.
     """
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = IsaHardwareLibrary()
-        _DEFAULT.mark_verified()
-    elif verified:
-        _DEFAULT.mark_verified()
+    _DEFAULT.mark_verified()
     return _DEFAULT

@@ -70,8 +70,7 @@ def _onehot_mux(entries: list[tuple[Expr, Expr]], default: Expr) -> Expr:
 
 
 def build_modularex(mnemonics: list[str], library: IsaHardwareLibrary,
-                    name: str = "modularex",
-                    require_verified: bool = True) -> Module:
+                    name: str = "modularex") -> Module:
     """Construct ModularEX for an instruction subset.
 
     Blocks are pulled from the pre-verified library (raising if any block is
@@ -85,9 +84,7 @@ def build_modularex(mnemonics: list[str], library: IsaHardwareLibrary,
     rs1_data = m.input("rs1_data", 32)
     rs2_data = m.input("rs2_data", 32)
     dmem_rdata = m.input("dmem_rdata", 32)
-    blocks = {mnemonic: library.get_block(mnemonic,
-                                          require_verified=require_verified)
-              for mnemonic in subset}
+    blocks = {mnemonic: library.get_block(mnemonic) for mnemonic in subset}
     # Trap-return slice (PR 3): a block that redirects to mepc pulls the
     # core's mepc CSR register through a dedicated input.
     mepc = None

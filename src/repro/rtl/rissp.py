@@ -27,35 +27,31 @@ REG_ADDR_BITS = 4
 def build_rissp(mnemonics: list[str],
                 library: IsaHardwareLibrary | None = None,
                 name: str = "rissp",
-                reset_pc: int = 0,
-                require_verified: bool = True,
-                with_traps: bool | None = None,
-                lint: bool = True) -> Module:
+                reset_pc: int = 0) -> Module:
     """Build a complete single-cycle RISSP for an instruction subset.
 
     Args:
         mnemonics: the domain-specific instruction subset (Step 1 output).
         library: pre-verified block library; defaults to the cached one.
+            Every block must be pre-verified.
         name: module name (e.g. ``rissp_armpit``).
         reset_pc: PC reset value (program entry point).
-        require_verified: enforce the pre-verification contract.
-        with_traps: instantiate the machine-mode trap unit (PR 3 slice:
-            mtvec/mepc/mcause CSR registers, ecall/ebreak trap entry,
-            mret return).  Defaults to auto: on iff ``mret`` is in the
-            subset, so the paper's trap-free RISSPs synthesize exactly as
-            before.
-        lint: run the structural lint gate (``repro.analysis``) on the
-            stitched core — a combinational loop, driver conflict or
-            undriven signal fails the build with the finding list instead
-            of surfacing later in cosim.  The derived facts are memoized
-            on the core, so ``core_fusable`` does not re-derive them.
+
+    The machine-mode trap unit (mtvec/mepc/mcause CSR registers,
+    ecall/ebreak trap entry) is stitched exactly when ``mret`` is in the
+    subset, so the paper's trap-free RISSPs synthesize without it.  Every
+    build runs the structural lint gate (``repro.analysis``): a
+    combinational loop, driver conflict or undriven signal fails the build
+    with the finding list instead of surfacing later in cosim.  The
+    derived facts are memoized on the core, so ``core_fusable`` does not
+    re-derive them.
 
     Returns the stitched, checked (so frozen) :class:`Module` with
     ``meta['mnemonics']`` set; derive variants with ``with_assigns``.
     """
     library = library or default_library()
     subset = sorted(dict.fromkeys(m.lower() for m in mnemonics))
-    trap_unit = bool(with_traps) or "mret" in subset
+    trap_unit = "mret" in subset
     core = Module(name)
     pc = core.register("pc", 32, reset_value=reset_pc)
 
@@ -76,9 +72,7 @@ def build_rissp(mnemonics: list[str],
         mepc = core.register("mepc", 32)
         core.register("mcause", 32)
 
-    ex = build_modularex(subset, library,
-                         name=f"{name}_modularex",
-                         require_verified=require_verified)
+    ex = build_modularex(subset, library, name=f"{name}_modularex")
     bindings = {
         "pc": pc,
         "insn": imem_rdata,
@@ -155,23 +149,20 @@ def build_rissp(mnemonics: list[str],
     # Fetch unit: PC advances unless the core has halted.
     core.connect_register("pc", next_sig, enable=halt_sig.invert())
     core.meta["mnemonics"] = ex.meta["mnemonics"]
-    core.meta["modularex"] = ex
-    core.meta["trap_unit"] = trap_unit
-    if lint:
-        # Structural lint gate: fail the build with the full finding list
-        # instead of check()'s first error.  On success check() freezes
-        # the core with the one combinational walk, and the facts reuse
-        # its order and are memoized for core_fusable and any later lint.
-        from ..analysis.rtl_lint import structural_facts
-        try:
-            core.check()
-        except IrError:
-            pass    # reported below, with every other finding
-        errors = structural_facts(core).error_findings()
-        if errors:
-            details = "; ".join(
-                f"{f.rule} {f.location}: {f.detail}" for f in errors)
-            raise IrError(f"{name}: structural lint failed — {details}")
+    # Structural lint gate: fail the build with the full finding list
+    # instead of check()'s first error.  On success check() freezes the
+    # core with the one combinational walk, and the facts reuse its order
+    # and are memoized for core_fusable and any later lint.
+    from ..analysis.rtl_lint import structural_facts
+    try:
+        core.check()
+    except IrError:
+        pass    # reported below, with every other finding
+    errors = structural_facts(core).error_findings()
+    if errors:
+        details = "; ".join(
+            f"{f.rule} {f.location}: {f.detail}" for f in errors)
+        raise IrError(f"{name}: structural lint failed — {details}")
     core.check()
     # Every stitched RISSP must satisfy the fused-loop harness interface
     # (storage-exposed RF, imem/dmem ports, the CORE_INTERFACE outputs) —

@@ -72,20 +72,16 @@ def _run_scenarios(scenarios, checks, spec, workers: int,
                    shards: int) -> list[dict]:
     """Shard one phase's scenarios as contiguous ranges; outcomes merge
     in scenario order."""
-    from ..farm.runner import run_tasks
+    from ..farm.runner import run_tasks, shard_ranges
     from ..farm.tasks import ScenarioShardTask
 
     if not scenarios:
         return []
-    shard_count = shards or workers
-    shard_count = max(1, min(shard_count, len(scenarios)))
-    bounds = [len(scenarios) * index // shard_count
-              for index in range(shard_count + 1)]
     tasks = [ScenarioShardTask(
         task_id=f"scenario[{index:02d}]", core=spec,
         scenarios=tuple(scenarios[lo:hi]), checks=tuple(checks[lo:hi]))
-        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        if hi > lo]
+        for index, (lo, hi) in enumerate(
+            shard_ranges(len(scenarios), shards or workers))]
     outcomes: list[dict] = []
     for shard in run_tasks(tasks, workers=workers):
         outcomes.extend(shard)

@@ -10,12 +10,12 @@ from .csr import CsrError, CsrFile
 from .decoded import DecodedImage, DecodedOp, SimulationError
 from .golden import GoldenSim, RunResult, abi_initial_regs, run_program
 from .memory import Memory, MemoryError_
-from .serv import ServConfig, ServSim, run_program_serv
+from .serv import ServSim, run_program_serv
 from .tracing import RvfiRecord, RvfiTrace, load_read_fields
 
 __all__ = [
     "CsrError", "CsrFile", "DecodedImage", "DecodedOp", "GoldenSim",
     "Memory", "MemoryError_", "RunResult", "RvfiRecord", "RvfiTrace",
-    "ServConfig", "ServSim", "SimulationError", "abi_initial_regs",
+    "ServSim", "SimulationError", "abi_initial_regs",
     "load_read_fields", "run_program", "run_program_serv",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import BRANCHES, LOADS, STORES
+from ..isa.registers import RV32E_NUM_REGS
 from ..isa.spec import compile_recorder, compile_step
 
 
@@ -54,9 +55,8 @@ class DecodedImage:
     :meth:`invalidate`.
     """
 
-    def __init__(self, memory, num_regs: int = 16):
+    def __init__(self, memory):
         self.memory = memory
-        self.num_regs = num_regs
         self._ops: dict[int, DecodedOp] = {}
         self.executors: dict[int, object] = {}
         self.recorders: dict[int, object] = {}
@@ -85,9 +85,9 @@ class DecodedImage:
         # The Zicsr immediate forms carry a 5-bit uimm in the rs1 field —
         # not a register number, so it is exempt from the RV32E bound.
         rs1_is_reg = not instr.definition.csr_uimm
-        if instr.rd >= self.num_regs \
-                or (rs1_is_reg and instr.rs1 >= self.num_regs) \
-                or instr.rs2 >= self.num_regs:
+        if instr.rd >= RV32E_NUM_REGS \
+                or (rs1_is_reg and instr.rs1 >= RV32E_NUM_REGS) \
+                or instr.rs2 >= RV32E_NUM_REGS:
             raise SimulationError(
                 f"{instr.mnemonic} at {pc:#x} uses registers outside RV32E")
         op = DecodedOp()

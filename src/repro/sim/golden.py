@@ -104,9 +104,7 @@ class GoldenSim:
     """Reference RV32E simulator built directly on the ISA spec."""
 
     def __init__(self, program: Program, mem_size: int = DEFAULT_MEM_SIZE,
-                 num_regs: int = RV32E_NUM_REGS, trace: bool = False,
-                 trace_capacity: int | None = None,
-                 soc: "object | None" = None):
+                 trace: bool = False, soc: "object | None" = None):
         self.memory = Memory.from_program(program, mem_size)
         self.csr = CsrFile()
         from ..soc import attach_soc
@@ -119,16 +117,14 @@ class GoldenSim:
             self.memory = self.soc.bus
             self._fast_memory = copy.copy(self.memory)
             self._fast_memory.deferred = True
-        self.num_regs = num_regs
-        self.regs = [0] * num_regs
+        self.regs = [0] * RV32E_NUM_REGS
         self.pc = to_u32(program.entry)
         for index, value in abi_initial_regs(mem_size).items():
             self.regs[index] = value
         self._trace_enabled = trace
-        self._trace_capacity = trace_capacity
         self._poweroff_code = 0
         self._install_halt_stub(program)
-        self.image = DecodedImage(self.memory, num_regs)
+        self.image = DecodedImage(self.memory)
 
     def _install_halt_stub(self, program: Program) -> None:
         """Place ``ecall`` at a sentinel address so ``ret`` from main halts."""
@@ -311,7 +307,7 @@ class GoldenSim:
         :meth:`retire_one`.
         """
         if self._trace_enabled:
-            trace = RvfiTrace(capacity=self._trace_capacity)
+            trace = RvfiTrace()
             halted, reason, count = self.run_chunk(0, max_instructions,
                                                    trace)
             return self._result(count, reason if halted else "limit",

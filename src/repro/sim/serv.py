@@ -16,7 +16,7 @@ Machine-mode traps and the SoC come from the wrapped golden ISS, whose one
 slow path, :meth:`~repro.sim.golden.GoldenSim.retire_one`, retires every
 row the compiled executors cannot; Serv charges such a row from the RVFI
 row it records.  A trap entry costs one full serial word pass, and a
-redirect pays the ``branch_extra`` term when the next pc diverges from
+redirect pays the ``_BRANCH_EXTRA`` term when the next pc diverges from
 pc+4.  A Serv with a SoC attached runs the same fast loop as a plain one.
 
 The *structural* model of Serv (gates, flip-flop fraction) used by the
@@ -26,7 +26,7 @@ synthesis and physical-implementation experiments lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..isa.program import DEFAULT_MEM_SIZE, Program
 from ..soc.bus import MmioDeferred
@@ -46,22 +46,12 @@ _BRANCH_EXTRA = 1
 _M32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class ServConfig:
-    """Cycle model parameters (defaults reproduce the paper's CPI ≈ 32)."""
-
-    bits: int = _WORD_BITS
-    mem_extra: int = _MEM_EXTRA
-    branch_extra: int = _BRANCH_EXTRA
-
-
 class ServSim:
-    """Bit-serial execution: golden semantics + serial cycle accounting."""
+    """Bit-serial execution: golden semantics + serial cycle accounting
+    (the module constants above reproduce the paper's CPI ≈ 32)."""
 
-    def __init__(self, program: Program, config: ServConfig | None = None,
-                 mem_size: int = DEFAULT_MEM_SIZE, trace: bool = False,
-                 soc: "object | None" = None):
-        self.config = config or ServConfig()
+    def __init__(self, program: Program, mem_size: int = DEFAULT_MEM_SIZE,
+                 trace: bool = False, soc: "object | None" = None):
         self._golden = GoldenSim(program, mem_size=mem_size, trace=trace,
                                  soc=soc)
 
@@ -75,11 +65,11 @@ class ServSim:
         ``redirected`` is True when the next pc differs from pc+4 (the only
         case where a *branch* pays the redirect penalty; jal/jalr always do).
         """
-        cycles = self.config.bits
+        cycles = _WORD_BITS
         if op.is_mem:
-            cycles += self.config.mem_extra
+            cycles += _MEM_EXTRA
         if op.is_jump or (op.is_branch and redirected):
-            cycles += self.config.branch_extra
+            cycles += _BRANCH_EXTRA
         return cycles
 
     def run(self, max_instructions: int = 20_000_000) -> RunResult:
@@ -93,7 +83,7 @@ class ServSim:
         """
         golden = self._golden
         traced = golden._trace_enabled
-        trace = RvfiTrace(capacity=golden._trace_capacity if traced else 1)
+        trace = RvfiTrace() if traced else RvfiTrace(capacity=1)
         op_cycles = self._op_cycles
         regs = golden.regs
         memory = golden._fast_memory
@@ -124,7 +114,7 @@ class ServSim:
                     pc = golden.pc
                 row = trace.row(-1)
                 pc_rdata, pc_wdata, trapped = row[2], row[3], row[15]
-                cycles += self.config.bits if trapped else op_cycles(
+                cycles += _WORD_BITS if trapped else op_cycles(
                     get_op(pc_rdata), pc_wdata != (pc_rdata + 4) & _M32)
                 count += 1
                 if halted:

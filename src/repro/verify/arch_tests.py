@@ -79,7 +79,12 @@ def _expected(instr: Instruction, pc: int, rs1: int, rs2: int,
     return step(instr, pc, rs1, rs2, load, csr=lambda addr: mem_word)
 
 
-def vectors_for(mnemonic: str, extra_random: int = 32) -> list[TestVector]:
+#: Pseudo-random vectors added to the directed ones of an R- or I-format
+#: instruction.
+_EXTRA_RANDOM = 32
+
+
+def vectors_for(mnemonic: str) -> list[TestVector]:
     """Directed + pseudo-random vectors for one instruction."""
     d = BY_MNEMONIC[mnemonic]
     rng = _lcg(0xC0FFEE ^ zlib.crc32(mnemonic.encode()) & 0xFFFF)
@@ -103,7 +108,7 @@ def vectors_for(mnemonic: str, extra_random: int = 32) -> list[TestVector]:
                 emit(rd=5, rs1=3, rs2=4, imm=0, rs1_val=a, rs2_val=b)
         emit(rd=0, rs1=3, rs2=4, imm=0, rs1_val=7, rs2_val=9)   # x0 sink
         emit(rd=5, rs1=6, rs2=6, imm=0, rs1_val=13, rs2_val=13)  # rs1 == rs2
-        for _ in range(extra_random):
+        for _ in range(_EXTRA_RANDOM):
             emit(rd=7, rs1=2, rs2=9, imm=0,
                  rs1_val=random_val(), rs2_val=random_val())
     elif d.is_shift_imm:
@@ -137,7 +142,7 @@ def vectors_for(mnemonic: str, extra_random: int = 32) -> list[TestVector]:
         for a in CORNER_VALUES:
             for imm in IMM12_CORNERS:
                 emit(rd=5, rs1=3, rs2=0, imm=imm, rs1_val=a, rs2_val=0)
-        for _ in range(extra_random):
+        for _ in range(_EXTRA_RANDOM):
             emit(rd=5, rs1=3, rs2=0, imm=next(rng) % 4095 - 2048,
                  rs1_val=random_val(), rs2_val=0)
     elif mnemonic in BRANCHES:

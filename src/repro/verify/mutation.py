@@ -49,8 +49,11 @@ class MutationReport:
 
     @property
     def coverage(self) -> float:
+        """Killed over distinguishable mutants; 0.0 when no mutant is
+        distinguishable, because a campaign that judged nothing passes
+        nothing."""
         effective = self.total - self.equivalent
-        return self.killed / effective if effective else 1.0
+        return self.killed / effective if effective else 0.0
 
 
 def enumerate_mutations(netlist: Netlist, limit: int = 120) -> list[Mutation]:
@@ -131,19 +134,24 @@ def _expr_mutants(expr: Expr):
         yield expr.a, "inverter dropped"
 
 
-def enumerate_rtl_mutations(module: Module, limit: int = 24,
-                            signals: list[str] | None = None
-                            ) -> list[RtlMutation]:
-    """Deterministically pick up to ``limit`` single-site RTL mutations.
+def enumerate_rtl_mutations(module: Module,
+                            limit: int = 24) -> tuple[RtlMutation, ...]:
+    """Deterministically pick up to ``limit`` single-site RTL mutations
+    over every assign.
 
-    ``signals`` restricts mutation to the named assigns (e.g. the
-    architecturally observable datapath); by default every assign is a
-    candidate.  Mutants preserve widths and cannot introduce combinational
-    loops, so they always build into a runnable :class:`RtlSim`.
+    Mutants preserve widths and cannot introduce combinational loops, so
+    they always build into a runnable :class:`RtlSim`.  The pick is a pure
+    function of the structure, so it is memoized on a checked module:
+    every kill-matrix task that names the same core reuses it.
     """
-    targets = signals if signals is not None else sorted(module.assigns)
+    return module.memo(f"rtl_mutations[{limit}]",
+                       lambda: _pick_rtl_mutations(module, limit))
+
+
+def _pick_rtl_mutations(module: Module,
+                        limit: int) -> tuple[RtlMutation, ...]:
     candidates: list[RtlMutation] = []
-    for name in targets:
+    for name in sorted(module.assigns):
         expr = module.assigns[name]
         candidates.append(RtlMutation(
             name, Const(0, expr.width), f"{name}: stuck-at-0"))
@@ -154,9 +162,9 @@ def enumerate_rtl_mutations(module: Module, limit: int = 24,
             candidates.append(RtlMutation(
                 name, mutated, f"{name}[site {site}]: {description}"))
     if len(candidates) <= limit:
-        return candidates
+        return tuple(candidates)
     stride = len(candidates) / limit
-    return [candidates[int(i * stride)] for i in range(limit)]
+    return tuple(candidates[int(i * stride)] for i in range(limit))
 
 
 def cosim_verdict(core: Module, program, backend: str | None = None,
@@ -196,9 +204,9 @@ def mutant_verdict_row(core: Module, program, index: int, limit: int,
 
     The mutant is addressed by *position* in
     :func:`enumerate_rtl_mutations`\\ ``(core, limit)`` — a pure function
-    of the core's structure — so a farm worker that rebuilt the core from
-    its subset description computes exactly the row the serial loop
-    would.  Returns ``(description, {backend: verdict})``.
+    of the core's structure, memoized on it — so a worker that rebuilt
+    the core from its subset description computes the same row at any
+    worker count.  Returns ``(description, {backend: verdict})``.
     """
     mutation = enumerate_rtl_mutations(core, limit=limit)[index]
     mutant = apply_rtl_mutation(core, mutation)
@@ -219,26 +227,25 @@ def rtl_mutant_kill_matrix(core: Module, program, backends,
     mutation tests, so a fast path that silently weakens (or accidentally
     "improves") verification shows up as an unequal matrix row.
 
-    ``workers > 1`` fans the mutants out across a process pool (one task
-    per mutant) via the simulation farm; rows are merged in enumeration
-    order, so the matrix — keys, key order, every verdict — is
-    bit-identical to the serial loop for any worker count.  Requires a
-    core rebuildable from its subset (every stitched RISSP qualifies).
+    Each mutant is one :class:`~repro.farm.tasks.MutantTask` through
+    :func:`~repro.farm.runner.run_tasks`, in-process at ``workers=1`` and
+    on a process pool otherwise; rows merge in enumeration order, so the
+    matrix (keys, key order, every verdict) is bit-identical for any
+    worker count, and a failing mutant surfaces as a
+    :class:`~repro.farm.runner.FarmTaskError` naming its task id.
+    Requires a core rebuildable from its subset (every stitched RISSP
+    qualifies).
     """
-    mutations = enumerate_rtl_mutations(core, limit=limit)
-    if workers > 1 and len(mutations) > 1:
-        from ..farm.campaigns import sharded_mutant_kill_matrix
-        return sharded_mutant_kill_matrix(
-            core, program, backends, limit=limit,
-            max_instructions=max_instructions, workers=workers)
-    matrix: dict[str, dict[str, str | None]] = {}
-    for mutation in mutations:
-        mutant = apply_rtl_mutation(core, mutation)
-        matrix[mutation.description] = {
-            backend: cosim_verdict(mutant, program, backend,
-                                   max_instructions)
-            for backend in backends}
-    return matrix
+    from ..farm.runner import run_tasks
+    from ..farm.tasks import CoreSpec, MutantTask
+
+    spec = CoreSpec.of(core)
+    tasks = [MutantTask(task_id=f"mutant[{index:03d}]", core=spec,
+                        program=program, index=index, limit=limit,
+                        backends=tuple(backends),
+                        max_instructions=max_instructions)
+             for index in range(len(enumerate_rtl_mutations(core, limit)))]
+    return dict(run_tasks(tasks, workers=workers))
 
 
 def apply_rtl_mutation(module: Module, mutation: RtlMutation) -> Module:

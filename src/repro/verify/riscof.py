@@ -250,11 +250,18 @@ def run_compliance(core: Module,
     for scaffolding — always true for real applications).
 
     ``workers > 1`` shards the target list across a process pool via the
-    simulation farm (``shards`` task groups; 0 = one per worker); the
-    merged report is bit-identical to the serial walk — same target
-    order, same mismatch strings — because shard results are merged in
+    simulation farm (``shards`` contiguous ranges; 0 = one per worker);
+    the merged report is bit-identical to the serial walk — same target
+    order, same mismatch strings — because shard results concatenate in
     target order, not completion order.  Requires a core rebuildable from
     its subset (every stitched RISSP qualifies).
+
+    ``workers=1`` walks the targets in-process on ``core`` itself rather
+    than through one :class:`~repro.farm.tasks.ComplianceTask`: a task
+    rebuilds the core from its description and recompiles its fused
+    loop.  On the 7 ``edge_flow`` apps, right after the flow's cosim, the
+    walk takes 2-6 ms and one task 16-54 ms per app, about +0.2 s per
+    flow pass (2-CPU container).
     """
     subset = list(core.meta.get("mnemonics", []))
     targets = compliance_targets(subset, mnemonics)

@@ -379,11 +379,13 @@ def _at(order: int, pc: int) -> str:
 #: Row tuple of an :class:`RvfiRecord`, in :attr:`RvfiTrace.FIELDS` order.
 _RECORD_ROW = attrgetter(*RvfiTrace.FIELDS)
 
+#: The check stops walking once it has collected this many errors.
+_MAX_ERRORS = 25
+
 
 def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
-                num_regs: int = 16,
-                initial_regs: dict[int, int] | None = None,
-                max_errors: int = 25) -> RvfiCheckReport:
+                initial_regs: dict[int, int] | None = None
+                ) -> RvfiCheckReport:
     """Validate a retirement trace against the executable spec.
 
     ``trace`` is the row-major :class:`~repro.sim.tracing.RvfiTrace` or
@@ -422,7 +424,7 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
     for (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr, rs1_rdata,
          rs2_rdata, rd_addr, rd_wdata, mem_addr, mem_rmask, mem_wmask,
          mem_rdata, mem_wdata, trap, intr) in rows:
-        if len(errors) >= max_errors:
+        if len(errors) >= _MAX_ERRORS:
             break
         checked += 1
 

@@ -127,15 +127,13 @@ def _check(sim: RtlSim, block: Module, vector: TestVector,
         fail("spec halts but block has no halt port")
 
 
-def run_testbench(block: Module, vectors: list[TestVector] | None = None
-                  ) -> TestbenchResult:
-    """Run the block testbench; returns a pass/fail report."""
+def run_testbench(block: Module) -> TestbenchResult:
+    """Run the block testbench over its mnemonic's architecture-test
+    vectors; returns a pass/fail report."""
     mnemonic = str(block.meta.get("mnemonic", block.name))
-    if vectors is None:
-        vectors = vectors_for(mnemonic)
     result = TestbenchResult(mnemonic=mnemonic)
     sim = RtlSim(block)
-    for vector in vectors:
+    for vector in vectors_for(mnemonic):
         _drive(sim, block, vector)
         _check(sim, block, vector, result)
         result.vectors_run += 1

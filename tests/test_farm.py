@@ -84,6 +84,29 @@ def test_fleet_campaign_identical_at_any_worker_count():
                           max_instructions=400) == serial
 
 
+def test_failing_mutant_names_its_task_at_one_worker(monkeypatch):
+    """The serial kill matrix runs the same tasks as the pool, so a
+    mutant that raises surfaces as a FarmTaskError naming its task id,
+    not as a bare exception."""
+    import repro.verify.mutation as mutation
+
+    core, program = mutation_exercise_target()
+    doomed = mutation.enumerate_rtl_mutations(core, limit=8)[3].description
+    real = mutation.apply_rtl_mutation
+
+    def apply(module, candidate):
+        if candidate.description == doomed:
+            raise RuntimeError("injected mutant failure")
+        return real(module, candidate)
+
+    monkeypatch.setattr(mutation, "apply_rtl_mutation", apply)
+    with pytest.raises(FarmTaskError, match=r"mutant\[003\]") as info:
+        rtl_mutant_kill_matrix(core, program, backends=("fused",),
+                               limit=8, max_instructions=400, workers=1)
+    assert info.value.task_id == "mutant[003]"
+    assert "injected mutant failure" in str(info.value)
+
+
 def test_compliance_identical_at_any_worker_count():
     core = build_rissp(COMPLIANCE_SUBSET)
     serial = run_compliance(core, workers=1)
@@ -195,22 +218,26 @@ def test_farm_task_error_survives_pickling():
 # ------------------------------------------- worker core-rebuild contract
 
 def test_core_spec_roundtrip_matches_fingerprint():
-    core = build_rissp(COMPLIANCE_SUBSET)
-    spec = CoreSpec.of(core)
-    assert spec.fingerprint == stable_fingerprint(core)
-    rebuilt = spec.build()
-    assert stable_fingerprint(rebuilt) == spec.fingerprint
-    assert spec.build() is rebuilt  # per-process memo
+    """A worker rebuilds the described core exactly, the trap unit
+    included: the subset alone decides it (present iff ``mret``)."""
+    for subset in (COMPLIANCE_SUBSET, COMPLIANCE_SUBSET + ["mret"]):
+        core = build_rissp(subset)
+        spec = CoreSpec.of(core)
+        assert spec.fingerprint == stable_fingerprint(core)
+        rebuilt = spec.build()
+        assert stable_fingerprint(rebuilt) == spec.fingerprint
+        assert ("mtvec" in rebuilt.registers) == ("mret" in subset)
+        assert spec.build() is rebuilt  # per-process memo
 
-    blob = pickle.dumps(spec)
-    assert pickle.loads(blob) == spec  # frozen dataclass round-trips
+        blob = pickle.dumps(spec)
+        assert pickle.loads(blob) == spec  # frozen dataclass round-trips
 
 
 def test_tampered_fingerprint_refuses_to_materialize():
     core = build_rissp(["addi", "add", "lui", "ecall"])
     spec = CoreSpec.of(core)
     tampered = CoreSpec(mnemonics=spec.mnemonics, name=spec.name,
-                        reset_pc=spec.reset_pc, trap_unit=spec.trap_unit,
+                        reset_pc=spec.reset_pc,
                         fingerprint="0" * 64)
     with pytest.raises(CoreMaterializeError, match="fingerprint"):
         tampered.build()

@@ -35,6 +35,8 @@ from repro.analysis import structural_facts
 from repro.isa import INSTRUCTIONS
 from repro.rtl import build_rissp, compile_module
 from repro.rtl.compiled import compile_core, compile_fleet, stable_fingerprint
+from repro.rtl.library import default_library
+from repro.rtl.modularex import build_modularex
 from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
                           Op, Port, RegFileSpec, Register, Sig, Slice,
                           _read_mux_tree, const)
@@ -244,7 +246,7 @@ def _modularex_arms(core):
     """``(select wire, output)`` of every ModularEX arm ``val &
     sel.sext(w)`` of ``core`` whose select is a decode wire (the default
     arm's select is the NOR of all of them)."""
-    ex = core.meta["modularex"]
+    ex = build_modularex(core.meta["mnemonics"], default_library())
     arms = []
     for port in ex.outputs():
         stack = [ex.assigns[port.name]]

@@ -110,8 +110,12 @@ def test_compiled_executor_matches_spec(d):
                 regs[3], regs[4] = rs1, rs2
             pc = 0x40
             want_pc = _apply_spec(instr, regs_a, mem_a, pc)
-            got_pc = compile_step(instr)(regs_b, mem_b, pc)
+            stored = []
+            got_pc = compile_step(instr, stored.append)(regs_b, mem_b, pc)
             assert got_pc == want_pc, instr
+            # The hook sees the effective address of every store, once.
+            assert stored == ([(rs1 + instr.imm) & 0xFFFFFFFF]
+                              if d.mnemonic in STORES else []), instr
             assert regs_a == regs_b, instr
             assert mem_a.read_blob(0, 4096) == mem_b.read_blob(0, 4096), instr
 

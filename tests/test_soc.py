@@ -476,7 +476,7 @@ def test_trap_free_cores_unchanged(trap_core):
     assert "mtvec" not in plain.registers
     assert "trap" not in plain.ports
     assert {"mtvec", "mepc", "mcause"} <= set(trap_core.registers)
-    assert trap_core.meta["trap_unit"]
+    assert "trap" in trap_core.ports
 
 
 @pytest.mark.parametrize("backend", ["fused", "interpreter"])

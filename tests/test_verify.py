@@ -55,6 +55,15 @@ def test_mutation_coverage_full(mnemonic):
     assert report.coverage == 1.0, report.survivors[:3]
 
 
+def test_mutation_coverage_of_an_empty_campaign_is_zero():
+    """``mret``'s netlist is wiring only (``next_pc`` is ``mepc`` with its
+    low bits cleared), so its campaign has no mutant to judge: a coverage
+    of 0/0 must not read as a full pass."""
+    report = run_mutation_campaign(build_block("mret"), limit=30)
+    assert report.total == report.equivalent == 0
+    assert report.coverage == 0.0
+
+
 def test_testbench_catches_injected_bug():
     """Failure injection: corrupt a block's datapath; testbench must fail."""
     block = build_block("add")

@@ -13,8 +13,8 @@ code serves:
   compiled backend at >=10x the interpreter, and the fused loop at >=3x
   that backend.
 * **Per cycle**: :class:`~repro.rtl.sim.RtlSim`'s compiled pair
-  (:func:`repro.rtl.compiled.compile_module`, which the block
-  testbenches, formal checks and probes of a paused core run) must
+  (:func:`repro.rtl.compiled.compile_module`, which the block verifier
+  and probes of a paused core run) must
   evaluate the full core at >=10x the interpreter's ``RtlSim``, driven
   by the random instruction words ``test_rissp_core_lockstep_fuzz``
   drives (:func:`repro.verify.fuzz.random_words`).

@@ -7,8 +7,8 @@ Edge" (MICRO 2025).  The package builds the complete toolflow of the paper:
 * :mod:`repro.compiler` — the MicroC cross-compiler (-O0..-Oz)
 * :mod:`repro.sim` — golden ISS (Spike analog) and Serv bit-serial model
 * :mod:`repro.rtl` — instruction hardware blocks, ModularEX, RISSP RTL
-* :mod:`repro.verify` — testbenches, mutation (MCY), formal (SBY), RISCOF,
-  RVFI analogs
+* :mod:`repro.verify` — the block verifier over arch-test and lattice
+  vectors (testbench and SBY analog), mutation (MCY), RISCOF, RVFI analogs
 * :mod:`repro.synth` — gate-level synthesis + FlexIC Gen3 techlib
 * :mod:`repro.physical` — floorplan/CTS/route model (Figure 10)
 * :mod:`repro.retarget` — generative macro retargeting (§5)

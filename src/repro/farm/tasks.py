@@ -148,10 +148,9 @@ class FuzzCosimTask:
     """One chunk of the randomized differential fuzz campaign.
 
     Carries only the chunk *seed* — the worker re-expands it through
-    :func:`repro.verify.fuzz.random_program` (or the trap-firmware
-    generator), so the task description stays a few hundred bytes and the
-    failure report's ``(task-id, seed)`` pair is sufficient to replay the
-    chunk anywhere.
+    :func:`repro.verify.fuzz.random_program`, so the task description
+    stays a few hundred bytes and the failure report's ``(task-id, seed)``
+    pair is sufficient to replay the chunk anywhere.
     """
 
     task_id: str
@@ -159,21 +158,18 @@ class FuzzCosimTask:
     seed: int
     backend: str | None = "fused"
     max_instructions: int = 20_000
-    trap: bool = False
 
     def describe(self) -> str:
         return (f"fuzz {self.task_id}: seed={self.seed:#x} "
-                f"core={self.core.name} backend={self.backend} "
-                f"trap={self.trap}")
+                f"core={self.core.name} backend={self.backend}")
 
     def run(self) -> str | None:
         from ..isa.assembler import assemble
-        from ..verify.fuzz import random_program, random_trap_program
+        from ..verify.fuzz import random_program
         from ..verify.mutation import cosim_verdict
 
-        source = random_trap_program(self.seed) if self.trap \
-            else random_program(self.seed)
-        return cosim_verdict(self.core.build(), assemble(source),
+        return cosim_verdict(self.core.build(),
+                             assemble(random_program(self.seed)),
                              self.backend, self.max_instructions)
 
 

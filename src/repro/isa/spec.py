@@ -3,8 +3,8 @@
 Each instruction's architectural effect is a *pure function* of the program
 counter, the decoded fields, the source register values, and (for loads) a
 memory-read callback.  The golden ISS, the per-instruction hardware-block
-testbenches, the formal-lite property checker and the RVFI trace checker all
-consume this single spec — it plays the role the RISC-V ISA manual plays for
+verifier (architecture-test and operand-lattice vectors) and the RVFI trace
+checker all consume this single spec — it plays the role the RISC-V ISA manual plays for
 the paper's SVA assertions.
 
 Three execution interfaces are offered over the same semantic tables:

@@ -1,8 +1,12 @@
 """The pre-verified full ISA hardware library (Step 0 of the methodology).
 
 The library is the paper's standard-cell-library analog: every instruction
-hardware block is built once, verified (functionally, by mutation-checked
-testbenches, and formally), and only then released for RISSP construction.
+hardware block is built once, verified, and only then released for RISSP
+construction.  :meth:`IsaHardwareLibrary.verify` runs one checker,
+:func:`repro.verify.testbench.verify_block`, over each block's
+architecture-test and operand-lattice vectors; the gate-level mutation
+campaign that measures how well those vectors catch faults
+(:func:`repro.verify.mutation.run_mutation_campaign`) is run separately.
 ``get_block`` enforces the pre-verification contract — an unverified block
 cannot be stitched into a processor.
 
@@ -13,13 +17,16 @@ so a process-wide default instance is cached).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from ..isa.instructions import BY_MNEMONIC, INSTRUCTIONS
 from .blocks import build_block
 from .ir import Module
 from .verilog import emit_module
+
+if TYPE_CHECKING:
+    from ..verify.testbench import BlockReport
 
 
 class LibraryError(ValueError):
@@ -33,13 +40,7 @@ class LibraryEntry:
     mnemonic: str
     module: Module
     verified: bool = False
-    verification_report: dict[str, object] = field(default_factory=dict)
-
-
-#: A verifier maps a block module to (passed, report).  The default verifier
-#: lives in :mod:`repro.verify.testbench`; the indirection keeps rtl free of
-#: a dependency on verify.
-Verifier = Callable[[Module], tuple[bool, dict[str, object]]]
+    verification_report: BlockReport | None = None
 
 
 class IsaHardwareLibrary:
@@ -75,15 +76,17 @@ class IsaHardwareLibrary:
             raise LibraryError(f"instruction {mnemonic!r} not in the "
                                f"library") from None
 
-    def verify(self, verifier: Verifier) -> dict[str, bool]:
-        """Run ``verifier`` over every block and record the results."""
+    def verify(self) -> dict[str, bool]:
+        """Run :func:`~repro.verify.testbench.verify_block` over every block,
+        record each report, and release the blocks that pass."""
+        from ..verify.testbench import verify_block  # verify builds on rtl
+
         results = {}
         for name in self.mnemonics:
             entry = self.entry(name)
-            passed, report = verifier(entry.module)
-            entry.verified = passed
-            entry.verification_report = report
-            results[name] = passed
+            entry.verification_report = verify_block(entry.module)
+            entry.verified = entry.verification_report.passed
+            results[name] = entry.verified
         return results
 
     def mark_verified(self) -> None:
@@ -92,13 +95,14 @@ class IsaHardwareLibrary:
         for entry in self._entries.values():
             entry.verified = True
 
-    def get_block(self, mnemonic: str, require_verified: bool = True) -> Module:
-        """Release a block for RISSP construction (Step 2 'pull')."""
+    def get_block(self, mnemonic: str) -> Module:
+        """Release a pre-verified block for RISSP construction (Step 2
+        'pull')."""
         entry = self.entry(mnemonic)
-        if require_verified and not entry.verified:
+        if not entry.verified:
             raise LibraryError(
                 f"block {mnemonic!r} has not been pre-verified; run "
-                f"library.verify(...) first")
+                f"library.verify() first")
         return entry.module
 
     def emit_systemverilog(self, mnemonic: str) -> str:

@@ -8,9 +8,9 @@ semantics:
   the fused cycle loop (:func:`repro.rtl.compiled.compile_core`): fetch,
   combinational settle, memory traffic and register commit in one
   generated function.  A core without that harness interface is refused
-  at construction.  :class:`RtlSim`'s per-cycle entry points (block
-  testbenches, formal checks, probes of a paused core) evaluate through
-  the ``exec``-compiled pair of :func:`repro.rtl.compiled.compile_module`.
+  at construction.  :class:`RtlSim`'s per-cycle entry points (the block
+  verifier, probes of a paused core) evaluate through the
+  ``exec``-compiled pair of :func:`repro.rtl.compiled.compile_module`.
 * ``"interpreter"``: the tree-walking evaluator built on :func:`eval_expr`.
   It is the reference oracle and the only per-cycle whole-program
   harness; ``tests/test_rtl_compiled_diff.py`` and

@@ -1,8 +1,7 @@
-"""Verification substrate: arch tests, testbenches, mutation, formal,
-RISCOF-style compliance, RVFI trace checking."""
+"""Verification substrate: the block verifier over arch-test and lattice
+vectors, mutation, RISCOF-style compliance, RVFI trace checking."""
 
-from .arch_tests import CORNER_VALUES, TestVector, all_vectors, vectors_for
-from .formal import FormalReport, check_block, check_library
+from .arch_tests import CORNER_VALUES, TestVector, lattice_vectors, vectors_for
 from .fuzz import (
     FUZZ_BASE_SEED,
     derive_seed,
@@ -28,16 +27,16 @@ from .riscof import (
     run_compliance,
 )
 from .rvfi import RvfiCheckReport, check_trace
-from .testbench import TestbenchResult, block_verifier, run_testbench
+from .testbench import BlockReport, block_inputs, verify_block
 
 __all__ = [
-    "CORNER_VALUES", "ComplianceReport", "FUZZ_BASE_SEED", "FormalReport",
+    "BlockReport", "CORNER_VALUES", "ComplianceReport", "FUZZ_BASE_SEED",
     "Mutation", "MutationReport", "RvfiCheckReport", "SIGNATURE_WORDS",
-    "TestVector", "TestbenchResult", "all_vectors", "block_verifier",
-    "check_block", "check_compliance_mnemonic", "check_library",
+    "TestVector", "block_inputs", "check_compliance_mnemonic",
     "check_trace", "compliance_program", "compliance_targets",
     "cosim_verdict", "derive_seed", "enumerate_mutations",
-    "fuzz_chunk_seeds", "mutant_verdict_row", "random_program",
-    "random_trap_program", "rtl_mutant_kill_matrix", "run_compliance",
-    "run_mutation_campaign", "run_testbench", "vectors_for",
+    "fuzz_chunk_seeds", "lattice_vectors", "mutant_verdict_row",
+    "random_program", "random_trap_program", "rtl_mutant_kill_matrix",
+    "run_compliance", "run_mutation_campaign", "vectors_for",
+    "verify_block",
 ]

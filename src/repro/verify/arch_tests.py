@@ -1,11 +1,14 @@
-"""Per-instruction architecture test vectors (RISC-V Arch Test SIG analog).
+"""Per-instruction test vectors: architecture tests and the operand lattice.
 
 The paper extracts the per-instruction test cases from the RISC-V
 Foundation Architecture Test Suite and replays them through custom
-testbenches (Figure 4, step 2).  This module generates the same class of
-directed vectors — operand corner values, walking patterns, boundary
-immediates — with expected results computed from the *independent*
-executable spec (:mod:`repro.isa.spec`).
+testbenches (Figure 4, step 2).  :func:`vectors_for` generates the same
+class of directed vectors — operand corner values, walking patterns,
+boundary immediates — and :func:`lattice_vectors` the bounded-exhaustive
+operand lattice that stands in for the formal check (step 4).  Both
+compute their expected results from the *independent* executable spec
+(:mod:`repro.isa.spec`), and :func:`repro.verify.testbench.verify_block`
+checks a block on both sets with one checker.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from ..isa.bits import to_u32
-from ..isa.encoding import Instruction, encode
+from ..isa.bits import sign_extend, to_u32
+from ..isa.encoding import EncodingError, Instruction, encode
 from ..isa.instructions import BRANCHES, BY_MNEMONIC, Format, LOADS, STORES
-from ..isa.spec import Effects, step
+from ..isa.spec import Effects, SpecError, step
 
 #: Corner operand values exercised for every data input (SIG-style).
 CORNER_VALUES = (
@@ -37,6 +40,10 @@ IMM20_CORNERS = (0x0000_0000, 0x0000_1000, 0x7FFFF000, 0x80000000,
 
 _TEST_PC = 0x0000_0400
 _MEM_BASE = 0x0001_0000
+
+#: Access width in bytes of every load and store.
+_WIDTH = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4,
+          "sb": 1, "sh": 2, "sw": 4}
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,6 @@ def _lcg(seed: int):
 def _expected(instr: Instruction, pc: int, rs1: int, rs2: int,
               mem_word: int) -> Effects:
     def load(addr: int, width: int, signed: bool) -> int:
-        from ..isa.bits import sign_extend
         offset = addr & 0x3
         raw = (mem_word >> (8 * offset)) & ((1 << (8 * width)) - 1)
         if signed:
@@ -116,7 +122,7 @@ def vectors_for(mnemonic: str) -> list[TestVector]:
             for shamt in SHAMT_CORNERS:
                 emit(rd=5, rs1=3, rs2=0, imm=shamt, rs1_val=a, rs2_val=0)
     elif d.fmt is Format.I and mnemonic in LOADS:
-        width = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}[mnemonic]
+        width = _WIDTH[mnemonic]
         for mem in (0x0089_AB7F, 0x8000_0001, 0xFF7F_80FF, 0x1234_5678):
             for offset in range(0, 4, width):
                 emit(rd=5, rs1=3, rs2=0, imm=offset,
@@ -125,7 +131,7 @@ def vectors_for(mnemonic: str) -> list[TestVector]:
                 emit(rd=5, rs1=3, rs2=0, imm=imm,
                      rs1_val=_MEM_BASE + 64, rs2_val=0, mem_word=mem)
     elif mnemonic in STORES:
-        width = {"sb": 1, "sh": 2, "sw": 4}[mnemonic]
+        width = _WIDTH[mnemonic]
         for val in CORNER_VALUES:
             for offset in range(0, 4, width):
                 emit(rd=0, rs1=3, rs2=4, imm=offset,
@@ -154,7 +160,6 @@ def vectors_for(mnemonic: str) -> list[TestVector]:
                 emit(rd=0, rs1=3, rs2=4, imm=imm, rs1_val=a, rs2_val=b)
     elif d.fmt is Format.U:
         for imm in IMM20_CORNERS:
-            from ..isa.bits import sign_extend
             emit(rd=5, rs1=0, rs2=0, imm=sign_extend(imm, 32),
                  rs1_val=0, rs2_val=0)
             emit(rd=5, rs1=0, rs2=0, imm=sign_extend(imm, 32),
@@ -174,7 +179,75 @@ def vectors_for(mnemonic: str) -> list[TestVector]:
     return out
 
 
-def all_vectors() -> dict[str, list[TestVector]]:
-    """Vectors for every instruction in the catalog."""
-    return {d.mnemonic: vectors_for(d.mnemonic)
-            for d in BY_MNEMONIC.values()}
+#: Operand lattice: every source register the format reads takes every
+#: value (kept small: the sweep is quadratic in it for two-source
+#: instructions).
+LATTICE = (0x0000_0000, 0x0000_0001, 0xFFFF_FFFF, 0x7FFF_FFFF,
+           0x8000_0000, 0x5555_5555, 0x0000_001F, 0xFFFF_FFE0)
+
+_LATTICE_PC = 0x0000_1000
+
+
+def _lattice_imms(mnemonic: str) -> tuple[int, ...]:
+    d = BY_MNEMONIC[mnemonic]
+    if d.is_shift_imm:
+        return (0, 1, 31)
+    if mnemonic in LOADS or mnemonic in STORES or mnemonic == "jalr":
+        return (0, 4, -4, 2040)
+    if mnemonic in BRANCHES:
+        return (8, -8, 4092, -4096)
+    if mnemonic == "jal":
+        return (8, -8, 1048572, -1048576)
+    if d.fmt is Format.U:
+        return (0, 0x7FFF_F000, -0x1000)
+    if d.fmt is Format.I:
+        return (0, 1, -1, 2047, -2048)
+    return (0,)
+
+
+def lattice_vectors(mnemonic: str) -> list[TestVector]:
+    """The bounded-exhaustive operand lattice of one instruction.
+
+    The cross product of its immediate corners, :data:`LATTICE` on each
+    source register its format reads, and the corners of its other data
+    input (the loaded word, or ``mret``'s ``mepc`` in ``mem_word``).  A
+    load or store pins ``rs1`` to a valid base plus the lattice value's
+    low bits, aligned to the access, and ``jalr`` to ``0x2000`` plus bit
+    0, so every address stays modelled.  A state whose instruction does
+    not encode, or that the spec rejects (a misaligned target), is
+    skipped.
+    """
+    d = BY_MNEMONIC[mnemonic]
+    reads_rs1 = d.fmt in (Format.R, Format.I, Format.S, Format.B)
+    reads_rs2 = d.fmt in (Format.R, Format.S, Format.B)
+    if mnemonic in LOADS:
+        mem_space: tuple[int, ...] = (0x1234_5678, 0x8000_00FF)
+    elif mnemonic == "mret":
+        mem_space = (0x0000_0400, 0x7FFF_FFFC, 0xFFFF_FFFD)
+    else:
+        mem_space = (0,)
+    rd = 5 if d.fmt in (Format.R, Format.I, Format.U, Format.J) else 0
+    out: list[TestVector] = []
+    for imm in _lattice_imms(mnemonic):
+        instr = Instruction(mnemonic, rd=rd, rs1=3, rs2=4, imm=imm)
+        try:
+            word = encode(instr, num_regs=16)
+        except EncodingError:
+            continue
+        for rs1_val in LATTICE if reads_rs1 else (0,):
+            if mnemonic in _WIDTH:
+                width = _WIDTH[mnemonic]
+                rs1_val = _MEM_BASE + (rs1_val % 4 // width) * width
+            elif mnemonic == "jalr":
+                rs1_val = 0x0000_2000 + (rs1_val & 1)
+            for rs2_val in LATTICE if reads_rs2 else (0,):
+                for mem_word in mem_space:
+                    try:
+                        expected = _expected(instr, _LATTICE_PC, rs1_val,
+                                             rs2_val, mem_word)
+                    except SpecError:
+                        continue
+                    out.append(TestVector(instr, word, _LATTICE_PC,
+                                          rs1_val, rs2_val, mem_word,
+                                          expected))
+    return out

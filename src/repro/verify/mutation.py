@@ -20,6 +20,7 @@ from ..synth.lower import lower_module
 from ..synth.netlist import Gate, GateType, Netlist
 from ..synth.netsim import NetSim
 from .arch_tests import TestVector, vectors_for
+from .testbench import block_inputs
 
 #: Gate-type substitutions applied as mutations.
 _TYPE_FLIPS = {
@@ -260,14 +261,12 @@ def apply_rtl_mutation(module: Module, mutation: RtlMutation) -> Module:
 
 
 def _vector_inputs(block: Module, vector: TestVector) -> dict[str, int]:
-    words = {"pc": vector.pc, "insn": vector.insn_word,
-             "rs1_data": vector.rs1_val, "rs2_data": vector.rs2_val,
-             "dmem_rdata": vector.mem_word}
+    """:func:`~repro.verify.testbench.block_inputs`, one entry per
+    netlist input bit."""
     bits: dict[str, int] = {}
-    for port in block.inputs():
-        value = words.get(port.name, 0)
-        for index in range(port.width):
-            bits[f"{port.name}[{index}]"] = (value >> index) & 1
+    for name, value in block_inputs(block, vector).items():
+        for index in range(block.ports[name].width):
+            bits[f"{name}[{index}]"] = (value >> index) & 1
     return bits
 
 

@@ -189,8 +189,7 @@ def _signature(memory, program: Program) -> bytes:
     return memory.read_blob(base, 4 * SIGNATURE_WORDS)
 
 
-def compliance_targets(subset: list[str],
-                       mnemonics: list[str] | None = None) -> list[str]:
+def compliance_targets(subset: list[str]) -> list[str]:
     """The mnemonics :func:`run_compliance` will actually test — a pure
     function of the subset, so a farm front-end can shard the exact same
     target list the serial loop walks.
@@ -206,7 +205,7 @@ def compliance_targets(subset: list[str],
     scaffolding = {"lw", "sw", "jal", "jalr", "addi", "lui"}
     available = set(subset) | {"ecall"}
     targets = []
-    for mnemonic in (mnemonics or subset):
+    for mnemonic in subset:
         if mnemonic in ("ecall", "ebreak", "mret", "wfi") \
                 or mnemonic.startswith("csrr"):
             continue
@@ -242,7 +241,6 @@ def check_compliance_mnemonic(core: Module, mnemonic: str) -> list[str]:
 
 
 def run_compliance(core: Module,
-                   mnemonics: list[str] | None = None,
                    workers: int = 1,
                    shards: int = 0) -> ComplianceReport:
     """Run generated compliance tests for every instruction in the subset
@@ -264,8 +262,8 @@ def run_compliance(core: Module,
     flow pass (2-CPU container).
     """
     subset = list(core.meta.get("mnemonics", []))
-    targets = compliance_targets(subset, mnemonics)
-    report = ComplianceReport(mnemonics=list(mnemonics or subset))
+    targets = compliance_targets(subset)
+    report = ComplianceReport(mnemonics=subset)
     if workers > 1 and len(targets) > 1:
         from ..farm.campaigns import sharded_compliance_mismatches
         mismatches = sharded_compliance_mismatches(

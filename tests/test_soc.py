@@ -458,17 +458,15 @@ patch:
 
 def test_mret_block_passes_preverification():
     """The 41st library block goes through the same Step-0 campaign as
-    the base ISA: directed testbench + formal-lite property check."""
+    the base ISA: architecture tests + operand lattice, one checker."""
     from repro.rtl import build_block
-    from repro.verify import block_verifier, check_block
-    block = build_block("mret")
-    passed, report = block_verifier(block)
-    assert passed, report
-    assert check_block(block).proven
+    from repro.verify import verify_block
+    report = verify_block(build_block("mret"))
+    assert report.passed, report.failures[:3]
     # failure injection: dropping the alignment mask must be caught
     from repro.rtl.ir import Sig
     broken = build_block("mret").with_assigns({"next_pc": Sig("mepc", 32)})
-    assert not check_block(broken).proven
+    assert not verify_block(broken).passed
 
 
 def test_trap_free_cores_unchanged(trap_core):

@@ -7,8 +7,8 @@ from repro.rtl import RisspSim, build_block, build_rissp
 from repro.rtl.ir import Const, Module
 from repro.sim.golden import abi_initial_regs
 from repro.verify import (
-    check_trace, run_compliance, run_mutation_campaign, run_testbench,
-    vectors_for,
+    check_compliance_mnemonic, check_trace, run_mutation_campaign,
+    vectors_for, verify_block,
 )
 
 
@@ -64,6 +64,17 @@ def test_mutation_coverage_of_an_empty_campaign_is_zero():
     assert report.coverage == 0.0
 
 
+def test_mutation_probes_drive_mret_mepc_from_the_vector():
+    """The gate-level probes drive every block input as the block
+    verifier does, so ``mret``'s ``mepc`` bits carry the vector's
+    ``mem_word``, not 0."""
+    from repro.verify.mutation import _vector_inputs
+    block = build_block("mret")
+    vector = next(v for v in vectors_for("mret") if v.mem_word == 0x400)
+    bits = _vector_inputs(block, vector)
+    assert sum(bits[f"mepc[{i}]"] << i for i in range(32)) == 0x400
+
+
 def test_testbench_catches_injected_bug():
     """Failure injection: corrupt a block's datapath; testbench must fail."""
     block = build_block("add")
@@ -72,23 +83,29 @@ def test_testbench_catches_injected_bug():
     expr = block.assigns["rdest_data"]
     block = block.with_assigns(
         {"rdest_data": Binary(Op.SUB, expr.a, expr.b)})
-    result = run_testbench(block)
+    result = verify_block(block)
     assert not result.passed
 
 
+def test_verify_block_catches_a_block_that_never_writes_rd():
+    """A block whose ``rdest_we`` is stuck at 0 computes the right value
+    but never writes it; the checker must see the strobe, not only the
+    data."""
+    block = build_block("add").with_assigns({"rdest_we": Const(0, 1)})
+    assert not verify_block(block).passed
+
+
 def test_formal_catches_wrong_decode():
-    from repro.verify import check_block
     # corrupt rs2 address decode
     block = build_block("xor").with_assigns({"rs2_addr": Const(3, 4)})
-    report = check_block(block)
-    assert not report.proven
+    report = verify_block(block)
+    assert not report.passed
 
 
 def test_riscof_compliance_full_core():
     core = build_rissp([d.mnemonic for d in INSTRUCTIONS])
-    report = run_compliance(core, mnemonics=["add", "sub", "lw", "sb",
-                                             "beq", "sra", "lui", "jalr"])
-    assert report.compliant and report.tests_run == 8
+    for mnemonic in ["add", "sub", "lw", "sb", "beq", "sra", "lui", "jalr"]:
+        assert check_compliance_mnemonic(core, mnemonic) == [], mnemonic
 
 
 def test_rvfi_checker_accepts_good_trace():

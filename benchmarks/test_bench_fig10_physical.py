@@ -2,7 +2,7 @@
 both baselines at 300 kHz / 3 V."""
 
 from repro.data import paper
-from repro.physical import PAPER_IMPL_KHZ, implement
+from repro.physical import implement
 
 
 def test_bench_fig10_physical(benchmark, rissp_reports, rv32e_report,
@@ -14,8 +14,7 @@ def test_bench_fig10_physical(benchmark, rissp_reports, rv32e_report,
         targets[name] = paper_subset_reports[name]
 
     def run_impl():
-        return {name: implement(rep, target_khz=PAPER_IMPL_KHZ)
-                for name, rep in targets.items()}
+        return {name: implement(rep) for name, rep in targets.items()}
 
     layouts = benchmark.pedantic(run_impl, rounds=1, iterations=1)
     rv = layouts["rv32e"]

@@ -1,6 +1,6 @@
 """Figure 9: energy per instruction; RISSPs ~40x better than Serv."""
 
-from repro.core.metrics import energy_per_instruction_nj
+from repro.core.metrics import RISSP_CPI
 from repro.data import paper
 from repro.synth import SERV_CPI
 
@@ -8,12 +8,12 @@ from repro.synth import SERV_CPI
 def test_bench_fig9_epi(benchmark, rissp_reports, rv32e_report,
                         serv_report):
     def epi_table():
-        return {name: energy_per_instruction_nj(rep, 1.0)
+        return {name: rep.energy_per_instruction_nj(RISSP_CPI)
                 for name, rep in rissp_reports.items()}
 
     table = benchmark.pedantic(epi_table, rounds=1, iterations=1)
-    serv_epi = energy_per_instruction_nj(serv_report, SERV_CPI)
-    rv32e_epi = energy_per_instruction_nj(rv32e_report, 1.0)
+    serv_epi = serv_report.energy_per_instruction_nj(SERV_CPI)
+    rv32e_epi = rv32e_report.energy_per_instruction_nj(RISSP_CPI)
     print("\n=== Figure 9: energy per instruction (nJ) ===")
     ratios = []
     for name in sorted(table):

@@ -5,7 +5,7 @@ Three analyzers, one finding currency (:class:`Finding`), one waiver table
 
 * :mod:`repro.analysis.rtl_lint` — structural lint over ``rtl.ir`` DAGs
   (RTL001..RTL007), plus the :func:`structural_facts` derivation that
-  ``build_rissp`` / ``core_fusable`` consume at build time;
+  ``build_rissp``'s build-time gate consumes;
 * :mod:`repro.analysis.gen_audit` — hot-loop purity audit of the Python
   sources ``compile_module`` / ``compile_core`` / ``compile_fleet`` emit
   (GEN001..GEN006);

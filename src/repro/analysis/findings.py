@@ -24,7 +24,7 @@ import fnmatch
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Analyzer names, in report order.
 ANALYZERS: tuple[str, ...] = ("rtl", "gen", "contract")
@@ -106,13 +106,13 @@ WAIVERS: tuple[Waiver, ...] = (
 
 def apply_waivers(
     findings: Iterable[Finding],
-    waivers: Sequence[Waiver] = WAIVERS,
 ) -> tuple[list[Finding], list[tuple[Finding, Waiver]]]:
-    """Split findings into (kept, waived-with-reason), both stably sorted."""
+    """Split findings into (kept, waived-with-reason) by :data:`WAIVERS`,
+    both stably sorted."""
     kept: list[Finding] = []
     waived: list[tuple[Finding, Waiver]] = []
     for finding in dedup_findings(findings):
-        for waiver in waivers:
+        for waiver in WAIVERS:
             if waiver.matches(finding):
                 waived.append((finding, waiver))
                 break

@@ -22,12 +22,12 @@ RTL007   undriven wire or output port
 :func:`structural_facts` derives the cycle/driver/undriven facts exactly
 once per checked module: on a frozen module it reuses the order
 ``Module.check`` proved and is memoized, so ``build_rissp``'s build-time
-gate, ``core_fusable`` and any later lint share one derivation.
+gate and any later lint share one derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..rtl.ir import (Binary, CombLoopError, Const, Expr, Module, Mux, Op,
@@ -50,18 +50,11 @@ class StructuralFacts:
     """
 
     module: str
-    order: tuple[str, ...] = ()
-    cycle: tuple[str, ...] = ()
-    drivers: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    conflicts: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    undriven: tuple[str, ...] = ()
-
-    @property
-    def comb_driven(self) -> frozenset[str]:
-        """Names with a combinational assign driver (what ``core_fusable``
-        consumes instead of re-probing ``module.assigns``)."""
-        return frozenset(name for name, kinds in self.drivers.items()
-                         if "assign" in kinds)
+    order: tuple[str, ...]
+    cycle: tuple[str, ...]
+    drivers: dict[str, tuple[str, ...]]
+    conflicts: tuple[tuple[str, tuple[str, ...]], ...]
+    undriven: tuple[str, ...]
 
     def error_findings(self) -> list[Finding]:
         """The error-class findings (RTL001/RTL002/RTL007) — the subset a
@@ -171,12 +164,9 @@ def _shift_amount_bits(operand_width: int) -> int:
     return max(1, (operand_width - 1).bit_length())
 
 
-def lint_module(module: Module,
-                facts: StructuralFacts | None = None) -> list[Finding]:
+def lint_module(module: Module) -> list[Finding]:
     """All RTL findings for one module (error class + style class)."""
-    if facts is None:
-        facts = structural_facts(module)
-    findings = facts.error_findings()
+    findings = structural_facts(module).error_findings()
     loc = f"{module.name}:"
 
     # ---- consumption map (RTL004 dead signals / RTL006 unused inputs).

@@ -352,7 +352,8 @@ def _stage_scenarios(config: FarmConfig) -> tuple[bool, dict]:
     coverage = result["coverage"]
     for row in result["failures"]:
         _echo(f"  FAILURE {row['scenario_id']} "
-              f"seed={row['seed']:#018x}: {row['verdict']}")
+              f"seed={row['seed']:#018x} budget={row['budget']}: "
+              f"{row['verdict']}")
     missing = ()
     if result["probe_coverage"] is not None:
         missing = probe_gate_missing(result["probe_coverage"])

@@ -1,7 +1,7 @@
 """The RISSP generation methodology: subset analysis, profiling, full flow."""
 
 from .flow import RisspFlow, RisspResult
-from .metrics import RISSP_CPI, energy_per_instruction_nj, saving
+from .metrics import RISSP_CPI, saving
 from .profile import FlagSweep, summarize, sweep_all, sweep_application
 from .subset_analysis import (
     ALWAYS_INCLUDED,
@@ -13,7 +13,6 @@ from .subset_analysis import (
 
 __all__ = [
     "ALWAYS_INCLUDED", "FlagSweep", "RISSP_CPI", "RisspFlow", "RisspResult",
-    "SubsetProfile", "energy_per_instruction_nj", "extract_subset",
-    "profile_program", "saving", "summarize", "sweep_all",
-    "sweep_application", "union_profile",
+    "SubsetProfile", "extract_subset", "profile_program", "saving",
+    "summarize", "sweep_all", "sweep_application", "union_profile",
 ]

@@ -14,20 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..compiler import compile_to_program
 from ..isa.program import Program
 from ..physical.flow import LayoutReport, implement
 from ..rtl.core_sim import cosimulate
 from ..rtl.ir import Module
-from ..rtl.library import IsaHardwareLibrary, default_library
 from ..rtl.rissp import build_rissp
 from ..synth.report import SynthReport, synthesize
-from ..synth.techlib import FLEXIC_GEN3, TechLib
-from ..workloads import WORKLOADS
+from ..workloads import OPT_LEVEL, WORKLOADS, build_program
 from .subset_analysis import SubsetProfile, profile_program
-
-#: The paper's compile setting: every application is built at -O2.
-OPT_LEVEL = "O2"
 
 
 @dataclass
@@ -38,21 +32,23 @@ class RisspResult:
     profile: SubsetProfile
     core: Module
     synth: SynthReport
-    layout: LayoutReport | None = None
     program: Program | None = None
-    verified: dict[str, bool] = field(default_factory=dict)
     #: Platform description for SoC firmware workloads (None for pure
     #: compute kernels) — pass to the simulators to run the binary.
     soc_spec: object | None = None
+    #: Filled in by ``generate(run_physical=True)``.
+    layout: LayoutReport | None = field(init=False, default=None)
+    #: Filled in by ``generate(run_verification=True)``.
+    verified: dict[str, bool] = field(init=False, default_factory=dict)
 
 
 class RisspFlow:
-    """Generate, verify and evaluate RISSPs for applications or domains."""
+    """Generate, verify and evaluate RISSPs for applications or domains.
 
-    def __init__(self, library: IsaHardwareLibrary | None = None,
-                 lib: TechLib = FLEXIC_GEN3):
-        self.library = library or default_library()
-        self.techlib = lib
+    Every core is stitched from :func:`~repro.rtl.library.default_library`'s
+    pre-verified blocks and synthesized against
+    :data:`~repro.synth.techlib.FLEXIC_GEN3`.
+    """
 
     def generate(self, name: str, run_verification: bool = False,
                  run_physical: bool = False) -> RisspResult:
@@ -80,21 +76,13 @@ class RisspFlow:
         generation time, with the finding list — not later in cosim.
         """
         workload = WORKLOADS[name]
-        if workload.lang == "asm":
-            # The legacy assembly firmware images bypass the -O sweep;
-            # the interrupt-driven SoC workloads are pure MicroC since
-            # PR 5 and take the ordinary compile path below.
-            from ..isa.assembler import assemble
-            program = assemble(workload.source)
-            opt_level = "-"
-        else:
-            program = compile_to_program(workload.source,
-                                         OPT_LEVEL).program
-            opt_level = OPT_LEVEL
+        program = build_program(workload)
+        # The legacy assembly firmware images bypass the -O sweep.
+        opt_level = "-" if workload.lang == "asm" else OPT_LEVEL
         profile = profile_program(name, program, opt_level)
-        core = build_rissp(profile.core_subset(), self.library,
-                           name=f"rissp_{name}", reset_pc=program.entry)
-        synth = synthesize(core, self.techlib, seed=name)
+        core = build_rissp(profile.core_subset(), name=f"rissp_{name}",
+                           reset_pc=program.entry)
+        synth = synthesize(core, seed=name)
         result = RisspResult(name=name, profile=profile, core=core,
                              synth=synth, program=program,
                              soc_spec=workload.soc_spec)
@@ -117,7 +105,7 @@ class RisspFlow:
                                       initial_regs=abi_initial_regs())
             result.verified["rvfi"] = mismatch is None and rvfi_report.passed
         if run_physical:
-            result.layout = implement(synth, lib=self.techlib)
+            result.layout = implement(synth)
         return result
 
     def generate_for_subset(self, name: str,
@@ -127,9 +115,8 @@ class RisspFlow:
         profile = SubsetProfile(name=name, opt_level=OPT_LEVEL,
                                 mnemonics=tuple(sorted(mnemonics)),
                                 static_instructions=0, code_size_bytes=0)
-        core = build_rissp(profile.core_subset(), self.library,
-                           name=f"rissp_{name}")
-        synth = synthesize(core, self.techlib, seed=name)
+        core = build_rissp(profile.core_subset(), name=f"rissp_{name}")
+        synth = synthesize(core, seed=name)
         return RisspResult(name=name, profile=profile, core=core,
                            synth=synth)
 
@@ -137,8 +124,8 @@ class RisspFlow:
         """RISSP-RV32E: the full-ISA core generated by the same flow."""
         from ..isa.instructions import INSTRUCTIONS
         subset = [d.mnemonic for d in INSTRUCTIONS]
-        core = build_rissp(subset, self.library, name="rissp_rv32e")
-        synth = synthesize(core, self.techlib, seed="rv32e")
+        core = build_rissp(subset, name="rissp_rv32e")
+        synth = synthesize(core, seed="rv32e")
         profile = SubsetProfile(name="rv32e", opt_level="-",
                                 mnemonics=tuple(sorted(
                                     m for m in subset

@@ -2,19 +2,8 @@
 
 from __future__ import annotations
 
-from ..synth.report import SynthReport
-from ..synth.serv_model import SERV_CPI
-
 #: Single-cycle RISSPs retire one instruction per clock.
 RISSP_CPI = 1.0
-
-
-def energy_per_instruction_nj(report: SynthReport,
-                              cpi: float | None = None) -> float:
-    """EPI = P(fmax) / fmax x CPI in nanojoules (Figure 9 protocol)."""
-    if cpi is None:
-        cpi = SERV_CPI if report.name == "serv" else RISSP_CPI
-    return report.energy_per_instruction_nj(cpi)
 
 
 def saving(value: float, baseline: float) -> float:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..compiler import OPT_LEVELS, compile_to_program
-from ..workloads import WORKLOADS
+from ..workloads import ALL_NAMES, WORKLOADS
 from .subset_analysis import SubsetProfile, profile_program
 
 
@@ -14,7 +14,7 @@ class FlagSweep:
     """Figure 5 data for one application: one profile per -O flag."""
 
     name: str
-    profiles: dict[str, SubsetProfile] = field(default_factory=dict)
+    profiles: dict[str, SubsetProfile]
 
     def codesize_kb(self, level: str) -> float:
         return self.profiles[level].code_size_bytes / 1024.0
@@ -23,31 +23,25 @@ class FlagSweep:
         return self.profiles[level].num_distinct
 
 
-def sweep_application(name: str, source: str | None = None,
-                      levels: tuple[str, ...] = OPT_LEVELS) -> FlagSweep:
-    """Compile one application at every flag and profile each binary."""
-    if source is None:
-        source = WORKLOADS[name].source
-    sweep = FlagSweep(name=name)
-    for level in levels:
-        result = compile_to_program(source, level)
-        sweep.profiles[level] = profile_program(name, result.program, level)
-    return sweep
+def sweep_application(name: str) -> FlagSweep:
+    """Compile one registered application at every flag and profile each
+    binary."""
+    source = WORKLOADS[name].source
+    return FlagSweep(name=name, profiles={
+        level: profile_program(
+            name, compile_to_program(source, level).program, level)
+        for level in OPT_LEVELS})
 
 
-def sweep_all(names: tuple[str, ...] | None = None,
-              levels: tuple[str, ...] = OPT_LEVELS) -> dict[str, FlagSweep]:
+def sweep_all() -> dict[str, FlagSweep]:
     """The full Figure 5 study over the workload registry."""
-    from ..workloads import ALL_NAMES
-    return {name: sweep_application(name, levels=levels)
-            for name in (names or ALL_NAMES)}
+    return {name: sweep_application(name) for name in ALL_NAMES}
 
 
-def summarize(sweeps: dict[str, FlagSweep],
-              levels: tuple[str, ...] = OPT_LEVELS) -> dict[str, dict[str, float]]:
+def summarize(sweeps: dict[str, FlagSweep]) -> dict[str, dict[str, float]]:
     """Per-flag averages the paper quotes in §4.1 (static counts, distinct)."""
     out: dict[str, dict[str, float]] = {}
-    for level in levels:
+    for level in OPT_LEVELS:
         stats = [sweeps[name].profiles[level] for name in sweeps]
         out[level] = {
             "avg_static_instructions": sum(

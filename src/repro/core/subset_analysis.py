@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..isa.encoding import DecodeError, decode
 from ..isa.instructions import FULL_ISA_SIZE
 from ..isa.program import Program
+from ..workloads import OPT_LEVEL
 
 #: Instructions every RISSP carries regardless of the profile (the halt
 #: mechanism; fence is a NOP on a single-core in-order machine).
@@ -89,7 +90,7 @@ def extract_system_extension(program: Program) -> list[str]:
 
 
 def profile_program(name: str, program: Program,
-                    opt_level: str = "O2") -> SubsetProfile:
+                    opt_level: str) -> SubsetProfile:
     return SubsetProfile(
         name=name,
         opt_level=opt_level,
@@ -99,10 +100,10 @@ def profile_program(name: str, program: Program,
         system_mnemonics=tuple(extract_system_extension(program)))
 
 
-def union_profile(name: str, profiles: list[SubsetProfile],
-                  opt_level: str = "O2") -> SubsetProfile:
+def union_profile(name: str, profiles: list[SubsetProfile]) -> SubsetProfile:
     """Domain profile: union of several applications' subsets (the paper
-    generates one RISSP per *domain* when multiple apps share a chip)."""
+    generates one RISSP per *domain* when multiple apps share a chip),
+    labelled with the paper's :data:`~repro.workloads.OPT_LEVEL`."""
     merged: set[str] = set()
     system: set[str] = set()
     static = 0
@@ -112,7 +113,7 @@ def union_profile(name: str, profiles: list[SubsetProfile],
         system.update(profile.system_mnemonics)
         static += profile.static_instructions
         size += profile.code_size_bytes
-    return SubsetProfile(name=name, opt_level=opt_level,
+    return SubsetProfile(name=name, opt_level=OPT_LEVEL,
                          mnemonics=tuple(sorted(merged)),
                          static_instructions=static, code_size_bytes=size,
                          system_mnemonics=tuple(sorted(system)))

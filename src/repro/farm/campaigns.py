@@ -148,12 +148,12 @@ def workload_target(name: str) -> tuple[Module, Program, object]:
     for its subset — minus synthesis, which cosimulation never needs."""
     from ..core.subset_analysis import profile_program
     from ..rtl.rissp import build_rissp
-    from ..workloads import WORKLOADS, build_program
+    from ..workloads import OPT_LEVEL, WORKLOADS, build_program
 
     workload = WORKLOADS[name]
     program = build_program(workload)
     profile = profile_program(name, program,
-                              "-" if workload.lang == "asm" else "O2")
+                              "-" if workload.lang == "asm" else OPT_LEVEL)
     core = build_rissp(profile.core_subset(), name=f"rissp_{name}",
                        reset_pc=program.entry)
     return core, program, workload.soc_spec

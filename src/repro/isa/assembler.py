@@ -31,7 +31,7 @@ from .registers import RV32E_NUM_REGS, RV32I_NUM_REGS, RegisterError, parse_regi
 class AssemblerError(ValueError):
     """Assembly failure with source line context."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None):
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
         self.line_no = line_no
@@ -43,12 +43,15 @@ class _Item:
 
     kind: str                 # "instr" | "data"
     section: str              # "text" | "data"
-    addr: int = 0
     mnemonic: str = ""
     operands: list[str] = field(default_factory=list)
     data: bytearray = field(default_factory=bytearray)
-    exprs: list[tuple[int, str, int]] = field(default_factory=list)
     line_no: int = 0
+    # Filled in by the passes: the layout places the item, data
+    # directives add (offset, expression, width) fields to resolve.
+    addr: int = field(init=False, default=0)
+    exprs: list[tuple[int, str, int]] = field(init=False,
+                                              default_factory=list)
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*:\s*(.*)$")
@@ -84,22 +87,18 @@ def _split_operands(rest: str) -> list[str]:
 
 
 class Assembler:
-    """Assemble RV32I/E source text into a :class:`Program`.
+    """Assemble RV32I/E source text into a :class:`Program` with ``.text``
+    at :data:`DEFAULT_TEXT_BASE` and ``.data`` at :data:`DEFAULT_DATA_BASE`.
 
     Args:
         isa: "rv32e" (default, 16 registers) or "rv32i" (32 registers).
-        text_base / data_base: section load addresses.
     """
 
-    def __init__(self, isa: str = "rv32e",
-                 text_base: int = DEFAULT_TEXT_BASE,
-                 data_base: int = DEFAULT_DATA_BASE):
+    def __init__(self, isa: str = "rv32e"):
         if isa not in ("rv32e", "rv32i"):
             raise ValueError(f"unsupported ISA {isa!r}")
         self.isa = isa
         self.num_regs = RV32E_NUM_REGS if isa == "rv32e" else RV32I_NUM_REGS
-        self.text_base = text_base
-        self.data_base = data_base
         self._macros: dict[str, tuple[list[str], list[str]]] = {}
         self._equates: dict[str, int] = {}
 
@@ -413,7 +412,7 @@ class Assembler:
     # --------------------------------------------------------------- layout
 
     def _layout(self, items: list[_Item], labels) -> None:
-        addr = {"text": self.text_base, "data": self.data_base}
+        addr = {"text": DEFAULT_TEXT_BASE, "data": DEFAULT_DATA_BASE}
         for item in items:
             section = item.section
             if item.mnemonic.startswith("align:"):
@@ -550,8 +549,7 @@ class Assembler:
     def _second_pass(self, items: list[_Item], labels, entry_symbol) -> Program:
         symbols = dict(self._equates)
         symbols.update(self._label_addrs)
-        program = Program(text_base=self.text_base, data_base=self.data_base,
-                          symbols=dict(symbols))
+        text_words: list[int] = []
         data = bytearray()
         for item in items:
             if item.kind == "data":
@@ -567,14 +565,14 @@ class Assembler:
                         raise AssemblerError(
                             "unaligned data in .text", item.line_no)
                     for idx in range(0, len(blob), 4):
-                        program.text_words.append(
+                        text_words.append(
                             int.from_bytes(blob[idx:idx + 4], "little"))
                 continue
-            word = self._encode_item(item, symbols)
-            program.text_words.append(word)
-        program.data_bytes = data
-        program.entry = symbols.get(entry_symbol, self.text_base)
-        return program
+            text_words.append(self._encode_item(item, symbols))
+        return Program(text_words=text_words, data_bytes=data,
+                       symbols=dict(symbols), text_base=DEFAULT_TEXT_BASE,
+                       data_base=DEFAULT_DATA_BASE,
+                       entry=symbols.get(entry_symbol, DEFAULT_TEXT_BASE))
 
     def _encode_item(self, item: _Item, symbols) -> int:
         d = BY_MNEMONIC[item.mnemonic]

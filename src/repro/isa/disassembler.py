@@ -52,10 +52,11 @@ def disassemble_word(word: int, addr: int | None = None) -> str:
         return f".word {word:#010x}"
 
 
-def disassemble(words: list[int], base: int = 0) -> list[str]:
-    """Disassemble a text section into ``addr: text`` lines."""
+def disassemble(words: list[int]) -> list[str]:
+    """Disassemble a text section loaded at address 0 into ``addr: text``
+    lines."""
     lines = []
     for index, word in enumerate(words):
-        addr = base + 4 * index
+        addr = 4 * index
         lines.append(f"{addr:#010x}: {disassemble_word(word, addr)}")
     return lines

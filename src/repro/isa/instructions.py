@@ -48,9 +48,9 @@ class InstrDef:
     mnemonic: str
     fmt: Format
     opcode: int
-    funct3: int | None = None
-    funct7: int | None = None
-    block_type: str = ""
+    funct3: int | None
+    funct7: int | None
+    block_type: str
     is_shift_imm: bool = False
     imm12: int | None = None
     csr_uimm: bool = False
@@ -73,9 +73,9 @@ def _r(mnemonic: str, funct3: int, funct7: int) -> InstrDef:
     return InstrDef(mnemonic, Format.R, OP_REG, funct3, funct7, "r-type")
 
 
-def _i(mnemonic: str, opcode: int, funct3: int, block: str = "i-type",
+def _i(mnemonic: str, opcode: int, funct3: int,
        funct7: int | None = None, shift: bool = False) -> InstrDef:
-    return InstrDef(mnemonic, Format.I, opcode, funct3, funct7, block,
+    return InstrDef(mnemonic, Format.I, opcode, funct3, funct7, "i-type",
                     is_shift_imm=shift)
 
 

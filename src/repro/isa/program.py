@@ -7,7 +7,7 @@ output stream, >=64 KB ROM/RAM).  We mirror that: ``text`` at ``text_base``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_TEXT_BASE = 0x0000_0000
 DEFAULT_DATA_BASE = 0x0001_0000
@@ -18,12 +18,12 @@ DEFAULT_MEM_SIZE = 0x0002_0000  # 128 KB flat memory
 class Program:
     """An assembled, fully linked flat binary image."""
 
-    text_words: list[int] = field(default_factory=list)
-    data_bytes: bytearray = field(default_factory=bytearray)
-    symbols: dict[str, int] = field(default_factory=dict)
-    text_base: int = DEFAULT_TEXT_BASE
-    data_base: int = DEFAULT_DATA_BASE
-    entry: int = DEFAULT_TEXT_BASE
+    text_words: list[int]
+    data_bytes: bytearray
+    symbols: dict[str, int]
+    text_base: int
+    data_base: int
+    entry: int
 
     @property
     def code_size_bytes(self) -> int:

@@ -27,7 +27,7 @@ class RegisterError(ValueError):
     """Raised for unknown register names or registers outside the target ISA."""
 
 
-def parse_register(name: str, num_regs: int = RV32E_NUM_REGS) -> int:
+def parse_register(name: str, num_regs: int) -> int:
     """Resolve a register name (ABI or ``xN``) to its number.
 
     Raises :class:`RegisterError` if the name is unknown or the register is

@@ -22,8 +22,9 @@ explicitly:
     despite being 35 % smaller".
   * **Routing adds delay.**  Post-route critical paths are ~25 % slower
     than synthesis estimates, which is why none of the cores closed at
-    synthesis fmax and the paper iterated downward (we expose the same
-    iterative search, and implement at the paper's final 300 kHz point).
+    synthesis fmax and the paper iterated downward.  Every layout is
+    implemented at the paper's final 300 kHz point, and reports its
+    post-route fmax beside it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from ..synth.power import FF_ENERGY_FACTOR
 from ..synth.report import SynthReport
-from ..synth.techlib import TechLib
+from ..synth.techlib import FLEXIC_GEN3
 from ..synth.timing import SWEEP_STEP_KHZ
 
 #: Placement utilization of a flop-free design.
@@ -83,20 +84,20 @@ class LayoutReport:
                 f"{self.power_mw:6.3f} mW  #instr {self.num_instructions}")
 
 
-def cts_buffer_count(dff_count: int, branching: int = CTS_BRANCHING) -> int:
+def cts_buffer_count(dff_count: int) -> int:
     """Buffers in a balanced H-tree over ``dff_count`` sinks."""
     buffers = 0
     level = dff_count
     while level > 1:
-        level = math.ceil(level / branching)
+        level = math.ceil(level / CTS_BRANCHING)
         buffers += level
     return buffers
 
 
-def implement(report: SynthReport, target_khz: int = PAPER_IMPL_KHZ,
-              lib: TechLib | None = None) -> LayoutReport:
-    """Run the physical-implementation model for one synthesized core."""
-    lib = lib or report.lib
+def implement(report: SynthReport) -> LayoutReport:
+    """Run the physical-implementation model for one synthesized core at
+    the paper's :data:`PAPER_IMPL_KHZ`."""
+    lib = FLEXIC_GEN3
     buffers = cts_buffer_count(report.area.dff_count)
     buffer_area = buffers * 1.33  # buffer cell ~ one AND2-equivalent
     placed = report.area.total_ge + buffer_area
@@ -115,14 +116,14 @@ def implement(report: SynthReport, target_khz: int = PAPER_IMPL_KHZ,
     ff_units = report.area.dff_count * (FF_ENERGY_FACTOR * lib.ff_activity
                                         + CLOCK_TREE_ENERGY_PER_FF)
     dynamic = (lib.dyn_mw_per_eunit_mhz * (comb_units + ff_units)
-               * (target_khz / 1e3))
+               * (PAPER_IMPL_KHZ / 1e3))
     static = lib.leakage_mw_per_ge * die_ge
     power = static + dynamic + FIXED_POWER_MW
 
     return LayoutReport(
         name=report.name,
         num_instructions=len(report.mnemonics),
-        target_khz=target_khz,
+        target_khz=PAPER_IMPL_KHZ,
         cts_buffers=buffers,
         placed_area_ge=placed,
         utilization=utilization,
@@ -134,23 +135,20 @@ def implement(report: SynthReport, target_khz: int = PAPER_IMPL_KHZ,
         ff_fraction=ff_fraction,
         power_mw=power,
         impl_fmax_khz=impl_fmax,
-        slack_ok=target_khz <= impl_fmax_analog)
+        slack_ok=PAPER_IMPL_KHZ <= impl_fmax_analog)
 
 
-def find_common_frequency(reports: list[SynthReport],
-                          lib: TechLib | None = None) -> int:
-    """The paper's iterative loop: start at each core's synthesis fmax and
-    step the target down by 25 kHz until *every* core closes post-route
-    timing; returns the highest common achievable frequency (kHz).
+def find_common_frequency(reports: list[SynthReport]) -> int:
+    """The highest 25 kHz grid point at which every core closes post-route
+    timing, never below :data:`PAPER_IMPL_KHZ`: the minimum of the cores'
+    ``impl_fmax_khz``, or 300 kHz if that minimum is lower.
 
-    (The paper additionally lost frequency to manufacturing/functional
-    yield and stopped at 300 kHz; the model exposes the timing-only bound.)
+    A core's post-route fmax follows from its synthesis critical path
+    alone, so no step-down search over targets is needed.  The paper
+    stopped at 300 kHz for manufacturing and functional yield as well as
+    timing; the model exposes the timing-only bound.
     """
     if not reports:
         raise ValueError("no designs to implement")
-    lowest = None
-    for report in reports:
-        layout = implement(report, target_khz=PAPER_IMPL_KHZ, lib=lib)
-        if lowest is None or layout.impl_fmax_khz < lowest:
-            lowest = layout.impl_fmax_khz
+    lowest = min(implement(report).impl_fmax_khz for report in reports)
     return max(lowest, PAPER_IMPL_KHZ)

@@ -29,10 +29,10 @@ class RetargetResult:
 
 
 class AssemblyRewriter:
-    def __init__(self, subset: tuple[str, ...] = MINIMAL_SUBSET,
-                 report: SynthesisReport | None = None):
-        self.subset = tuple(subset)
-        self.report = report
+    """Rewrites full-ISA assembly onto :data:`MINIMAL_SUBSET`."""
+
+    def __init__(self) -> None:
+        self.report: SynthesisReport | None = None
         self._asm = Assembler()
         self._label_count = 0
         self.rewritten = 0
@@ -44,10 +44,8 @@ class AssemblyRewriter:
     # ----------------------------------------------------------- rewriting
 
     def rewrite(self, assembly: str) -> RetargetResult:
-        needed = self._scan_unsupported(assembly)
-        if self.report is None:
-            self.report = synthesize_macros(sorted(needed),
-                                            subset=self.subset)
+        self.report = synthesize_macros(
+            sorted(self._scan_unsupported(assembly)))
         out: list[str] = []
         for raw in assembly.splitlines():
             line = _strip_comment(raw)
@@ -87,7 +85,7 @@ class AssemblyRewriter:
             except Exception:
                 continue
             for mnemonic, _ in expanded:
-                if mnemonic not in self.subset \
+                if mnemonic not in MINIMAL_SUBSET \
                         and mnemonic not in ("ecall", "ebreak", "fence",
                                              "lui"):
                     needed.add(mnemonic)
@@ -111,8 +109,8 @@ class AssemblyRewriter:
         expanded = self._asm._expand_pseudo(op, ops, 0)
         out: list[str] = []
         for mnemonic, operands in expanded:
-            if mnemonic in self.subset or mnemonic in ("ecall", "ebreak",
-                                                       "fence"):
+            if mnemonic in MINIMAL_SUBSET \
+                    or mnemonic in ("ecall", "ebreak", "fence"):
                 out.append(f"    {mnemonic} {', '.join(operands)}")
                 continue
             out.extend(self._apply_macro(mnemonic, operands))
@@ -206,7 +204,7 @@ class AssemblyRewriter:
     def _emit_macro_file(self) -> str:
         """A macro.S-style record of every verified transformation."""
         out = ["# macro.S - generated by the RISSP retargeting tool",
-               f"# target subset: {', '.join(self.subset)}", ""]
+               f"# target subset: {', '.join(MINIMAL_SUBSET)}", ""]
         for mnemonic, macro in sorted((self.report.macros or {}).items()):
             out.append(f".macro {mnemonic}_subst rd, rs1, rs2")
             try:
@@ -222,9 +220,7 @@ class AssemblyRewriter:
         return "\n".join(out)
 
 
-def retarget_assembly(assembly: str,
-                      subset: tuple[str, ...] = MINIMAL_SUBSET,
-                      report: SynthesisReport | None = None
-                      ) -> RetargetResult:
-    """Rewrite full-ISA assembly onto ``subset`` (the §5 flow)."""
-    return AssemblyRewriter(subset, report).rewrite(assembly)
+def retarget_assembly(assembly: str) -> RetargetResult:
+    """Rewrite full-ISA assembly onto :data:`MINIMAL_SUBSET` (the §5
+    flow)."""
+    return AssemblyRewriter().rewrite(assembly)

@@ -10,7 +10,7 @@ macro can be generated in less than 10 attempts").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.assembler import assemble
 from ..isa.instructions import BRANCHES, BY_MNEMONIC, Format, LOADS, STORES
@@ -39,14 +39,14 @@ class VerifiedMacro:
 @dataclass
 class SynthesisReport:
     subset: tuple[str, ...]
-    macros: dict[str, VerifiedMacro] = field(default_factory=dict)
-    total_attempts: int = 0
+    macros: dict[str, VerifiedMacro]
+    total_attempts: int
 
 
-def _run(asm: str, max_instructions: int = 20_000) -> GoldenSim:
+def _run(asm: str) -> GoldenSim:
     program = assemble(asm)
     sim = GoldenSim(program)
-    sim.run(max_instructions)
+    sim.run(20_000)
     return sim
 
 
@@ -227,15 +227,12 @@ def synthesize_macro(mnemonic: str) -> VerifiedMacro:
                         f"{MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def synthesize_macros(mnemonics: list[str],
-                      subset: tuple[str, ...] = MINIMAL_SUBSET
-                      ) -> SynthesisReport:
-    """Verified macros for every instruction the subset lacks."""
-    report = SynthesisReport(subset=tuple(subset))
-    for mnemonic in sorted(set(mnemonics) - set(subset)):
-        if mnemonic in ("ecall", "ebreak", "fence"):
-            continue
-        macro = synthesize_macro(mnemonic)
-        report.macros[mnemonic] = macro
-        report.total_attempts += macro.attempts
-    return report
+def synthesize_macros(mnemonics: list[str]) -> SynthesisReport:
+    """Verified macros for every instruction :data:`MINIMAL_SUBSET`
+    lacks."""
+    macros = {mnemonic: synthesize_macro(mnemonic)
+              for mnemonic in sorted(set(mnemonics) - set(MINIMAL_SUBSET))
+              if mnemonic not in ("ecall", "ebreak", "fence")}
+    return SynthesisReport(
+        subset=MINIMAL_SUBSET, macros=macros,
+        total_attempts=sum(macro.attempts for macro in macros.values()))

@@ -570,7 +570,7 @@ class CompiledCore:
     namespace: dict = None
 
 
-def core_fusable(module: Module, facts=None) -> bool:
+def core_fusable(module: Module) -> bool:
     """True when ``module`` exposes the RISSP harness interface the fused
     loop is generated against: a storage-exposed register file with two
     combinationally-assigned read ports and a write port, the imem/dmem
@@ -578,28 +578,26 @@ def core_fusable(module: Module, facts=None) -> bool:
     register.  :func:`compile_core` refuses anything else, so a fused
     ``RisspSim``, ``cosimulate`` or ``FleetSim`` fails at construction.
 
-    The answer is judged from the module's ``repro.analysis.StructuralFacts``
-    (a cycle vetoes fusing; the driver map names the combinational
-    signals) and memoized on a checked module, whose facts are memoized
-    too.  An explicit ``facts`` is judged as given, without the memo.
+    The module is checked first, as :func:`compile_core` does, so it has no
+    combinational cycle and its combinational signals are exactly the keys
+    of ``module.assigns``; the answer is memoized on the checked module.
     """
-    if facts is None:
-        from ..analysis.rtl_lint import structural_facts
-        return module.memo("core_fusable", lambda: core_fusable(
-            module, structural_facts(module)))
-    if facts.cycle:
-        return False
-    comb_driven = facts.comb_driven
+    module.check()
+    return module.memo("core_fusable", lambda: _has_core_interface(module))
+
+
+def _has_core_interface(module: Module) -> bool:
+    assigns = module.assigns
     spec = module.regfile
     if spec is None or spec.write_port is None or len(spec.read_ports) != 2:
         return False
     if not spec.storage_signals:
         return False
-    if any(data not in comb_driven for _, data in spec.read_ports):
+    if any(data not in assigns for _, data in spec.read_ports):
         return False
     names = CORE_INTERFACE + tuple(spec.write_port) \
         + tuple(addr for addr, _ in spec.read_ports)
-    if any(name not in comb_driven for name in names):
+    if any(name not in assigns for name in names):
         return False
     for port_name in ("imem_rdata", "dmem_rdata"):
         port = module.ports.get(port_name)
@@ -611,7 +609,7 @@ def core_fusable(module: Module, facts=None) -> bool:
     # The trap slice must be all-or-nothing: the generated loop wires the
     # mtvec register, the ``trap`` output, the mret word class and the
     # interrupt fire check together.
-    if ("mtvec" in module.registers) != ("trap" in comb_driven):
+    if ("mtvec" in module.registers) != ("trap" in assigns):
         return False
     return True
 

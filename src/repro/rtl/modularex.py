@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .ir import Const, Expr, Module, Sig, const, inline
-from .library import IsaHardwareLibrary
+from .library import default_library
 
 #: The standard full-width output contract of ModularEX.
 _OUTPUTS = (
@@ -69,13 +69,14 @@ def _onehot_mux(entries: list[tuple[Expr, Expr]], default: Expr) -> Expr:
     return default
 
 
-def build_modularex(mnemonics: list[str], library: IsaHardwareLibrary,
+def build_modularex(mnemonics: list[str],
                     name: str = "modularex") -> Module:
     """Construct ModularEX for an instruction subset.
 
-    Blocks are pulled from the pre-verified library (raising if any block is
-    unverified), inlined under per-mnemonic prefixes, and joined by the
-    generated switch.  The module's ``meta['mnemonics']`` records the subset.
+    Blocks are pulled from :func:`~repro.rtl.library.default_library`
+    (raising if any block is unverified), inlined under per-mnemonic
+    prefixes, and joined by the generated switch.  The module's
+    ``meta['mnemonics']`` records the subset.
     """
     subset = sorted(dict.fromkeys(m.lower() for m in mnemonics))
     m = Module(name)
@@ -84,6 +85,7 @@ def build_modularex(mnemonics: list[str], library: IsaHardwareLibrary,
     rs1_data = m.input("rs1_data", 32)
     rs2_data = m.input("rs2_data", 32)
     dmem_rdata = m.input("dmem_rdata", 32)
+    library = default_library()
     blocks = {mnemonic: library.get_block(mnemonic) for mnemonic in subset}
     # Trap-return slice (PR 3): a block that redirects to mepc pulls the
     # core's mepc CSR register through a dedicated input.

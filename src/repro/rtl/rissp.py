@@ -18,22 +18,18 @@ from __future__ import annotations
 
 from .ir import (Expr, IrError, Module, RegFileSpec, _read_mux_tree, cat,
                  const, inline, mux)
-from .library import IsaHardwareLibrary, default_library
 from .modularex import build_modularex
 
 REG_ADDR_BITS = 4
 
 
-def build_rissp(mnemonics: list[str],
-                library: IsaHardwareLibrary | None = None,
-                name: str = "rissp",
+def build_rissp(mnemonics: list[str], name: str = "rissp",
                 reset_pc: int = 0) -> Module:
-    """Build a complete single-cycle RISSP for an instruction subset.
+    """Build a complete single-cycle RISSP for an instruction subset from
+    :func:`~repro.rtl.library.default_library`'s pre-verified blocks.
 
     Args:
         mnemonics: the domain-specific instruction subset (Step 1 output).
-        library: pre-verified block library; defaults to the cached one.
-            Every block must be pre-verified.
         name: module name (e.g. ``rissp_armpit``).
         reset_pc: PC reset value (program entry point).
 
@@ -43,13 +39,12 @@ def build_rissp(mnemonics: list[str],
     build runs the structural lint gate (``repro.analysis``): a
     combinational loop, driver conflict or undriven signal fails the build
     with the finding list instead of surfacing later in cosim.  The
-    derived facts are memoized on the core, so ``core_fusable`` does not
+    derived facts are memoized on the core, so a later lint does not
     re-derive them.
 
     Returns the stitched, checked (so frozen) :class:`Module` with
     ``meta['mnemonics']`` set; derive variants with ``with_assigns``.
     """
-    library = library or default_library()
     subset = sorted(dict.fromkeys(m.lower() for m in mnemonics))
     trap_unit = "mret" in subset
     core = Module(name)
@@ -72,7 +67,7 @@ def build_rissp(mnemonics: list[str],
         mepc = core.register("mepc", 32)
         core.register("mcause", 32)
 
-    ex = build_modularex(subset, library, name=f"{name}_modularex")
+    ex = build_modularex(subset, name=f"{name}_modularex")
     bindings = {
         "pc": pc,
         "insn": imem_rdata,
@@ -152,7 +147,7 @@ def build_rissp(mnemonics: list[str],
     # Structural lint gate: fail the build with the full finding list
     # instead of check()'s first error.  On success check() freezes the
     # core with the one combinational walk, and the facts reuse its order
-    # and are memoized for core_fusable and any later lint.
+    # and are memoized for any later lint.
     from ..analysis.rtl_lint import structural_facts
     try:
         core.check()

@@ -8,7 +8,8 @@ injection — as pure picklable descriptions derived from splitmix64
 seeds, scores each run against a fixed behavioral coverage registry fed
 from the RVFI trace and telemetry surfaces, and mutates scenario
 parameters toward uncovered bins until budget or saturation.  Every
-reported failure replays from its ``(scenario-id, seed)`` pair.
+reported failure replays from its ``(scenario-id, seed, budget)``
+triple.
 
 Layout:
 

@@ -21,7 +21,8 @@ worker count, ``workers=1`` the exact serial path):
 
 Every phase decision is a pure function of seeds plus the merged
 coverage map, so the whole campaign replays from its config; every
-outcome row carries its ``(scenario-id, seed)`` replay pair.
+outcome row and failure record carries its ``(scenario-id, seed,
+budget)`` replay triple.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def scenario_campaign(count: int = 64, base_seed: int = FUZZ_BASE_SEED,
             row["new_bins"] = []
 
     failures = [{"scenario_id": row["scenario_id"], "seed": row["seed"],
-                 "verdict": row["failure"]}
+                 "budget": row["budget"], "verdict": row["failure"]}
                 for row in all_outcomes if row["failure"] is not None]
     return {
         "coverage": merged,
@@ -196,11 +197,10 @@ def probe_gate_missing(probe_coverage: CoverageMap) -> tuple[str, ...]:
     return tuple(name for name in PROBE_GATE_BINS if name not in covered)
 
 
-def fixed_workload_coverage(max_instructions: int = 2_000_000
-                            ) -> CoverageMap:
-    """Merged behavioral coverage of the three fixed SoC workloads —
-    the pre-scenario-engine baseline the acceptance gate compares
-    campaign coverage against (same extractor, same bins)."""
+def fixed_workload_coverage() -> CoverageMap:
+    """Merged behavioral coverage of the three fixed SoC workloads, each
+    run to halt — the pre-scenario-engine baseline the acceptance gate
+    compares campaign coverage against (same extractor, same bins)."""
     from ..farm.campaigns import workload_target
     from ..rtl.core_sim import RisspSim
 
@@ -209,7 +209,7 @@ def fixed_workload_coverage(max_instructions: int = 2_000_000
         core, program, spec = workload_target(name)
         sim = RisspSim(core, program, trace=True, backend="fused",
                        soc=spec)
-        result = sim.run(max_instructions=max_instructions)
+        result = sim.run(max_instructions=2_000_000)
         merged.merge(coverage_from_trace(
             result.trace, result.halted_by,
             len(spec.sensor_samples) if spec is not None else 0))

@@ -329,8 +329,8 @@ def validate_report(document: object) -> list[str]:
             if not isinstance(row, dict):
                 errors.append(f"scenarios[{index}] must be an object")
                 continue
-            for key in ("scenario_id", "seed", "kind", "halted_by",
-                        "instructions", "new_bins"):
+            for key in ("scenario_id", "seed", "budget", "kind",
+                        "halted_by", "instructions", "new_bins"):
                 if key not in row:
                     errors.append(f"scenarios[{index}] missing {key!r}")
     failures = document.get("failures")
@@ -338,10 +338,11 @@ def validate_report(document: object) -> list[str]:
         errors.append("failures must be a list")
     else:
         for index, row in enumerate(failures):
-            if not isinstance(row, dict) or "scenario_id" not in row \
-                    or "seed" not in row or "verdict" not in row:
+            if not isinstance(row, dict) or any(
+                    key not in row for key in ("scenario_id", "seed",
+                                               "budget", "verdict")):
                 errors.append(f"failures[{index}] must carry scenario_id/"
-                              f"seed/verdict (the replay pair)")
+                              f"seed/budget (the replay triple) and verdict")
     return errors
 
 

@@ -22,7 +22,7 @@ Everything here is a frozen dataclass of ints/strs/tuples: scenarios
 pickle across the farm's process boundary, compare by value, and —
 because every random draw comes from :func:`repro.verify.fuzz.seeded_rng`
 on the scenario's own seed — regenerate bit-identically from a reported
-``(scenario-id, seed)`` pair via :func:`replay_scenario`.
+``(scenario-id, seed, budget)`` triple via :func:`replay_scenario`.
 
 The second scenario kind (:class:`FleetScenario`) targets the batched
 fleet simulator instead of the SoC: stunt lanes whose first batched
@@ -44,6 +44,11 @@ from ..verify.fuzz import seeded_rng
 #: Default per-scenario retirement budget (both backends count trap and
 #: interrupt-entry retirements identically, so segment boundaries align).
 DEFAULT_BUDGET = 20_000
+
+#: Retirement budget of every fleet scenario: a lane is a stunt plus a
+#: halt, so the budget bounds only a lane that loops (``mret`` with mepc
+#: 0 jumps back to itself).
+FLEET_BUDGET = 96
 
 #: RAM word the sensor ISR / poll block accumulates into, and the target
 #: window of memory fault injection — read back into the exit checksum by
@@ -337,11 +342,14 @@ class FleetScenario:
     scenario_id: str
     seed: int
     lanes: tuple[tuple[str, str], ...]
-    budget: int = 96
 
     @property
     def kind(self) -> str:
         return "fleet"
+
+    @property
+    def budget(self) -> int:
+        return FLEET_BUDGET
 
     def lane_source(self, lane: int) -> str:
         stunt, end = self.lanes[lane]
@@ -394,7 +402,7 @@ def random_scenario(seed: int, budget: int = DEFAULT_BUDGET,
             (rng.choice(RANDOM_FLEET_STUNTS), rng.choice(FLEET_ENDS))
             for _ in range(rng.randrange(1, 5)))
         return FleetScenario(scenario_id=scenario_id, seed=seed,
-                             lanes=lanes, budget=96)
+                             lanes=lanes)
     waveform = Waveform(kind=rng.choice(WAVEFORM_KINDS),
                         count=rng.randrange(8, 97),
                         period=rng.randrange(4, 33),
@@ -462,12 +470,10 @@ def mutate_toward(bin_name: str, seed: int,
     if bin_name.startswith("fleet.diverge."):
         stunt = bin_name.rsplit(".", 1)[1]
         return FleetScenario(scenario_id=scenario_id, seed=seed,
-                             lanes=((stunt, rng.choice(FLEET_ENDS)),),
-                             budget=96)
+                             lanes=((stunt, rng.choice(FLEET_ENDS)),))
     if bin_name in ("halt.ecall", "halt.ebreak"):
         return FleetScenario(scenario_id=scenario_id, seed=seed,
-                             lanes=(("none", bin_name.rsplit(".", 1)[1]),),
-                             budget=96)
+                             lanes=(("none", bin_name.rsplit(".", 1)[1]),))
 
     base = random_scenario(seed, budget=budget)
     if base.kind != "soc":
@@ -567,12 +573,16 @@ def _plain_soc(seed: int, budget: int) -> SocScenario:
 
 def replay_scenario(scenario_id: str, seed: int,
                     budget: int = DEFAULT_BUDGET):
-    """Rebuild the exact scenario a failure report names.
+    """Rebuild the exact scenario an outcome row or failure record names.
 
     The id encodes how the scenario was constructed — ``scn...`` ids are
     random draws, ``mut...``/``probe...`` ids embed the directed bin as
     their second ``:``-separated field — and the seed pins every random
-    choice, so ``(scenario-id, seed)`` is a complete description.
+    choice.  ``budget`` is the row's ``budget``, the scenario's own
+    retirement budget (:data:`FLEET_BUDGET` for a fleet scenario, at most
+    2,000 for a ``halt.limit`` probe, else its campaign's budget), so
+    ``replay_scenario(row["scenario_id"], row["seed"], row["budget"])``
+    rebuilds an equal scenario at any campaign budget.
     """
     head = scenario_id.split(":", 2)
     if head[0].startswith(("mut", "probe")) and len(head) >= 2:

@@ -263,11 +263,12 @@ def run_scenario(core, scenario, check_backends: bool = False) -> dict:
     """Run one scenario (either kind); returns its plain outcome row.
 
     The row is picklable and schema-stable: scenario identity (the
-    replay pair), result, the coverage bins it hit, and a ``failure``
-    verdict (``None`` = clean).  ``check_backends`` additionally replays
-    the scenario on the golden ISS (SoC kind: full cosim-column compare
-    of the segmented master traces; fleet kind: per-lane batched-vs-
-    single cosim) — the campaign samples this.
+    replay triple ``scenario_id``/``seed``/``budget``), result, the
+    coverage bins it hit, and a ``failure`` verdict (``None`` = clean).
+    ``check_backends`` additionally replays the scenario on the golden ISS
+    (SoC kind: full cosim-column compare of the segmented master traces;
+    fleet kind: per-lane batched-vs-single cosim) — the campaign samples
+    this.
     """
     _obs.bump("scenario.runs")
     failure = None
@@ -291,6 +292,7 @@ def run_scenario(core, scenario, check_backends: bool = False) -> dict:
     return {
         "scenario_id": scenario.scenario_id,
         "seed": scenario.seed,
+        "budget": scenario.budget,
         "kind": scenario.kind,
         "halted_by": info["halted_by"],
         "instructions": info["instructions"],

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .netlist import GateType, Netlist
-from .techlib import TechLib
+from .techlib import FLEXIC_GEN3
 
 _AO22_AREA = 2.5
 _AO21_AREA = 1.8
@@ -38,8 +38,8 @@ class MappedStats:
     dff_count: int = 0
     cell_counts: dict[str, int] = field(default_factory=dict)
 
-    def _bump(self, name: str, count: int = 1) -> None:
-        self.cell_counts[name] = self.cell_counts.get(name, 0) + count
+    def _bump(self, name: str) -> None:
+        self.cell_counts[name] = self.cell_counts.get(name, 0) + 1
 
 
 def fanout_counts(netlist: Netlist) -> dict[int, int]:
@@ -53,7 +53,7 @@ def fanout_counts(netlist: Netlist) -> dict[int, int]:
     return fanout
 
 
-def mapped_stats(netlist: Netlist, lib: TechLib) -> MappedStats:
+def mapped_stats(netlist: Netlist) -> MappedStats:
     """Compute virtually mapped cell counts and combinational area."""
     stats = MappedStats()
     fanout = fanout_counts(netlist)
@@ -100,6 +100,6 @@ def mapped_stats(netlist: Netlist, lib: TechLib) -> MappedStats:
         if gate.kind is GateType.DFF:
             stats.dff_count += 1
             continue
-        stats.comb_area_ge += lib.cell(gate.kind).area_ge
+        stats.comb_area_ge += FLEXIC_GEN3.cell(gate.kind).area_ge
         stats._bump(gate.kind.value.upper())
     return stats

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .techlib import TechLib
+from .techlib import FLEXIC_GEN3
 
 #: Flip-flop switching energy relative to one NAND2-equivalent of logic.
 FF_ENERGY_FACTOR = 10.0
@@ -29,18 +29,17 @@ class PowerBreakdown:
         return self.static_mw + self.dynamic_mw
 
 
-def switching_units(comb_area_ge: float, dff_count: int,
-                    lib: TechLib) -> float:
+def switching_units(comb_area_ge: float, dff_count: int) -> float:
     """Activity-weighted switching energy units for a design."""
-    return (comb_area_ge * lib.comb_activity
-            + dff_count * FF_ENERGY_FACTOR * lib.ff_activity)
+    return (comb_area_ge * FLEXIC_GEN3.comb_activity
+            + dff_count * FF_ENERGY_FACTOR * FLEXIC_GEN3.ff_activity)
 
 
 def power_at(comb_area_ge: float, dff_count: int, total_area_ge: float,
-             lib: TechLib, freq_khz: float) -> PowerBreakdown:
+             freq_khz: float) -> PowerBreakdown:
     """Power (mW) at ``freq_khz`` for the given area statistics."""
-    static = lib.leakage_mw_per_ge * total_area_ge
-    dynamic = (lib.dyn_mw_per_eunit_mhz
-               * switching_units(comb_area_ge, dff_count, lib)
+    static = FLEXIC_GEN3.leakage_mw_per_ge * total_area_ge
+    dynamic = (FLEXIC_GEN3.dyn_mw_per_eunit_mhz
+               * switching_units(comb_area_ge, dff_count)
                * (freq_khz / 1e3))
     return PowerBreakdown(static_mw=static, dynamic_mw=dynamic)

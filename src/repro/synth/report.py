@@ -12,9 +12,9 @@ power, then replays the paper's measurement protocol:
   * **EPI** — power at fmax / fmax x CPI (Fig 9).
 
 Area policy: the virtual-mapping combinational area is scaled by
-``lib.area_scale`` (fitting commercial-synthesis compaction of random
-logic); flip-flop area is structural (count x cell area) because sequential
-cells do not compress.
+``FLEXIC_GEN3.area_scale`` (fitting commercial-synthesis compaction of
+random logic); flip-flop area is structural (count x cell area) because
+sequential cells do not compress.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .lower import lower_module
 from .netlist import GateType
 from .optimize import MappedStats, mapped_stats
 from .power import PowerBreakdown, power_at
-from .techlib import FLEXIC_GEN3, TechLib
+from .techlib import FLEXIC_GEN3
 from .timing import TimingReport, analyze_timing
 
 #: Constraint-pressure area model: synthesizing at target frequency f costs
@@ -52,10 +52,10 @@ class AreaStats:
         return self.ff_ge / self.total_ge if self.total_ge else 0.0
 
 
-def area_stats(stats: MappedStats, lib: TechLib) -> AreaStats:
+def area_stats(stats: MappedStats) -> AreaStats:
     """Apply the reporting policy to virtual-mapping statistics."""
-    ff_cell = lib.cell(GateType.DFF).area_ge
-    return AreaStats(comb_ge=stats.comb_area_ge * lib.area_scale,
+    ff_cell = FLEXIC_GEN3.cell(GateType.DFF).area_ge
+    return AreaStats(comb_ge=stats.comb_area_ge * FLEXIC_GEN3.area_scale,
                      ff_ge=stats.dff_count * ff_cell,
                      dff_count=stats.dff_count)
 
@@ -70,7 +70,6 @@ class SynthReport:
     mapped: MappedStats
     area: AreaStats
     timing: TimingReport
-    lib: TechLib
     # The measurement protocol, derived in __post_init__ from the fields
     # above: averages across the positive-slack sweep, power at fmax.
     avg_area_ge: float = field(init=False, default=0.0)
@@ -113,9 +112,9 @@ class SynthReport:
         pressure = self.area_at(freq_khz) / self.area.total_ge \
             if self.area.total_ge else 1.0
         return power_at(self.area.comb_ge * pressure, self.area.dff_count,
-                        self.area_at(freq_khz), self.lib, freq_khz)
+                        self.area_at(freq_khz), freq_khz)
 
-    def energy_per_instruction_nj(self, cpi: float = 1.0) -> float:
+    def energy_per_instruction_nj(self, cpi: float) -> float:
         """EPI = P(fmax)/fmax x CPI (Fig 9 protocol); result in nanojoules."""
         if self.power_at_fmax is None or self.fmax_khz == 0:
             raise ValueError("no fmax point available")
@@ -124,17 +123,16 @@ class SynthReport:
         return power_w / freq_hz * cpi * 1e9
 
 
-def synthesize(module: Module, lib: TechLib = FLEXIC_GEN3,
-               seed: str | None = None) -> SynthReport:
-    """Run the synthesis flow over ``module`` and measure PPA."""
+def synthesize(module: Module, seed: str | None = None) -> SynthReport:
+    """Run the synthesis flow over ``module`` against
+    :data:`~repro.synth.techlib.FLEXIC_GEN3` and measure PPA."""
     netlist = lower_module(module)
-    stats = mapped_stats(netlist, lib)
+    stats = mapped_stats(netlist)
     return SynthReport(
         name=module.name,
         mnemonics=tuple(module.meta.get("mnemonics", ())),
         gate_counts=netlist.counts(),
         mapped=stats,
-        area=area_stats(stats, lib),
-        timing=analyze_timing(netlist, lib, seed=seed or module.name),
-        lib=lib,
+        area=area_stats(stats),
+        timing=analyze_timing(netlist, seed=seed or module.name),
     )

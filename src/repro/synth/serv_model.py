@@ -18,7 +18,6 @@ from ..isa.instructions import INSTRUCTIONS
 from .netlist import GateType
 from .optimize import MappedStats
 from .report import SynthReport, area_stats
-from .techlib import FLEXIC_GEN3, TechLib
 from .timing import timing_from_units
 
 #: Serial-state flip-flops: instruction/operand shift registers, serial PC,
@@ -37,8 +36,9 @@ SERV_PATH_UNITS = 104.0
 SERV_CPI = 32.0
 
 
-def synthesize_serv(lib: TechLib = FLEXIC_GEN3) -> SynthReport:
-    """Produce a :class:`SynthReport` for Serv under ``lib``."""
+def synthesize_serv() -> SynthReport:
+    """Produce a :class:`SynthReport` for Serv under
+    :data:`~repro.synth.techlib.FLEXIC_GEN3`."""
     stats = MappedStats(comb_area_ge=SERV_COMB_RAW_GE,
                         dff_count=SERV_DFF_COUNT,
                         cell_counts={"SERIAL_CORE": 1})
@@ -47,6 +47,5 @@ def synthesize_serv(lib: TechLib = FLEXIC_GEN3) -> SynthReport:
         mnemonics=tuple(d.mnemonic for d in INSTRUCTIONS),
         gate_counts={GateType.DFF: SERV_DFF_COUNT},
         mapped=stats,
-        area=area_stats(stats, lib),
-        timing=timing_from_units(SERV_PATH_UNITS, lib, seed="serv"),
-        lib=lib)
+        area=area_stats(stats),
+        timing=timing_from_units(SERV_PATH_UNITS, seed="serv"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import GateType, Netlist
-from .techlib import DFF_SETUP_UNITS, TechLib, design_jitter
+from .techlib import DFF_SETUP_UNITS, FLEXIC_GEN3, design_jitter
 
 SWEEP_START_KHZ = 100
 SWEEP_STEP_KHZ = 25
@@ -29,9 +29,10 @@ class TimingReport:
     sweep_khz: tuple[int, ...]   # all positive-slack sweep points
 
 
-def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
+def critical_path_units(netlist: Netlist) -> float:
     """Longest arrival time in delay units (DFF clk->q counted at source),
     in one pass over the gates in creation (so topological) order."""
+    cell = FLEXIC_GEN3.cell
     arrival: dict[int, float] = {}
     worst = 0.0
     for node, gate in netlist.gates.items():
@@ -40,10 +41,10 @@ def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
             arrival[node] = 0.0
             continue
         if kind is GateType.DFF:
-            arrival[node] = lib.cell(GateType.DFF).delay_units
+            arrival[node] = cell(GateType.DFF).delay_units
             continue
         here = max(arrival[dep] for dep in gate.inputs) \
-            + lib.cell(kind).delay_units
+            + cell(kind).delay_units
         arrival[node] = here
         if here > worst:
             worst = here
@@ -56,13 +57,12 @@ def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
     return worst
 
 
-def timing_from_units(units: float, lib: TechLib,
-                      seed: str = "") -> TimingReport:
+def timing_from_units(units: float, seed: str) -> TimingReport:
     """Clock a path of ``units`` delay units (jittered by ``seed``) and
     replay the 25 kHz sweep; the RISSPs and the Serv model share it."""
-    jitter = design_jitter(lib, seed) if seed else 1.0
-    path_ns = units * lib.delay_ns_per_unit * jitter
-    period_ns = path_ns + lib.clock_overhead_ns
+    jitter = design_jitter(seed) if seed else 1.0
+    path_ns = units * FLEXIC_GEN3.delay_ns_per_unit * jitter
+    period_ns = path_ns + FLEXIC_GEN3.clock_overhead_ns
     fmax_khz_analog = 1e6 / period_ns  # 1/ns = GHz; x1e6 = kHz
     sweep = tuple(
         khz for khz in range(SWEEP_START_KHZ, SWEEP_STOP_KHZ + 1,
@@ -77,7 +77,6 @@ def timing_from_units(units: float, lib: TechLib,
                         sweep_khz=sweep)
 
 
-def analyze_timing(netlist: Netlist, lib: TechLib,
-                   seed: str = "") -> TimingReport:
+def analyze_timing(netlist: Netlist, seed: str = "") -> TimingReport:
     """Full timing report with the paper's 25 kHz frequency sweep."""
-    return timing_from_units(critical_path_units(netlist, lib), lib, seed)
+    return timing_from_units(critical_path_units(netlist), seed)

@@ -1,7 +1,8 @@
 """Verification substrate: the block verifier over arch-test and lattice
 vectors, mutation, RISCOF-style compliance, RVFI trace checking."""
 
-from .arch_tests import CORNER_VALUES, TestVector, lattice_vectors, vectors_for
+from .arch_tests import (CORNER_VALUES, TestVector, block_vectors,
+                         lattice_vectors, vectors_for)
 from .fuzz import (
     FUZZ_BASE_SEED,
     derive_seed,
@@ -32,7 +33,8 @@ from .testbench import BlockReport, block_inputs, verify_block
 __all__ = [
     "BlockReport", "CORNER_VALUES", "ComplianceReport", "FUZZ_BASE_SEED",
     "Mutation", "MutationReport", "RvfiCheckReport", "SIGNATURE_WORDS",
-    "TestVector", "block_inputs", "check_compliance_mnemonic",
+    "TestVector", "block_inputs", "block_vectors",
+    "check_compliance_mnemonic",
     "check_trace", "compliance_program", "compliance_targets",
     "cosim_verdict", "derive_seed", "enumerate_mutations",
     "fuzz_chunk_seeds", "lattice_vectors", "mutant_verdict_row",

@@ -7,8 +7,9 @@ class of directed vectors — operand corner values, walking patterns,
 boundary immediates — and :func:`lattice_vectors` the bounded-exhaustive
 operand lattice that stands in for the formal check (step 4).  Both
 compute their expected results from the *independent* executable spec
-(:mod:`repro.isa.spec`), and :func:`repro.verify.testbench.verify_block`
-checks a block on both sets with one checker.
+(:mod:`repro.isa.spec`).  :func:`block_vectors` is their distinct union:
+the one set :func:`repro.verify.testbench.verify_block` checks a block on
+and the gate-level mutation campaign probes it with.
 """
 
 from __future__ import annotations
@@ -244,3 +245,19 @@ def lattice_vectors(mnemonic: str) -> list[TestVector]:
                         _expected(instr, _LATTICE_PC, rs1_val, rs2_val,
                                   mem_word)))
     return out
+
+
+def block_vectors(mnemonic: str) -> list[TestVector]:
+    """The distinct stimuli of ``vectors_for(mnemonic) +
+    lattice_vectors(mnemonic)``, first occurrence first.
+
+    A stimulus is ``(insn_word, pc, rs1_val, rs2_val, mem_word)``, and the
+    expected effects are a function of it, so a repeat checks nothing new.
+    The lattice repeats stimuli where a load, store or ``jalr`` pins
+    ``rs1`` to a few bases.
+    """
+    distinct: dict[tuple[int, int, int, int, int], TestVector] = {}
+    for v in vectors_for(mnemonic) + lattice_vectors(mnemonic):
+        distinct.setdefault(
+            (v.insn_word, v.pc, v.rs1_val, v.rs2_val, v.mem_word), v)
+    return list(distinct.values())

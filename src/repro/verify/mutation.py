@@ -8,7 +8,8 @@ level: the block is lowered to its netlist, single-gate mutations are
 applied (gate-type flips, input swaps, stuck-at faults), mutations that no
 probe vector can distinguish are classed *equivalent* (our stand-in for
 MCY's formal filter), and every distinguishable mutant must be killed by
-the architecture-test vectors.
+the block verifier's vectors (the distinct architecture-test and
+operand-lattice stimuli of :func:`~repro.verify.arch_tests.block_vectors`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..rtl.ir import Binary, Const, Expr, Module, Mux, Not, Op
 from ..synth.lower import lower_module
 from ..synth.netlist import Gate, GateType, Netlist
 from ..synth.netsim import NetSim
-from .arch_tests import TestVector, vectors_for
+from .arch_tests import TestVector, block_vectors
 from .testbench import block_inputs
 
 #: Gate-type substitutions applied as mutations.
@@ -278,11 +279,12 @@ def _outputs_for(netlist: Netlist, inputs: dict[str, int]) -> tuple:
 
 def run_mutation_campaign(block: Module,
                           limit: int = 120) -> MutationReport:
-    """Measure whether the block's testbench kills injected faults."""
+    """Measure whether the block verifier's vectors
+    (:func:`~repro.verify.arch_tests.block_vectors`) kill injected
+    faults."""
     mnemonic = str(block.meta.get("mnemonic", block.name))
     netlist = lower_module(block)
-    vectors = vectors_for(mnemonic)
-    probes = [_vector_inputs(block, v) for v in vectors]
+    probes = [_vector_inputs(block, v) for v in block_vectors(mnemonic)]
     golden = [_outputs_for(netlist, p) for p in probes]
 
     report = MutationReport(mnemonic=mnemonic)

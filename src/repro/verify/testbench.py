@@ -1,12 +1,12 @@
 """The block verifier (Figure 4, steps 2 and 4).
 
-:func:`verify_block` drives an instruction hardware block's RTL with its
-mnemonic's architecture-test vectors and its operand lattice
-(:mod:`repro.verify.arch_tests`), and one checker compares every declared
-output with the executable spec on both sets.
+:func:`verify_block` drives an instruction hardware block's RTL with the
+distinct stimuli of its mnemonic's architecture-test vectors and operand
+lattice (:func:`repro.verify.arch_tests.block_vectors`), and one checker
+compares every declared output with the executable spec.
 ``IsaHardwareLibrary.verify()`` runs it over every block of the library.
 The gate-level mutation campaign (:mod:`repro.verify.mutation`) drives
-its probes through the same :func:`block_inputs`.
+the same vectors through the same :func:`block_inputs`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ..isa.instructions import BY_MNEMONIC, Format
 from ..rtl.compiled import WSTRB_WIDTH
 from ..rtl.ir import Module
 from ..rtl.sim import RtlSim
-from .arch_tests import TestVector, _expected, lattice_vectors, vectors_for
+from .arch_tests import TestVector, _expected, block_vectors
 
 
 @dataclass
@@ -132,7 +132,7 @@ def _check(sim: RtlSim, block: Module, vector: TestVector,
 
 def verify_block(block: Module) -> BlockReport:
     """Check ``block`` against the spec on its mnemonic's
-    architecture-test vectors and operand lattice.
+    :func:`~repro.verify.arch_tests.block_vectors`.
 
     Failures are collected, not raised, so a campaign over the library
     reports every block.
@@ -140,7 +140,7 @@ def verify_block(block: Module) -> BlockReport:
     mnemonic = str(block.meta.get("mnemonic", block.name))
     report = BlockReport(mnemonic)
     sim = RtlSim(block)
-    for vector in vectors_for(mnemonic) + lattice_vectors(mnemonic):
+    for vector in block_vectors(mnemonic):
         sim.set_inputs(**block_inputs(block, vector))
         sim.eval_comb()
         _check(sim, block, vector, report)

@@ -5,6 +5,7 @@ from .registry import (
     ALL_NAMES,
     EMBENCH_NAMES,
     EXTREME_EDGE_NAMES,
+    OPT_LEVEL,
     SOC_NAMES,
     WORKLOADS,
     Workload,
@@ -12,5 +13,5 @@ from .registry import (
     get,
 )
 
-__all__ = ["ALL_NAMES", "EMBENCH_NAMES", "EXTREME_EDGE_NAMES", "SOC_NAMES",
-           "WORKLOADS", "Workload", "build_program", "get"]
+__all__ = ["ALL_NAMES", "EMBENCH_NAMES", "EXTREME_EDGE_NAMES", "OPT_LEVEL",
+           "SOC_NAMES", "WORKLOADS", "Workload", "build_program", "get"]

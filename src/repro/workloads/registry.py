@@ -96,6 +96,10 @@ SOC_NAMES = tuple(name for name, _ in _SOC)
 ALL_NAMES = EMBENCH_NAMES + EXTREME_EDGE_NAMES
 
 
+#: The paper's compile setting: every MicroC application is built at -O2.
+OPT_LEVEL = "O2"
+
+
 def get(name: str) -> Workload:
     try:
         return WORKLOADS[name]
@@ -104,13 +108,14 @@ def get(name: str) -> Workload:
                        f"{', '.join(ALL_NAMES)}") from None
 
 
-def build_program(workload: "Workload | str", opt_level: str = "O2"):
+def build_program(workload: "Workload | str"):
     """Linked binary for a workload, whichever toolflow it needs —
-    MicroC compilation for ``lang="c"``, direct assembly otherwise."""
+    MicroC compilation at :data:`OPT_LEVEL` for ``lang="c"``, direct
+    assembly otherwise."""
     if isinstance(workload, str):
         workload = WORKLOADS[workload]
     if workload.lang == "asm":
         from ..isa.assembler import assemble
         return assemble(workload.source)
     from ..compiler import compile_to_program
-    return compile_to_program(workload.source, opt_level).program
+    return compile_to_program(workload.source, OPT_LEVEL).program

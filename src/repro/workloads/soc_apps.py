@@ -53,7 +53,7 @@ _HEADER = """
 """
 
 
-def ecg_waveform(n: int = 260) -> tuple[int, ...]:
+def ecg_waveform(n: int) -> tuple[int, ...]:
     """Synthetic ECG in the style of the batch ``af_detect`` workload:
     baseline noise plus R peaks whose period jumps erratically beat to
     beat — the AF-like RR irregularity the analysis stage detects."""
@@ -74,7 +74,7 @@ def ecg_waveform(n: int = 260) -> tuple[int, ...]:
     return tuple(out)
 
 
-def temperature_waveform(n: int = 64) -> tuple[int, ...]:
+def temperature_waveform(n: int) -> tuple[int, ...]:
     """Slow cold-chain temperature drift with a mid-shipment excursion."""
     out = []
     for i in range(n):
@@ -85,7 +85,7 @@ def temperature_waveform(n: int = 64) -> tuple[int, ...]:
     return tuple(out)
 
 
-def stream_waveform(n: int = 96) -> tuple[int, ...]:
+def stream_waveform(n: int) -> tuple[int, ...]:
     """Pseudo-random 8-bit stream for the two-source streaming workload."""
     out = []
     value = 0x5A
@@ -389,11 +389,11 @@ def lang(name: str) -> str:
 #: Matching platform description per workload — share one spec between
 #: simulators to cosimulate them in lock-step.
 SOC_SPECS: dict[str, SocSpec] = {
-    "af_detect_irq": SocSpec(sensor_samples=ecg_waveform(),
+    "af_detect_irq": SocSpec(sensor_samples=ecg_waveform(260),
                              sensor_ticks_per_sample=AF_PERIOD),
     "sensor_streaming": SocSpec(sensor_samples=stream_waveform(STREAM_NSAMP),
                                 sensor_ticks_per_sample=STREAM_TPS),
-    "label_refresh": SocSpec(sensor_samples=temperature_waveform(),
+    "label_refresh": SocSpec(sensor_samples=temperature_waveform(64),
                              sensor_ticks_per_sample=LABEL_PERIOD),
     "uart_selftest": SocSpec(),
 }

@@ -35,7 +35,6 @@ from repro.analysis import structural_facts
 from repro.isa import INSTRUCTIONS
 from repro.rtl import build_rissp, compile_module
 from repro.rtl.compiled import compile_core, compile_fleet, stable_fingerprint
-from repro.rtl.library import default_library
 from repro.rtl.modularex import build_modularex
 from repro.rtl.ir import (Binary, Cat, Const, Ext, IrError, Module, Mux, Not,
                           Op, Port, RegFileSpec, Register, Sig, Slice,
@@ -246,7 +245,7 @@ def _modularex_arms(core):
     """``(select wire, output)`` of every ModularEX arm ``val &
     sel.sext(w)`` of ``core`` whose select is a decode wire (the default
     arm's select is the NOR of all of them)."""
-    ex = build_modularex(core.meta["mnemonics"], default_library())
+    ex = build_modularex(core.meta["mnemonics"])
     arms = []
     for port in ex.outputs():
         stack = [ex.assigns[port.name]]

@@ -6,8 +6,7 @@ import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import (
-    RisspSim, build_modularex, build_rissp, cosimulate, default_library,
-    emit_module,
+    RisspSim, build_modularex, build_rissp, cosimulate, emit_module,
 )
 from repro.sim import SimulationError, run_program
 
@@ -39,7 +38,7 @@ done:
 
 
 def test_modularex_meta_and_illegal():
-    ex = build_modularex(["add", "addi", "ecall"], default_library())
+    ex = build_modularex(["add", "addi", "ecall"])
     assert ex.meta["mnemonics"] == ["add", "addi", "ecall"]
     assert "illegal" in ex.ports
 

@@ -185,9 +185,27 @@ def test_campaign_is_bit_identical_across_worker_counts(small_campaign):
 
 def test_campaign_rows_carry_the_replay_pair(small_campaign):
     for row in small_campaign["scenarios"]:
-        replayed = replay_scenario(row["scenario_id"], row["seed"])
+        replayed = replay_scenario(row["scenario_id"], row["seed"],
+                                   row["budget"])
         assert replayed.seed == row["seed"]
         assert replayed.kind == row["kind"]
+        assert replayed.budget == row["budget"]
+
+
+def test_campaign_rows_replay_exactly_below_the_default_budget():
+    """A row carries its scenario's budget, so a campaign run below the
+    default budget (as the benchmark's farm campaign is) replays to the
+    scenarios it ran, not to their default-budget twins."""
+    campaign = scenario_campaign(count=4, budget=5_000, probes=False,
+                                 mutation_budget=0, golden_stride=0)
+    rows = campaign["scenarios"]
+    assert len(rows) == 4
+    for row in rows:
+        ran = random_scenario(row["seed"], budget=5_000,
+                              scenario_id=row["scenario_id"])
+        assert row["budget"] == ran.budget
+        assert replay_scenario(row["scenario_id"], row["seed"],
+                               row["budget"]) == ran
 
 
 def test_campaign_merged_map_equals_row_sum(small_campaign):
@@ -235,6 +253,26 @@ def test_cli_scenarios_stage_writes_validated_report(tmp_path, capsys):
     assert len(document["covered"]) > 0
 
 
+def test_cli_failure_line_carries_the_replay_triple(monkeypatch, capsys):
+    # Seed a verdict on every checked scenario; at one worker the
+    # campaign runs in-process, so the patch reaches it.
+    from repro.scenario import run as run_module
+    monkeypatch.setattr(run_module, "_compare_soc_backends",
+                        lambda *args: "mismatch:seeded")
+    monkeypatch.setattr(run_module, "_compare_fleet_lanes",
+                        lambda *args: "mismatch:seeded")
+    code = cli.main(["scenarios", "--scenario-count", "2",
+                     "--scenario-probes", "0", "--scenario-mutation", "0",
+                     "--scenario-golden-stride", "1",
+                     "--scenario-budget", "5000", "--workers", "1"])
+    assert code == 1
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if "FAILURE" in line]
+    assert len(lines) == 2
+    for line in lines:
+        assert " budget=" in line and line.endswith(": mismatch:seeded")
+
+
 def test_cli_scenarios_zero_count_fails_cleanly(tmp_path):
     # No scenarios means nothing verified — never a vacuous pass.
     out = tmp_path / "results.json"
@@ -257,8 +295,7 @@ def test_scenario_counters_registered():
 
 def test_fleet_scenario_covers_divergence_bins(core):
     scenario = FleetScenario(scenario_id="fleet-direct", seed=1,
-                             lanes=(("mret", "ecall"), ("none", "ecall")),
-                             budget=64)
+                             lanes=(("mret", "ecall"), ("none", "ecall")))
     outcome = run_scenario(core, scenario)
     cov = outcome_coverage(outcome)
     assert cov.counts["fleet.diverge.mret"] >= 1

@@ -10,7 +10,7 @@ from repro.isa.encoding import Instruction, decode, encode
 from repro.isa.instructions import (
     BRANCHES, BY_MNEMONIC, Format, INSTRUCTIONS, LOADS, STORES,
 )
-from repro.isa.program import Program
+from repro.isa.program import DEFAULT_DATA_BASE, Program
 from repro.isa.spec import (
     HALT_EBREAK, HALT_ECALL, compile_recorder, compile_step, step,
 )
@@ -88,7 +88,9 @@ def _source_values(d, a, b):
 def _golden_at(instr, pc, rs1, rs2):
     """A golden ISS about to retire ``instr`` at ``pc`` from the
     :func:`_fresh_state` data and source registers."""
-    sim = GoldenSim(Program(text_words=[encode(instr)], text_base=pc,
+    sim = GoldenSim(Program(text_words=[encode(instr)],
+                            data_bytes=bytearray(), symbols={},
+                            text_base=pc, data_base=DEFAULT_DATA_BASE,
                             entry=pc))
     for addr in range(0, 64, 4):
         sim.memory.store(addr + 0x100, 0x89ABCDEF ^ addr, 4)

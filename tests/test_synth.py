@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rtl import Module, RtlSim, build_rissp, const, mux
 from repro.synth import (
-    FLEXIC_GEN3, GateType, NetSim, analyze_timing, eval_words,
-    lower_module, mapped_stats, synthesize, synthesize_serv,
+    GateType, NetSim, analyze_timing, eval_words, lower_module,
+    mapped_stats, synthesize, synthesize_serv,
 )
 
 u32 = st.integers(0, 0xFFFFFFFF)
@@ -86,8 +86,8 @@ def test_timing_monotone_with_depth():
     for _ in range(4):
         x = x + const(1, 32)
     deep.assign(deep.output("o", 32), x)
-    t1 = analyze_timing(lower_module(shallow), FLEXIC_GEN3)
-    t2 = analyze_timing(lower_module(deep), FLEXIC_GEN3)
+    t1 = analyze_timing(lower_module(shallow))
+    t2 = analyze_timing(lower_module(deep))
     assert t2.critical_path_units > t1.critical_path_units
 
 
@@ -124,7 +124,7 @@ def test_mapped_stats_compress_and_or():
     a = m.input("a", 1)
     b = m.input("b", 1)
     m.assign(m.output("o", 1), (a & s0) | (b & s1))
-    stats = mapped_stats(lower_module(m), FLEXIC_GEN3)
+    stats = mapped_stats(lower_module(m))
     assert stats.cell_counts.get("AO22") == 1
 
 

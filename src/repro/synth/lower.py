@@ -177,13 +177,14 @@ class _Lowerer:
 
     def run(self) -> Netlist:
         module = self.module
-        regfile_data = set()
+        regfile_data: tuple[str, ...] = ()
         regfile_interface = set()
         if module.regfile is not None:
             spec = module.regfile
             # Storage wires become primary inputs (the array itself stays
-            # out of synthesis); the read muxes over them are core logic.
-            regfile_data.update(spec.storage_signals)
+            # out of synthesis), numbered in the spec's order; the read
+            # muxes over them are core logic.
+            regfile_data = spec.storage_signals
             regfile_interface.update(addr for addr, _ in spec.read_ports)
             if spec.write_port is not None:
                 regfile_interface.update(spec.write_port)

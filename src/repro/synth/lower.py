@@ -58,7 +58,7 @@ class _Lowerer:
         return out, carry
 
     def _sub(self, a: Bits, b: Bits) -> tuple[Bits, int]:
-        nb = [self.net.g_not(x) for x in b]
+        nb = list(map(self.net.g_not, b))
         return self._adder(a, nb, self.net.one)
 
     def _or_tree(self, bits: Bits) -> int:
@@ -110,7 +110,7 @@ class _Lowerer:
         if isinstance(expr, Sig):
             return list(self.values[expr.name])
         if isinstance(expr, Not):
-            return [net.g_not(x) for x in self.lower_expr(expr.a)]
+            return list(map(net.g_not, self.lower_expr(expr.a)))
         if isinstance(expr, Mux):
             sel = self.lower_expr(expr.sel)[0]
             a = self.lower_expr(expr.a)
@@ -145,20 +145,20 @@ class _Lowerer:
             return self._barrel(a, amount, right=True, fill=a[-1])
         b = self.lower_expr(expr.b)
         if op is Op.AND:
-            return [net.g_and(x, y) for x, y in zip(a, b)]
+            return list(map(net.g_and, a, b))
         if op is Op.OR:
-            return [net.g_or(x, y) for x, y in zip(a, b)]
+            return list(map(net.g_or, a, b))
         if op is Op.XOR:
-            return [net.g_xor(x, y) for x, y in zip(a, b)]
+            return list(map(net.g_xor, a, b))
         if op is Op.ADD:
             return self._adder(a, b, net.zero)[0]
         if op is Op.SUB:
             return self._sub(a, b)[0]
         if op is Op.EQ:
-            diff = [net.g_xor(x, y) for x, y in zip(a, b)]
+            diff = list(map(net.g_xor, a, b))
             return [net.g_not(self._or_tree(diff))]
         if op is Op.NE:
-            diff = [net.g_xor(x, y) for x, y in zip(a, b)]
+            diff = list(map(net.g_xor, a, b))
             return [self._or_tree(diff)]
         if op is Op.ULT:
             _, cout = self._sub(a, b)

@@ -18,13 +18,15 @@ A third pass, dead-gate elimination, runs after construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from enum import Enum
+from operator import itemgetter
+from typing import NamedTuple
 
 
 class GateType(Enum):
-    # Identity hash (C-level) for the per-gate strash and membership
-    # probes; ``Enum.__hash__`` is a Python call.
+    # Identity hash (C-level) for the per-gate lookups by kind (delay and
+    # area tables, counts); ``Enum.__hash__`` is a Python call.
     __hash__ = object.__hash__
 
     CONST0 = "const0"
@@ -38,18 +40,29 @@ class GateType(Enum):
     INPUT = "input"
 
 
-_COMMUTATIVE = {GateType.AND2, GateType.OR2, GateType.XOR2}
+_SOURCES = (GateType.CONST0, GateType.CONST1, GateType.INPUT)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: GateType
     inputs: tuple[int, ...]
     name: str = ""   # populated for INPUT and DFF nodes
 
 
+#: ``_new_gate(Gate, (kind, inputs, name))`` builds a :class:`Gate`
+#: without the Python-level ``__new__`` a ``NamedTuple`` call runs; the
+#: constructors make one per gate.
+_new_gate = tuple.__new__
+
+_kind_of = itemgetter(0)
+
+
 class Netlist:
     """Mutable gate network under construction; optimizes as it builds.
+
+    The constants are nodes 0 (``zero``) and 1 (``one``): the
+    constructors fold a constant operand by its id, without reading its
+    gate.
 
     ``gates`` is in creation order, and every walk (timing, mapping,
     :class:`~repro.synth.netsim.NetSim`) relies on it being topological:
@@ -61,11 +74,19 @@ class Netlist:
     def __init__(self):
         self.gates: dict[int, Gate] = {}
         self.outputs: dict[str, int] = {}
-        self._strash: dict[tuple, int] = {}
+        self.dff_init: dict[int, int] = {}
+        # Structural hashing, one table per kind: operands -> node.  The
+        # operands of a commutative kind are stored ascending.
+        self._and: dict[tuple[int, ...], int] = {}
+        self._or: dict[tuple[int, ...], int] = {}
+        self._xor: dict[tuple[int, ...], int] = {}
+        self._mux: dict[tuple[int, ...], int] = {}
+        # Each NOT gate and its input map to each other: the NOT strash,
+        # double negation and the complement test in one lookup.
+        self._inverse: dict[int, int] = {}
         self._next_id = 0
         self.zero = self._raw(Gate(GateType.CONST0, ()))
         self.one = self._raw(Gate(GateType.CONST1, ()))
-        self.dff_init: dict[int, int] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -92,104 +113,90 @@ class Netlist:
     def set_output(self, name: str, node: int) -> None:
         self.outputs[name] = node
 
-    def is_const(self, node: int) -> bool:
-        return self.gates[node].kind in (GateType.CONST0, GateType.CONST1)
-
-    def const_value(self, node: int) -> int:
-        return 1 if self.gates[node].kind is GateType.CONST1 else 0
-
     # ----------------------------------------------------- logic constructors
+    #
+    # An operand below 2 is a constant, and its id is its value.
 
     def g_not(self, a: int) -> int:
-        gate = self.gates[a]
-        if gate.kind is GateType.CONST0:
-            return self.one
-        if gate.kind is GateType.CONST1:
-            return self.zero
-        if gate.kind is GateType.NOT:   # double negation
-            return gate.inputs[0]
-        return self._hashed(GateType.NOT, (a,))
+        if a < 2:
+            return 1 - a
+        node = self._inverse.get(a)   # double negation, or the strash
+        if node is None:
+            node = self._raw(_new_gate(Gate, (GateType.NOT, (a,), "")))
+            self._inverse[a] = node
+            self._inverse[node] = a
+        return node
 
     def g_and(self, a: int, b: int) -> int:
         if a == b:
             return a
-        for x, y in ((a, b), (b, a)):
-            if self.gates[x].kind is GateType.CONST0:
-                return self.zero
-            if self.gates[x].kind is GateType.CONST1:
-                return y
-        if self._complementary(a, b):
-            return self.zero
-        return self._hashed(GateType.AND2, (a, b))
+        if a < 2:
+            return b if a else 0
+        if b < 2:
+            return a if b else 0
+        if self._inverse.get(a) == b:
+            return 0
+        return self._hashed(self._and, GateType.AND2,
+                            (a, b) if a < b else (b, a))
 
     def g_or(self, a: int, b: int) -> int:
         if a == b:
             return a
-        for x, y in ((a, b), (b, a)):
-            if self.gates[x].kind is GateType.CONST1:
-                return self.one
-            if self.gates[x].kind is GateType.CONST0:
-                return y
-        if self._complementary(a, b):
-            return self.one
-        return self._hashed(GateType.OR2, (a, b))
+        if a < 2:
+            return 1 if a else b
+        if b < 2:
+            return 1 if b else a
+        if self._inverse.get(a) == b:
+            return 1
+        return self._hashed(self._or, GateType.OR2,
+                            (a, b) if a < b else (b, a))
 
     def g_xor(self, a: int, b: int) -> int:
         if a == b:
-            return self.zero
-        for x, y in ((a, b), (b, a)):
-            if self.gates[x].kind is GateType.CONST0:
-                return y
-            if self.gates[x].kind is GateType.CONST1:
-                return self.g_not(y)
-        if self._complementary(a, b):
-            return self.one
-        return self._hashed(GateType.XOR2, (a, b))
+            return 0
+        if a < 2:
+            return self.g_not(b) if a else b
+        if b < 2:
+            return self.g_not(a) if b else a
+        if self._inverse.get(a) == b:
+            return 1
+        return self._hashed(self._xor, GateType.XOR2,
+                            (a, b) if a < b else (b, a))
 
     def g_mux(self, sel: int, a: int, b: int) -> int:
         """``sel ? a : b``."""
         if a == b:
             return a
-        kind = self.gates[sel].kind
-        if kind is GateType.CONST1:
-            return a
-        if kind is GateType.CONST0:
-            return b
-        if self.is_const(a) and self.is_const(b):
-            # arms are 1/0 or 0/1 (a == b handled above)
-            return sel if self.const_value(a) else self.g_not(sel)
-        if self.is_const(a):
-            return (self.g_or(sel, b) if self.const_value(a)
+        if sel < 2:
+            return a if sel else b
+        if a < 2:
+            if b < 2:
+                # arms are 1/0 or 0/1 (a == b handled above)
+                return sel if a else self.g_not(sel)
+            return (self.g_or(sel, b) if a
                     else self.g_and(self.g_not(sel), b))
-        if self.is_const(b):
-            return (self.g_or(self.g_not(sel), a) if self.const_value(b)
+        if b < 2:
+            return (self.g_or(self.g_not(sel), a) if b
                     else self.g_and(sel, a))
-        return self._hashed(GateType.MUX2, (sel, a, b))
+        return self._hashed(self._mux, GateType.MUX2, (sel, a, b))
 
-    def _complementary(self, a: int, b: int) -> bool:
-        ga, gb = self.gates[a], self.gates[b]
-        return ((ga.kind is GateType.NOT and ga.inputs[0] == b)
-                or (gb.kind is GateType.NOT and gb.inputs[0] == a))
-
-    def _hashed(self, kind: GateType, inputs: tuple[int, ...]) -> int:
-        if kind in _COMMUTATIVE:
-            inputs = tuple(sorted(inputs))
-        key = (kind, inputs)
-        node = self._strash.get(key)
+    def _hashed(self, table: dict[tuple[int, ...], int], kind: GateType,
+                inputs: tuple[int, ...]) -> int:
+        node = table.get(inputs)
         if node is None:
-            node = self._raw(Gate(kind, inputs))
-            self._strash[key] = node
+            node = table[inputs] = self._next_id
+            self._next_id = node + 1
+            self.gates[node] = _new_gate(Gate, (kind, inputs, ""))
         return node
 
     # --------------------------------------------------------------- queries
 
     def counts(self) -> dict[GateType, int]:
-        """Gate population by type (excluding constants and inputs)."""
-        out: dict[GateType, int] = {}
-        for gate in self.gates.values():
-            if gate.kind in (GateType.CONST0, GateType.CONST1, GateType.INPUT):
-                continue
-            out[gate.kind] = out.get(gate.kind, 0) + 1
+        """Gate population by type (excluding constants and inputs), in
+        order of each type's first gate."""
+        out = dict(Counter(map(_kind_of, self.gates.values())))
+        for kind in _SOURCES:
+            out.pop(kind, None)
         return out
 
 
@@ -200,16 +207,19 @@ def sweep_dead(netlist: Netlist) -> None:
     The unused-instruction logic the RISSP philosophy removes shows up
     here as a concrete gate-count drop.
     """
-    live: set[int] = set()
-    stack = list(netlist.outputs.values())
+    gates = netlist.gates
+    live = {0, 1}   # the constants
+    stack: list[int] = []
+    for node in netlist.outputs.values():
+        if node not in live:
+            live.add(node)
+            stack.append(node)
     while stack:
-        node = stack.pop()
-        if node in live:
-            continue
-        live.add(node)
-        stack.extend(netlist.gates[node].inputs)
-    netlist.gates = {node: gate for node, gate in netlist.gates.items()
-                     if node in live
-                     or gate.kind in (GateType.CONST0, GateType.CONST1)}
+        for dep in gates[stack.pop()].inputs:
+            if dep not in live:
+                live.add(dep)
+                stack.append(dep)
+    netlist.gates = {node: gate for node, gate in gates.items()
+                     if node in live}
     netlist.dff_init = {node: init for node, init in netlist.dff_init.items()
-                        if node in netlist.gates}
+                        if node in live}

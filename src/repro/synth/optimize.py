@@ -17,7 +17,10 @@ Rules (classic standard-cell identities, applied over single-fanout fanins):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .netlist import GateType, Netlist
 from .techlib import FLEXIC_GEN3
@@ -27,7 +30,7 @@ _AO21_AREA = 1.8
 _NAND2_AREA = 1.0
 _NOR2_AREA = 1.0
 
-_SOURCES = (GateType.CONST0, GateType.CONST1, GateType.INPUT)
+_inputs_of = itemgetter(1)
 
 
 @dataclass
@@ -38,68 +41,79 @@ class MappedStats:
     dff_count: int = 0
     cell_counts: dict[str, int] = field(default_factory=dict)
 
-    def _bump(self, name: str) -> None:
-        self.cell_counts[name] = self.cell_counts.get(name, 0) + 1
-
 
 def fanout_counts(netlist: Netlist) -> dict[int, int]:
     """Fanout per node, counting primary outputs and DFF data pins."""
-    fanout: dict[int, int] = {}
-    for gate in netlist.gates.values():
-        for dep in gate.inputs:
-            fanout[dep] = fanout.get(dep, 0) + 1
-    for node in netlist.outputs.values():
-        fanout[node] = fanout.get(node, 0) + 1
+    fanout = Counter(chain.from_iterable(
+        map(_inputs_of, netlist.gates.values())))
+    fanout.update(netlist.outputs.values())
     return fanout
 
 
 def mapped_stats(netlist: Netlist) -> MappedStats:
-    """Compute virtually mapped cell counts and combinational area."""
-    stats = MappedStats()
-    fanout = fanout_counts(netlist)
-    absorbed: set[int] = set()
+    """Compute virtually mapped cell counts and combinational area.
+
+    The area is summed cell by cell in the order of the three walks, and
+    ``cell_counts`` lists each cell at its first mapping.
+    """
     gates = netlist.gates
+    single = {node for node, count in fanout_counts(netlist).items()
+              if count == 1}
+    absorbed: set[int] = set()
+    area = 0.0
+    cells: dict[str, int] = {}
 
     def is_abs_candidate(node: int, kind: GateType) -> bool:
-        gate = gates.get(node)
-        return (gate is not None and gate.kind is kind
-                and fanout.get(node, 0) == 1 and node not in absorbed)
+        return (node in single and gates[node].kind is kind
+                and node not in absorbed)
 
     # Walk ORs first so AO absorption wins over NAND/NOR folding.
-    for node, gate in gates.items():
-        if gate.kind is not GateType.OR2:
+    for node, (kind, inputs, _) in gates.items():
+        if kind is not GateType.OR2:
             continue
-        a, b = gate.inputs
+        a, b = inputs
         a_and = is_abs_candidate(a, GateType.AND2)
         b_and = is_abs_candidate(b, GateType.AND2)
         if a_and and b_and:
             absorbed.update((node, a, b))
-            stats.comb_area_ge += _AO22_AREA
-            stats._bump("AO22")
+            area += _AO22_AREA
+            cells["AO22"] = cells.get("AO22", 0) + 1
         elif a_and or b_and:
             absorbed.update((node, a if a_and else b))
-            stats.comb_area_ge += _AO21_AREA
-            stats._bump("AO21")
+            area += _AO21_AREA
+            cells["AO21"] = cells.get("AO21", 0) + 1
 
-    for node, gate in gates.items():
-        if gate.kind is not GateType.NOT or node in absorbed:
+    for node, (kind, inputs, _) in gates.items():
+        if kind is not GateType.NOT or node in absorbed:
             continue
-        inner = gate.inputs[0]
+        inner = inputs[0]
         if is_abs_candidate(inner, GateType.AND2):
             absorbed.update((node, inner))
-            stats.comb_area_ge += _NAND2_AREA
-            stats._bump("NAND2")
+            area += _NAND2_AREA
+            cells["NAND2"] = cells.get("NAND2", 0) + 1
         elif is_abs_candidate(inner, GateType.OR2):
             absorbed.update((node, inner))
-            stats.comb_area_ge += _NOR2_AREA
-            stats._bump("NOR2")
+            area += _NOR2_AREA
+            cells["NOR2"] = cells.get("NOR2", 0) + 1
 
-    for node, gate in gates.items():
-        if node in absorbed or gate.kind in _SOURCES:
+    # Every other gate maps to its own cell; sources and DFFs have no
+    # combinational area.
+    cell_area = {kind: cell.area_ge
+                 for kind, cell in FLEXIC_GEN3.cells.items()}
+    del cell_area[GateType.DFF]
+    own_cells: list[GateType] = []
+    dff_count = 0
+    for node, (kind, _, _) in gates.items():
+        if node in absorbed:
             continue
-        if gate.kind is GateType.DFF:
-            stats.dff_count += 1
+        cost = cell_area.get(kind)
+        if cost is None:
+            if kind is GateType.DFF:
+                dff_count += 1
             continue
-        stats.comb_area_ge += FLEXIC_GEN3.cell(gate.kind).area_ge
-        stats._bump(gate.kind.value.upper())
-    return stats
+        area += cost
+        own_cells.append(kind)
+    for kind, count in Counter(own_cells).items():
+        cells[kind.value.upper()] = count
+    return MappedStats(comb_area_ge=area, dff_count=dff_count,
+                       cell_counts=cells)

@@ -32,28 +32,34 @@ class TimingReport:
 def critical_path_units(netlist: Netlist) -> float:
     """Longest arrival time in delay units (DFF clk->q counted at source),
     in one pass over the gates in creation (so topological) order."""
-    cell = FLEXIC_GEN3.cell
+    delay = {kind: cell.delay_units
+             for kind, cell in FLEXIC_GEN3.cells.items()}
+    clk_to_q = delay.pop(GateType.DFF)
     arrival: dict[int, float] = {}
     worst = 0.0
-    for node, gate in netlist.gates.items():
-        kind = gate.kind
-        if kind in (GateType.CONST0, GateType.CONST1, GateType.INPUT):
-            arrival[node] = 0.0
+    flop_inputs: list[int] = []
+    for node, (kind, inputs, _) in netlist.gates.items():
+        step = delay.get(kind)
+        if step is None:   # a source
+            if kind is GateType.DFF:
+                arrival[node] = clk_to_q
+                flop_inputs.append(inputs[0])
+            else:
+                arrival[node] = 0.0
             continue
-        if kind is GateType.DFF:
-            arrival[node] = cell(GateType.DFF).delay_units
-            continue
-        here = max(arrival[dep] for dep in gate.inputs) \
-            + cell(kind).delay_units
+        here = arrival[inputs[0]]
+        for dep in inputs[1:]:
+            if arrival[dep] > here:
+                here = arrival[dep]
+        here += step
         arrival[node] = here
         if here > worst:
             worst = here
     # Paths ending in a DFF pay setup.
-    for node, gate in netlist.gates.items():
-        if gate.kind is GateType.DFF:
-            end = arrival[gate.inputs[0]] + DFF_SETUP_UNITS
-            if end > worst:
-                worst = end
+    for d in flop_inputs:
+        end = arrival[d] + DFF_SETUP_UNITS
+        if end > worst:
+            worst = end
     return worst
 
 

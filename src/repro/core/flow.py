@@ -24,6 +24,22 @@ from ..workloads import OPT_LEVEL, WORKLOADS, build_program
 from .subset_analysis import SubsetProfile, profile_program
 
 
+def app_core(name: str) -> tuple[Program, SubsetProfile, Module]:
+    """The flow's first half for one registered application: build its
+    binary, profile it at ``OPT_LEVEL`` (``"-"`` for an assembly image)
+    and stitch ``rissp_<name>`` for its subset, reset at the program's
+    entry.  :meth:`RisspFlow.generate` and the farm's cosim targets both
+    start here."""
+    workload = WORKLOADS[name]
+    program = build_program(workload)
+    # The legacy assembly firmware images bypass the -O sweep.
+    opt_level = "-" if workload.lang == "asm" else OPT_LEVEL
+    profile = profile_program(name, program, opt_level)
+    core = build_rissp(profile.core_subset(), name=f"rissp_{name}",
+                       reset_pc=program.entry)
+    return program, profile, core
+
+
 @dataclass
 class RisspResult:
     """Everything produced for one application."""
@@ -76,12 +92,7 @@ class RisspFlow:
         generation time, with the finding list — not later in cosim.
         """
         workload = WORKLOADS[name]
-        program = build_program(workload)
-        # The legacy assembly firmware images bypass the -O sweep.
-        opt_level = "-" if workload.lang == "asm" else OPT_LEVEL
-        profile = profile_program(name, program, opt_level)
-        core = build_rissp(profile.core_subset(), name=f"rissp_{name}",
-                           reset_pc=program.entry)
+        program, profile, core = app_core(name)
         synth = synthesize(core, seed=name)
         result = RisspResult(name=name, profile=profile, core=core,
                              synth=synth, program=program,

@@ -143,20 +143,14 @@ def lint_campaign(subsets: Sequence[str] | None = None,
 # ---------------------------------------------------------------- cosim
 
 def workload_target(name: str) -> tuple[Module, Program, object]:
-    """Build one workload's (core, program, soc_spec) the same way the
-    end-to-end flow does — compile, profile the binary, stitch the RISSP
-    for its subset — minus synthesis, which cosimulation never needs."""
-    from ..core.subset_analysis import profile_program
-    from ..rtl.rissp import build_rissp
-    from ..workloads import OPT_LEVEL, WORKLOADS, build_program
+    """One workload's (core, program, soc_spec), built by the end-to-end
+    flow's first half (:func:`~repro.core.flow.app_core`); cosimulation
+    needs no synthesis."""
+    from ..core.flow import app_core
+    from ..workloads import WORKLOADS
 
-    workload = WORKLOADS[name]
-    program = build_program(workload)
-    profile = profile_program(name, program,
-                              "-" if workload.lang == "asm" else OPT_LEVEL)
-    core = build_rissp(profile.core_subset(), name=f"rissp_{name}",
-                       reset_pc=program.entry)
-    return core, program, workload.soc_spec
+    program, _, core = app_core(name)
+    return core, program, WORKLOADS[name].soc_spec
 
 
 def cosim_campaign(workloads: Sequence[str] = (), fuzz_chunks: int = 0,

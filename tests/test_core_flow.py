@@ -34,6 +34,19 @@ def test_generated_core_matches_profile(flow):
     assert "ecall" in core_subset    # halt support always included
 
 
+def test_farm_targets_are_the_flow_cores(flow):
+    """The farm's cosim targets and the flow share one first half, so an
+    assembly image and a C app each become the same core both ways."""
+    from repro.farm.campaigns import workload_target
+    from repro.farm.tasks import CoreSpec
+    for name in ("label_refresh", "xgboost"):
+        core, program, soc = workload_target(name)
+        result = flow.generate(name)
+        assert CoreSpec.of(core) == CoreSpec.of(result.core)
+        assert program.text_words == result.program.text_words
+        assert soc is result.soc_spec
+
+
 def test_flow_with_verification(flow):
     result = flow.generate("armpit", run_verification=True)
     assert result.verified["cosim"]

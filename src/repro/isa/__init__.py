@@ -5,7 +5,7 @@ Public surface:
     * :class:`Instruction`, :func:`encode`, :func:`decode`
     * :func:`step` — the executable specification (one retire)
     * :class:`Assembler`, :func:`assemble`, :class:`Program`
-    * :func:`disassemble`
+    * :func:`disassemble_word`, :func:`format_instruction`
 """
 
 from .bits import sign_extend, to_s32, to_u32
@@ -26,7 +26,7 @@ from .instructions import (
     lookup,
 )
 from .assembler import Assembler, AssemblerError, assemble
-from .disassembler import disassemble, disassemble_word, format_instruction
+from .disassembler import disassemble_word, format_instruction
 from .program import DEFAULT_DATA_BASE, DEFAULT_MEM_SIZE, DEFAULT_TEXT_BASE, Program
 from .registers import (
     ABI_NAMES,
@@ -46,7 +46,7 @@ __all__ = [
     "FULL_ISA_SIZE", "INSTRUCTIONS", "InstrDef", "Instruction", "LOADS",
     "MemWrite", "Program", "RV32E_NUM_REGS", "RV32I_NUM_REGS",
     "RegisterError", "STORES", "SpecError", "assemble", "decode",
-    "disassemble", "disassemble_word", "encode", "format_instruction",
+    "disassemble_word", "encode", "format_instruction",
     "lookup", "parse_register", "register_name", "sign_extend", "step",
     "to_s32", "to_u32",
 ]

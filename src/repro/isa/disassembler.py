@@ -50,13 +50,3 @@ def disassemble_word(word: int, addr: int | None = None) -> str:
         return format_instruction(decode(word), addr)
     except DecodeError:
         return f".word {word:#010x}"
-
-
-def disassemble(words: list[int]) -> list[str]:
-    """Disassemble a text section loaded at address 0 into ``addr: text``
-    lines."""
-    lines = []
-    for index, word in enumerate(words):
-        addr = 4 * index
-        lines.append(f"{addr:#010x}: {disassemble_word(word, addr)}")
-    return lines

@@ -1,4 +1,4 @@
-"""Disassembler round-trip: assemble(disassemble(word)) == word.
+"""Disassembler round-trip: assemble(disassemble_word(word)) == word.
 
 The canonical-text rendering of :mod:`repro.isa.disassembler` must be
 legal assembler input that encodes back to the identical word, for

@@ -27,25 +27,26 @@ class NetSim:
         """Evaluate with named input bits; returns named output bits."""
         values = self.values
         values.clear()
-        for node, (kind, deps, name) in self.netlist.gates.items():
+        for node, gate in self.netlist.gates.items():
+            kind = gate.kind
             if kind is GateType.CONST0:
                 values[node] = 0
             elif kind is GateType.CONST1:
                 values[node] = 1
             elif kind is GateType.INPUT:
-                values[node] = inputs.get(name, 0) & 1
+                values[node] = inputs.get(gate.name, 0) & 1
             elif kind is GateType.DFF:
                 values[node] = self.dff_state.get(node, 0)
             elif kind is GateType.NOT:
-                values[node] = 1 - values[deps[0]]
+                values[node] = 1 - values[gate.inputs[0]]
             elif kind is GateType.AND2:
-                values[node] = values[deps[0]] & values[deps[1]]
+                values[node] = values[gate.inputs[0]] & values[gate.inputs[1]]
             elif kind is GateType.OR2:
-                values[node] = values[deps[0]] | values[deps[1]]
+                values[node] = values[gate.inputs[0]] | values[gate.inputs[1]]
             elif kind is GateType.XOR2:
-                values[node] = values[deps[0]] ^ values[deps[1]]
+                values[node] = values[gate.inputs[0]] ^ values[gate.inputs[1]]
             elif kind is GateType.MUX2:
-                sel, a, b = deps
+                sel, a, b = gate.inputs
                 values[node] = values[a] if values[sel] else values[b]
             else:  # pragma: no cover
                 raise ValueError(f"cannot simulate {kind}")
@@ -54,9 +55,9 @@ class NetSim:
 
     def tick(self) -> None:
         """Commit DFF next-state (call after :meth:`eval_comb`)."""
-        for node, (kind, deps, _) in self.netlist.gates.items():
-            if kind is GateType.DFF:
-                self.dff_state[node] = self.values[deps[0]]
+        for node, gate in self.netlist.gates.items():
+            if gate.kind is GateType.DFF:
+                self.dff_state[node] = self.values[gate.inputs[0]]
 
 
 def eval_words(netlist: Netlist, inputs: dict[str, int],

@@ -68,10 +68,10 @@ def mapped_stats(netlist: Netlist) -> MappedStats:
                 and node not in absorbed)
 
     # Walk ORs first so AO absorption wins over NAND/NOR folding.
-    for node, (kind, inputs, _) in gates.items():
-        if kind is not GateType.OR2:
+    for node, gate in gates.items():
+        if gate.kind is not GateType.OR2:
             continue
-        a, b = inputs
+        a, b = gate.inputs
         a_and = is_abs_candidate(a, GateType.AND2)
         b_and = is_abs_candidate(b, GateType.AND2)
         if a_and and b_and:
@@ -83,10 +83,10 @@ def mapped_stats(netlist: Netlist) -> MappedStats:
             area += _AO21_AREA
             cells["AO21"] = cells.get("AO21", 0) + 1
 
-    for node, (kind, inputs, _) in gates.items():
-        if kind is not GateType.NOT or node in absorbed:
+    for node, gate in gates.items():
+        if gate.kind is not GateType.NOT or node in absorbed:
             continue
-        inner = inputs[0]
+        inner = gate.inputs[0]
         if is_abs_candidate(inner, GateType.AND2):
             absorbed.update((node, inner))
             area += _NAND2_AREA
@@ -103,9 +103,10 @@ def mapped_stats(netlist: Netlist) -> MappedStats:
     del cell_area[GateType.DFF]
     own_cells: list[GateType] = []
     dff_count = 0
-    for node, (kind, _, _) in gates.items():
+    for node, gate in gates.items():
         if node in absorbed:
             continue
+        kind = gate.kind
         cost = cell_area.get(kind)
         if cost is None:
             if kind is GateType.DFF:

@@ -38,10 +38,11 @@ def critical_path_units(netlist: Netlist) -> float:
     arrival: dict[int, float] = {}
     worst = 0.0
     flop_inputs: list[int] = []
-    for node, (kind, inputs, _) in netlist.gates.items():
-        step = delay.get(kind)
+    for node, gate in netlist.gates.items():
+        step = delay.get(gate.kind)
+        inputs = gate.inputs
         if step is None:   # a source
-            if kind is GateType.DFF:
+            if gate.kind is GateType.DFF:
                 arrival[node] = clk_to_q
                 flop_inputs.append(inputs[0])
             else:

@@ -219,7 +219,8 @@ def sweep_dead(netlist: Netlist) -> None:
             if dep not in live:
                 live.add(dep)
                 stack.append(dep)
-    netlist.gates = {node: gate for node, gate in gates.items()
-                     if node in live}
-    netlist.dff_init = {node: init for node, init in netlist.dff_init.items()
-                        if node in live}
+    # Deleting keeps the survivors in creation order.
+    for node in gates.keys() - live:
+        del gates[node]
+    for node in netlist.dff_init.keys() - live:
+        del netlist.dff_init[node]

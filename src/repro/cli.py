@@ -2,9 +2,10 @@
 
 One CLI drives the verification campaigns the repository accumulated —
 cosimulation, the RTL mutant kill matrix, riscof-analog compliance, the
-farm scaling benchmark, the batched fleet throughput stage, and the
-coverage-guided scenario campaign — through the multi-process simulation
-farm (:mod:`repro.farm`).
+coverage-guided scenario campaign and the static-analysis sweep — through
+the multi-process simulation farm (:mod:`repro.farm`).  Compliance walks
+its targets in-process at any worker count: one worker's core rebuild
+costs more than the whole walk.
 
 Configuration is **declarative**: :class:`FarmConfig` is a plain
 dataclass whose fields *are* the command line (in the style of
@@ -44,8 +45,7 @@ from .rtl.sim import BACKENDS
 from .verify.fuzz import FUZZ_BASE_SEED
 
 #: Stage names, in the order a multi-stage invocation runs them.
-STAGES = ("cosim", "mutation", "compliance", "bench", "fleet",
-          "scenarios", "lint")
+STAGES = ("cosim", "mutation", "compliance", "scenarios", "lint")
 
 
 def _cfg(default, help_text: str, **extra):
@@ -77,7 +77,7 @@ class FarmConfig:
     workers: int = _cfg(
         1, "process-pool size; 1 = the exact serial path")
     shards: int = _cfg(
-        0, "compliance task groups (0 = one group per worker)")
+        0, "scenario task groups (0 = one group per worker)")
     fuzz_chunks: int = _cfg(
         0, "seeded random-program cosim chunks added to the cosim stage")
     fuzz_seed: int = _cfg(
@@ -91,10 +91,6 @@ class FarmConfig:
         24, "mutants enumerated by the mutation stage")
     mutation_budget: int = _cfg(
         2_000, "retirement budget per mutant cosim")
-    bench_workers: tuple[int, ...] = _cfg(
-        (1, 2, 4), "worker counts the bench stage times")
-    fleet_instances: int = _cfg(
-        1024, "core+firmware instances the fleet stage batches")
     scenario_count: int = _cfg(
         64, "random scenarios the scenarios stage generates")
     scenario_seed: int = _cfg(
@@ -158,9 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         hint = hints[spec.name]
         kwargs: dict = {"help": help_text, "default": default, **metadata}
         if typing.get_origin(hint) is tuple:
-            element = typing.get_args(hint)[0]
             kwargs["nargs"] = "*"
-            kwargs["type"] = _int if element is int else element
+            kwargs["type"] = typing.get_args(hint)[0]
         elif hint is int:
             kwargs["type"] = _int
         else:
@@ -220,6 +215,9 @@ def _stage_cosim(config: FarmConfig) -> tuple[bool, dict]:
         # vacuous pass claiming success with nothing verified.
         _echo("cosim: no backends configured — nothing verified -> FAIL")
         return False, {"verdicts": {}}
+    if config.fuzz_chunks < 0:
+        _echo("cosim: --fuzz-chunks must not be negative -> FAIL")
+        return False, {"verdicts": {}}
     if not config.workloads and not config.fuzz_chunks:
         _echo("cosim: no workloads and no fuzz chunks — nothing "
               "verified -> FAIL")
@@ -246,12 +244,21 @@ def _stage_mutation(config: FarmConfig) -> tuple[bool, dict]:
     from .farm import mutation_exercise_target
     from .verify.mutation import rtl_mutant_kill_matrix
 
+    nothing = {"mutants": 0, "killed": 0, "disagreements": []}
     if not config.backends:
         # Empty verdict rows would crash the kill count (StopIteration
         # inside the generator) — fail cleanly instead.
         _echo("mutation: no backends configured — nothing verified "
               "-> FAIL")
-        return False, {"mutants": 0, "killed": 0, "disagreements": []}
+        return False, nothing
+    # No mutant (or no retirement per mutant) would make every verdict
+    # vacuous: 0/0 killed, or every mutant "killed" by its budget.
+    for option, value in (("--mutation-limit", config.mutation_limit),
+                          ("--mutation-budget", config.mutation_budget)):
+        if value <= 0:
+            _echo(f"mutation: {option} must be positive — nothing "
+                  f"verified -> FAIL")
+            return False, nothing
     core, program = mutation_exercise_target()
     matrix = rtl_mutant_kill_matrix(
         core, program, backends=tuple(config.backends),
@@ -276,8 +283,7 @@ def _stage_compliance(config: FarmConfig) -> tuple[bool, dict]:
     from .verify.riscof import run_compliance
 
     core = build_rissp([d.mnemonic for d in INSTRUCTIONS])
-    report = run_compliance(core, workers=config.workers,
-                            shards=config.shards)
+    report = run_compliance(core)
     for mismatch in report.mismatches:
         _echo(f"  MISMATCH {mismatch}")
     _echo(f"compliance: {report.tests_run} programs, "
@@ -287,61 +293,19 @@ def _stage_compliance(config: FarmConfig) -> tuple[bool, dict]:
                               "mismatches": report.mismatches}
 
 
-def _stage_bench(config: FarmConfig) -> tuple[bool, dict]:
-    from .core.bench_schema import write_bench_artifact
-    from .farm import farm_scaling_metrics
-
-    if not config.bench_workers or not config.backends:
-        # Zero worker counts would crash indexing the serial baseline;
-        # zero backends would time an empty campaign.
-        _echo("bench: needs at least one worker count and one backend "
-              "-> FAIL")
-        return False, {}
-    metrics = farm_scaling_metrics(
-        worker_counts=tuple(config.bench_workers),
-        backends=tuple(config.backends))
-    for key, seconds in metrics["wallclock_sec"].items():
-        _echo(f"  {key:<12} {seconds:7.2f}s")
-    for workers in config.bench_workers[1:]:
-        _echo(f"  speedup at {workers} workers: "
-              f"{metrics[f'speedup_workers_{workers}']:.2f}x")
-    path = write_bench_artifact("farm_scaling", metrics)
-    _echo(f"bench: wrote {path}")
-    return True, {"metrics": metrics, "artifact": str(path)}
-
-
-def _stage_fleet(config: FarmConfig) -> tuple[bool, dict]:
-    from .core.bench_schema import write_bench_artifact
-    from .farm import fleet_throughput_metrics
-
-    if config.fleet_instances <= 0:
-        _echo("fleet: needs at least one instance -> FAIL")
-        return False, {}
-    metrics = fleet_throughput_metrics(
-        instances=config.fleet_instances, workers=config.workers)
-    _echo(f"  instances            {metrics['instances']}")
-    _echo(f"  retirements          {metrics['retirements']}")
-    _echo(f"  fleet cycles/sec     {metrics['fleet_cycles_per_sec']:,.0f}")
-    _echo(f"  single cycles/sec    {metrics['single_cycles_per_sec']:,.0f}")
-    _echo(f"  speedup vs single    "
-          f"{metrics['speedup_vs_single']:.2f}x")
-    _echo(f"  single construct     "
-          f"{metrics['single_construct_share']:.0%} of end to end")
-    path = write_bench_artifact("fleet_throughput", metrics)
-    _echo(f"fleet: wrote {path}")
-    return True, {"metrics": metrics, "artifact": str(path)}
-
-
 def _stage_scenarios(config: FarmConfig) -> tuple[bool, dict]:
     from .scenario import (probe_gate_missing, scenario_campaign,
                            write_report)
 
-    if config.scenario_count <= 0:
-        # Probes alone could still "pass"; an explicit zero-scenario
-        # request is a misconfiguration, not vacuous 100% coverage.
-        _echo("scenarios: --scenario-count must be positive — nothing "
-              "generated -> FAIL")
-        return False, {"covered": 0, "bins": 0, "failures": []}
+    # Probes alone could still "pass"; an explicit zero-scenario request
+    # is a misconfiguration, not vacuous 100% coverage, and a zero budget
+    # retires no instruction in any scenario.
+    for option, value in (("--scenario-count", config.scenario_count),
+                          ("--scenario-budget", config.scenario_budget)):
+        if value <= 0:
+            _echo(f"scenarios: {option} must be positive — nothing "
+                  f"generated -> FAIL")
+            return False, {"covered": 0, "bins": 0, "failures": []}
     result = scenario_campaign(
         count=config.scenario_count, base_seed=config.scenario_seed,
         budget=config.scenario_budget, workers=config.workers,
@@ -416,9 +380,8 @@ def _stage_lint(config: FarmConfig) -> tuple[bool, dict]:
 
 
 _STAGE_RUNNERS = {"cosim": _stage_cosim, "mutation": _stage_mutation,
-                  "compliance": _stage_compliance, "bench": _stage_bench,
-                  "fleet": _stage_fleet, "scenarios": _stage_scenarios,
-                  "lint": _stage_lint}
+                  "compliance": _stage_compliance,
+                  "scenarios": _stage_scenarios, "lint": _stage_lint}
 
 
 def _run_stage(config: FarmConfig, stage: str) -> tuple[bool, dict]:

@@ -38,8 +38,8 @@ class CompileResult:
 def normalize_level(level: str) -> str:
     cleaned = level.lstrip("-").capitalize() if level.lower().startswith(
         ("-o", "o")) else level
-    cleaned = cleaned.replace("O0", "O0")
-    candidate = "O" + cleaned[-1] if cleaned[-1] in "0123z" else cleaned
+    candidate = ("O" + cleaned[-1] if cleaned.endswith(tuple("0123z"))
+                 else cleaned)
     if candidate == "OZ":
         candidate = "Oz"
     if candidate not in OPT_LEVELS:

@@ -1,9 +1,11 @@
 """repro.farm — the multi-process simulation farm (PR 6).
 
 Shards the embarrassingly parallel verification campaigns — cosimulation,
-the RTL mutant kill matrix, riscof-analog compliance, seeded differential
-fuzz — across cores on a :class:`concurrent.futures.ProcessPoolExecutor`
-work queue, behind the single ``python -m repro`` CLI.
+seeded differential fuzz, the RTL mutant kill matrix, coverage-guided
+scenarios, the RTL lint sweep — across cores on a
+:class:`concurrent.futures.ProcessPoolExecutor` work queue, behind the
+single ``python -m repro`` CLI.  Compliance is not sharded: its whole
+walk costs less than one worker's core rebuild.
 
 Design rules (see the module docstrings for the fine print):
 
@@ -25,14 +27,12 @@ from .campaigns import (
     MUTATION_EXERCISE_SUBSET,
     cosim_campaign,
     farm_scaling_metrics,
-    fleet_campaign,
     fleet_exercise_target,
     fleet_lane_value,
     fleet_throughput_metrics,
     lint_campaign,
     lint_targets,
     mutation_exercise_target,
-    sharded_compliance_mismatches,
     workload_target,
 )
 from .runner import (
@@ -42,24 +42,20 @@ from .runner import (
     run_tasks,
 )
 from .tasks import (
-    ComplianceTask,
     CoreMaterializeError,
     CoreSpec,
     CosimTask,
-    FleetShardTask,
     FuzzCosimTask,
     LintTask,
     MutantTask,
 )
 
 __all__ = [
-    "ComplianceTask", "CoreMaterializeError", "CoreSpec", "CosimTask",
-    "FLEET_EXERCISE_PROGRAM", "FarmTaskError", "FleetShardTask",
-    "FuzzCosimTask", "LintTask", "MUTATION_EXERCISE_PROGRAM",
-    "MUTATION_EXERCISE_SUBSET", "MutantTask", "cosim_campaign",
-    "execute_task", "execute_task_telemetry", "farm_scaling_metrics",
-    "fleet_campaign", "fleet_exercise_target", "fleet_lane_value",
+    "CoreMaterializeError", "CoreSpec", "CosimTask",
+    "FLEET_EXERCISE_PROGRAM", "FarmTaskError", "FuzzCosimTask", "LintTask",
+    "MUTATION_EXERCISE_PROGRAM", "MUTATION_EXERCISE_SUBSET", "MutantTask",
+    "cosim_campaign", "execute_task", "execute_task_telemetry",
+    "farm_scaling_metrics", "fleet_exercise_target", "fleet_lane_value",
     "fleet_throughput_metrics", "lint_campaign", "lint_targets",
-    "mutation_exercise_target", "run_tasks",
-    "sharded_compliance_mismatches", "workload_target",
+    "mutation_exercise_target", "run_tasks", "workload_target",
 ]

@@ -10,53 +10,25 @@ Each campaign here follows one shape:
    serial code path produces — so every campaign is bit-identical for any
    worker count, which the farm tests assert by diffing merged results.
 
-The compliance campaign is the farm backend of
-:func:`repro.verify.riscof.run_compliance` (the mutant kill matrix,
-:func:`repro.verify.mutation.rtl_mutant_kill_matrix`, builds its own
-tasks); the cosim campaign is the
-``repro`` CLI's cosim stage (real workloads on their own generated cores,
-plus seeded fuzz chunks).
+The cosim campaign is the ``repro`` CLI's cosim stage (real workloads on
+their own generated cores, plus seeded fuzz chunks) and the lint campaign
+its lint stage; the mutant kill matrix
+(:func:`repro.verify.mutation.rtl_mutant_kill_matrix`) and the scenario
+campaign build their own tasks.  The fleet throughput and farm scaling
+measurements below back the ``BENCH_*.json`` benchmarks.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..isa.program import Program
 from ..rtl.ir import Module
 from ..verify.fuzz import FUZZ_BASE_SEED, derive_seed
-from .runner import run_tasks, shard_ranges
-from .tasks import (
-    ComplianceTask,
-    CoreSpec,
-    CosimTask,
-    FleetShardTask,
-    FuzzCosimTask,
-    LintTask,
-)
-
-# ----------------------------------------------------------- compliance
-
-def sharded_compliance_mismatches(core: Module, targets: Iterable[str],
-                                  workers: int = 1,
-                                  shards: int = 0) -> list[str]:
-    """Farm path of :func:`repro.verify.riscof.run_compliance`: the
-    target list cut into ``shards`` contiguous ranges (0 = one range per
-    worker), mismatches concatenated in range order, which is target
-    order."""
-    spec = CoreSpec.of(core)
-    targets = list(targets)
-    tasks = [ComplianceTask(task_id=f"compliance[{index:02d}]", core=spec,
-                            mnemonics=tuple(targets[lo:hi]))
-             for index, (lo, hi) in enumerate(
-                 shard_ranges(len(targets), shards or workers))]
-    merged: list[str] = []
-    for mismatches in run_tasks(tasks, workers=workers):
-        merged.extend(mismatches)
-    return merged
-
+from .runner import run_tasks
+from .tasks import CoreSpec, CosimTask, FuzzCosimTask, LintTask
 
 # ----------------------------------------------------------------- lint
 
@@ -217,8 +189,7 @@ loop:
 """
 
 #: Per-lane differentiation: ``a2`` (x12) gets ``BASE + lane % SPREAD``
-#: — a pure function of the global lane index, so sharding can never
-#: change a lane's workload.
+#: — a pure function of the lane index.
 FLEET_ID_REGISTER = 12
 FLEET_ID_BASE = 12
 FLEET_ID_SPREAD = 5
@@ -229,13 +200,13 @@ FLEET_MEM_SIZE = 0x10000
 
 
 def fleet_lane_value(lane: int) -> int:
-    """The ``a2`` parameter of one (globally indexed) fleet lane."""
+    """The ``a2`` parameter of one fleet lane."""
     return FLEET_ID_BASE + lane % FLEET_ID_SPREAD
 
 
 def fleet_exercise_target() -> tuple[Module, Program]:
-    """The (core, program) pair fleet campaigns batch: the full-table
-    RISSP (same rebuildable core the fuzz campaign ships) running
+    """The (core, program) pair the fleet measurement batches: the
+    full-table RISSP (the core the fuzz campaign ships) running
     :data:`FLEET_EXERCISE_PROGRAM`."""
     from ..isa.assembler import assemble
     from ..isa.instructions import INSTRUCTIONS
@@ -245,35 +216,12 @@ def fleet_exercise_target() -> tuple[Module, Program]:
             assemble(FLEET_EXERCISE_PROGRAM))
 
 
-def fleet_campaign(instances: int, workers: int = 1, shards: int = 0,
-                   max_instructions: int = 1_000, quantum: int = 256
-                   ) -> list[tuple[int, int, int, str]]:
-    """Per-lane ``(lane, exit_code, instructions, halted_by)`` rows for
-    ``instances`` fleet lanes, sharded as contiguous lane ranges across
-    the process pool (0 shards = one range per worker).  Rows concatenate
-    in shard order — lane order — so the merged output is bit-identical
-    for any worker/shard split."""
-    core, program = fleet_exercise_target()
-    spec = CoreSpec.of(core)
-    tasks = [FleetShardTask(
-        task_id=f"fleet[{index:02d}]", core=spec, program=program,
-        lane_lo=lo, lane_hi=hi,
-        max_instructions=max_instructions, quantum=quantum,
-        mem_size=FLEET_MEM_SIZE)
-        for index, (lo, hi) in enumerate(
-            shard_ranges(instances, shards or workers))]
-    rows: list[tuple[int, int, int, str]] = []
-    for shard_rows in run_tasks(tasks, workers=workers):
-        rows.extend(shard_rows)
-    return rows
-
-
 #: Timed reps of the single-core baseline in
 #: :func:`fleet_throughput_metrics` (odd, so the median is one rep).
 _BASELINE_REPS = 5
 
 
-def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
+def fleet_throughput_metrics(instances: int = 1024,
                              quantum: int = 256, sample: int = 8,
                              baseline_sample: int = 128,
                              max_instructions: int = 1_000) -> dict:
@@ -294,9 +242,7 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
     construction time over its end-to-end time.  The baseline loop is
     timed :data:`_BASELINE_REPS` times and every single-core figure is
     the rep with the median share, because one rep's share swings with
-    a GC pause or a dip in host speed.  With ``workers > 1``
-    the sharded campaign is also timed and its merged rows checked
-    bit-identical to the serial rows.
+    a GC pause or a dip in host speed.
     """
     from ..rtl.core_sim import RisspSim, RunResult
     from ..rtl.fleet import FleetSim
@@ -369,9 +315,7 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
 
     fleet_cps = retirements / fleet_seconds
     single_cps = baseline_retirements / single_seconds
-    wallclock = {"fleet_batched": fleet_seconds,
-                 "single_core_sampled": single_seconds}
-    metrics: dict = {
+    return {
         "campaign": "fleet_throughput",
         "instances": instances,
         "retirements": retirements,
@@ -382,30 +326,14 @@ def fleet_throughput_metrics(instances: int = 1024, workers: int = 1,
         "fleet_cycles_per_sec": fleet_cps,
         "single_cycles_per_sec": single_cps,
         "speedup_vs_single": fleet_cps / single_cps,
-        "wallclock_sec": wallclock,
+        "wallclock_sec": {"fleet_batched": fleet_seconds,
+                          "single_core_sampled": single_seconds},
         "construct_s": {"fleet_batched": fleet_construct,
                         "single_core_sampled": single_construct},
         "run_s": {"fleet_batched": fleet_seconds - fleet_construct,
                   "single_core_sampled": single_seconds - single_construct},
         "single_construct_share": share,
     }
-    if workers > 1:
-        serial_rows = [(lane, result.exit_code, result.instructions,
-                        result.halted_by)
-                       for lane, result in enumerate(results)]
-        started = time.perf_counter()
-        sharded_rows = fleet_campaign(
-            instances, workers=workers,
-            max_instructions=max_instructions, quantum=quantum)
-        wallclock[f"fleet_sharded_workers_{workers}"] = \
-            time.perf_counter() - started
-        # Not an assert: must survive ``python -O``.
-        if sharded_rows != serial_rows:
-            raise RuntimeError(
-                f"sharded fleet campaign at workers={workers} diverged "
-                f"from the serial batched run")
-        metrics["sharded_workers"] = workers
-    return metrics
 
 
 # -------------------------------------------------- scaling measurement
@@ -472,8 +400,7 @@ _SCALING_MUTANTS = 32
 _SCALING_BUDGET = 4_000
 
 
-def farm_scaling_metrics(worker_counts: Sequence[int] = (1, 2, 4),
-                         backends: Sequence[str] = ("fused",)) -> dict:
+def farm_scaling_metrics(worker_counts: Sequence[int] = (1, 2, 4)) -> dict:
     """Campaign wall-clock vs worker count, for ``BENCH_farm_scaling``.
 
     Runs the mutant-kill-matrix campaign once per worker count (the
@@ -490,7 +417,7 @@ def farm_scaling_metrics(worker_counts: Sequence[int] = (1, 2, 4),
     for workers in worker_counts:
         started = time.perf_counter()
         matrix = rtl_mutant_kill_matrix(
-            core, program, backends=tuple(backends),
+            core, program, backends=("fused",),
             limit=_SCALING_MUTANTS, max_instructions=_SCALING_BUDGET,
             workers=workers)
         wallclock[f"workers_{workers}"] = time.perf_counter() - started
@@ -506,7 +433,7 @@ def farm_scaling_metrics(worker_counts: Sequence[int] = (1, 2, 4),
     metrics: dict = {
         "campaign": "rtl_mutant_kill_matrix",
         "mutants": len(reference),
-        "backend": ",".join(backends),
+        "backend": "fused",
         "cpu_count": os.cpu_count() or 1,
         "wallclock_sec": wallclock,
     }

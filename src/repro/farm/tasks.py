@@ -1,7 +1,7 @@
 """Pure, picklable task descriptions for the simulation farm.
 
 The campaigns this farm shards — cosimulation, the mutant kill matrix,
-riscof compliance — were written around live objects that cannot cross a
+scenarios, lint — were written around live objects that cannot cross a
 process boundary: ``Module`` expression DAGs wired into exec-compiled
 closures, ``RisspSim``/``GoldenSim`` instances holding memories and
 generated code.  A farm task therefore carries only *descriptions*:
@@ -206,52 +206,6 @@ class MutantTask:
 
 
 @dataclass(frozen=True)
-class FleetShardTask:
-    """One contiguous lane range of a batched fleet campaign.
-
-    The shard builds a :class:`~repro.rtl.fleet.FleetSim` over its lanes
-    only, differentiates each lane by poking ``FLEET_ID_REGISTER`` with
-    :func:`~repro.farm.campaigns.fleet_lane_value` of the lane's *global*
-    index (so results are a pure function of the lane index, not of how
-    the campaign was sharded), and
-    returns one ``(lane, exit_code, instructions, halted_by)`` row per
-    lane in lane order — the merge step concatenates shard results in
-    shard order, which restores the serial row order exactly.
-    """
-
-    task_id: str
-    core: CoreSpec
-    program: Program
-    lane_lo: int
-    lane_hi: int
-    max_instructions: int = 100_000
-    quantum: int = 256
-    mem_size: int = 0x10000
-
-    def describe(self) -> str:
-        return (f"fleet {self.task_id}: core={self.core.name} "
-                f"lanes=[{self.lane_lo},{self.lane_hi}) "
-                f"quantum={self.quantum}")
-
-    def run(self) -> list[tuple[int, int, int, str]]:
-        from ..rtl.fleet import FleetSim
-        from .campaigns import FLEET_ID_REGISTER, fleet_lane_value
-
-        fleet = FleetSim(self.core.build(), self.program,
-                         self.lane_hi - self.lane_lo,
-                         mem_size=self.mem_size)
-        for slot, lane in enumerate(range(self.lane_lo, self.lane_hi)):
-            fleet.poke_regfile(slot, FLEET_ID_REGISTER,
-                               fleet_lane_value(lane))
-        results = fleet.run(max_instructions=self.max_instructions,
-                            quantum=self.quantum)
-        return [(lane, result.exit_code, result.instructions,
-                 result.halted_by)
-                for lane, result in zip(range(self.lane_lo, self.lane_hi),
-                                        results)]
-
-
-@dataclass(frozen=True)
 class ScenarioShardTask:
     """One contiguous scenario range of a coverage-guided campaign.
 
@@ -281,36 +235,6 @@ class ScenarioShardTask:
         core = self.core.build()
         return [run_scenario(core, scenario, check_backends=check)
                 for scenario, check in zip(self.scenarios, self.checks)]
-
-
-@dataclass(frozen=True)
-class ComplianceTask:
-    """One shard of the riscof-analog compliance target list.
-
-    ``run()`` returns the concatenated mismatch strings of its mnemonics,
-    in target order; the merge step concatenates shard results in shard
-    order, reproducing the serial report exactly.  A worker computes the
-    golden reference signature of each of its mnemonics once, in memory
-    (see :mod:`repro.verify.riscof`): a campaign's shards split its
-    target list, so no two of them need the same signature.
-    """
-
-    task_id: str
-    core: CoreSpec
-    mnemonics: tuple[str, ...]
-
-    def describe(self) -> str:
-        return (f"compliance {self.task_id}: core={self.core.name} "
-                f"mnemonics={','.join(self.mnemonics)}")
-
-    def run(self) -> list[str]:
-        from ..verify.riscof import check_compliance_mnemonic
-
-        core = self.core.build()
-        mismatches: list[str] = []
-        for mnemonic in self.mnemonics:
-            mismatches.extend(check_compliance_mnemonic(core, mnemonic))
-        return mismatches
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ loop itself.  All lanes share one per-word decode cache — the same
 ``_DCACHE`` dict the single-instance fused loop uses.
 
 **Determinism contract**: each lane's trajectory is a pure function of its
-own program, pokes and retirement budget.  Batch size, lane order, the
-stepping quantum and how lanes are sharded across processes never change
-any lane's results — the batched loop keeps every lane's state in its own
-arrays and the divergence rule below hands a lane over *before* an
-instruction the batch cannot complete bit-identically applies any state.
+own program, pokes and retirement budget.  Batch size, lane order and
+the stepping quantum never change any lane's results — the batched loop
+keeps every lane's state in its own arrays and the divergence rule below
+hands a lane over *before* an instruction the batch cannot complete
+bit-identically applies any state.
 
 **Divergence fallback**: the batched loop runs the single-instance fused
 retirement body against flat RAM.  Where that loop would call back into

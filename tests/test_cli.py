@@ -44,12 +44,10 @@ def test_every_config_field_is_a_cli_option():
 def test_tuple_fields_take_multiple_values():
     config = parse_config(["cosim", "mutation",
                            "--backends", "fused", "interpreter",
-                           "--workloads", "crc32",
-                           "--bench-workers", "1", "2"])
+                           "--workloads", "crc32"])
     assert config.stages == ("cosim", "mutation")
     assert config.backends == ("fused", "interpreter")
     assert config.workloads == ("crc32",)
-    assert config.bench_workers == (1, 2)
 
 
 def test_tuple_options_with_zero_values_yield_empty_tuples():
@@ -63,8 +61,6 @@ def test_tuple_options_with_zero_values_yield_empty_tuples():
     config = parse_config(["cosim", "--backends"])
     assert config.backends == ()
     assert config.workloads == ("uart_selftest", "crc32")
-    config = parse_config(["bench", "--bench-workers"])
-    assert config.bench_workers == ()
     # Empty *positional* stages still mean the default stage list.
     assert parse_config(["--workloads"]).stages == ("cosim",)
 
@@ -78,19 +74,33 @@ def test_empty_workloads_run_fuzz_chunks_only(capsys):
 
 
 def test_zero_task_stages_fail_instead_of_crashing_or_passing(capsys):
-    """Regression sweep for zero-value tuples downstream of the parser:
+    """Regression sweep for options that leave a stage nothing to verify:
     cosim with nothing to verify used to exit 0 claiming "0/0 clean" (a
     vacuous pass), mutation with zero backends crashed on its empty
-    verdict rows, and bench with zero worker counts crashed indexing the
-    serial baseline.  All three must fail cleanly with exit code 1."""
+    verdict rows, a zero mutant limit crashed picking mutants, a zero
+    mutant budget "killed" every mutant before it retired anything, and
+    a zero scenario budget passed with no scenario retiring an
+    instruction.  Each must fail cleanly with exit code 1, naming the
+    option, before it runs anything."""
     assert main(["cosim", "--backends"]) == 1
     assert "nothing verified" in capsys.readouterr().err
     assert main(["cosim", "--workloads"]) == 1  # no fuzz chunks either
     assert "nothing verified" in capsys.readouterr().err
     assert main(["mutation", "--backends"]) == 1
     assert "nothing verified" in capsys.readouterr().err
-    assert main(["bench", "--bench-workers"]) == 1
-    assert "worker count" in capsys.readouterr().err
+    for argv, option in (
+            (["cosim", "--workloads", "--fuzz-chunks", "-2"],
+             "--fuzz-chunks"),
+            (["mutation", "--mutation-limit", "-3"], "--mutation-limit"),
+            (["mutation", "--mutation-limit", "0"], "--mutation-limit"),
+            (["mutation", "--mutation-budget", "0"], "--mutation-budget"),
+            (["scenarios", "--scenario-count", "2", "--scenario-budget",
+              "0", "--scenario-probes", "0", "--scenario-mutation", "0"],
+             "--scenario-budget")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f": {option} must" in err, err
+        assert "Traceback" not in err and "Error" not in err, err
 
 
 def test_int_options_accept_hex():
@@ -127,6 +137,28 @@ def test_stage_order_is_preserved():
     assert config.stages == tuple(reversed(STAGES))
 
 
+def test_every_stage_has_a_runner_and_every_option_a_reader():
+    """A stage is one ``STAGES`` name and one runner, in the same order,
+    and every ``FarmConfig`` field is read as ``config.<field>`` somewhere
+    in ``repro/cli.py`` — so deleting a stage without its options, or
+    leaving an option nothing reads, fails here."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    import repro.cli as cli
+
+    assert tuple(cli._STAGE_RUNNERS) == STAGES
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "config"
+            and isinstance(node.ctx, ast.Load)}
+    fields = [spec.name for spec in dataclasses.fields(FarmConfig)]
+    assert [name for name in fields if name not in read] == []
+
+
 # -------------------------------------------------------- stage smoke
 
 def test_cosim_stage_exit_zero(capsys):
@@ -155,30 +187,6 @@ def test_compliance_stage_exit_zero(capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "-> PASS" in err
-
-
-def test_fleet_stage_writes_validated_artifact(tmp_path, capsys,
-                                               monkeypatch):
-    """``python -m repro fleet`` batches instances, proves sampled
-    equivalence, and writes a schema-valid BENCH_fleet_throughput.json."""
-    from repro.core.bench_schema import validate_artifact_file
-
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
-    code = main(["fleet", "--fleet-instances", "48"])
-    err = capsys.readouterr().err
-    assert code == 0
-    assert "speedup vs single" in err
-    artifact = tmp_path / "BENCH_fleet_throughput.json"
-    assert artifact.exists()
-    assert validate_artifact_file(artifact) == []
-    document = json.loads(artifact.read_text())
-    assert document["metrics"]["instances"] == 48
-    assert document["metrics"]["retirements"] > 0
-
-
-def test_fleet_stage_rejects_zero_instances(capsys):
-    assert main(["fleet", "--fleet-instances", "0"]) == 1
-    assert "at least one instance" in capsys.readouterr().err
 
 
 def test_json_out_records_stage_results(tmp_path, capsys):
@@ -220,11 +228,8 @@ def test_raising_stage_still_writes_json_out(tmp_path, capsys,
                             description="fuzz seed=0x1234")
 
     monkeypatch.setitem(cli._STAGE_RUNNERS, "cosim", explode)
-    # The fleet stage writes BENCH_fleet_throughput.json; at 16 instances
-    # it must not replace the 1024-instance artifact the bench wrote.
-    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     out_path = tmp_path / "results.json"
-    code = run(parse_config(["cosim", "fleet", "--fleet-instances", "16",
+    code = run(parse_config(["cosim", "compliance",
                              "--json-out", str(out_path)]))
     err = capsys.readouterr().err
     assert code == 1
@@ -234,8 +239,8 @@ def test_raising_stage_still_writes_json_out(tmp_path, capsys,
     assert results["cosim"]["task_id"] == "fuzz[007]"
     assert "boom" in results["cosim"]["error"]
     # The stage after the explosion still ran and was recorded.
-    assert results["fleet"]["ok"] is True
-    assert (tmp_path / "BENCH_fleet_throughput.json").exists()
+    assert results["compliance"]["ok"] is True
+    assert results["compliance"]["tests_run"] == 38
 
 
 def test_telemetry_flags_write_manifest_and_trace(tmp_path, capsys):

@@ -198,6 +198,8 @@ def test_errors():
         compile_to_program("int main(void) { return missing; }")
     with pytest.raises(ValueError):
         normalize_level("O9")
+    with pytest.raises(ValueError):
+        normalize_level("")
 
 
 # ------------------------------- system intrinsics + __interrupt (PR 5)

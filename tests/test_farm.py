@@ -5,7 +5,9 @@ campaign merged from a process pool must be bit-identical to the serial
 walk, failures must surface with a replayable task description instead of
 hanging the pool, and workers must rebuild their cores from the task's
 subset + fingerprint — never trust a stale structure.  These tests pin
-each clause, plus the process-safe compliance signature cache.
+each clause (the kill matrix and the cosim campaign are diffed across
+worker counts here, scenarios in ``tests/test_scenario.py`` and lint in
+``tests/test_analysis.py``), plus the in-memory compliance signature memo.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from repro.farm import (
     CoreSpec,
     FarmTaskError,
     cosim_campaign,
-    fleet_campaign,
-    fleet_lane_value,
     mutation_exercise_target,
     run_tasks,
 )
@@ -29,7 +29,6 @@ from repro.rtl.compiled import stable_fingerprint
 from repro.rtl.rissp import build_rissp
 from repro.verify.fuzz import FUZZ_BASE_SEED, derive_seed, fuzz_chunk_seeds
 from repro.verify.mutation import rtl_mutant_kill_matrix
-from repro.verify.riscof import run_compliance
 import repro.verify.riscof as riscof
 
 #: Subset with full compliance-test scaffolding and a handful of targets.
@@ -64,26 +63,6 @@ def test_cosim_campaign_identical_at_any_worker_count():
     assert all(verdict is None for verdict in serial.values())
 
 
-def test_fleet_campaign_identical_at_any_worker_count():
-    """Sharding a fleet across the pool never changes any lane's row:
-    lane workloads are a pure function of the global lane index, and
-    contiguous shards merge back in lane order."""
-    serial = fleet_campaign(12, workers=1, max_instructions=400)
-    assert [row[0] for row in serial] == list(range(12))
-    assert all(row[3] == "ecall" for row in serial)
-    # Lanes with equal id values compute equal results; different ids
-    # (mod the spread) differ — the campaign is actually differentiated.
-    by_value: dict[int, set] = {}
-    for lane, exit_code, instructions, _ in serial:
-        by_value.setdefault(fleet_lane_value(lane), set()).add(
-            (exit_code, instructions))
-    assert all(len(group) == 1 for group in by_value.values())
-    assert len({next(iter(g)) for g in by_value.values()}) == len(by_value)
-    assert fleet_campaign(12, workers=2, max_instructions=400) == serial
-    assert fleet_campaign(12, workers=2, shards=5,
-                          max_instructions=400) == serial
-
-
 def test_failing_mutant_names_its_task_at_one_worker(monkeypatch):
     """The serial kill matrix runs the same tasks as the pool, so a
     mutant that raises surfaces as a FarmTaskError naming its task id,
@@ -105,40 +84,6 @@ def test_failing_mutant_names_its_task_at_one_worker(monkeypatch):
                                limit=8, max_instructions=400, workers=1)
     assert info.value.task_id == "mutant[003]"
     assert "injected mutant failure" in str(info.value)
-
-
-def test_compliance_identical_at_any_worker_count():
-    core = build_rissp(COMPLIANCE_SUBSET)
-    serial = run_compliance(core, workers=1)
-    farmed = run_compliance(core, workers=4, shards=4)
-    assert serial.tests_run == farmed.tests_run > 0
-    assert serial.mismatches == farmed.mismatches == []
-    assert serial.compliant and farmed.compliant
-
-
-def test_compliance_shard_merge_restores_target_order(monkeypatch):
-    """Mismatches from different shards must come back in serial target
-    order, not shard-completion order."""
-    core = build_rissp(COMPLIANCE_SUBSET)
-    real = riscof.check_compliance_mnemonic
-
-    def flaky(core, mnemonic):
-        if mnemonic in ("add", "slt"):
-            return [f"{mnemonic}: signature[0] dut=0x0 ref=0x1"]
-        return real(core, mnemonic)
-
-    monkeypatch.setattr(riscof, "check_compliance_mnemonic", flaky)
-    serial = run_compliance(core, workers=1)
-    # Farm path with workers=1 still exercises sharding + merge in-process
-    # (run_tasks takes the serial branch, so the monkeypatch applies).
-    from repro.farm import sharded_compliance_mismatches
-    from repro.verify.riscof import compliance_targets
-
-    targets = compliance_targets(COMPLIANCE_SUBSET)
-    merged = sharded_compliance_mismatches(core, targets, workers=1,
-                                           shards=5)
-    assert merged == serial.mismatches
-    assert [m.split(":")[0] for m in merged] == ["add", "slt"]
 
 
 # --------------------------------------------------- failure propagation

@@ -242,7 +242,7 @@ def _stage_cosim(config: FarmConfig) -> tuple[bool, dict]:
 
 def _stage_mutation(config: FarmConfig) -> tuple[bool, dict]:
     from .farm import mutation_exercise_target
-    from .verify.mutation import rtl_mutant_kill_matrix
+    from .verify.mutation import cosim_verdict, rtl_mutant_kill_matrix
 
     nothing = {"mutants": 0, "killed": 0, "disagreements": []}
     if not config.backends:
@@ -260,6 +260,17 @@ def _stage_mutation(config: FarmConfig) -> tuple[bool, dict]:
                   f"verified -> FAIL")
             return False, nothing
     core, program = mutation_exercise_target()
+    # Below the unmutated core's own run a mutant is "killed" by the
+    # budget alone, so that core must finish clean on every backend.
+    for backend in config.backends:
+        verdict = cosim_verdict(core, program, backend,
+                                config.mutation_budget)
+        if verdict is not None:
+            _echo(f"mutation: --mutation-budget must cover the unmutated "
+                  f"core's run, which ends in {verdict} at "
+                  f"{config.mutation_budget} retirements on {backend} "
+                  f"-> FAIL")
+            return False, nothing
     matrix = rtl_mutant_kill_matrix(
         core, program, backends=tuple(config.backends),
         limit=config.mutation_limit,

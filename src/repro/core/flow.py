@@ -13,15 +13,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..isa.program import Program
 from ..physical.flow import LayoutReport, implement
 from ..rtl.core_sim import cosimulate
 from ..rtl.ir import Module
 from ..rtl.rissp import build_rissp
+from ..sim.golden import abi_initial_regs
+from ..sim.tracing import RvfiTrace
 from ..synth.report import SynthReport, synthesize
 from ..workloads import OPT_LEVEL, WORKLOADS, build_program
 from .subset_analysis import SubsetProfile, profile_program
+
+if TYPE_CHECKING:
+    from ..verify.rvfi import RvfiCheckReport
 
 
 def app_core(name: str) -> tuple[Program, SubsetProfile, Module]:
@@ -38,6 +44,27 @@ def app_core(name: str) -> tuple[Program, SubsetProfile, Module]:
     core = build_rissp(profile.core_subset(), name=f"rissp_{name}",
                        reset_pc=program.entry)
     return program, profile, core
+
+
+class RvfiCheckSink:
+    """A ``cosimulate(rtl_trace_out=...)`` sink that spec-checks the
+    core's trace chunk by chunk, as cosim compares it, and keeps only the
+    report.  Each chunk resumes :func:`repro.verify.rvfi.check_trace`
+    from the last, so the report is the whole trace's while no more than
+    one chunk is ever held.  ``check_trace`` is looked up on its module
+    per chunk, so a wrapper installed there (perfbench's ``rvfi.check``
+    span) sees every call."""
+
+    def __init__(self) -> None:
+        self.report: RvfiCheckReport | None = None
+
+    def extend(self, chunk: RvfiTrace) -> None:
+        from ..verify import rvfi
+        if self.report is None:
+            self.report = rvfi.check_trace(chunk,
+                                           initial_regs=abi_initial_regs())
+        else:
+            rvfi.check_trace(chunk, resume=self.report)
 
 
 @dataclass
@@ -76,11 +103,14 @@ class RisspFlow:
         on the generated core (comparing writeback *and* both sides of the
         memory interface per retirement), and an RVFI trace check of the
         core's own retirements against the executable spec — the full
-        §3.4.2 story.  The checked trace is the RTL side of the cosim
-        (``cosimulate(rtl_trace_out=...)``), so ``verified["rvfi"]`` means
-        the RISSP's retirements satisfy the spec, including the source
-        operands its register-file read ports delivered, which cosim does
-        not compare.  The golden side rides the decoded-op cache
+        §3.4.2 story.  The checked trace is the RTL side of the cosim, so
+        ``verified["rvfi"]`` means cosim matched to halt and the RISSP's
+        retirements satisfy the spec, including the source operands its
+        register-file read ports delivered, which cosim does not compare.
+        The check runs inside the cosim: :class:`RvfiCheckSink`, passed as
+        ``rtl_trace_out``, checks each compared chunk as it arrives, so
+        the flow's memory follows one chunk, not the length of the
+        program.  The golden side rides the decoded-op cache
         (:mod:`repro.sim.decoded`): the compliance signatures come from the
         golden fast path, and the cosimulation's golden side records its
         reference trace through the compiled recorders: on the compute
@@ -98,23 +128,20 @@ class RisspFlow:
                              synth=synth, program=program,
                              soc_spec=workload.soc_spec)
         if run_verification:
-            from ..sim.golden import abi_initial_regs
-            from ..sim.tracing import RvfiTrace
             from ..verify.riscof import run_compliance
-            from ..verify.rvfi import check_trace
-            rtl_trace = RvfiTrace()
+            rvfi_check = RvfiCheckSink()
             mismatch = cosimulate(core, program,
                                   max_instructions=2_000_000,
                                   soc=workload.soc_spec,
-                                  rtl_trace_out=rtl_trace)
+                                  rtl_trace_out=rvfi_check)
             result.verified["cosim"] = mismatch is None
             compliance = run_compliance(core)
             result.verified["riscof"] = compliance.compliant
             # The core's trace is complete only when cosim matched to
-            # halt — a truncated prefix is never reported as a full pass.
-            rvfi_report = check_trace(rtl_trace,
-                                      initial_regs=abi_initial_regs())
-            result.verified["rvfi"] = mismatch is None and rvfi_report.passed
+            # halt — a checked prefix is never reported as a full pass.
+            report = rvfi_check.report
+            result.verified["rvfi"] = mismatch is None \
+                and report is not None and report.passed
         if run_physical:
             result.layout = implement(synth)
         return result

@@ -283,6 +283,9 @@ def fleet_throughput_metrics(instances: int = 1024,
                 raise RuntimeError(
                     f"fleet lane {lane} RVFI column {field!r} diverged "
                     f"from single-core fused")
+    # Free the probe's lane memories before the timed fleet allocates its
+    # own: nothing reads them after the equivalence loop.
+    del probe, probe_rows
 
     # -- timed batched fleet (construction + pokes + run, no tracing)
     started = time.perf_counter()

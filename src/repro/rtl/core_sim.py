@@ -40,8 +40,9 @@ truncate the 5-bit field to the 16-entry file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import compress, count
 from operator import ne
+from typing import Protocol
 
 from ..isa.bits import to_u32
 from ..isa.csrs import CAUSE_ILLEGAL_INSTRUCTION
@@ -551,6 +552,14 @@ class RisspSim:
                          trace=trace if trace is not None else [])
 
 
+class ChunkSink(Protocol):
+    """Where :func:`cosimulate` hands one side's compared rows: one
+    ``extend`` call per chunk, with a fresh :class:`RvfiTrace` of that
+    chunk's rows.  An :class:`RvfiTrace` is one, and appends them."""
+
+    def extend(self, chunk: RvfiTrace) -> None: ...
+
+
 @dataclass
 class CosimMismatch:
     """First divergence between RISSP RTL and the golden ISS."""
@@ -563,10 +572,10 @@ class CosimMismatch:
 
 def cosimulate(core: Module, program: Program,
                max_instructions: int = 2_000_000,
-               golden_trace_out: RvfiTrace | None = None,
+               golden_trace_out: ChunkSink | None = None,
                backend: str | None = None,
                soc: "object | None" = None,
-               rtl_trace_out: RvfiTrace | None = None
+               rtl_trace_out: ChunkSink | None = None
                ) -> CosimMismatch | None:
     """Lock-step compare RISSP RTL execution against the golden ISS.
 
@@ -595,13 +604,17 @@ def cosimulate(core: Module, program: Program,
     loses to a divergence among the rows it did retire and wins over any
     later RTL refusal.
 
-    ``golden_trace_out`` and ``rtl_trace_out``, :class:`RvfiTrace` sinks,
-    when given, receive exactly the compared rows of their side: through
-    the divergent index on a mismatch, the rows before a refusal, every
-    row on a clean run.  A caller that spec-checks the core's own
-    retirements (:func:`repro.verify.rvfi.check_trace`, as
-    :meth:`repro.core.flow.RisspFlow.generate` does) reuses
-    ``rtl_trace_out`` instead of paying for a second traced RTL run.
+    ``golden_trace_out`` and ``rtl_trace_out`` (each a
+    :class:`ChunkSink`), when given, receive exactly the compared rows of
+    their side, one ``extend`` call per chunk, the last chunk trimmed:
+    through the divergent index on a mismatch, the rows before a refusal,
+    every row on a clean run.  An :class:`RvfiTrace` passed there
+    collects the whole side.  A caller that spec-checks the core's own
+    retirements reuses ``rtl_trace_out`` instead of paying for a second
+    traced RTL run, and can do it chunk by chunk:
+    :meth:`repro.core.flow.RisspFlow.generate` passes a sink that resumes
+    :func:`repro.verify.rvfi.check_trace` on each chunk, so the core's
+    trace is never held whole.
 
     ``backend`` forces the RTL evaluator backend (``"fused"`` or
     ``"interpreter"``); the default follows :class:`RtlSim`.  On
@@ -643,14 +656,9 @@ def cosimulate(core: Module, program: Program,
             else mismatch.index - order + 1
         for out, side in ((golden_trace_out, gold_chunk),
                           (rtl_trace_out, chunk)):
-            if out is None:
-                continue
-            if compared == len(side):
+            if out is not None:
+                side.truncate(compared)
                 out.extend(side)
-            else:
-                record = out.row_sink()
-                for row in islice(side.rows(), compared):
-                    record(row)
         if mismatch is not None:
             return mismatch
         if refusal is not None:

@@ -165,6 +165,12 @@ class RvfiTrace:
         self._flat[:(keep - head) * ROW_WIDTH] = newest[split:]
         self._ring_total += rows
 
+    def truncate(self, rows: int) -> None:
+        """Keep only the first ``rows`` rows (an unbounded trace only)."""
+        if self.capacity is not None:
+            raise ValueError("a ring trace cannot be truncated")
+        del self._flat[rows * ROW_WIDTH:]
+
     def column(self, field: str) -> list[int]:
         """A copy of the column for ``field`` (ring mode: every slot, in
         physical slot order)."""

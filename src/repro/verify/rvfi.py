@@ -32,6 +32,15 @@ arm declines, and every Zicsr, ``mret``, ``wfi``, ``ecall`` and
 with and without arms by construction; ``tests/test_verify.py`` patches
 the arm compiler to return None and requires it.
 
+A check can be continued: ``check_trace(rows, resume=report)`` judges
+``rows`` as the rows that follow the ones ``report`` has seen, in the
+same trace.  The report carries the walk's state between calls (the
+shadow registers and CSRs, the previous row's ``order`` and ``pc_wdata``,
+the per-word facts and arms) and its error list keeps the cap, so any
+split of a trace gives the whole trace's report.  That is how
+:meth:`repro.core.flow.RisspFlow.generate` checks the core's trace one
+cosim chunk at a time, never holding it whole.
+
 Machine-mode extension (PR 3, multi-source in PR 5): the checker follows
 the riscv-formal ``rvfi_trap``/``rvfi_intr`` conventions — a trapping
 instruction retires with no architectural side effects and ``pc_wdata``
@@ -95,6 +104,10 @@ _CSR_MNEMONICS = set(CSR_OPS)
 class RvfiCheckReport:
     records_checked: int = 0
     errors: list[str] = field(default_factory=list)
+    #: Where the walk stopped, for ``check_trace(..., resume=report)``;
+    #: not part of the verdict, so reports compare by their rows alone.
+    _state: "_CheckState | None" = field(default=None, compare=False,
+                                         repr=False)
 
     @property
     def passed(self) -> bool:
@@ -383,9 +396,31 @@ _RECORD_ROW = attrgetter(*RvfiTrace.FIELDS)
 _MAX_ERRORS = 25
 
 
+class _CheckState:
+    """What the walk carries from one row to the next, kept on the report
+    so that a resumed :func:`check_trace` continues where it stopped: the
+    shadow register file (x0 pinned to 0) and CSR file, the decode facts
+    and compiled arms per word (so no arm is compiled twice), and the
+    previous row's ``order`` and ``pc_wdata`` for the pc chain."""
+
+    __slots__ = ("shadow", "csrs", "word_facts", "arms", "prev_order",
+                 "prev_pc_wdata")
+
+    def __init__(self, initial_regs: dict[int, int] | None):
+        self.shadow: dict[int, int] = dict(initial_regs or {})
+        self.shadow[0] = 0
+        self.csrs = _ShadowCsrs()
+        # An undecodable word is never stored in word_facts, so its
+        # DecodeError is raised on every row.
+        self.word_facts: dict[int, _WordFacts] = {}
+        self.arms: dict[int, Arm | None] = {}
+        self.prev_order: int | None = None
+        self.prev_pc_wdata: int | None = None
+
+
 def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
-                initial_regs: dict[int, int] | None = None
-                ) -> RvfiCheckReport:
+                initial_regs: dict[int, int] | None = None,
+                resume: RvfiCheckReport | None = None) -> RvfiCheckReport:
     """Validate a retirement trace against the executable spec.
 
     ``trace`` is the row-major :class:`~repro.sim.tracing.RvfiTrace` or
@@ -395,9 +430,16 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
     is built per row.  The shadow register file starts from
     ``initial_regs`` plus x0, which always reads as 0.
 
+    ``resume``, a report an earlier call returned, continues that check:
+    ``trace`` is judged as the rows that follow the ones it has seen, the
+    report is updated in place and returned, and ``initial_regs`` must be
+    None (the shadow registers are the report's).  Checking a trace in
+    pieces this way, however it is split, gives the report of one call
+    over the whole trace, and each arm is compiled once.
+
     The pc, order, interrupt and trap checks run on every row.  An
     untrapped row then goes to its word's compiled arm
-    (:func:`_compile_arm`, memoized per word for this trace), unless the
+    (:func:`_compile_arm`, memoized per word for this check), unless the
     word is undecodable or a Zicsr op, ``mret``, ``wfi``, ``ecall`` or
     ``ebreak``.  An arm that accepts the row has applied the shadow write
     the reflective code would; any other row is judged by the reflective
@@ -405,19 +447,22 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
     is the only writer of errors.  So the arms change the speed of the
     check, never its report.
     """
-    report = RvfiCheckReport()
+    if resume is None:
+        report = RvfiCheckReport()
+        state = report._state = _CheckState(initial_regs)
+    else:
+        report, state = resume, resume._state
+        if state is None or initial_regs is not None:
+            raise ValueError("resume takes a report check_trace returned, "
+                             "and no initial_regs")
     errors = report.errors
-    shadow: dict[int, int] = dict(initial_regs or {})
-    shadow[0] = 0
-    csrs = _ShadowCsrs()
-    # Facts and arms per word, memoized for this trace; an undecodable
-    # word is never stored in word_facts, so its DecodeError is raised on
-    # every row.
-    word_facts: dict[int, _WordFacts] = {}
-    arms: dict[int, Arm | None] = {}
-    checked = 0
-    prev_pc_wdata: int | None = None
-    prev_order: int | None = None
+    shadow = state.shadow
+    csrs = state.csrs
+    word_facts = state.word_facts
+    arms = state.arms
+    checked = report.records_checked
+    prev_pc_wdata = state.prev_pc_wdata
+    prev_order = state.prev_order
     rows = trace.rows() if isinstance(trace, RvfiTrace) \
         else map(_RECORD_ROW, trace)
 
@@ -603,4 +648,6 @@ def check_trace(trace: RvfiTrace | Sequence[RvfiRecord],
                 else expected.rd_data
 
     report.records_checked = checked
+    state.prev_order = prev_order
+    state.prev_pc_wdata = prev_pc_wdata
     return report

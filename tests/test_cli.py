@@ -78,10 +78,12 @@ def test_zero_task_stages_fail_instead_of_crashing_or_passing(capsys):
     cosim with nothing to verify used to exit 0 claiming "0/0 clean" (a
     vacuous pass), mutation with zero backends crashed on its empty
     verdict rows, a zero mutant limit crashed picking mutants, a zero
-    mutant budget "killed" every mutant before it retired anything, and
-    a zero scenario budget passed with no scenario retiring an
-    instruction.  Each must fail cleanly with exit code 1, naming the
-    option, before it runs anything."""
+    mutant budget "killed" every mutant before it retired anything, a
+    budget of 10 or 500 "killed" every mutant by the budget alone (the
+    unmutated exercise core needs 925 retirements), and a zero scenario
+    budget passed with no scenario retiring an instruction.  Each must
+    fail cleanly with exit code 1, naming the option, before it runs a
+    single task."""
     assert main(["cosim", "--backends"]) == 1
     assert "nothing verified" in capsys.readouterr().err
     assert main(["cosim", "--workloads"]) == 1  # no fuzz chunks either
@@ -94,6 +96,8 @@ def test_zero_task_stages_fail_instead_of_crashing_or_passing(capsys):
             (["mutation", "--mutation-limit", "-3"], "--mutation-limit"),
             (["mutation", "--mutation-limit", "0"], "--mutation-limit"),
             (["mutation", "--mutation-budget", "0"], "--mutation-budget"),
+            (["mutation", "--mutation-budget", "10"], "--mutation-budget"),
+            (["mutation", "--mutation-budget", "500"], "--mutation-budget"),
             (["scenarios", "--scenario-count", "2", "--scenario-budget",
               "0", "--scenario-probes", "0", "--scenario-mutation", "0"],
              "--scenario-budget")):
@@ -175,8 +179,7 @@ def test_cosim_stage_exit_zero(capsys):
 
 
 def test_mutation_stage_exit_zero(capsys):
-    code = main(["mutation", "--mutation-limit", "6",
-                 "--mutation-budget", "400"])
+    code = main(["mutation", "--mutation-limit", "6"])
     err = capsys.readouterr().err
     assert code == 0
     assert "mutation: " in err and "0 backend disagreements" in err

@@ -1,5 +1,7 @@
 """End-to-end methodology tests: Steps 1-3 + verification + evaluation."""
 
+import os
+
 import pytest
 
 from repro.core import RisspFlow, extract_subset, sweep_application, union_profile
@@ -51,6 +53,40 @@ def test_flow_with_verification(flow):
     result = flow.generate("armpit", run_verification=True)
     assert result.verified["cosim"]
     assert result.verified["riscof"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_verified_flow_memory_follows_one_chunk():
+    """The flow checks the core's RVFI trace chunk by chunk inside the
+    cosim, so verifying af_detect (94,882 retirements) raises a fresh
+    process's peak RSS by a few MiB, not by a whole trace: holding the
+    trace for one check after the cosim cost about 26 MiB.  The peak is
+    the process's own ``VmHWM``; ``ru_maxrss`` would start from the
+    spawning process's peak."""
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        for line in status:\n"
+        "            if line.startswith('VmHWM:'):\n"
+        "                return int(line.split()[1])\n"
+        "from repro import RisspFlow\n"
+        "flow = RisspFlow()\n"
+        "base = peak_kib()\n"
+        "result = flow.generate('af_detect', run_verification=True)\n"
+        "print(all(result.verified.values()), (peak_kib() - base) / 1024)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    verified, growth_mib = proc.stdout.split()
+    assert verified == "True"
+    assert float(growth_mib) < 12.0, proc.stdout
 
 
 def test_flow_with_physical(flow):

@@ -471,3 +471,25 @@ def test_compile_fleet_shares_decode_cache(full_core):
     assert core.namespace["_DCACHE"] is \
         fleet.run_fleet.__globals__["_DCACHE"]
     assert fleet.registers == tuple(full_core.registers)
+
+
+def test_throughput_metrics_hold_one_fleet_at_a_time(monkeypatch):
+    """``fleet_throughput_metrics`` builds a sampled-lane probe fleet and
+    then the timed fleet; the probe is released before the timed fleet
+    is built, so the campaign never holds two fleets' lane memories."""
+    import weakref
+
+    from repro.farm.campaigns import fleet_throughput_metrics
+
+    live: weakref.WeakSet = weakref.WeakSet()
+    live_at_construction = []
+    construct = FleetSim.__init__
+
+    def counting_init(self, *args, **kwargs):
+        live.add(self)
+        live_at_construction.append(len(live))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(FleetSim, "__init__", counting_init)
+    fleet_throughput_metrics(instances=64, sample=2, baseline_sample=2)
+    assert live_at_construction == [1, 1]

@@ -863,6 +863,35 @@ def test_golden_trace_out_stops_at_the_mismatch(loop_core, long_loop,
     assert rtl_sink.column("pc_wdata")[:-1] == sink.column("pc_wdata")[:-1]
 
 
+class _ChunkLengths:
+    """A trace sink that keeps only the length of each chunk it gets."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def extend(self, chunk):
+        self.lengths.append(len(chunk))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_trace_outs_get_one_extend_per_chunk(loop_core, long_loop,
+                                             small_chunk, monkeypatch,
+                                             backend):
+    """Each side's sink receives every compared chunk in one ``extend``
+    call, the last chunk trimmed to the divergent row: full chunks, then
+    the rows through the divergence (one row at a time on the
+    interpreter)."""
+    program, _ = long_loop
+    _corrupt_rtl_row(monkeypatch, MID_CHUNK2, "pc_wdata")
+    golden, rtl = _ChunkLengths(), _ChunkLengths()
+    mismatch = cosimulate(loop_core, program, backend=backend,
+                          golden_trace_out=golden, rtl_trace_out=rtl)
+    assert mismatch.index == MID_CHUNK2
+    chunk = SMALL_CHUNK if backend == "fused" else 1
+    assert golden.lengths == rtl.lengths == \
+        [chunk] * (MID_CHUNK2 // chunk) + [MID_CHUNK2 % chunk + 1]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("capacity", [1, 7])
 def test_ring_sink_counts_every_golden_retirement(loop_core, long_loop,

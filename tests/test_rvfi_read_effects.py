@@ -167,6 +167,64 @@ def test_rs_rdata_is_what_the_read_port_delivered(full_core, backend):
     assert check_trace(healthy.trace, initial_regs=abi_initial_regs()).passed
 
 
+@pytest.mark.parametrize("backend", ["fused", "interpreter"])
+def test_checking_sink_catches_the_read_port_core(full_core, backend):
+    """The flow's checking sink, fed by cosim chunk by chunk (one row at
+    a time on the interpreter), fails the bit-31 read-port core at its
+    sll row, as the whole trace's check does, and passes the healthy
+    core."""
+    from repro.core.flow import RvfiCheckSink
+    from repro.rtl.ir import const
+
+    variant = full_core.with_assigns({
+        "rf_rs2_data": full_core.assigns["rf_rs2_data"]
+        ^ const(0x80000000, 32)})
+    prog = assemble(_READ_PORT_PROBE)
+    for core, passed in ((variant, False), (full_core, True)):
+        sink = RvfiCheckSink()
+        assert cosimulate(core, prog, backend=backend,
+                          rtl_trace_out=sink) is None
+        whole = check_trace(
+            RisspSim(core, prog, trace=True, backend=backend).run(100)
+            .trace, initial_regs=abi_initial_regs())
+        assert sink.report == whole
+        assert sink.report.passed is passed
+
+
+def test_interpreter_rows_reach_check_trace_one_by_one(monkeypatch):
+    """On the interpreter each cosim chunk is one row, and the checking
+    sink hands each to the module's ``check_trace``, looked up per call
+    (so a wrapper installed on the module sees every row): on an
+    interrupt-driven SoC image the calls equal the rows, and the report
+    equals the whole trace's."""
+    from repro.core.flow import RvfiCheckSink
+    from repro.farm.campaigns import workload_target
+    from repro.verify import rvfi
+
+    core, program, soc = workload_target("label_refresh")
+    whole_trace = RvfiTrace()
+    streamed = RvfiCheckSink()
+    calls = []
+    check = rvfi.check_trace
+
+    def counted(trace, *args, **kwargs):
+        calls.append(len(trace))
+        return check(trace, *args, **kwargs)
+
+    class Both:
+        def extend(self, chunk):
+            whole_trace.extend(chunk)
+            streamed.extend(chunk)
+
+    monkeypatch.setattr(rvfi, "check_trace", counted)
+    assert cosimulate(core, program, soc=soc, backend="interpreter",
+                      rtl_trace_out=Both()) is None
+    assert any(whole_trace.column("intr"))
+    assert calls == [1] * len(whole_trace)
+    whole = check(whole_trace, initial_regs=abi_initial_regs())
+    assert whole.passed and streamed.report == whole
+
+
 _STORE_PROBE = """.text
 main:
     li a1, 0x1234

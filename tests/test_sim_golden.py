@@ -88,6 +88,19 @@ def test_trace_extend_into_ring_matches_append_row(capacity):
                 assert got.column(field) == want.column(field), field
 
 
+def test_truncate_keeps_the_first_rows():
+    from repro.sim import RvfiTrace
+
+    trace = RvfiTrace()
+    for order in range(5):
+        trace.append_row(*range(order, order + 17))
+    trace.truncate(3)
+    assert [row[0] for row in trace.rows()] == [0, 1, 2]
+    assert trace.total_appended == 3
+    with pytest.raises(ValueError, match="ring"):
+        RvfiTrace(capacity=2).truncate(1)
+
+
 @pytest.mark.parametrize("capacity", [None, 1, 7])
 def test_row_sink_records_like_append_row(capacity):
     """row_sink takes one 17-tuple per row and records the same trace as

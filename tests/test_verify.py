@@ -498,6 +498,142 @@ def test_seeded_defect_fails_identically_in_both_forms(
         errors
 
 
+def _checked_in_pieces(trace, cuts):
+    """check_trace over ``trace`` cut before each row index in ``cuts``,
+    every piece an :class:`RvfiTrace` that resumes the last one's report,
+    as the flow checks cosim's chunks."""
+    from repro.sim.tracing import RvfiTrace
+
+    rows = list(trace.rows())
+    bounds = [0, *sorted(set(cuts)), len(rows)]
+    report = None
+    for start, stop in zip(bounds, bounds[1:]):
+        piece = RvfiTrace()
+        record = piece.row_sink()
+        for row in rows[start:stop]:
+            record(row)
+        if report is None:
+            report = check_trace(piece, initial_regs=abi_initial_regs())
+        else:
+            assert check_trace(piece, resume=report) is report
+    return report
+
+
+def _splits(length, seed, *cuts):
+    """Ways to cut a trace of ``length`` rows: every row alone, cosim's
+    ``COSIM_CHUNK`` rows, 20 random cuts, and the given ``cuts``."""
+    import random
+
+    from repro.rtl.core_sim import COSIM_CHUNK
+
+    rng = random.Random(seed)
+    return [range(1, length), range(COSIM_CHUNK, length, COSIM_CHUNK),
+            rng.sample(range(1, length), min(20, length - 1)),
+            [cut for cut in cuts if 0 < cut < length]]
+
+
+@pytest.mark.parametrize("defect, source, selector, pokes, message", DEFECTS,
+                         ids=[row[0] for row in DEFECTS])
+def test_seeded_defect_report_survives_any_split(
+        defect_traces, defect, source, selector, pokes, message):
+    """A check resumed piece by piece gives the whole trace's report
+    (rows checked, and every error in order), with cuts anywhere,
+    just before and just after the seeded row included."""
+    from repro.sim.tracing import RvfiTrace
+
+    clean = defect_traces[source]
+    index = _select(clean, selector)
+    defective = _poked(clean, index, pokes(dict(zip(RvfiTrace.FIELDS,
+                                                    clean.row(index)))))
+    whole = check_trace(defective, initial_regs=abi_initial_regs())
+    assert not whole.passed
+    for cuts in _splits(len(defective), defect, index, index + 1):
+        assert _checked_in_pieces(defective, cuts) == whole, list(cuts)
+
+
+def test_error_cap_holds_across_pieces(defect_traces):
+    """The 25-error cap is the whole check's, not each piece's: once it
+    is reached, the pieces that follow check no row."""
+    from repro.sim.tracing import RvfiTrace
+
+    defective = RvfiTrace()
+    defective.extend(defect_traces["every_arm"])
+    for index in range(1, len(defective)):
+        defective.poke(index, "pc_rdata",
+                       defective.peek(index, "pc_rdata") ^ 0x10)
+    whole = check_trace(defective, initial_regs=abi_initial_regs())
+    assert len(whole.errors) >= 25
+    assert whole.records_checked < len(defective) // 2
+    for cuts in _splits(len(defective), "cap"):
+        assert _checked_in_pieces(defective, cuts) == whole
+
+
+def test_resumed_check_compiles_each_arm_once(defect_traces, monkeypatch):
+    """The arms carry from piece to piece: a trace checked one row at a
+    time compiles each word's arm once."""
+    from collections import Counter
+
+    from repro.verify import rvfi
+
+    compiled: Counter = Counter()
+    compile_arm = rvfi._compile_arm
+
+    def counting(word):
+        compiled[word] += 1
+        return compile_arm(word)
+
+    monkeypatch.setattr(rvfi, "_compile_arm", counting)
+    trace = defect_traces["every_arm"]
+    assert _checked_in_pieces(trace, range(1, len(trace))).passed
+    assert compiled and max(compiled.values()) == 1
+
+
+def test_resume_takes_a_report_without_initial_regs(defect_traces):
+    from repro.verify import RvfiCheckReport
+
+    trace = defect_traces["plain"]
+    report = check_trace(trace, initial_regs=abi_initial_regs())
+    for bad in ({"resume": RvfiCheckReport()},
+                {"resume": report, "initial_regs": abi_initial_regs()}):
+        with pytest.raises(ValueError, match="resume takes a report"):
+            check_trace(trace, **bad)
+
+
+@pytest.mark.parametrize("name", ["armpit", "af_detect_irq",
+                                  "sensor_streaming", "uart_selftest"])
+def test_app_trace_report_survives_any_split(name):
+    """The core's clean trace of an edge app, checked as the flow does
+    it (one ``RvfiCheckSink`` resume per cosim chunk) and cut every
+    other way, gives the whole trace's report.  The cuts fall into
+    interrupt sequences (af_detect_irq, sensor_streaming) and a trap
+    sequence (uart_selftest): at the entry row, and after it."""
+    from repro.core.flow import RvfiCheckSink
+    from repro.farm.campaigns import workload_target
+    from repro.rtl.core_sim import cosimulate
+    from repro.sim.tracing import RvfiTrace
+
+    core, program, soc = workload_target(name)
+    whole_trace = RvfiTrace()
+    streamed = RvfiCheckSink()
+
+    class Both:
+        def extend(self, chunk):
+            whole_trace.extend(chunk)
+            streamed.extend(chunk)
+
+    assert cosimulate(core, program, soc=soc, rtl_trace_out=Both()) is None
+    whole = check_trace(whole_trace, initial_regs=abi_initial_regs())
+    assert whole.passed and whole.records_checked == len(whole_trace)
+    assert streamed.report == whole
+    entries = [index for index, (intr, trap) in enumerate(zip(
+        whole_trace.column("intr"), whole_trace.column("trap")))
+        if intr or trap][:3]
+    assert entries or name == "armpit"
+    cuts = [cut for index in entries for cut in (index, index + 1)]
+    for split in _splits(len(whole_trace), name, *cuts):
+        assert _checked_in_pieces(whole_trace, split) == whole
+
+
 @pytest.fixture(scope="module")
 def fuzz_traces():
     """Golden traces of three seeded random programs."""

@@ -557,7 +557,7 @@ class ChunkSink(Protocol):
     ``extend`` call per chunk, with a fresh :class:`RvfiTrace` of that
     chunk's rows.  An :class:`RvfiTrace` is one, and appends them."""
 
-    def extend(self, chunk: RvfiTrace) -> None: ...
+    def extend(self, chunk: RvfiTrace, /) -> None: ...
 
 
 @dataclass
